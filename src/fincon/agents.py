@@ -16,6 +16,7 @@ driver can log it verbatim for audit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date as Date
 
@@ -260,21 +261,24 @@ def route(message: Message, topology: Topology) -> Message:
 
 
 class Router:
-    """Topology-enforcing message log; the engine sends everything through it."""
+    """Topology-enforcing router; the engine sends everything through it.
+
+    Only per-kind delivery counts are kept, not the messages themselves.
+    """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self.log: list[Message] = []
+        self._counts: Counter[str] = Counter()
 
     def send(self, message: Message) -> Message:
         delivered = route(message, self.topology)
-        self.log.append(delivered)
+        self._counts[delivered.kind] += 1
         return delivered
 
     def count(self, kind: str | None = None) -> int:
         if kind is None:
-            return len(self.log)
-        return sum(1 for m in self.log if m.kind == kind)
+            return sum(self._counts.values())
+        return self._counts[kind]
 
 
 # ---------------------------------------------------------------------------

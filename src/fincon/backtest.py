@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .agents import (
     DAILY_ANALYST_ROLES,
     KIND_FOR_ROLE,
@@ -174,6 +173,17 @@ def _parse_date(text: str, label: str) -> Date:
         raise ConfigError(f"{label}: bad date {text!r}") from None
 
 
+def read_config_payload(path: str | Path) -> dict:
+    """The JSON document in a config file; ConfigError if missing or invalid."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+
 @dataclass
 class RunConfig:
     """One run's full, resolved configuration (a single JSON document)."""
@@ -263,13 +273,7 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_dict(payload, base_dir=path.parent)
+        return cls.from_dict(read_config_payload(path), base_dir=path.parent)
 
     def resolved_dict(self) -> dict:
         """Fully resolved config (defaults merged) for config.used.json."""
@@ -330,7 +334,8 @@ def max_drawdown(values) -> float:
         raise EmptySeries("no values")
     if np.any(arr <= 0):
         raise NonPositiveValue("drawdown needs positive values")
-    return 100.0 * _kernels.drawdown_fraction(arr)
+    peaks = np.maximum.accumulate(arr)
+    return 100.0 * float(np.max((peaks - arr) / peaks))
 
 
 def objective_value(pnls, alpha: float) -> float:
@@ -887,12 +892,25 @@ class BacktestEngine:
 # train / test drivers
 # ---------------------------------------------------------------------------
 
-def _load_market(config: RunConfig) -> MarketData:
+def load_market(config: RunConfig) -> MarketData:
+    """Market data over the config's whole train-to-test range."""
     return MarketData.load(
         config.price_paths, config.document_paths,
         range_start=config.train_start, range_end=config.test_end,
         momentum_window=config.data_ingest["momentum_window"],
     )
+
+
+def _write_report(writer: RunWriter, config: RunConfig,
+                  trajectory: Trajectory) -> MetricsReport:
+    """Write report.json and metrics.csv for one trajectory; returns the report."""
+    report = build_report(trajectory.pnls(), config.backtest["capital"],
+                          config.risk["cvar_alpha"], config.backtest["risk_free_daily"],
+                          config.backtest["annualize_sharpe"],
+                          config.backtest["discount_alpha"])
+    writer.write_report(report)
+    writer.write_metrics_csv(trajectory.days, config.backtest["capital"])
+    return report
 
 
 def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
@@ -905,7 +923,7 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     episodes whose trajectory and checkpoint already exist are reloaded
     instead of re-run.
     """
-    market = market if market is not None else _load_market(config)
+    market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)
     engine = BacktestEngine(config, market, gateway, writer=writer)
@@ -954,13 +972,7 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     writer.write_prompt_set(prompts)
     writer.write_memory(engine.store)
-    last = trajectories[-1]
-    report = build_report(last.pnls(), config.backtest["capital"],
-                          config.risk["cvar_alpha"], config.backtest["risk_free_daily"],
-                          config.backtest["annualize_sharpe"],
-                          config.backtest["discount_alpha"])
-    writer.write_report(report)
-    writer.write_metrics_csv(last.days, config.backtest["capital"])
+    _write_report(writer, config, trajectories[-1])
     writer.write_summary("train_summary.json", {
         "episodes_run": len(trajectories),
         "objectives": objectives,
@@ -1016,7 +1028,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
             f"missing training artifacts under {train_dir} "
             "(expected prompts/final/prompt_set.json and memory/snapshot.jsonl)")
     prompts = PromptSet.from_dict(json.loads(prompt_path.read_text()))
-    market = market if market is not None else _load_market(config)
+    market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)
     store = MemoryStore.load_jsonl(memory_path, calendar=market.calendar)
@@ -1025,12 +1037,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
                                     config.test_start, config.test_end)
     writer.write_trajectory("test", trajectory)
     writer.write_prompt_log("test", engine.prompt_log.get("test", []))
-    report = build_report(trajectory.pnls(), config.backtest["capital"],
-                          config.risk["cvar_alpha"], config.backtest["risk_free_daily"],
-                          config.backtest["annualize_sharpe"],
-                          config.backtest["discount_alpha"])
-    writer.write_report(report)
-    writer.write_metrics_csv(trajectory.days, config.backtest["capital"])
+    report = _write_report(writer, config, trajectory)
     writer.write_memory(engine.store)
     writer.write_summary("test_summary.json", {
         "days": len(trajectory.days),
@@ -1051,10 +1058,4 @@ def recompute_report(run_dir: str | Path, config: RunConfig) -> MetricsReport:
     tag = path.stem.replace("trajectory_", "")
     trajectory = Trajectory.from_jsonl(path, tag, config.backtest["discount_alpha"])
     writer = RunWriter(run_dir)
-    report = build_report(trajectory.pnls(), config.backtest["capital"],
-                          config.risk["cvar_alpha"], config.backtest["risk_free_daily"],
-                          config.backtest["annualize_sharpe"],
-                          config.backtest["discount_alpha"])
-    writer.write_report(report)
-    writer.write_metrics_csv(trajectory.days, config.backtest["capital"])
-    return report
+    return _write_report(writer, config, trajectory)

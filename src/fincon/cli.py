@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import backtest, portfolio
-from .data_ingest import MarketData
 from .errors import (
     ConfigError,
     FinconError,
@@ -58,12 +57,7 @@ def _apply_overrides(payload: dict, overrides: list[str]) -> dict:
 
 def _load_config(args) -> backtest.RunConfig:
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    payload = backtest.read_config_payload(path)
     if args.override:
         payload = _apply_overrides(payload, args.override)
     if args.seed is not None:
@@ -90,9 +84,7 @@ def _require_run_dir(args) -> Path:
 
 def _cmd_validate_data(args) -> int:
     config = _load_config(args)
-    market = MarketData.load(config.price_paths, config.document_paths,
-                             range_start=config.train_start, range_end=config.test_end,
-                             momentum_window=config.data_ingest["momentum_window"])
+    market = backtest.load_market(config)
     for ticker in config.tickers:
         bars = len(market.series[ticker].bars)
         print(f"{ticker}: {bars} bars", file=sys.stderr)
@@ -135,9 +127,7 @@ def _cmd_report(args) -> int:
 def _cmd_select_stocks(args) -> int:
     config = _load_config(args)
     run_dir = _require_run_dir(args)
-    market = MarketData.load(config.price_paths, config.document_paths,
-                             range_start=config.train_start, range_end=config.test_end,
-                             momentum_window=config.data_ingest["momentum_window"])
+    market = backtest.load_market(config)
     news_counts = {t: 0 for t in config.price_paths}
     for docs in market.docs_by_attach.values():
         for doc in docs:

@@ -23,7 +23,6 @@ from datetime import date as Date
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatch, FutureEvent, UnknownEventId, ZeroVector
 
 LAYERS = ("working", "procedural", "episodic")
@@ -127,17 +126,28 @@ class ScoredEvent:
     gamma: float
 
 
+def cosine_matrix(query: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Cosine similarity between one query vector and each row of ``emb``."""
+    qnorm = np.sqrt(query @ query)
+    norms = np.sqrt(np.einsum("ij,ij->i", emb, emb))
+    return (emb @ query) / (norms * qnorm)
+
+
+def decay_importance(v0: np.ndarray, theta: np.ndarray, dt: np.ndarray,
+                     bonus: np.ndarray) -> np.ndarray:
+    """Elementwise v0 * theta**dt + bonus."""
+    return v0 * np.power(theta, dt) + bonus
+
+
 def relevancy_score(query_emb: np.ndarray, event_emb: np.ndarray) -> float:
     """Cosine similarity in [-1, 1] between two equal-length nonzero vectors."""
     a = np.asarray(query_emb, dtype=float)
     b = np.asarray(event_emb, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    na = float(np.sqrt(a @ a))
-    nb = float(np.sqrt(b @ b))
-    if na == 0.0 or nb == 0.0:
+    if float(a @ a) == 0.0 or float(b @ b) == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero vector")
-    return float(a @ b) / (na * nb)
+    return float(cosine_matrix(a, b[np.newaxis, :])[0])
 
 
 def importance_score(event: MemoryEvent, as_of: Date,
@@ -150,7 +160,8 @@ def importance_score(event: MemoryEvent, as_of: Date,
     if as_of < event.created_at:
         raise FutureEvent(f"{event.event_id} created {event.created_at}, queried {as_of}")
     dt = _delta_days(event.created_at, as_of, calendar)
-    return event.initial_importance * event.decay_ratio**dt + event.access_bonus
+    return float(decay_importance(event.initial_importance, event.decay_ratio, dt,
+                                  event.access_bonus))
 
 
 def _delta_days(created: Date, as_of: Date, calendar: tuple[Date, ...] | None) -> int:
@@ -180,9 +191,12 @@ def scale_unit(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def score_candidates(raw_relevancy: np.ndarray, raw_importance: np.ndarray) -> np.ndarray:
-    """Combined retrieval score: sum of the two min-max scaled components."""
-    return scale_unit(raw_relevancy) + scale_unit(raw_importance)
+def score_candidates(raw_relevancy: np.ndarray, raw_importance: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled relevancy, scaled importance, and their sum (the retrieval score)."""
+    s_rel = scale_unit(raw_relevancy)
+    s_imp = scale_unit(raw_importance)
+    return s_rel, s_imp, s_rel + s_imp
 
 
 class MemoryStore:
@@ -250,16 +264,14 @@ class MemoryStore:
         q = np.asarray(query.embedding, dtype=float)
         if float(q @ q) == 0.0:
             raise ZeroVector("query embedding is zero")
-        raw_rel = _kernels.cosine_matrix(q, emb)
+        raw_rel = cosine_matrix(q, emb)
         v0 = np.array([e.initial_importance for e in candidates])
         theta = np.array([e.decay_ratio for e in candidates])
         dts = np.array(
             [float(_delta_days(e.created_at, query.as_of, self.calendar)) for e in candidates])
         bonus = np.array([e.access_bonus for e in candidates])
-        raw_imp = _kernels.decay_importance(v0, theta, dts, bonus)
-        s_rel = scale_unit(raw_rel)
-        s_imp = scale_unit(raw_imp)
-        gamma = s_rel + s_imp
+        raw_imp = decay_importance(v0, theta, dts, bonus)
+        s_rel, s_imp, gamma = score_candidates(raw_rel, raw_imp)
         order = sorted(
             range(len(candidates)),
             key=lambda i: (-gamma[i], -candidates[i].created_at.toordinal(),

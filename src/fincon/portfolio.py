@@ -4,7 +4,7 @@ The solve maximizes <w, mu> - <w, Sigma w> over per-coordinate boxes given by
 the manager's direction labels: long -> [0, 1], short -> [-1, 0],
 neutral -> {0}. Projected gradient ascent with step 1/(2B), B the Gershgorin
 bound on Sigma's largest eigenvalue, is monotone and convergent for this
-concave objective; the loop itself lives in ``_kernels``.
+concave objective.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     InsufficientCandidates,
     InsufficientSamples,
@@ -103,6 +102,29 @@ def gershgorin_bound(sigma: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(sigma), axis=1)))
 
 
+def _box_qp(mu: np.ndarray, sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            step: float, obj_tol: float, step_tol: float, max_iter: int):
+    """Projected gradient ascent for max <w,mu> - <w,sigma w> over a box.
+
+    Starts from w = 0 (feasible for every direction box). Stops when both the
+    objective change and the infinity-norm step fall under their tolerances,
+    or after ``max_iter`` iterations. Returns (w, objective).
+    """
+    w = np.zeros_like(mu)
+    obj = 0.0
+    for _ in range(max_iter):
+        grad = mu - 2.0 * (sigma @ w)
+        wn = np.clip(w + step * grad, lo, hi)
+        new_obj = float(wn @ mu - wn @ (sigma @ wn))
+        dw = float(np.max(np.abs(wn - w)))
+        done = abs(new_obj - obj) < obj_tol and dw < step_tol
+        w = wn
+        obj = new_obj
+        if done:
+            break
+    return w, obj
+
+
 def solve_mean_variance(inputs: MVInputs, obj_tol: float = 1e-10,
                         step_tol: float = 1e-8, max_iter: int = 10_000) -> np.ndarray:
     """Maximizer of <w,mu> - <w,Sigma w> over the direction boxes.
@@ -122,7 +144,7 @@ def solve_mean_variance(inputs: MVInputs, obj_tol: float = 1e-10,
         raise ValueError("directions length must match mu")
     lo, hi = direction_bounds(inputs.directions)
     step = 1.0 / (2.0 * max(gershgorin_bound(sigma), 1e-12))
-    w, obj, _ = _kernels.box_qp(mu, sigma, lo, hi, step, obj_tol, step_tol, max_iter)
+    w, obj = _box_qp(mu, sigma, lo, hi, step, obj_tol, step_tol, max_iter)
     if not math.isfinite(obj):
         raise SolverNonConvergence(f"objective became non-finite: {obj}")
     return w

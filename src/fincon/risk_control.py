@@ -96,33 +96,30 @@ class RiskState:
         return cls(date=Date.min, cvar=None, prev_cvar=None, alert=False, history_len=0)
 
 
+def _cvar_dropped(state: RiskState, min_history: int) -> bool:
+    """The CVaR branch of the trigger, armed once the history is long enough."""
+    return (
+        state.history_len >= min_history
+        and state.prev_cvar is not None
+        and state.cvar is not None
+        and state.cvar < state.prev_cvar
+    )
+
+
 def within_episode_check(state: RiskState, r_t: float, min_history: int = 10) -> RiskState:
     """Evaluate the daily trigger: CVaR dropped OR today's PnL is negative.
 
     The CVaR branch arms only once ``history_len`` reaches ``min_history``;
     the negative-PnL branch is always active. r_t == 0 does not fire.
     """
-    cvar_dropped = (
-        state.history_len >= min_history
-        and state.prev_cvar is not None
-        and state.cvar is not None
-        and state.cvar < state.prev_cvar
-    )
-    return replace(state, alert=bool(cvar_dropped or r_t < 0))
+    return replace(state, alert=bool(_cvar_dropped(state, min_history) or r_t < 0))
 
 
 def alert_trigger(state: RiskState, r_t: float, min_history: int = 10) -> str | None:
     """Which reflection trigger applies, with the CVaR drop taking precedence."""
-    checked = within_episode_check(state, r_t, min_history)
-    if not checked.alert:
-        return None
-    cvar_dropped = (
-        state.history_len >= min_history
-        and state.prev_cvar is not None
-        and state.cvar is not None
-        and state.cvar < state.prev_cvar
-    )
-    return "cvar_drop" if cvar_dropped else "negative_pnl"
+    if _cvar_dropped(state, min_history):
+        return "cvar_drop"
+    return "negative_pnl" if r_t < 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -329,16 +329,18 @@ def build_single_stock_fixture(root: Path, *, n_train: int = 20, n_test: int = 0
 
 def build_portfolio_fixture(root: Path, n_days: int = 8, warmup: int = 25,
                             diverge_at: int | None = None,
-                            tickers: tuple[str, str] = ("AAA", "BBB")):
+                            tickers: tuple[str, str] = ("AAA", "BBB"),
+                            n_test: int = 0):
     """Two-ticker fixture with constant long/short directions.
 
     ``diverge_at`` scales every bar from that global index on by 0.7,
     leaving earlier bars untouched (for no-look-ahead checks). Reflect
     entries exist for every day so either price variant stays scripted.
+    ``n_test`` adds a scripted test range right after the training range.
     Returns (config_path, script_path, all_days, closes, range_days).
     """
     root.mkdir(parents=True, exist_ok=True)
-    total = warmup + n_days + 1
+    total = warmup + n_days + n_test + 1
     days = trading_days(Date(2022, 1, 3), total)
     closes: dict[str, list[float]] = {}
     for j, t in enumerate(tickers):
@@ -349,14 +351,16 @@ def build_portfolio_fixture(root: Path, n_days: int = 8, warmup: int = 25,
             closes[t] = closes[t][:diverge_at] + [c * 0.7 for c in closes[t][diverge_at:]]
         write_price_csv(root / f"{t}.csv", days, closes[t])
     range_days = days[warmup:warmup + n_days]
+    test_days = days[warmup + n_days:warmup + n_days + n_test]
+    test_start, test_end = (test_days[0], test_days[-1]) if n_test else (days[-1], days[-1])
     payload = {
         "mode": "train",
         "tickers": list(tickers),
         "data": {"prices": {t: f"{t}.csv" for t in tickers}, "documents": []},
         "dates": {"train_start": range_days[0].isoformat(),
                   "train_end": range_days[-1].isoformat(),
-                  "test_start": days[-1].isoformat(),
-                  "test_end": days[-1].isoformat()},
+                  "test_start": test_start.isoformat(),
+                  "test_end": test_end.isoformat()},
         "agents": {"analyst_roles": ["data_analyst"]},
         "backtest": {"max_episodes": 1},
     }
@@ -364,16 +368,16 @@ def build_portfolio_fixture(root: Path, n_days: int = 8, warmup: int = 25,
     config_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     entries = []
     actions = {tickers[0]: "long", tickers[1]: "short"}
-    for day in range_days:
-        key = f"1:{day.isoformat()}:analyze"
+    for tag, day in [(1, d) for d in range_days] + [("test", d) for d in test_days]:
+        key = f"{tag}:{day.isoformat()}:analyze"
         for t in tickers:
             entries.append({"role_tag": f"data_analyst:{t}", "step_key": key,
                             "response": insight_response(t, day, "Data")})
         entries.append({"role_tag": "manager",
-                        "step_key": f"1:{day.isoformat()}:decide",
+                        "step_key": f"{tag}:{day.isoformat()}:decide",
                         "response": decide_response(actions, day)})
         entries.append({"role_tag": "manager",
-                        "step_key": f"1:{day.isoformat()}:reflect",
+                        "step_key": f"{tag}:{day.isoformat()}:reflect",
                         "response": reflect_response(day)})
     script_path = root / "script.jsonl"
     script_path.write_text("".join(json.dumps(e) + "\n" for e in entries))

@@ -425,7 +425,7 @@ class TestEngineSingleStock:
                                          news_every=3)
         config = RunConfig.load(fix.config_path)
         gateway = make_gateway(fix)
-        market = backtest._load_market(config)
+        market = backtest.load_market(config)
         writer = backtest.RunWriter(tmp_path / "run")
         writer.write_config(config)
         engine = backtest.BacktestEngine(config, market, gateway, writer=writer)

@@ -208,3 +208,10 @@ class TestArgumentHandling:
         code = main(["validate-data", "--config", str(tmp_path / "absent.json")])
         assert code == 1
         assert "absent.json" in capsys.readouterr().err
+
+    def test_invalid_json_config_exit_one(self, tmp_path, capsys):
+        config = tmp_path / "broken.json"
+        config.write_text("{not json")
+        code = main(["validate-data", "--config", str(config)])
+        assert code == 1
+        assert "broken.json: invalid JSON" in capsys.readouterr().err

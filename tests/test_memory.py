@@ -253,8 +253,8 @@ class TestScaling:
     def test_ranking_invariant_under_positive_affine_transform(self, xs, a, b):
         raw = np.asarray(xs, dtype=float)
         imp = np.linspace(0.0, 1.0, len(raw))
-        base = score_candidates(raw, imp)
-        shifted = score_candidates(a * raw + b, imp)
+        base = score_candidates(raw, imp)[2]
+        shifted = score_candidates(a * raw + b, imp)[2]
         assert list(np.argsort(-base, kind="stable")) == \
             list(np.argsort(-shifted, kind="stable"))
 
