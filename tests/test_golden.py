@@ -25,11 +25,11 @@ from fixtures import build_portfolio_fixture, build_single_stock_fixture
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 
-def _train_and_test(case: Path, config_path: Path, script_path: Path) -> None:
-    """Train into ``case/train``, then test into ``case/test`` from it.
+def _train_and_test(config_path: Path, script_path: Path) -> None:
+    """Train into ``./train``, then test into ``./test`` from it.
 
-    ``train_run_dir`` is relative to the working directory and lands in
-    config.used.json, so the caller runs this from ``case``.
+    ``train_run_dir`` resolves against the working directory and lands in
+    config.used.json verbatim, so it stays the relative ``train``.
     """
     config = RunConfig.load(config_path)
     backtest.train(config, LlmGateway(load_mock_script(script_path)), "train")
@@ -53,7 +53,7 @@ def run_digests(root: Path) -> dict[str, str]:
                 ("single", single.config_path, single.script_path),
                 ("portfolio", portfolio_config, portfolio_script)):
             os.chdir(root / case)
-            _train_and_test(root / case, config_path, script_path)
+            _train_and_test(config_path, script_path)
     finally:
         os.chdir(cwd)
     digests = {}
