@@ -69,7 +69,7 @@ from .errors import (
     ZeroVolatility,
 )
 from .llm_gateway import LlmGateway
-from .memory import HashEmbedder, MemoryEvent, MemoryStore
+from .memory import HashEmbedder, MemoEmbedder, MemoryEvent, MemoryStore
 from .portfolio import MVInputs, ReturnPanel, scale_to_positions, shrink_estimates, solve_mean_variance
 from .risk_control import (
     ASPECT_FOR_ROLE,
@@ -205,6 +205,8 @@ class RunConfig:
     backtest: dict
     seed: int | None = None
     raw: dict = field(default_factory=dict)
+    # the config file's directory: relative paths resolve against it
+    base_dir: Path = Path(".")
 
     @property
     def is_portfolio(self) -> bool:
@@ -267,6 +269,7 @@ class RunConfig:
             test_start=test_start, test_end=test_end,
             seed=payload.get("seed"),
             raw=payload,
+            base_dir=base,
             **sections,
         )
 
@@ -655,7 +658,12 @@ class RunWriter:
 # ---------------------------------------------------------------------------
 
 class BacktestEngine:
-    """Drives episodes over a loaded market with one gateway and one store."""
+    """Drives episodes over a loaded market with one gateway and one store.
+
+    The analyst fan-out runs on one thread pool per engine, created by the
+    first episode and shut down by ``close`` (or on leaving a ``with``
+    block), so a stage starts its pool threads once, not once per day.
+    """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
                  store: MemoryStore | None = None, writer: RunWriter | None = None):
@@ -664,7 +672,8 @@ class BacktestEngine:
         self.gateway = gateway
         self.store = store if store is not None else MemoryStore(calendar=market.calendar)
         self.writer = writer
-        self.embedder = HashEmbedder(dim=config.memory["embedder_dim"])
+        # query texts repeat every episode, so embeddings are memoized by text
+        self.embedder = MemoEmbedder(HashEmbedder(dim=config.memory["embedder_dim"]))
         roles = list(config.agents["analyst_roles"])
         self.analyst_ids = {
             analyst_id(role, ticker): role
@@ -681,8 +690,30 @@ class BacktestEngine:
         self.router = Router(self.topology)
         self.belief_update_calls = 0
         self.prompt_log: dict[object, list[dict]] = {}
+        self._pool: ThreadPoolExecutor | None = None
+
+    def __enter__(self) -> "BacktestEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the analyst pool down (a later episode starts a new one)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     # -- helpers ------------------------------------------------------------
+
+    def _analyst_pool(self) -> ThreadPoolExecutor | None:
+        """The engine's analyst pool; None when analysts run one at a time."""
+        workers = max(1, int(self.config.agents["workers"]))
+        if workers == 1 or len(self.analyst_ids) < 2:
+            return None
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+        return self._pool
 
     def _decision_days(self, start: Date, end: Date) -> list[Date]:
         days = [d for d in self.market.calendar if start <= d <= end]
@@ -796,7 +827,7 @@ class BacktestEngine:
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
-        workers = max(1, int(cfg.agents["workers"]))
+        pool = self._analyst_pool()
         instance_ids = sorted(self.analyst_ids)
         for day in days:
             obs = assemble_observation(day, cfg.tickers, self.market)
@@ -811,9 +842,8 @@ class BacktestEngine:
                 return analyst_step(self.profiles[aid], prompts.analyst_prompts[aid],
                                     belief, obs_slice, day, ctx, ratio)
 
-            if workers > 1 and len(instance_ids) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_one, instance_ids))
+            if pool is not None:
+                results = list(pool.map(run_one, instance_ids))
             else:
                 results = [run_one(aid) for aid in instance_ids]
             insights = {}
@@ -939,36 +969,37 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         start_episode, prompts, objectives, taus, trajectories = _resume_state(
             config, writer, engine, prompts)
 
-    for k in range(start_episode, max_episodes + 1):
-        trajectory = engine.run_episode(prompts, "train", k,
-                                        config.train_start, config.train_end)
-        trajectories.append(trajectory)
-        objectives.append(trajectory.objective)
-        writer.write_trajectory(k, trajectory)
-        writer.write_prompt_log(k, engine.prompt_log.get(k, []))
-        if k >= 2:
-            update, prompts = compare_and_update(
-                trajectories[-2], trajectories[-1],
-                (objectives[-2], objectives[-1]),
-                prompts, gateway, engine.analyst_ids,
-                min_run=config.risk["min_run_length"],
-                max_retries=config.llm["max_retries"])
-            engine.belief_update_calls += 1
-            updates.append(update)
-            taus.append(update.learning_rate)
-            writer.write_belief(k, update)
-            engine.router.send(Message(sender=RISK_CONTROL, recipient=MANAGER,
-                                       kind="belief_update", payload=update))
-            for target in update.target_agents:
-                if target != MANAGER:
-                    engine.router.send(Message(sender=MANAGER, recipient=target,
-                                               kind="belief_update", payload=update))
-        writer.write_checkpoint(k, prompts, objectives, taus, engine.store)
-        if convergence_check(taus, objectives,
-                             tau_threshold=config.risk["convergence_tau"],
-                             epsilon=config.risk["convergence_epsilon"],
-                             max_episodes=max_episodes):
-            break
+    with engine:
+        for k in range(start_episode, max_episodes + 1):
+            trajectory = engine.run_episode(prompts, "train", k,
+                                            config.train_start, config.train_end)
+            trajectories.append(trajectory)
+            objectives.append(trajectory.objective)
+            writer.write_trajectory(k, trajectory)
+            writer.write_prompt_log(k, engine.prompt_log.get(k, []))
+            if k >= 2:
+                update, prompts = compare_and_update(
+                    trajectories[-2], trajectories[-1],
+                    (objectives[-2], objectives[-1]),
+                    prompts, gateway, engine.analyst_ids,
+                    min_run=config.risk["min_run_length"],
+                    max_retries=config.llm["max_retries"])
+                engine.belief_update_calls += 1
+                updates.append(update)
+                taus.append(update.learning_rate)
+                writer.write_belief(k, update)
+                engine.router.send(Message(sender=RISK_CONTROL, recipient=MANAGER,
+                                           kind="belief_update", payload=update))
+                for target in update.target_agents:
+                    if target != MANAGER:
+                        engine.router.send(Message(sender=MANAGER, recipient=target,
+                                                   kind="belief_update", payload=update))
+            writer.write_checkpoint(k, prompts, objectives, taus, engine.store)
+            if convergence_check(taus, objectives,
+                                 tau_threshold=config.risk["convergence_tau"],
+                                 epsilon=config.risk["convergence_epsilon"],
+                                 max_episodes=max_episodes):
+                break
 
     writer.write_prompt_set(prompts)
     writer.write_memory(engine.store)
@@ -1020,7 +1051,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     train_dir = config.backtest.get("train_run_dir")
     if not train_dir:
         raise MissingTrainingArtifacts("backtest.train_run_dir is not configured")
-    train_dir = Path(train_dir)
+    train_dir = config.base_dir / train_dir
     prompt_path = train_dir / "prompts" / "final" / "prompt_set.json"
     memory_path = train_dir / "memory" / "snapshot.jsonl"
     if not prompt_path.exists() or not memory_path.exists():
@@ -1032,9 +1063,9 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     writer = RunWriter(run_dir)
     writer.write_config(config)
     store = MemoryStore.load_jsonl(memory_path, calendar=market.calendar)
-    engine = BacktestEngine(config, market, gateway, store=store, writer=writer)
-    trajectory = engine.run_episode(prompts, "test", "test",
-                                    config.test_start, config.test_end)
+    with BacktestEngine(config, market, gateway, store=store, writer=writer) as engine:
+        trajectory = engine.run_episode(prompts, "test", "test",
+                                        config.test_start, config.test_end)
     writer.write_trajectory("test", trajectory)
     writer.write_prompt_log("test", engine.prompt_log.get("test", []))
     report = _write_report(writer, config, trajectory)

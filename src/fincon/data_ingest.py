@@ -12,12 +12,16 @@ reported via ``MarketData.unattached``.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     DateOutOfRange,
@@ -70,18 +74,25 @@ class PriceSeries:
                 raise NonMonotoneDates(
                     f"{self.ticker}: {cur.date} does not follow {prev.date}")
 
-    @property
+    @cached_property
     def dates(self) -> tuple[Date, ...]:
         return tuple(b.date for b in self.bars)
 
+    @cached_property
+    def log_returns(self) -> np.ndarray:
+        """Close-to-close log returns; entry i - 1 ends at bar i.
+
+        One float64 block rather than a tuple of floats: many small float
+        objects kept for a whole run raised the process's peak memory run
+        after run.
+        """
+        return np.fromiter((log_return(prev.close, cur.close)
+                            for prev, cur in zip(self.bars, self.bars[1:])),
+                           dtype=float, count=max(len(self.bars) - 1, 0))
+
     def index_at_or_before(self, date: Date) -> int:
         """Position of the last bar dated <= date; -1 when none exists."""
-        pos = -1
-        for i, bar in enumerate(self.bars):
-            if bar.date > date:
-                break
-            pos = i
-        return pos
+        return bisect.bisect_right(self.dates, date) - 1
 
     def bar_at_or_before(self, date: Date) -> PriceBar | None:
         pos = self.index_at_or_before(date)
@@ -309,17 +320,18 @@ class MarketData:
 
     def next_trading_day(self, date: Date) -> Date | None:
         """First calendar day >= date, or None when past the calendar end."""
-        for d in self.calendar:
-            if d >= date:
-                return d
-        return None
+        i = bisect.bisect_left(self.calendar, date)
+        return self.calendar[i] if i < len(self.calendar) else None
 
     def trading_day_after(self, date: Date) -> Date | None:
         """First calendar day strictly after ``date``."""
-        for d in self.calendar:
-            if d > date:
-                return d
-        return None
+        i = bisect.bisect_right(self.calendar, date)
+        return self.calendar[i] if i < len(self.calendar) else None
+
+    def is_trading_day(self, date: Date) -> bool:
+        """Whether ``date`` is on the calendar."""
+        i = bisect.bisect_left(self.calendar, date)
+        return i < len(self.calendar) and self.calendar[i] == date
 
     def trading_days_in_range(self) -> list[Date]:
         return [d for d in self.calendar if self.range_start <= d <= self.range_end]
@@ -337,7 +349,7 @@ class MarketData:
         if pos < 1:
             return []
         start = 1 if max_window is None else max(1, pos - max_window + 1)
-        return [log_return(s.bars[i - 1].close, s.bars[i].close) for i in range(start, pos + 1)]
+        return s.log_returns[start - 1:pos].tolist()
 
 
 def assemble_observation(date: Date, universe: list[str], sources: MarketData) -> Observation:
@@ -347,7 +359,7 @@ def assemble_observation(date: Date, universe: list[str], sources: MarketData) -
     Indicators appear only when enough history exists (log_return needs one
     prior bar, momentum needs ``momentum_window`` prior bars).
     """
-    if not (sources.range_start <= date <= sources.range_end) or date not in sources.calendar:
+    if not (sources.range_start <= date <= sources.range_end) or not sources.is_trading_day(date):
         raise DateOutOfRange(f"{date} is not a trading day inside the simulation range")
     tickers: dict[str, TickerSlice] = {}
     for ticker in universe:

@@ -7,17 +7,22 @@ to the query embedding and decayed importance (v * theta**dt + bonus, dt in
 whole trading days). Events newer than the query's as-of date are never
 candidates.
 
-One store serves every agent in a run; ownership filters retrieval. The
-store is safe for many concurrent readers with serialized writers, and can
-be persisted to / restored from a JSONL snapshot so a test stage inherits
-the training stage's memory.
+One store serves every agent in a run; ownership filters retrieval. Each
+owner's events are indexed in append-only columns (embedding rows, importance
+inputs, creation day and its trading-day position, found once at ``add``),
+so a query costs numpy work over that owner's events and no Python work per
+candidate. The store is safe for concurrent readers and writers (writes are
+serialized), and can be persisted to / restored from a JSONL snapshot so a
+test stage inherits the training stage's memory.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import threading
+from collections.abc import KeysView
 from dataclasses import dataclass
 from datetime import date as Date
 
@@ -49,6 +54,27 @@ class HashEmbedder:
             digest = hashlib.sha256(data + i.to_bytes(4, "big")).digest()
             out[i] = int.from_bytes(digest[:8], "big") / 2**63 - 1.0
         return out
+
+
+class MemoEmbedder:
+    """Memoizes another embedder by text; the shared arrays are read-only.
+
+    Two threads missing the same text both embed it and keep one of the two
+    equal vectors, so no lock is needed.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self._cache: dict[str, np.ndarray] = {}
+
+    def embed(self, text: str) -> np.ndarray:
+        vec = self._cache.get(text)
+        if vec is None:
+            vec = np.array(self.inner.embed(text), dtype=float)
+            vec.flags.writeable = False
+            self._cache[text] = vec
+        return vec
 
 
 @dataclass
@@ -159,26 +185,26 @@ def importance_score(event: MemoryEvent, as_of: Date,
     """
     if as_of < event.created_at:
         raise FutureEvent(f"{event.event_id} created {event.created_at}, queried {as_of}")
-    dt = _delta_days(event.created_at, as_of, calendar)
+    dt = int(elapsed_days(trading_position(calendar, event.created_at),
+                          trading_position(calendar, as_of),
+                          (as_of - event.created_at).days))
     return float(decay_importance(event.initial_importance, event.decay_ratio, dt,
                                   event.access_bonus))
 
 
-def _delta_days(created: Date, as_of: Date, calendar: tuple[Date, ...] | None) -> int:
+def trading_position(calendar: tuple[Date, ...] | None, day: Date) -> int:
+    """Position of the last calendar day <= ``day``; -1 when there is none
+    (``day`` precedes the calendar, or no calendar is given)."""
     if calendar is None:
-        return (as_of - created).days
-    # positions of the last calendar day <= each endpoint
-    def pos(d: Date) -> int:
-        p = -1
-        for i, c in enumerate(calendar):
-            if c > d:
-                break
-            p = i
-        return p
-    p0, p1 = pos(created), pos(as_of)
-    if p0 < 0 or p1 < 0:
-        return (as_of - created).days
-    return max(0, p1 - p0)
+        return -1
+    return bisect.bisect_right(calendar, day) - 1
+
+
+def elapsed_days(created_pos, as_of_pos, calendar_days):
+    """dt for decay: trading days between the two positions, or the calendar
+    days given when either date has no position. Elementwise on arrays."""
+    return np.where((created_pos >= 0) & (as_of_pos >= 0),
+                    np.maximum(as_of_pos - created_pos, 0), calendar_days)
 
 
 def scale_unit(values: np.ndarray) -> np.ndarray:
@@ -199,12 +225,86 @@ def score_candidates(raw_relevancy: np.ndarray, raw_importance: np.ndarray
     return s_rel, s_imp, s_rel + s_imp
 
 
+def rank_top_k(gamma: np.ndarray, created: np.ndarray, event_id, k: int) -> np.ndarray:
+    """Positions of the ``k`` best candidates, best first: higher gamma, then
+    the newer event (larger ``created``), then the smaller ``event_id(i)``.
+
+    Only candidates scoring at least the k-th largest gamma can be among the
+    k best, so ids are looked up for those alone.
+    """
+    n = len(gamma)
+    keep = np.arange(n)
+    if n > k:
+        kth = np.partition(gamma, n - k)[n - k]
+        if not np.isnan(kth):  # NaN scores (a zero event embedding) sort all
+            keep = np.flatnonzero(gamma >= kth)
+    ids = np.array([event_id(i) for i in keep])
+    return keep[np.lexsort((ids, -created[keep], -gamma[keep]))][:k]
+
+
+_LAYER_CODE = {layer: code for code, layer in enumerate(LAYERS)}
+
+
+class _OwnerColumns:
+    """One owner's events in insertion order, as append-only columns.
+
+    The arrays grow by doubling; ``n`` rows are in use. A row never changes
+    after ``append`` except its ``bonus``. All embeddings share one dim.
+    """
+
+    _ARRAYS = ("emb", "v0", "theta", "bonus", "created", "pos", "layer")
+
+    def __init__(self, dim: int):
+        self.n = 0
+        self.events: list[MemoryEvent] = []
+        cap = 16
+        self.emb = np.empty((cap, dim))
+        self.v0 = np.empty(cap)
+        self.theta = np.empty(cap)
+        self.bonus = np.empty(cap)
+        self.created = np.empty(cap, dtype=np.int64)
+        self.pos = np.empty(cap, dtype=np.int64)
+        self.layer = np.empty(cap, dtype=np.int8)
+
+    def append(self, event: MemoryEvent, pos: int) -> int:
+        dim = self.emb.shape[1]
+        if np.shape(event.embedding) != (dim,):
+            raise DimensionMismatch(
+                f"event {event.event_id}: embedding shape {np.shape(event.embedding)}, "
+                f"owner {event.owner} stores dim {dim}")
+        i = self.n
+        if i == len(self.v0):
+            for name in self._ARRAYS:
+                old = getattr(self, name)
+                new = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
+                new[:i] = old
+                setattr(self, name, new)
+        self.emb[i] = event.embedding
+        self.v0[i] = event.initial_importance
+        self.theta[i] = event.decay_ratio
+        self.bonus[i] = event.access_bonus
+        self.created[i] = event.created_at.toordinal()
+        self.pos[i] = pos
+        self.layer[i] = _LAYER_CODE[event.layer]
+        self.events.append(event)
+        self.n = i + 1
+        return i
+
+
 class MemoryStore:
-    """Event storage shared by all agents; reads are cheap, writes serialized."""
+    """Event storage shared by all agents, indexed per owner; writes serialized.
+
+    ``boost_access`` is the one way to change a stored event's access bonus.
+    Every event of one owner must have the same embedding dim.
+    """
 
     def __init__(self, calendar: tuple[Date, ...] | None = None):
         self.calendar = tuple(calendar) if calendar is not None else None
         self._events: dict[str, MemoryEvent] = {}
+        self._owners: dict[str, _OwnerColumns] = {}
+        self._rows: dict[str, tuple[_OwnerColumns, int]] = {}
+        # event_id -> (access bonus when encoded, snapshot line)
+        self._encoded: dict[str, tuple[float, str]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -214,6 +314,12 @@ class MemoryStore:
         with self._lock:
             if event.event_id in self._events:
                 raise ValueError(f"duplicate event_id {event.event_id!r}")
+            cols = self._owners.get(event.owner)
+            if cols is None:
+                cols = _OwnerColumns(len(event.embedding))
+            row = cols.append(event, trading_position(self.calendar, event.created_at))
+            self._owners[event.owner] = cols
+            self._rows[event.event_id] = (cols, row)
             self._events[event.event_id] = event
 
     def get(self, event_id: str) -> MemoryEvent:
@@ -225,19 +331,22 @@ class MemoryStore:
     def has(self, event_id: str) -> bool:
         return event_id in self._events
 
-    def all_ids(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._events.keys())
+    def all_ids(self) -> KeysView[str]:
+        """Live view of every stored event id (membership tests, no copy)."""
+        return self._events.keys()
 
     def boost_access(self, event_id: str) -> None:
         """Add the fixed retrieval bonus to one event; cumulative across calls."""
         with self._lock:
             event = self.get(event_id)
             event.access_bonus += ACCESS_BOOST
+            cols, row = self._rows[event_id]
+            cols.bonus[row] = event.access_bonus
 
     def events_for(self, owner: str, layer: str | None = None) -> list[MemoryEvent]:
         with self._lock:
-            events = [e for e in self._events.values() if e.owner == owner]
+            cols = self._owners.get(owner)
+            events = list(cols.events) if cols is not None else []
         if layer is not None:
             events = [e for e in events if e.layer == layer]
         return events
@@ -246,51 +355,60 @@ class MemoryStore:
         """Top-k events for the query's owner, ranked by combined score.
 
         Candidates are the owner's events created at or before ``as_of``
-        (optionally restricted to one layer). Ties break toward the newer
-        event, then the lexicographically smaller event_id.
+        (optionally restricted to one layer), in insertion order. Ties break
+        toward the newer event, then the lexicographically smaller event_id.
         """
-        candidates = [
-            e for e in self.events_for(query.owner, query.layer)
-            if e.created_at <= query.as_of
-        ]
-        if not candidates:
-            return []
+        as_of = query.as_of.toordinal()
+        with self._lock:
+            cols = self._owners.get(query.owner)
+            if cols is None:
+                return []
+            n = cols.n
+            mask = cols.created[:n] <= as_of
+            if query.layer is not None:
+                mask &= cols.layer[:n] == _LAYER_CODE.get(query.layer, -1)
+            rows = np.flatnonzero(mask)
+            if rows.size == 0:
+                return []
+            # fancy indexing copies, so the arrays are safe to use unlocked
+            emb, v0, theta = cols.emb[rows], cols.v0[rows], cols.theta[rows]
+            bonus, created, pos = cols.bonus[rows], cols.created[rows], cols.pos[rows]
+            events = cols.events
         dim = len(query.embedding)
-        for e in candidates:
-            if len(e.embedding) != dim:
-                raise DimensionMismatch(
-                    f"event {e.event_id}: dim {len(e.embedding)} vs query {dim}")
-        emb = np.stack([e.embedding for e in candidates])
+        if emb.shape[1] != dim:
+            raise DimensionMismatch(
+                f"event {events[rows[0]].event_id}: dim {emb.shape[1]} vs query {dim}")
         q = np.asarray(query.embedding, dtype=float)
         if float(q @ q) == 0.0:
             raise ZeroVector("query embedding is zero")
         raw_rel = cosine_matrix(q, emb)
-        v0 = np.array([e.initial_importance for e in candidates])
-        theta = np.array([e.decay_ratio for e in candidates])
-        dts = np.array(
-            [float(_delta_days(e.created_at, query.as_of, self.calendar)) for e in candidates])
-        bonus = np.array([e.access_bonus for e in candidates])
+        dts = elapsed_days(pos, trading_position(self.calendar, query.as_of),
+                           as_of - created).astype(float)
         raw_imp = decay_importance(v0, theta, dts, bonus)
         s_rel, s_imp, gamma = score_candidates(raw_rel, raw_imp)
-        order = sorted(
-            range(len(candidates)),
-            key=lambda i: (-gamma[i], -candidates[i].created_at.toordinal(),
-                           candidates[i].event_id),
-        )
+        order = rank_top_k(gamma, created, lambda i: events[rows[i]].event_id, query.k)
         return [
-            ScoredEvent(event=candidates[i], relevancy=float(s_rel[i]),
+            ScoredEvent(event=events[rows[i]], relevancy=float(s_rel[i]),
                         importance=float(s_imp[i]), gamma=float(gamma[i]))
-            for i in order[: query.k]
+            for i in order
         ]
 
     def save_jsonl(self, path) -> None:
-        """Snapshot every event, one JSON object per line, sorted by id."""
+        """Snapshot every event, one JSON object per line, sorted by id.
+
+        Each event's line is encoded once and again only after its access
+        bonus changes, so repeated snapshots of a growing store stay cheap.
+        """
         with self._lock:
-            events = sorted(self._events.values(), key=lambda e: e.event_id)
+            events = sorted(self._events.items())
         with open(path, "w") as fh:
-            for e in events:
-                fh.write(json.dumps(e.to_record(), sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+            for event_id, event in events:
+                cached = self._encoded.get(event_id)
+                if cached is None or cached[0] != event.access_bonus:
+                    line = json.dumps(event.to_record(), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+                    cached = self._encoded[event_id] = (event.access_bonus, line)
+                fh.write(cached[1])
 
     @classmethod
     def load_jsonl(cls, path, calendar: tuple[Date, ...] | None = None) -> "MemoryStore":

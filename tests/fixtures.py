@@ -134,6 +134,60 @@ def oracle_runs(pnls, min_len: int = 2) -> list[tuple[int, int, int]]:
     return runs
 
 
+def oracle_calendar_position(calendar, day: Date) -> int:
+    """Index of the last calendar day <= ``day`` by a linear walk; -1 when
+    there is none or no calendar is given."""
+    pos = -1
+    for i, d in enumerate(calendar or ()):
+        if d > day:
+            break
+        pos = i
+    return pos
+
+
+def oracle_importance(event, as_of: Date, calendar=None) -> float:
+    """v0 * theta**dt + bonus; dt counts trading days between the two dates'
+    calendar positions, or calendar days when either date has none."""
+    p0 = oracle_calendar_position(calendar, event.created_at)
+    p1 = oracle_calendar_position(calendar, as_of)
+    dt = p1 - p0 if p0 >= 0 and p1 >= 0 else (as_of - event.created_at).days
+    return event.initial_importance * event.decay_ratio ** dt + event.access_bonus
+
+
+def oracle_top_k(events, query_emb, as_of: Date, k: int, owner: str,
+                 layer: str | None = None, calendar=None) -> list[tuple]:
+    """Per-event retrieval reference: ``(event_id, relevancy, importance,
+    gamma)`` of the top ``k`` candidates, best first.
+
+    Candidates are ``owner``'s events (in the given order) created at or
+    before ``as_of``, optionally of one layer. Relevancy is cosine
+    similarity, importance is ``oracle_importance``; both are min-max scaled
+    (a constant set scales to 0.5) and summed into gamma. Ties go to the
+    newer event, then the smaller id.
+    """
+    cands = [e for e in events if e.owner == owner and e.created_at <= as_of
+             and (layer is None or e.layer == layer)]
+    if not cands:
+        return []
+    q = [float(x) for x in query_emb]
+    q_norm = math.sqrt(sum(x * x for x in q))
+
+    def relevancy(e) -> float:
+        v = [float(x) for x in e.embedding]
+        dot = sum(x * y for x, y in zip(v, q))
+        return dot / (math.sqrt(sum(x * x for x in v)) * q_norm)
+
+    def minmax(xs):
+        lo, hi = min(xs), max(xs)
+        return [0.5] * len(xs) if hi == lo else [(x - lo) / (hi - lo) for x in xs]
+
+    rel = minmax([relevancy(e) for e in cands])
+    imp = minmax([oracle_importance(e, as_of, calendar) for e in cands])
+    scored = [(e.event_id, r, i, r + i, e.created_at) for e, r, i in zip(cands, rel, imp)]
+    scored.sort(key=lambda s: (-s[3], -s[4].toordinal(), s[0]))
+    return [s[:4] for s in scored[:k]]
+
+
 # ---------------------------------------------------------------------------
 # mock responses
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from fixtures import (
     build_portfolio_fixture,
     build_single_stock_fixture,
     constant_directions,
+    oracle_top_k,
     oracle_var_cvar,
 )
-from test_memory import brute_force_top_k, random_store
+from test_memory import random_store
 
 
 def _report(n: int, text: str) -> None:
@@ -138,7 +139,7 @@ def test_criterion_03_memory_retrieval():
         k = 7
         got_ids = [s.event.event_id for s in
                    big.retrieve_top_k(MemoryQuery("q", q, as_of, k, "agent"))]
-        assert got_ids == brute_force_top_k(events, q, as_of, k, "agent")
+        assert got_ids == [hit[0] for hit in oracle_top_k(events, q, as_of, k, "agent")]
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report(3, f"top-K == brute force up to 10k events in {elapsed:.2f}s")

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import threading
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,6 +589,84 @@ class TestTrainTestDrivers:
                      "prompts/assembled_2.jsonl", "memory/snapshot.jsonl"):
             assert (run_dir / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_train_run_dir_resolves_against_the_config_directory(self, tmp_path,
+                                                                  monkeypatch):
+        fix = build_single_stock_fixture(tmp_path / "fixture", n_train=6, n_test=4,
+                                         episodes=1, analyst_roles=("data_analyst",))
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix),
+                       fix.root / "train")
+        payload = json.loads(fix.config_path.read_text())
+        payload["mode"] = "test"
+        payload["backtest"]["train_run_dir"] = "train"
+        test_config_path = fix.root / "config_test.json"
+        test_config_path.write_text(json.dumps(payload))
+        runs = {}
+        for cwd in (fix.root, tmp_path / "elsewhere"):
+            cwd.mkdir(exist_ok=True)
+            monkeypatch.chdir(cwd)
+            run_dir = tmp_path / f"test_from_{cwd.name}"
+            backtest.test(RunConfig.load(test_config_path), make_gateway(fix), run_dir)
+            runs[cwd.name] = {p.relative_to(run_dir): p.read_bytes()
+                              for p in sorted(run_dir.rglob("*")) if p.is_file()}
+        assert runs["fixture"] == runs["elsewhere"]
+        used = json.loads(runs["elsewhere"][Path("config.used.json")])
+        assert used["backtest"]["train_run_dir"] == "train"
+
+    def test_stages_release_their_analyst_pool(self, tmp_path):
+        # news + data analysts are two instances, so the default two workers
+        # fan them out on a pool
+        fix = build_single_stock_fixture(tmp_path, n_train=6, n_test=4, episodes=1,
+                                         news_every=2)
+
+        before = set(threading.enumerate())
+
+        def new_threads():
+            return set(threading.enumerate()) - before
+
+        class PeakThreads:
+            """Scripted backend that records how many new threads are alive."""
+
+            def __init__(self, script_path):
+                self.inner = load_mock_script(script_path)
+                self.peak = 0
+
+            def generate(self, request):
+                self.peak = max(self.peak, len(new_threads()))
+                return self.inner.generate(request)
+
+        backend = PeakThreads(fix.script_path)
+        backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
+                       tmp_path / "train")
+        assert backend.peak > 0
+        assert not new_threads()
+
+        payload = json.loads(fix.config_path.read_text())
+        payload["mode"] = "test"
+        payload["backtest"]["train_run_dir"] = str(tmp_path / "train")
+        backend = PeakThreads(fix.script_path)
+        backtest.test(RunConfig.from_dict(payload, fix.root), LlmGateway(backend),
+                      tmp_path / "test")
+        assert backend.peak > 0
+        assert not new_threads()
+
+        # a data-analyst reply that fails its schema on every attempt aborts
+        # the episode from a pool thread
+        victim = f"1:{fix.train_days[2].isoformat()}:analyze"
+        lines = []
+        for line in fix.script_path.read_text().splitlines():
+            entry = json.loads(line)
+            if entry["role_tag"] == "data_analyst:SYN" and entry["step_key"] == victim:
+                entry["response"] = "not json"
+            lines.append(json.dumps(entry))
+        broken = fix.root / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        backend = PeakThreads(broken)
+        with pytest.raises(EpisodeAborted):
+            backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
+                           tmp_path / "aborted")
+        assert backend.peak > 0
+        assert not new_threads()
 
     def test_recompute_report_missing_trajectory(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1,

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from fincon.errors import DimensionMismatch, FutureEvent, UnknownEventId, ZeroVector
 from fincon.memory import (
     ACCESS_BOOST,
+    LAYERS,
     HashEmbedder,
     MemoryEvent,
     MemoryQuery,
@@ -18,6 +21,8 @@ from fincon.memory import (
     scale_unit,
     score_candidates,
 )
+
+from fixtures import oracle_importance, oracle_top_k
 
 SQRT_HALF = 0.7071067811865476  # frozen: mpmath sqrt(1/2)
 
@@ -111,43 +116,6 @@ class TestBoost:
             store.boost_access("missing")
 
 
-# --- brute-force retrieval oracle (independent of the package internals) ----
-
-def brute_force_top_k(events, query_emb, as_of, k, owner, calendar=None):
-    cands = [e for e in events if e.owner == owner and e.created_at <= as_of]
-    if not cands:
-        return []
-
-    def cosine(a, b):
-        dot = sum(x * y for x, y in zip(a, b))
-        na = math.sqrt(sum(x * x for x in a))
-        nb = math.sqrt(sum(x * x for x in b))
-        return dot / (na * nb)
-
-    def tdelta(created):
-        if calendar is None:
-            return (as_of - created).days
-        idx = {d: i for i, d in enumerate(calendar)}
-        return max(0, idx[as_of] - idx[created]) if as_of in idx and created in idx \
-            else (as_of - created).days
-
-    rel = [cosine(query_emb, e.embedding) for e in cands]
-    imp = [e.initial_importance * e.decay_ratio ** tdelta(e.created_at) + e.access_bonus
-           for e in cands]
-
-    def minmax(xs):
-        lo, hi = min(xs), max(xs)
-        if hi == lo:
-            return [0.5] * len(xs)
-        return [(x - lo) / (hi - lo) for x in xs]
-
-    gammas = [r + i for r, i in zip(minmax(rel), minmax(imp))]
-    order = sorted(range(len(cands)),
-                   key=lambda i: (-gammas[i], -cands[i].created_at.toordinal(),
-                                  cands[i].event_id))
-    return [cands[i].event_id for i in order[:k]]
-
-
 def random_store(rng, n_events, dim=16, owners=("agent",)):
     events = []
     base = date(2022, 1, 1)
@@ -186,7 +154,7 @@ class TestRetrieveTopK:
             q = rng.standard_normal(16)
             query = MemoryQuery("q", q, as_of, k, "agent")
             got = [s.event.event_id for s in store.retrieve_top_k(query)]
-            want = brute_force_top_k(events, q, as_of, k, "agent")
+            want = [hit[0] for hit in oracle_top_k(events, q, as_of, k, "agent")]
             assert got == want, f"trial {trial}"
 
     def test_no_retrieved_event_postdates_as_of(self):
@@ -237,6 +205,110 @@ class TestRetrieveTopK:
         query = MemoryQuery("q", np.ones(16), date(2022, 2, 1), 3, "agent")
         with pytest.raises(DimensionMismatch):
             store.retrieve_top_k(query)
+
+    def test_owner_embeddings_share_one_dim(self):
+        store = MemoryStore()
+        store.add(make_event("e", dim=8))
+        with pytest.raises(DimensionMismatch):
+            store.add(make_event("f", dim=16))
+        store.add(make_event("g", owner="other", dim=16))
+        assert not store.has("f") and len(store) == 2
+
+
+    def test_concurrent_writers_keep_owner_columns_consistent(self):
+        # more threads than cores on one owner, switching often: a lost or
+        # misplaced row or bonus update makes a retrieval disagree with the oracle
+        n_threads, per_thread, rounds = 8, 300, 5
+        query = HashEmbedder(8).embed("q")
+        as_of = date(2022, 2, 1)
+
+        def work(store, t):
+            for i in range(per_thread):
+                event_id = f"t{t}-{i:03d}"
+                store.add(make_event(event_id, dim=8,
+                                     created=date(2022, 1, 3) + timedelta(days=i % 20)))
+                if i % 3 == 0:
+                    store.boost_access(event_id)
+                if i % 10 == 0:
+                    store.retrieve_top_k(MemoryQuery("q", query, as_of, 5, "agent"))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                store = MemoryStore()
+                with ThreadPoolExecutor(n_threads) as pool:
+                    list(pool.map(lambda t: work(store, t), range(n_threads), timeout=120))
+                events = store.events_for("agent")
+                assert len(events) == len(store) == n_threads * per_thread
+                got = [s.event.event_id for s in store.retrieve_top_k(
+                    MemoryQuery("q", query, as_of, len(events), "agent"))]
+                assert got == [hit[0] for hit in
+                               oracle_top_k(events, query, as_of, len(events), "agent")]
+        finally:
+            sys.setswitchinterval(old)
+
+
+# --- retrieval against the per-event oracle in fixtures.py ------------------
+#
+# Embeddings have small integer components and importance inputs are dyadic
+# with dt <= 31, so every dot product, norm and power is exact and the
+# oracle's per-event arithmetic gives the store's scores bit for bit: equal
+# scores are equal, and the tie-break is what orders them.
+
+BASE = date(2022, 1, 3)
+VECTORS = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 1), (-1, 2, 2), (1, 1, 1))
+OFFSETS = st.integers(-4, 27)  # days from BASE; the calendar covers 0..27 at most
+
+
+@st.composite
+def retrieval_cases(draw):
+    trading = draw(st.none() | st.lists(st.booleans(), min_size=28, max_size=28))
+    calendar = None if trading is None else tuple(
+        BASE + timedelta(days=i) for i, on in enumerate(trading) if on)
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1,
+                        max_size=24, unique=True))
+    events = [MemoryEvent(
+        event_id=event_id,
+        owner=draw(st.sampled_from(("a", "b"))),
+        layer=draw(st.sampled_from(LAYERS)),
+        content=event_id,
+        embedding=np.array(draw(st.sampled_from(VECTORS)), dtype=float),
+        initial_importance=draw(st.sampled_from((0.25, 0.5, 1.0))),
+        decay_ratio=draw(st.sampled_from((0.5, 0.75))),
+        created_at=BASE + timedelta(days=draw(OFFSETS)),
+        access_bonus=draw(st.sampled_from((0.0, 5.0))),
+    ) for event_id in ids]
+    query = st.tuples(st.just("query"), st.sampled_from(("a", "b")),
+                      st.sampled_from((None,) + LAYERS), OFFSETS, st.integers(1, 6),
+                      st.sampled_from(VECTORS))
+    boost = st.tuples(st.just("boost"), st.sampled_from(ids))
+    steps = draw(st.lists(query | boost, min_size=1, max_size=8))
+    return calendar, events, steps
+
+
+class TestRetrievalOracle:
+    @given(retrieval_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_event_oracle(self, case):
+        calendar, events, steps = case
+        store = MemoryStore(calendar=calendar)
+        for e in events:
+            store.add(e)
+        for step in steps:
+            if step[0] == "boost":
+                store.boost_access(step[1])
+                continue
+            _, owner, layer, offset, k, vector = step
+            as_of = BASE + timedelta(days=offset)
+            emb = np.array(vector, dtype=float)
+            got = [(s.event.event_id, s.relevancy, s.importance, s.gamma) for s in
+                   store.retrieve_top_k(MemoryQuery("q", emb, as_of, k, owner, layer))]
+            assert got == oracle_top_k(events, emb, as_of, k, owner, layer, calendar)
+            for e in events:
+                if e.created_at <= as_of:
+                    assert importance_score(e, as_of, calendar) == \
+                        oracle_importance(e, as_of, calendar)
 
 
 class TestScaling:
