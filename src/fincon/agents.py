@@ -29,11 +29,8 @@ from .risk_control import ASPECTS, RiskState
 MANAGER = "manager"
 RISK_CONTROL = "risk_control"
 
-ANALYST_ROLES = ("news_analyst", "filing10k_analyst", "filing10q_analyst",
-                 "ecc_analyst", "data_analyst", "selection_analyst")
 DAILY_ANALYST_ROLES = ("news_analyst", "filing10k_analyst", "filing10q_analyst",
                        "ecc_analyst", "data_analyst")
-ROLES = (MANAGER,) + ANALYST_ROLES
 
 KIND_FOR_ROLE = {
     "news_analyst": "news",

@@ -103,13 +103,11 @@ DEFAULTS = {
     "data_ingest": {"momentum_window": 20},
     "memory": {
         "top_k": 5,
-        "embedder_dim": 64,
         "default_importance": 0.5,
         "decay_ratios": DEFAULT_DECAY_RATIOS,
     },
     "llm": {
         "temperature_decision": 0.3,
-        "temperature_belief": 0.0,
         "max_retries": 2,
         "min_interval": 0.0,
     },
@@ -132,10 +130,6 @@ DEFAULTS = {
         "estimation_window": 60,
         "min_news": 800,
         "pool_size": 3,
-        "fractional_shares": True,
-        "solver_obj_tol": 1e-10,
-        "solver_step_tol": 1e-8,
-        "solver_max_iter": 10_000,
     },
     "backtest": {
         "discount_alpha": 1.0,
@@ -152,12 +146,16 @@ DEFAULTS = {
 }
 
 
-def _merge_defaults(section: str, user: dict) -> dict:
+def _merge_defaults(section: str, user: object) -> dict:
+    if not isinstance(user, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {user!r}")
     merged = dict(DEFAULTS[section])
     for key, value in user.items():
         if key not in merged:
             raise ConfigError(f"unknown key {section}.{key}")
         if key == "decay_ratios":
+            if not isinstance(value, dict):
+                raise ConfigError(f"memory.decay_ratios must be a JSON object, got {value!r}")
             ratios = dict(DEFAULT_DECAY_RATIOS)
             ratios.update(value)
             value = ratios
@@ -263,6 +261,10 @@ class RunConfig:
         for role in sections["agents"]["analyst_roles"]:
             if role not in DAILY_ANALYST_ROLES:
                 raise ConfigError(f"unknown analyst role {role!r}")
+        for name, key in (("backtest", "max_episodes"), ("agents", "workers")):
+            value = sections[name][key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name}.{key} must be an integer >= 1, got {value!r}")
         return cls(
             mode=mode, tickers=tickers, price_paths=prices, document_paths=documents,
             train_start=train_start, train_end=train_end,
@@ -660,9 +662,8 @@ class RunWriter:
 class BacktestEngine:
     """Drives episodes over a loaded market with one gateway and one store.
 
-    The analyst fan-out runs on one thread pool per engine, created by the
-    first episode and shut down by ``close`` (or on leaving a ``with``
-    block), so a stage starts its pool threads once, not once per day.
+    Each episode fans its analysts out on one thread pool of
+    ``agents.workers`` threads, shut down when the episode returns or fails.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -673,7 +674,7 @@ class BacktestEngine:
         self.store = store if store is not None else MemoryStore(calendar=market.calendar)
         self.writer = writer
         # query texts repeat every episode, so embeddings are memoized by text
-        self.embedder = MemoEmbedder(HashEmbedder(dim=config.memory["embedder_dim"]))
+        self.embedder = MemoEmbedder(HashEmbedder())
         roles = list(config.agents["analyst_roles"])
         self.analyst_ids = {
             analyst_id(role, ticker): role
@@ -690,30 +691,8 @@ class BacktestEngine:
         self.router = Router(self.topology)
         self.belief_update_calls = 0
         self.prompt_log: dict[object, list[dict]] = {}
-        self._pool: ThreadPoolExecutor | None = None
-
-    def __enter__(self) -> "BacktestEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the analyst pool down (a later episode starts a new one)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     # -- helpers ------------------------------------------------------------
-
-    def _analyst_pool(self) -> ThreadPoolExecutor | None:
-        """The engine's analyst pool; None when analysts run one at a time."""
-        workers = max(1, int(self.config.agents["workers"]))
-        if workers == 1 or len(self.analyst_ids) < 2:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-        return self._pool
 
     def _decision_days(self, start: Date, end: Date) -> list[Date]:
         days = [d for d in self.market.calendar if start <= d <= end]
@@ -773,17 +752,12 @@ class BacktestEngine:
                             returns=matrix)
         mu, sigma = shrink_estimates(panel, cfg.portfolio["shrinkage_lambda"])
         directions = tuple(decision.directions[t] for t in cfg.tickers)
-        w = solve_mean_variance(
-            MVInputs(mu=mu, sigma=sigma, directions=directions),
-            obj_tol=cfg.portfolio["solver_obj_tol"],
-            step_tol=cfg.portfolio["solver_step_tol"],
-            max_iter=cfg.portfolio["solver_max_iter"],
-        )
+        w = solve_mean_variance(MVInputs(mu=mu, sigma=sigma, directions=directions))
         return {t: float(w[i]) for i, t in enumerate(cfg.tickers)}
 
     # -- episode loop ---------------------------------------------------------
 
-    def run_episode(self, prompts: PromptSet, mode: str, episode: object,
+    def run_episode(self, prompts: PromptSet, episode: object,
                     start: Date, end: Date) -> Trajectory:
         """One pass over [start, end]; returns the trajectory.
 
@@ -795,7 +769,8 @@ class BacktestEngine:
         days = self._decision_days(start, end)
         records: list[DayRecord] = []
         try:
-            self._run_days(prompts, mode, episode, days, records)
+            with ThreadPoolExecutor(max_workers=cfg.agents["workers"]) as pool:
+                self._run_days(prompts, episode, days, records, pool)
         except FinconError as exc:
             if self.writer is not None:
                 self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
@@ -819,15 +794,14 @@ class BacktestEngine:
         ))
         return trajectory
 
-    def _run_days(self, prompts: PromptSet, mode: str, episode: object,
-                  days: list[Date], records: list[DayRecord]) -> None:
+    def _run_days(self, prompts: PromptSet, episode: object, days: list[Date],
+                  records: list[DayRecord], pool: ThreadPoolExecutor) -> None:
         cfg = self.config
         ctx = self._step_context(episode, cfg.llm["temperature_decision"])
         decay = cfg.memory["decay_ratios"]
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
-        pool = self._analyst_pool()
         instance_ids = sorted(self.analyst_ids)
         for day in days:
             obs = assemble_observation(day, cfg.tickers, self.market)
@@ -842,12 +816,8 @@ class BacktestEngine:
                 return analyst_step(self.profiles[aid], prompts.analyst_prompts[aid],
                                     belief, obs_slice, day, ctx, ratio)
 
-            if pool is not None:
-                results = list(pool.map(run_one, instance_ids))
-            else:
-                results = [run_one(aid) for aid in instance_ids]
             insights = {}
-            for aid, (message, entry) in zip(instance_ids, results):
+            for aid, (message, entry) in zip(instance_ids, pool.map(run_one, instance_ids)):
                 insights[aid] = message
                 self.router.send(Message(sender=aid, recipient=MANAGER, kind="insight",
                                          payload=message))
@@ -866,13 +836,12 @@ class BacktestEngine:
             closes = np.array([self.market.close(t, day) for t in cfg.tickers])
             shares = scale_to_positions(
                 np.array([decision.weights[t] for t in cfg.tickers]),
-                cfg.backtest["capital"], closes,
-                fractional=cfg.portfolio["fractional_shares"])
+                cfg.backtest["capital"], closes)
 
             next_day = self.market.trading_day_after(day)
             r_t = math.fsum(
-                decision.weights[t] * log_return(self.market.close(t, day),
-                                                 self.market.close(t, next_day))
+                daily_pnl(decision.weights[t], self.market.close(t, day),
+                          self.market.close(t, next_day))
                 for t in cfg.tickers)
             pnl_history.append(r_t)
             rho_t = cvar(pnl_history, cfg.risk["cvar_alpha"])
@@ -962,44 +931,42 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     updates = []
     objectives: list[float] = []
     taus: list[float] = []
-    max_episodes = int(config.backtest["max_episodes"])
+    max_episodes = config.backtest["max_episodes"]
     start_episode = 1
 
     if config.backtest.get("resume"):
         start_episode, prompts, objectives, taus, trajectories = _resume_state(
             config, writer, engine, prompts)
 
-    with engine:
-        for k in range(start_episode, max_episodes + 1):
-            trajectory = engine.run_episode(prompts, "train", k,
-                                            config.train_start, config.train_end)
-            trajectories.append(trajectory)
-            objectives.append(trajectory.objective)
-            writer.write_trajectory(k, trajectory)
-            writer.write_prompt_log(k, engine.prompt_log.get(k, []))
-            if k >= 2:
-                update, prompts = compare_and_update(
-                    trajectories[-2], trajectories[-1],
-                    (objectives[-2], objectives[-1]),
-                    prompts, gateway, engine.analyst_ids,
-                    min_run=config.risk["min_run_length"],
-                    max_retries=config.llm["max_retries"])
-                engine.belief_update_calls += 1
-                updates.append(update)
-                taus.append(update.learning_rate)
-                writer.write_belief(k, update)
-                engine.router.send(Message(sender=RISK_CONTROL, recipient=MANAGER,
-                                           kind="belief_update", payload=update))
-                for target in update.target_agents:
-                    if target != MANAGER:
-                        engine.router.send(Message(sender=MANAGER, recipient=target,
-                                                   kind="belief_update", payload=update))
-            writer.write_checkpoint(k, prompts, objectives, taus, engine.store)
-            if convergence_check(taus, objectives,
-                                 tau_threshold=config.risk["convergence_tau"],
-                                 epsilon=config.risk["convergence_epsilon"],
-                                 max_episodes=max_episodes):
-                break
+    for k in range(start_episode, max_episodes + 1):
+        trajectory = engine.run_episode(prompts, k, config.train_start, config.train_end)
+        trajectories.append(trajectory)
+        objectives.append(trajectory.objective)
+        writer.write_trajectory(k, trajectory)
+        writer.write_prompt_log(k, engine.prompt_log.get(k, []))
+        if k >= 2:
+            update, prompts = compare_and_update(
+                trajectories[-2], trajectories[-1],
+                (objectives[-2], objectives[-1]),
+                prompts, gateway, engine.analyst_ids,
+                min_run=config.risk["min_run_length"],
+                max_retries=config.llm["max_retries"])
+            engine.belief_update_calls += 1
+            updates.append(update)
+            taus.append(update.learning_rate)
+            writer.write_belief(k, update)
+            engine.router.send(Message(sender=RISK_CONTROL, recipient=MANAGER,
+                                       kind="belief_update", payload=update))
+            for target in update.target_agents:
+                if target != MANAGER:
+                    engine.router.send(Message(sender=MANAGER, recipient=target,
+                                               kind="belief_update", payload=update))
+        writer.write_checkpoint(k, prompts, objectives, taus, engine.store)
+        if convergence_check(taus, objectives,
+                             tau_threshold=config.risk["convergence_tau"],
+                             epsilon=config.risk["convergence_epsilon"],
+                             max_episodes=max_episodes):
+            break
 
     writer.write_prompt_set(prompts)
     writer.write_memory(engine.store)
@@ -1020,7 +987,7 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
     """Reload the newest checkpoint so training continues after an abort."""
     alpha = config.backtest["discount_alpha"]
     last_done = 0
-    for k in range(1, int(config.backtest["max_episodes"]) + 1):
+    for k in range(1, config.backtest["max_episodes"] + 1):
         if (writer.run_dir / f"trajectory_{k}.jsonl").exists() and \
                 (writer.run_dir / "state" / f"checkpoint_{k}.json").exists():
             last_done = k
@@ -1063,9 +1030,8 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     writer = RunWriter(run_dir)
     writer.write_config(config)
     store = MemoryStore.load_jsonl(memory_path, calendar=market.calendar)
-    with BacktestEngine(config, market, gateway, store=store, writer=writer) as engine:
-        trajectory = engine.run_episode(prompts, "test", "test",
-                                        config.test_start, config.test_end)
+    engine = BacktestEngine(config, market, gateway, store=store, writer=writer)
+    trajectory = engine.run_episode(prompts, "test", config.test_start, config.test_end)
     writer.write_trajectory("test", trajectory)
     writer.write_prompt_log("test", engine.prompt_log.get("test", []))
     report = _write_report(writer, config, trajectory)

@@ -31,8 +31,6 @@ from .errors import (
     Timeout,
 )
 
-PHASES = ("analyze", "decide", "reflect", "conceptualize", "belief_update")
-
 DIRECTIONS = ("long", "short", "neutral")
 SENTIMENTS = ("positive", "negative", "neutral")
 

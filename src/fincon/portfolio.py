@@ -102,6 +102,10 @@ def gershgorin_bound(sigma: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(sigma), axis=1)))
 
 
+def mv_objective(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
+    return float(w @ mu - w @ (sigma @ w))
+
+
 def _box_qp(mu: np.ndarray, sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             step: float, obj_tol: float, step_tol: float, max_iter: int):
     """Projected gradient ascent for max <w,mu> - <w,sigma w> over a box.
@@ -115,7 +119,7 @@ def _box_qp(mu: np.ndarray, sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     for _ in range(max_iter):
         grad = mu - 2.0 * (sigma @ w)
         wn = np.clip(w + step * grad, lo, hi)
-        new_obj = float(wn @ mu - wn @ (sigma @ wn))
+        new_obj = mv_objective(wn, mu, sigma)
         dw = float(np.max(np.abs(wn - w)))
         done = abs(new_obj - obj) < obj_tol and dw < step_tol
         w = wn
@@ -150,25 +154,14 @@ def solve_mean_variance(inputs: MVInputs, obj_tol: float = 1e-10,
     return w
 
 
-def mv_objective(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
-    return float(w @ mu - w @ (sigma @ w))
-
-
-def scale_to_positions(w: np.ndarray, capital: float, prices: np.ndarray,
-                       fractional: bool = True) -> np.ndarray:
-    """Target share counts w_n * capital / price_n (sign follows the weight).
-
-    With ``fractional=False`` counts round toward zero.
-    """
+def scale_to_positions(w: np.ndarray, capital: float, prices: np.ndarray) -> np.ndarray:
+    """Fractional target share counts w_n * capital / price_n (sign follows the weight)."""
     prices = np.asarray(prices, dtype=float)
     if capital <= 0:
         raise ValueError(f"capital must be positive, got {capital}")
     if np.any(prices <= 0):
         raise NonPositivePrice("all prices must be positive")
-    shares = np.asarray(w, dtype=float) * capital / prices
-    if not fractional:
-        shares = np.trunc(shares)
-    return shares
+    return np.asarray(w, dtype=float) * capital / prices
 
 
 def _abs_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -283,7 +283,6 @@ class TestRunConfig:
         assert config.memory["top_k"] == 5
         assert config.risk["cvar_alpha"] == 0.01
         assert config.llm["temperature_decision"] == 0.3
-        assert config.llm["temperature_belief"] == 0.0
         assert config.portfolio["min_news"] == 800
         assert config.portfolio["shrinkage_lambda"] == 0.3
         assert config.memory["decay_ratios"]["news"] == 0.90
@@ -297,10 +296,27 @@ class TestRunConfig:
             RunConfig.from_dict(payload, tmp_path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        payload = minimal_payload(tmp_path)
-        payload["risk"] = {"cvar_alfa": 0.01}
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(payload, tmp_path)
+        # a misspelling, and the keys that configured nothing and were removed
+        for section, key, value in (
+                ("risk", "cvar_alfa", 0.01),
+                ("llm", "temperature_belief", 0.0),
+                ("memory", "embedder_dim", 64),
+                ("portfolio", "fractional_shares", True),
+                ("portfolio", "solver_obj_tol", 1e-10),
+                ("portfolio", "solver_step_tol", 1e-8),
+                ("portfolio", "solver_max_iter", 10_000)):
+            payload = minimal_payload(tmp_path)
+            payload[section] = {key: value}
+            with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
+                RunConfig.from_dict(payload, tmp_path)
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(block)
+        for name, defaults in backtest.DEFAULTS.items():
+            assert documented[name] == defaults, name
 
     def test_bad_discount_alpha(self, tmp_path):
         payload = minimal_payload(tmp_path)
@@ -435,8 +451,8 @@ class TestEngineSingleStock:
         prompts = PromptSet.initial(engine.profiles)
         trajs = []
         for k in (1, 2):
-            trajs.append(engine.run_episode(prompts, "train", k,
-                                            config.train_start, config.train_end))
+            trajs.append(engine.run_episode(prompts, k, config.train_start,
+                                            config.train_end))
         n_instances = len(engine.analyst_ids)
         expected = 0
         for traj in trajs:

@@ -1,6 +1,8 @@
 import json
 from datetime import date
 
+import pytest
+
 from fincon.cli import main
 
 from fixtures import (
@@ -94,6 +96,22 @@ class TestTrain:
         assert not (run_dir / "trajectory_2.jsonl").exists()
         used = json.loads((run_dir / "config.used.json").read_text())
         assert used["backtest"]["max_episodes"] == 1
+
+    @pytest.mark.parametrize("override", [
+        "agents=5",
+        "memory.decay_ratios=3",
+        "backtest.max_episodes=0",
+        "agents.workers=0",
+        "agents.workers=1.5",
+    ])
+    def test_invalid_override_exit_one(self, tmp_path, capsys, override):
+        fix = build_fixture(tmp_path)
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run"),
+                     "--override", override])
+        assert code == 1
+        assert override.split("=")[0] in capsys.readouterr().err
 
 
 class TestTestCommand:

@@ -219,11 +219,6 @@ class TestScaleToPositions:
         got = scale_to_positions(np.array([-0.25]), 10_000.0, np.array([50.0]))
         assert got[0] == -50.0
 
-    def test_integer_mode_rounds_toward_zero(self):
-        got = scale_to_positions(np.array([0.333, -0.333]), 1000.0,
-                                 np.array([7.0, 7.0]), fractional=False)
-        assert list(got) == [47.0, -47.0]
-
     def test_non_positive_price(self):
         with pytest.raises(NonPositivePrice):
             scale_to_positions(np.array([0.5]), 1000.0, np.array([0.0]))
