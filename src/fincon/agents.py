@@ -97,6 +97,12 @@ def analyst_id(role: str, ticker: str) -> str:
     return f"{role}:{ticker}"
 
 
+def analyst_decay_ratio(role: str, decay_ratios: dict[str, float]) -> float:
+    """Per-day decay ratio of an analyst's memories: its document kind's
+    ratio, or the ``data`` ratio for the data analyst."""
+    return decay_ratios["data" if role == "data_analyst" else KIND_FOR_ROLE[role]]
+
+
 @dataclass(frozen=True)
 class AgentProfile:
     agent_id: str
@@ -556,7 +562,7 @@ def send_feedback(decision: TradingDecision, realized_pnl: float,
         text = (f"Feedback for {date.isoformat()}: realized PnL {realized_pnl!r} was "
                 f"significant. Your insight was: {insight}")
         _store_event(ctx, aid, date, "feedback", text,
-                     decay_ratios.get(roles[aid], 0.9), None)
+                     analyst_decay_ratio(roles[aid], decay_ratios), None)
         messages.append(router.send(Message(sender=MANAGER, recipient=aid,
                                             kind="feedback", payload=text)))
     return messages

@@ -124,37 +124,6 @@ class Observation:
     date: Date
     tickers: dict[str, TickerSlice]
 
-    def to_json(self) -> str:
-        """Canonical serialization; identical inputs give identical bytes."""
-        payload = {
-            "date": self.date.isoformat(),
-            "tickers": {
-                t: {
-                    "bar": {
-                        "date": s.bar.date.isoformat(),
-                        "open": s.bar.open,
-                        "high": s.bar.high,
-                        "low": s.bar.low,
-                        "close": s.bar.close,
-                        "adj_close": s.bar.adj_close,
-                        "volume": s.bar.volume,
-                    },
-                    "indicators": s.indicators,
-                    "documents": [
-                        {
-                            "doc_id": d.doc_id,
-                            "kind": d.kind,
-                            "published": d.published.isoformat(),
-                            "body": d.body,
-                        }
-                        for d in s.documents
-                    ],
-                }
-                for t, s in self.tickers.items()
-            },
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
 
 def _parse_iso_date(text: str) -> Date:
     parts = text.split("-")

@@ -106,7 +106,7 @@ class EmptySequence(FinconError):
 
 
 class IncompleteEpisode(FinconError):
-    """Belief update requested before both episodes completed."""
+    """Belief update requested with an episode that has no trading days."""
 
 
 # -- portfolio ---------------------------------------------------------------

@@ -173,11 +173,6 @@ SCHEMAS = {
 }
 
 
-def register_schema(name: str, validator) -> None:
-    """Add or replace an output schema; validators raise ValidationFailure."""
-    SCHEMAS[name] = validator
-
-
 def parse_json_response(raw: str) -> dict:
     """Parse a model response as a JSON object, tolerating code fences."""
     text = raw.strip()
@@ -341,8 +336,3 @@ class LlmGateway:
                 )
         raise SchemaViolationAfterRetries(
             f"{request.role_tag}/{request.step_key}: {last_error}")
-
-
-def complete(request: CompletionRequest, backend) -> ValidatedOutput:
-    """Convenience wrapper for one-off calls without a shared gateway."""
-    return LlmGateway(backend).complete(request)

@@ -46,35 +46,18 @@ class HashEmbedder:
 
     def __init__(self, dim: int = 64):
         self.dim = dim
+        self._indexes = [i.to_bytes(4, "big") for i in range(dim)]
 
     def embed(self, text: str) -> np.ndarray:
-        data = text.encode("utf-8")
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            digest = hashlib.sha256(data + i.to_bytes(4, "big")).digest()
-            out[i] = int.from_bytes(digest[:8], "big") / 2**63 - 1.0
-        return out
-
-
-class MemoEmbedder:
-    """Memoizes another embedder by text; the shared arrays are read-only.
-
-    Two threads missing the same text both embed it and keep one of the two
-    equal vectors, so no lock is needed.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
-        self._cache: dict[str, np.ndarray] = {}
-
-    def embed(self, text: str) -> np.ndarray:
-        vec = self._cache.get(text)
-        if vec is None:
-            vec = np.array(self.inner.embed(text), dtype=float)
-            vec.flags.writeable = False
-            self._cache[text] = vec
-        return vec
+        content = hashlib.sha256(text.encode("utf-8"))
+        words = bytearray()
+        for index in self._indexes:
+            digest = content.copy()
+            digest.update(index)
+            words += digest.digest()[:8]
+        # uint64 -> float64 rounds once and 2**63 is exact, so each component
+        # equals the correctly rounded int(word) / 2**63 - 1.0
+        return np.frombuffer(words, dtype=">u8") / 2**63 - 1.0
 
 
 @dataclass

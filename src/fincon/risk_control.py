@@ -290,8 +290,6 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
     edit aggressiveness scaled by the overlap. Returns (BeliefUpdate,
     updated PromptSet). Tie on objectives prefers the current episode.
     """
-    if not getattr(h_prev, "complete", True) or not getattr(h_cur, "complete", True):
-        raise IncompleteEpisode("both episodes must complete before a belief update")
     if not h_prev.days or not h_cur.days:
         raise IncompleteEpisode("both episodes must contain trading days")
     obj_prev, obj_cur = objectives

@@ -9,6 +9,7 @@ generated with reflect entries on exactly the days that will alert.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,6 +133,18 @@ def oracle_runs(pnls, min_len: int = 2) -> list[tuple[int, int, int]]:
             runs.append((i, j, sign))
         i = j + 1
     return runs
+
+
+def oracle_embed(text: str, dim: int) -> list[float]:
+    """Hash-embedding reference, one digest per component: component i is
+    the first 8 bytes of sha256(utf-8 text || i as 4 big-endian bytes), read
+    as a big-endian unsigned integer n and mapped to n / 2**63 - 1."""
+    data = text.encode("utf-8")
+    out = []
+    for i in range(dim):
+        digest = hashlib.sha256(data + i.to_bytes(4, "big")).digest()
+        out.append(int.from_bytes(digest[:8], "big") / 2**63 - 1.0)
+    return out
 
 
 def oracle_calendar_position(calendar, day: Date) -> int:

@@ -26,6 +26,7 @@ from fincon.agents import (
     send_feedback,
     single_stock_weights,
 )
+from fincon.backtest import DEFAULT_DECAY_RATIOS
 from fincon.data_ingest import PriceBar, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
@@ -331,6 +332,20 @@ class TestSendFeedback:
         send_feedback(decision2, -0.06, 0.01, sorted(insights), insights, d1, ctx,
                       router, {"news": 0.9, "data": 0.9}, roles)
         assert ctx.store.get("cite0").access_bonus == 10.0
+
+    @pytest.mark.parametrize("role, ratio", [("filing10k_analyst", 0.99),
+                                             ("filing10q_analyst", 0.97),
+                                             ("ecc_analyst", 0.97)])
+    def test_feedback_memory_decays_at_the_role_kind_ratio(self, role, ratio):
+        ctx, _ = make_ctx()
+        aid = analyst_id(role, "SYN")
+        decision = TradingDecision(date=D0, directions={"SYN": "long"},
+                                   weights={"SYN": 1.0}, reasoning="r",
+                                   contribution_notes={}, cited_memory_ids=())
+        send_feedback(decision, 0.05, 0.01, [aid], {aid: insight(aid, "SYN")}, D0, ctx,
+                      Router(Topology([aid])), DEFAULT_DECAY_RATIOS, {aid: role})
+        event = ctx.store.get(f"{aid}:1:{D0.isoformat()}:feedback")
+        assert event.decay_ratio == ratio
 
     def test_none_threshold_means_no_feedback(self):
         ctx, router, decision, insights, roles = self._setup()

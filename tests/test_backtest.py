@@ -55,6 +55,18 @@ def make_gateway(fix):
     return LlmGateway(load_mock_script(fix.script_path))
 
 
+def resume_config(fix) -> RunConfig:
+    payload = json.loads(fix.config_path.read_text())
+    payload.setdefault("backtest", {})["resume"] = True
+    return RunConfig.from_dict(payload, fix.root)
+
+
+def summary_without_messages(run_dir) -> dict:
+    summary = json.loads((Path(run_dir) / "train_summary.json").read_text())
+    del summary["message_count"]
+    return summary
+
+
 class TestDailyPnl:
     def test_neutral_action(self):
         assert daily_pnl(0.0, 100.0, 110.0) == 0.0
@@ -575,36 +587,75 @@ class TestTrainTestDrivers:
             backtest.test(config, make_gateway(fix), tmp_path / "test_run")
 
     def test_aborted_episode_writes_failed_artifact_and_resume_completes(self, tmp_path):
-        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=2,
+        for episodes in (2, 3):
+            root = tmp_path / f"episodes_{episodes}"
+            fix = build_single_stock_fixture(root, n_train=8, episodes=episodes,
+                                             analyst_roles=("data_analyst",))
+            config = RunConfig.load(fix.config_path)
+
+            # uninterrupted reference run
+            backtest.train(config, make_gateway(fix), root / "ref")
+
+            # drop one decide entry of the last episode to force a mid-episode abort
+            lines = fix.script_path.read_text().splitlines()
+            victim_key = f"{episodes}:{fix.train_days[4].isoformat()}:decide"
+            truncated = [l for l in lines if victim_key not in l]
+            assert len(truncated) == len(lines) - 1
+            broken_script = fix.root / "broken.jsonl"
+            broken_script.write_text("\n".join(truncated) + "\n")
+
+            run_dir = root / "resumable"
+            with pytest.raises(EpisodeAborted):
+                backtest.train(config, LlmGateway(load_mock_script(broken_script)), run_dir)
+            assert (run_dir / f"trajectory_{episodes}.FAILED.jsonl").exists()
+            assert (run_dir / f"trajectory_{episodes - 1}.jsonl").exists()
+
+            backtest.train(resume_config(fix), make_gateway(fix), run_dir)
+            names = [f"trajectory_{k}.jsonl" for k in range(1, episodes + 1)]
+            names += [f"beliefs/episode_{k}.json" for k in range(2, episodes + 1)]
+            names += ["prompts/final/prompt_set.json", f"prompts/assembled_{episodes}.jsonl",
+                      "memory/snapshot.jsonl", "report.json"]
+            for name in names:
+                assert (run_dir / name).read_bytes() == \
+                    (root / "ref" / name).read_bytes(), name
+            # belief updates count every restored one; message_count covers
+            # only the resumed session
+            assert summary_without_messages(run_dir) == \
+                summary_without_messages(root / "ref")
+
+    def test_resume_after_convergence_runs_no_further_episode(self, tmp_path,
+                                                               monkeypatch):
+        # constant directions overlap fully, so training converges at episode 2 of 3
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         directions_fn=constant_directions("long"),
                                          analyst_roles=("data_analyst",))
         config = RunConfig.load(fix.config_path)
-
-        # uninterrupted reference run
         backtest.train(config, make_gateway(fix), tmp_path / "ref")
+        assert not (tmp_path / "ref" / "trajectory_3.jsonl").exists()
 
-        # drop one episode-2 decide entry to force a mid-episode abort
-        lines = fix.script_path.read_text().splitlines()
-        victim_key = f"2:{fix.train_days[4].isoformat()}:decide"
-        truncated = [l for l in lines if victim_key not in l]
-        assert len(truncated) == len(lines) - 1
-        broken_script = fix.root / "broken.jsonl"
-        broken_script.write_text("\n".join(truncated) + "\n")
+        class Interrupted(Exception):
+            pass
 
+        def interrupt(self, prompts):
+            raise Interrupted
+
+        # stop after the converged episode's checkpoint, before the final artifacts
         run_dir = tmp_path / "resumable"
-        with pytest.raises(EpisodeAborted):
-            backtest.train(config, LlmGateway(load_mock_script(broken_script)), run_dir)
-        assert (run_dir / "trajectory_2.FAILED.jsonl").exists()
-        assert (run_dir / "trajectory_1.jsonl").exists()
+        with monkeypatch.context() as patch:
+            patch.setattr(backtest.RunWriter, "write_prompt_set", interrupt)
+            with pytest.raises(Interrupted):
+                backtest.train(config, make_gateway(fix), run_dir)
+        assert (run_dir / "state" / "checkpoint_2.json").exists()
+        assert not (run_dir / "prompts" / "final").exists()
 
-        resume_payload = json.loads(fix.config_path.read_text())
-        resume_payload.setdefault("backtest", {})["resume"] = True
-        resume_config = RunConfig.from_dict(resume_payload, fix.root)
-        backtest.train(resume_config, make_gateway(fix), run_dir)
-        for name in ("trajectory_1.jsonl", "trajectory_2.jsonl",
-                     "beliefs/episode_2.json", "prompts/final/prompt_set.json",
-                     "prompts/assembled_2.jsonl", "memory/snapshot.jsonl"):
+        backtest.train(resume_config(fix), make_gateway(fix), run_dir)
+        assert not (run_dir / "trajectory_3.jsonl").exists()
+        for name in ("prompts/final/prompt_set.json", "memory/snapshot.jsonl",
+                     "report.json"):
             assert (run_dir / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
+        assert summary_without_messages(run_dir) == \
+            summary_without_messages(tmp_path / "ref")
 
     def test_train_run_dir_resolves_against_the_config_directory(self, tmp_path,
                                                                   monkeypatch):

@@ -257,8 +257,8 @@ class TestAssembleObservation:
         docs = [{"doc_id": "d", "ticker": "SYN", "kind": "ecc_transcript",
                  "published": day.isoformat(), "body": "call"}]
         market, _ = _market(tmp_path, docs=docs)
-        first = assemble_observation(day, ["SYN"], market).to_json()
-        second = assemble_observation(day, ["SYN"], market).to_json()
+        first = assemble_observation(day, ["SYN"], market)
+        second = assemble_observation(day, ["SYN"], market)
         assert first == second
 
     def test_every_document_in_exactly_one_observation(self, tmp_path):

@@ -16,11 +16,8 @@ from fincon.llm_gateway import (
     HttpBackend,
     LlmGateway,
     ValidationFailure,
-    complete,
     load_mock_script,
     parse_json_response,
-    register_schema,
-    SCHEMAS,
 )
 
 
@@ -45,7 +42,7 @@ class TestMockScript:
                                 output_schema="manager_decision",
                                 step_key="1:2022-01-03:decide",
                                 context={"tickers": ["SYN"]})
-        out = complete(req, backend)
+        out = LlmGateway(backend).complete(req)
         assert out.parsed["actions"] == {"SYN": "long"}
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -64,7 +61,7 @@ class TestMockScript:
                                 step_key="1:2022-01-04:decide",
                                 context={"tickers": ["SYN"]})
         with pytest.raises(MissingScriptEntry):
-            complete(req, backend)
+            LlmGateway(backend).complete(req)
 
     def test_missing_field_in_script(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -79,8 +76,8 @@ class TestMockScript:
                                 output_schema="manager_decision",
                                 step_key="1:2022-01-03:decide",
                                 context={"tickers": ["SYN"]})
-        first = complete(req, backend)
-        second = complete(req, backend)
+        first = LlmGateway(backend).complete(req)
+        second = LlmGateway(backend).complete(req)
         assert first == second
 
 
@@ -185,21 +182,6 @@ class TestValidationAndRetry:
                                 output_schema="nope", step_key="k")
         with pytest.raises(ValueError):
             LlmGateway(backend).complete(req)
-
-    def test_register_custom_schema(self):
-        def validator(parsed, context):
-            if parsed.get("action") not in ("long", "short", "neutral"):
-                raise ValidationFailure("action must be long/short/neutral")
-            return parsed
-
-        register_schema("toy_action", validator)
-        try:
-            backend = RecordingBackend([json.dumps({"action": "long"})])
-            req = CompletionRequest(role_tag="m", system_prompt="s", user_prompt="u",
-                                    output_schema="toy_action", step_key="k")
-            assert LlmGateway(backend).complete(req).parsed["action"] == "long"
-        finally:
-            del SCHEMAS["toy_action"]
 
 
 class TestParsing:

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fincon.errors import DimensionMismatch, FutureEvent, UnknownEventId, ZeroVector
@@ -22,7 +22,7 @@ from fincon.memory import (
     score_candidates,
 )
 
-from fixtures import oracle_importance, oracle_top_k
+from fixtures import oracle_embed, oracle_importance, oracle_top_k
 
 SQRT_HALF = 0.7071067811865476  # frozen: mpmath sqrt(1/2)
 
@@ -340,6 +340,16 @@ class TestEmbedderAndSnapshot:
         assert np.array_equal(v1, v2)
         assert not np.array_equal(v1, emb.embed("hello!"))
         assert np.all(np.abs(v1) <= 1.0)
+
+    @given(text=st.one_of(st.text(max_size=8), st.text(min_size=65, max_size=300)),
+           dim=st.sampled_from([1, 16, 64]))
+    @example(text="", dim=64)
+    @example(text="Überweisung 10-K — 利益 📈", dim=16)
+    @example(text="x" * 55, dim=1)
+    @settings(max_examples=120, deadline=None)
+    def test_embedder_matches_per_component_oracle(self, text, dim):
+        got = HashEmbedder(dim).embed(text)
+        assert got.tobytes() == np.array(oracle_embed(text, dim)).tobytes()
 
     def test_snapshot_round_trip(self, tmp_path):
         store = MemoryStore()
