@@ -155,19 +155,6 @@ class PromptSet:
                          manager_prompt=self.manager_prompt,
                          belief_block=dict(beliefs))
 
-    def to_dict(self) -> dict:
-        return {
-            "analyst_prompts": dict(self.analyst_prompts),
-            "manager_prompt": self.manager_prompt,
-            "belief_block": dict(self.belief_block),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PromptSet":
-        return cls(analyst_prompts=dict(payload["analyst_prompts"]),
-                   manager_prompt=str(payload["manager_prompt"]),
-                   belief_block=dict(payload["belief_block"]))
-
     @classmethod
     def initial(cls, profiles: dict[str, AgentProfile]) -> "PromptSet":
         analyst_prompts = {

@@ -26,7 +26,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
 
@@ -53,7 +53,7 @@ from .agents import (
     send_feedback,
     single_stock_weights,
 )
-from .data_ingest import MarketData, assemble_observation, log_return
+from .data_ingest import MarketData, assemble_observation, log_return, parse_date, read_jsonl
 from .errors import (
     ConfigError,
     EmptySeries,
@@ -164,14 +164,6 @@ def _merge_defaults(section: str, user: object) -> dict:
     return merged
 
 
-def _parse_date(text: str, label: str) -> Date:
-    try:
-        y, m, d = (int(p) for p in str(text).split("-"))
-        return Date(y, m, d)
-    except (ValueError, AttributeError):
-        raise ConfigError(f"{label}: bad date {text!r}") from None
-
-
 def read_config_payload(path: str | Path) -> dict:
     """The JSON document in a config file; ConfigError if missing or invalid."""
     path = Path(path)
@@ -227,13 +219,16 @@ class RunConfig:
                 raise ConfigError(f"data.prices missing ticker {t}")
         documents = [str(base / p) for p in data.get("documents", [])]
         dates = payload.get("dates", {})
+        parsed = {}
         for key in ("train_start", "train_end", "test_start", "test_end"):
             if key not in dates:
                 raise ConfigError(f"dates.{key} is required")
-        train_start = _parse_date(dates["train_start"], "dates.train_start")
-        train_end = _parse_date(dates["train_end"], "dates.train_end")
-        test_start = _parse_date(dates["test_start"], "dates.test_start")
-        test_end = _parse_date(dates["test_end"], "dates.test_end")
+            try:
+                parsed[key] = parse_date(dates[key])
+            except ValueError:
+                raise ConfigError(f"dates.{key}: bad date {dates[key]!r}") from None
+        train_start, train_end = parsed["train_start"], parsed["train_end"]
+        test_start, test_end = parsed["test_start"], parsed["test_end"]
         if not train_start <= train_end:
             raise ConfigError("train_start must not exceed train_end")
         if not test_start <= test_end:
@@ -386,19 +381,6 @@ class MetricsReport:
     objective: float
     pnl_series: str
 
-    def to_dict(self) -> dict:
-        return {
-            "cr_pct": self.cr_pct,
-            "sharpe": self.sharpe,
-            "mdd_pct": self.mdd_pct,
-            "var": self.var,
-            "cvar": self.cvar,
-            "alpha": self.alpha,
-            "days": self.days,
-            "objective": self.objective,
-            "pnl_series": self.pnl_series,
-        }
-
 
 def build_report(pnls, capital: float, cvar_alpha: float, risk_free_daily: float,
                  annualize: bool, discount_alpha: float,
@@ -513,38 +495,11 @@ class DayRecord:
     cited_memory_ids: list[str]
 
     def to_record(self) -> dict:
-        return {
-            "date": self.date.isoformat(),
-            "directions": self.directions,
-            "weights": self.weights,
-            "target_shares": self.target_shares,
-            "pnl": self.pnl,
-            "cvar": self.cvar,
-            "alert": self.alert,
-            "trigger": self.trigger,
-            "reflections": self.reflections,
-            "reasoning": self.reasoning,
-            "insights": self.insights,
-            "cited_memory_ids": self.cited_memory_ids,
-        }
+        return {**asdict(self), "date": self.date.isoformat()}
 
     @classmethod
     def from_record(cls, rec: dict) -> "DayRecord":
-        y, m, d = (int(p) for p in rec["date"].split("-"))
-        return cls(
-            date=Date(y, m, d),
-            directions=dict(rec["directions"]),
-            weights={k: float(v) for k, v in rec["weights"].items()},
-            target_shares={k: float(v) for k, v in rec["target_shares"].items()},
-            pnl=float(rec["pnl"]),
-            cvar=float(rec["cvar"]),
-            alert=bool(rec["alert"]),
-            trigger=rec["trigger"],
-            reflections=list(rec["reflections"]),
-            reasoning=str(rec["reasoning"]),
-            insights=dict(rec["insights"]),
-            cited_memory_ids=list(rec["cited_memory_ids"]),
-        )
+        return cls(**{**rec, "date": parse_date(rec["date"])})
 
 
 @dataclass
@@ -565,18 +520,11 @@ class Trajectory:
         return labels
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(d.to_record(), sort_keys=True, separators=(",", ":")) + "\n"
-            for d in self.days)
+        return _dump_jsonl(d.to_record() for d in self.days)
 
     @classmethod
     def from_jsonl(cls, path: str | Path, episode: object, discount_alpha: float) -> "Trajectory":
-        days = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    days.append(DayRecord.from_record(json.loads(line)))
+        days = [DayRecord.from_record(rec) for _, rec in read_jsonl(path)]
         traj = cls(episode=episode, days=days)
         traj.objective = objective_value(traj.pnls(), discount_alpha)
         return traj
@@ -588,6 +536,11 @@ class Trajectory:
 
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _dump_jsonl(records) -> str:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in records)
 
 
 class RunWriter:
@@ -609,28 +562,23 @@ class RunWriter:
         self.path(f"trajectory_{tag}.jsonl").write_text(trajectory.to_jsonl())
 
     def write_failed(self, tag: object, days: list[DayRecord], error: str) -> None:
-        lines = [json.dumps(d.to_record(), sort_keys=True, separators=(",", ":"))
-                 for d in days]
-        lines.append(json.dumps({"FAILED": error}, sort_keys=True, separators=(",", ":")))
-        self.path(f"trajectory_{tag}.FAILED.jsonl").write_text("\n".join(lines) + "\n")
+        records = [d.to_record() for d in days] + [{"FAILED": error}]
+        self.path(f"trajectory_{tag}.FAILED.jsonl").write_text(_dump_jsonl(records))
 
     def write_belief(self, episode: int, update) -> None:
-        self.path("beliefs", f"episode_{episode}.json").write_text(update.to_json() + "\n")
+        self.path("beliefs", f"episode_{episode}.json").write_text(_dump_json(asdict(update)))
 
     def write_prompt_set(self, prompts: PromptSet) -> None:
-        self.path("prompts", "final", "prompt_set.json").write_text(
-            _dump_json(prompts.to_dict()))
+        self.path("prompts", "final", "prompt_set.json").write_text(_dump_json(asdict(prompts)))
 
     def write_prompt_log(self, tag: object, entries: list[dict]) -> None:
-        text = "".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in entries)
-        self.path("prompts", f"assembled_{tag}.jsonl").write_text(text)
+        self.path("prompts", f"assembled_{tag}.jsonl").write_text(_dump_jsonl(entries))
 
     def write_memory(self, store: MemoryStore) -> None:
         store.save_jsonl(self.path("memory", "snapshot.jsonl"))
 
     def write_report(self, report: MetricsReport) -> None:
-        self.path("report.json").write_text(_dump_json(report.to_dict()))
+        self.path("report.json").write_text(_dump_json(asdict(report)))
 
     def write_metrics_csv(self, days: list[DayRecord], capital: float) -> None:
         equity = equity_curve([d.pnl for d in days], capital)
@@ -647,7 +595,7 @@ class RunWriter:
                          taus: list, store: MemoryStore) -> None:
         payload = {
             "episode": episode,
-            "prompts": prompts.to_dict(),
+            "prompts": asdict(prompts),
             "objectives": objectives,
             "taus": taus,
         }
@@ -997,7 +945,7 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
     if last_done == 0:
         return 1, prompts, [], [], []
     payload = json.loads((writer.run_dir / "state" / f"checkpoint_{last_done}.json").read_text())
-    prompts = PromptSet.from_dict(payload["prompts"])
+    prompts = PromptSet(**payload["prompts"])
     objectives = [float(x) for x in payload["objectives"]]
     taus = [float(x) for x in payload["taus"]]
     engine.store = MemoryStore.load_jsonl(
@@ -1028,7 +976,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         raise MissingTrainingArtifacts(
             f"missing training artifacts under {train_dir} "
             "(expected prompts/final/prompt_set.json and memory/snapshot.jsonl)")
-    prompts = PromptSet.from_dict(json.loads(prompt_path.read_text()))
+    prompts = PromptSet(**json.loads(prompt_path.read_text()))
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)

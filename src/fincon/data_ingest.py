@@ -125,11 +125,31 @@ class Observation:
     tickers: dict[str, TickerSlice]
 
 
-def _parse_iso_date(text: str) -> Date:
-    parts = text.split("-")
-    if len(parts) != 3:
-        raise ValueError(text)
-    return Date(int(parts[0]), int(parts[1]), int(parts[2]))
+def parse_date(text: str) -> Date:
+    """A ``Y-M-D`` date; ValueError when the text is not one."""
+    y, m, d = (int(p) for p in str(text).split("-"))
+    return Date(y, m, d)
+
+
+def read_jsonl(path: str | Path):
+    """Yield ``(row_no, record)`` for each non-blank line of a JSONL file.
+
+    Line numbers double as row numbers. Raises FileNotFoundError for a
+    missing file and SchemaError(row, None) for a line that is not JSON.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    with path.open() as fh:
+        for row_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(row_no, None, f"{path}: invalid JSON ({exc})") from None
+            yield row_no, record
 
 
 def load_price_series(path: str | Path, ticker: str) -> PriceSeries:
@@ -156,7 +176,7 @@ def load_price_series(path: str | Path, ticker: str) -> PriceSeries:
                 raise SchemaError(row_no, None, f"{path}: expected {len(PRICE_COLUMNS)} fields")
             rec = dict(zip(PRICE_COLUMNS, row))
             try:
-                bar_date = _parse_iso_date(rec["date"].strip())
+                bar_date = parse_date(rec["date"].strip())
             except ValueError:
                 raise SchemaError(row_no, "date", f"{path}: bad date {rec['date']!r}") from None
             values = {}
@@ -183,42 +203,31 @@ def load_price_series(path: str | Path, ticker: str) -> PriceSeries:
 
 def load_documents(path: str | Path) -> list[TextDocument]:
     """Load a document JSONL file; line numbers double as row numbers."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     docs: list[TextDocument] = []
     seen_ids: set[str] = set()
-    with path.open() as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(row_no, None, f"{path}: invalid JSON ({exc})") from None
-            for key in ("doc_id", "ticker", "kind", "published", "body"):
-                if key not in rec:
-                    raise SchemaError(row_no, key, f"{path}: missing {key}")
-            if rec["kind"] not in DOCUMENT_KINDS:
-                raise SchemaError(row_no, "kind", f"{path}: unknown kind {rec['kind']!r}")
-            if not str(rec["body"]).strip():
-                raise SchemaError(row_no, "body", f"{path}: empty body")
-            if rec["doc_id"] in seen_ids:
-                raise SchemaError(row_no, "doc_id", f"{path}: duplicate doc_id {rec['doc_id']!r}")
-            seen_ids.add(rec["doc_id"])
-            try:
-                published = _parse_iso_date(str(rec["published"]))
-            except ValueError:
-                raise SchemaError(row_no, "published",
-                                  f"{path}: bad date {rec['published']!r}") from None
-            docs.append(TextDocument(
-                doc_id=str(rec["doc_id"]),
-                ticker=str(rec["ticker"]),
-                kind=str(rec["kind"]),
-                published=published,
-                body=str(rec["body"]),
-            ))
+    for row_no, rec in read_jsonl(path):
+        for key in ("doc_id", "ticker", "kind", "published", "body"):
+            if key not in rec:
+                raise SchemaError(row_no, key, f"{path}: missing {key}")
+        if rec["kind"] not in DOCUMENT_KINDS:
+            raise SchemaError(row_no, "kind", f"{path}: unknown kind {rec['kind']!r}")
+        if not str(rec["body"]).strip():
+            raise SchemaError(row_no, "body", f"{path}: empty body")
+        if rec["doc_id"] in seen_ids:
+            raise SchemaError(row_no, "doc_id", f"{path}: duplicate doc_id {rec['doc_id']!r}")
+        seen_ids.add(rec["doc_id"])
+        try:
+            published = parse_date(rec["published"])
+        except ValueError:
+            raise SchemaError(row_no, "published",
+                              f"{path}: bad date {rec['published']!r}") from None
+        docs.append(TextDocument(
+            doc_id=str(rec["doc_id"]),
+            ticker=str(rec["ticker"]),
+            kind=str(rec["kind"]),
+            published=published,
+            body=str(rec["body"]),
+        ))
     return docs
 
 

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .data_ingest import read_jsonl
 from .errors import (
     BackendUnavailable,
     MissingScriptEntry,
@@ -216,27 +217,15 @@ class ScriptedBackend:
 
 def load_mock_script(path: str | Path) -> ScriptedBackend:
     """Load a JSONL mock script; duplicate (role_tag, step_key) is an error."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     entries: dict[tuple[str, str], str] = {}
-    with path.open() as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(row_no, None, f"{path}: invalid JSON ({exc})") from None
-            for key in ("role_tag", "step_key", "response"):
-                if key not in rec:
-                    raise SchemaError(row_no, key, f"{path}: missing {key}")
-            lookup = (str(rec["role_tag"]), str(rec["step_key"]))
-            if lookup in entries:
-                raise SchemaError(row_no, "step_key",
-                                  f"{path}: duplicate entry for {lookup}")
-            entries[lookup] = str(rec["response"])
+    for row_no, rec in read_jsonl(path):
+        for key in ("role_tag", "step_key", "response"):
+            if key not in rec:
+                raise SchemaError(row_no, key, f"{path}: missing {key}")
+        lookup = (str(rec["role_tag"]), str(rec["step_key"]))
+        if lookup in entries:
+            raise SchemaError(row_no, "step_key", f"{path}: duplicate entry for {lookup}")
+        entries[lookup] = str(rec["response"])
     return ScriptedBackend(entries)
 
 

@@ -28,6 +28,7 @@ from datetime import date as Date
 
 import numpy as np
 
+from .data_ingest import parse_date, read_jsonl
 from .errors import DimensionMismatch, FutureEvent, UnknownEventId, ZeroVector
 
 LAYERS = ("working", "procedural", "episodic")
@@ -97,7 +98,6 @@ class MemoryEvent:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MemoryEvent":
-        y, m, d = (int(p) for p in rec["created_at"].split("-"))
         return cls(
             event_id=rec["event_id"],
             owner=rec["owner"],
@@ -106,7 +106,7 @@ class MemoryEvent:
             embedding=np.asarray(rec["embedding"], dtype=float),
             initial_importance=float(rec["initial_importance"]),
             decay_ratio=float(rec["decay_ratio"]),
-            created_at=Date(y, m, d),
+            created_at=parse_date(rec["created_at"]),
             access_bonus=float(rec["access_bonus"]),
         )
 
@@ -396,9 +396,6 @@ class MemoryStore:
     @classmethod
     def load_jsonl(cls, path, calendar: tuple[Date, ...] | None = None) -> "MemoryStore":
         store = cls(calendar=calendar)
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    store.add(MemoryEvent.from_record(json.loads(line)))
+        for _, rec in read_jsonl(path):
+            store.add(MemoryEvent.from_record(rec))
         return store

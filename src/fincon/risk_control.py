@@ -186,19 +186,6 @@ class BeliefUpdate:
     target_agents: tuple[str, ...]
     beliefs: dict[str, str]
 
-    def to_json(self) -> str:
-        payload = {
-            "episode_pair": list(self.episode_pair),
-            "winner": self.winner,
-            "insights_prev": [{"aspect": c.aspect, "text": c.text} for c in self.insights_prev],
-            "insights_cur": [{"aspect": c.aspect, "text": c.text} for c in self.insights_cur],
-            "meta_prompt": self.meta_prompt,
-            "learning_rate": self.learning_rate,
-            "target_agents": list(self.target_agents),
-            "beliefs": dict(self.beliefs),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
 
 def extract_runs(pnls, min_len: int = 2) -> list[dict]:
     """Maximal runs of consecutive positive or consecutive negative PnL days.

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from datetime import date
 
 import pytest
@@ -26,7 +27,7 @@ from fincon.agents import (
     send_feedback,
     single_stock_weights,
 )
-from fincon.backtest import DEFAULT_DECAY_RATIOS
+from fincon.backtest import DEFAULT_DECAY_RATIOS, RunWriter
 from fincon.data_ingest import PriceBar, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
@@ -110,10 +111,13 @@ class TestPromptSet:
             PromptSet(analyst_prompts={}, manager_prompt="m",
                       belief_block={"astrology": "x"})
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         ps = PromptSet(analyst_prompts={"a:SYN": "t"}, manager_prompt="m",
                        belief_block={"ECC": "listen closely"})
-        assert PromptSet.from_dict(ps.to_dict()) == ps
+        RunWriter(tmp_path).write_prompt_set(ps)
+        payload = json.loads((tmp_path / "prompts" / "final" / "prompt_set.json").read_text())
+        assert payload == asdict(ps)
+        assert PromptSet(**payload) == ps
 
     def test_with_belief_block_replaces_only_beliefs(self):
         ps = PromptSet(analyst_prompts={"a:SYN": "t"}, manager_prompt="m",

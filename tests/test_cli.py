@@ -141,6 +141,23 @@ class TestTestCommand:
         assert summary["belief_update_calls"] == 0
 
 
+    def test_corrupt_inherited_snapshot_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path, n_test=4)
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir)]) == 0
+        snapshot = train_dir / "memory" / "snapshot.jsonl"
+        snapshot.write_bytes(snapshot.read_bytes()[:-40])
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"])
+        assert code == 1
+        assert "snapshot.jsonl: invalid JSON" in capsys.readouterr().err
+
+
 class TestReport:
     def test_missing_trajectory_exit_one(self, tmp_path):
         fix = build_fixture(tmp_path)
@@ -148,6 +165,19 @@ class TestReport:
         code = main(["report", "--config", str(fix.config_path),
                      "--run-dir", str(tmp_path / "empty")])
         assert code == 1
+
+    def test_corrupt_trajectory_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(run_dir)]) == 0
+        with (run_dir / "trajectory_2.jsonl").open("a") as fh:
+            fh.write('{"date": "2022-\n')
+        code = main(["report", "--config", str(fix.config_path),
+                     "--run-dir", str(run_dir)])
+        assert code == 1
+        assert "trajectory_2.jsonl: invalid JSON" in capsys.readouterr().err
 
     def test_recompute_matches_and_is_idempotent(self, tmp_path):
         fix = build_fixture(tmp_path)

@@ -13,6 +13,8 @@ from fincon.data_ingest import (
     load_price_series,
     log_return,
     momentum,
+    parse_date,
+    read_jsonl,
 )
 from fincon.errors import (
     DateOutOfRange,
@@ -188,6 +190,14 @@ class TestDocuments:
         with pytest.raises(SchemaError):
             load_documents(tmp_path / "d.jsonl")
 
+    def test_bad_published_date(self, tmp_path):
+        write_documents(tmp_path / "d.jsonl", [
+            {"doc_id": "a", "ticker": "SYN", "kind": "news",
+             "published": "2022-01", "body": "x"}])
+        with pytest.raises(SchemaError) as err:
+            load_documents(tmp_path / "d.jsonl")
+        assert (err.value.row, err.value.column) == (1, "published")
+
     def test_duplicate_doc_id(self, tmp_path):
         write_documents(tmp_path / "d.jsonl", [
             {"doc_id": "a", "ticker": "SYN", "kind": "news",
@@ -289,3 +299,34 @@ class TestAssembleObservation:
         obs1 = assemble_observation(days[1], ["SYN"], market)
         assert "log_return" in obs1.tickers["SYN"].indicators
         assert "momentum" not in obs1.tickers["SYN"].indicators
+
+
+class TestFormats:
+    @pytest.mark.parametrize("text, want", [
+        ("2022-01-04", date(2022, 1, 4)),
+        ("2022-1-4", date(2022, 1, 4)),
+    ])
+    def test_parse_date(self, text, want):
+        assert parse_date(text) == want
+
+    @pytest.mark.parametrize("text", ["2022-01", "2022-01-04-05", "2022/01/04",
+                                      "2022-02-30", "", None])
+    def test_parse_date_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_date(text)
+
+    def test_read_jsonl_numbers_lines_and_skips_blanks(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
+
+    def test_read_jsonl_invalid_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n{"a": \n')
+        with pytest.raises(SchemaError) as err:
+            list(read_jsonl(path))
+        assert (err.value.row, err.value.column) == (2, None)
+
+    def test_read_jsonl_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            list(read_jsonl(tmp_path / "absent.jsonl"))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from datetime import date
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fincon.agents import PromptSet
-from fincon.backtest import DayRecord, Trajectory
+from fincon.backtest import DayRecord, RunWriter, Trajectory
 from fincon.errors import (
     AlphaOutOfRange,
     EmptyHistory,
@@ -358,13 +359,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             ConceptInsight(aspect="astrology", text="x")
 
-    def test_belief_update_serializes(self):
+    def test_belief_update_serializes(self, tmp_path):
         update = BeliefUpdate(
             episode_pair=(1, 2), winner=2,
             insights_prev=(ConceptInsight("news insights", "a"),),
             insights_cur=(ConceptInsight("ECC", "b"),),
             meta_prompt="m", learning_rate=0.5,
             target_agents=("manager",), beliefs={"ECC": "b"})
-        payload = json.loads(update.to_json())
+        RunWriter(tmp_path).write_belief(2, update)
+        text = (tmp_path / "beliefs" / "episode_2.json").read_text()
+        assert text == json.dumps(asdict(update), sort_keys=True, indent=2) + "\n"
+        payload = json.loads(text)
         assert payload["episode_pair"] == [1, 2]
+        assert payload["insights_prev"] == [{"aspect": "news insights", "text": "a"}]
+        assert payload["target_agents"] == ["manager"]
         assert payload["learning_rate"] == 0.5
