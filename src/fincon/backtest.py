@@ -863,11 +863,12 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     """Run the training stage; returns (final prompts, trajectories, updates).
 
     From episode 2 on, each completed episode triggers a belief update
-    comparing it with its predecessor; training stops at the episode cap or
-    when the overlap/objective convergence rule fires. With ``resume`` set,
-    episodes whose trajectory and checkpoint already exist are reloaded
-    instead of re-run, and a restored state that had already converged runs
-    no further episode.
+    comparing it with its predecessor, whose insights are reused from the
+    previous update when this session made one; training stops at the
+    episode cap or when the overlap/objective convergence rule fires. With
+    ``resume`` set, episodes whose trajectory and checkpoint already exist
+    are reloaded instead of re-run, and a restored state that had already
+    converged runs no further episode.
     """
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
@@ -905,7 +906,8 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
                 (objectives[-2], objectives[-1]),
                 prompts, gateway, engine.analyst_ids,
                 min_run=config.risk["min_run_length"],
-                max_retries=config.llm["max_retries"])
+                max_retries=config.llm["max_retries"],
+                insights_prev=updates[-1].insights_cur if updates else None)
             updates.append(update)
             taus.append(update.learning_rate)
             writer.write_belief(k, update)

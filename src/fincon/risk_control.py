@@ -268,10 +268,13 @@ def aspects_in_text(text: str) -> list[str]:
 def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
                        objectives: tuple[float, float], prompts: "PromptSet",
                        gateway: LlmGateway, analysts: dict[str, str],
-                       min_run: int = 2, max_retries: int = 2):
+                       min_run: int = 2, max_retries: int = 2,
+                       insights_prev: tuple[ConceptInsight, ...] | None = None):
     """One over-episode belief update from two adjacent training episodes.
 
-    Conceptualizes both trajectories, computes the action-overlap learning
+    Conceptualizes the current trajectory, and the previous one unless its
+    insights are given (the previous update's ``insights_cur``, so each
+    episode is conceptualized once), computes the action-overlap learning
     rate, and runs a single temperature-0 gateway call that both states the
     optimization direction (meta prompt) and rewrites the belief block with
     edit aggressiveness scaled by the overlap. Returns (BeliefUpdate,
@@ -283,8 +286,9 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
     k_prev, k_cur = h_prev.episode, h_cur.episode
     winner = k_cur if obj_cur >= obj_prev else k_prev
     analyst_roles = sorted(set(analysts.values()))
-    insights_prev = conceptualize(h_prev, analyst_roles, gateway, min_run=min_run,
-                                  max_retries=max_retries)
+    if insights_prev is None:
+        insights_prev = conceptualize(h_prev, analyst_roles, gateway, min_run=min_run,
+                                      max_retries=max_retries)
     insights_cur = conceptualize(h_cur, analyst_roles, gateway, min_run=min_run,
                                  max_retries=max_retries)
     tau = overlap_percentage(h_prev.action_labels(), h_cur.action_labels())

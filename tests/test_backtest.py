@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import threading
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -551,6 +552,38 @@ class TestTrainTestDrivers:
         assert len(updates) == 3
         for k in (2, 3, 4):
             assert (tmp_path / "run" / "beliefs" / f"episode_{k}.json").exists()
+
+    def test_each_episode_is_conceptualized_once(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=4,
+                                         news_every=4)
+        scripted = {key for _, key in load_mock_script(fix.script_path).entries
+                    if key.endswith(":conceptualize")}
+        assert len(scripted) == 4
+
+        class Counting:
+            def __init__(self, script_path):
+                self.inner = load_mock_script(script_path)
+                self.keys = Counter()
+
+            def generate(self, request):
+                self.keys[request.step_key] += 1
+                return self.inner.generate(request)
+
+        backend = Counting(fix.script_path)
+        backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
+                       tmp_path / "run")
+        requested = {k: n for k, n in backend.keys.items() if k.endswith(":conceptualize")}
+        assert requested == {key: 1 for key in scripted}
+
+        # a resumed session has no previous update, so its first update
+        # conceptualizes the restored episode again
+        for name in ("trajectory_4.jsonl", "state/checkpoint_4.json"):
+            (tmp_path / "run" / name).unlink()
+        backend = Counting(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend), tmp_path / "run")
+        requested = {k.split(":")[0]: n for k, n in backend.keys.items()
+                     if k.endswith(":conceptualize")}
+        assert requested == {"3": 1, "4": 1}
 
     def test_test_stage_inherits_and_never_updates_beliefs(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=12, n_test=8, episodes=2,
