@@ -593,6 +593,9 @@ class RunWriter:
 
     def write_checkpoint(self, episode: int, prompts: PromptSet, objectives: list,
                          taus: list, store: MemoryStore) -> None:
+        """Memory first: resume trusts a checkpoint only once its JSON file
+        exists, so a crash while the memory file is written loses nothing."""
+        store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
         payload = {
             "episode": episode,
             "prompts": asdict(prompts),
@@ -600,7 +603,6 @@ class RunWriter:
             "taus": taus,
         }
         self.path("state", f"checkpoint_{episode}.json").write_text(_dump_json(payload))
-        store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
 
 
 # ---------------------------------------------------------------------------

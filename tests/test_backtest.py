@@ -656,6 +656,47 @@ class TestTrainTestDrivers:
             assert summary_without_messages(run_dir) == \
                 summary_without_messages(root / "ref")
 
+    def test_crash_while_writing_checkpoint_memory_resumes_cleanly(self, tmp_path,
+                                                                   monkeypatch):
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+
+        class Crash(Exception):
+            pass
+
+        save = backtest.MemoryStore.save_jsonl
+        saved = []
+
+        def save_then_crash_on_second(self, path):
+            # the second snapshot is episode 2's checkpoint memory: leave it
+            # half written, as a process killed mid-write would
+            save(self, path)
+            saved.append(path)
+            if len(saved) == 2:
+                data = Path(path).read_bytes()
+                Path(path).write_bytes(data[:len(data) // 2])
+                raise Crash
+
+        run_dir = tmp_path / "resumable"
+        with monkeypatch.context() as patch:
+            patch.setattr(backtest.MemoryStore, "save_jsonl", save_then_crash_on_second)
+            with pytest.raises(Crash):
+                backtest.train(config, make_gateway(fix), run_dir)
+        assert saved[1] == run_dir / "state" / "memory_2.jsonl"
+        assert not (run_dir / "state" / "checkpoint_2.json").exists()
+
+        backtest.train(resume_config(fix), make_gateway(fix), run_dir)
+        files = {p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file()}
+        assert files == {p.relative_to(tmp_path / "ref")
+                         for p in (tmp_path / "ref").rglob("*") if p.is_file()}
+        for name in sorted(files - {Path("config.used.json"), Path("train_summary.json")}):
+            assert (run_dir / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
+        assert summary_without_messages(run_dir) == \
+            summary_without_messages(tmp_path / "ref")
+
     def test_resume_after_convergence_runs_no_further_episode(self, tmp_path,
                                                                monkeypatch):
         # constant directions overlap fully, so training converges at episode 2 of 3
