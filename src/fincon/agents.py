@@ -270,6 +270,13 @@ class Router:
             return sum(self._counts.values())
         return self._counts[kind]
 
+    def counts_by_kind(self) -> dict[str, int]:
+        return dict(self._counts)
+
+    def restore_counts(self, counts: dict[str, int]) -> None:
+        """Continue counting from a checkpoint's ``counts_by_kind``."""
+        self._counts = Counter(counts)
+
 
 # ---------------------------------------------------------------------------
 # prompt rendering

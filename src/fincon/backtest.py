@@ -592,7 +592,7 @@ class RunWriter:
         self.path(name).write_text(_dump_json(payload))
 
     def write_checkpoint(self, episode: int, prompts: PromptSet, objectives: list,
-                         taus: list, store: MemoryStore) -> None:
+                         taus: list, store: MemoryStore, message_counts: dict) -> None:
         """Memory first: resume trusts a checkpoint only once its JSON file
         exists, so a crash while the memory file is written loses nothing."""
         store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
@@ -601,6 +601,7 @@ class RunWriter:
             "prompts": asdict(prompts),
             "objectives": objectives,
             "taus": taus,
+            "message_counts": message_counts,
         }
         self.path("state", f"checkpoint_{episode}.json").write_text(_dump_json(payload))
 
@@ -919,7 +920,8 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
                 if target != MANAGER:
                     engine.router.send(Message(sender=MANAGER, recipient=target,
                                                kind="belief_update", payload=update))
-        writer.write_checkpoint(k, prompts, objectives, taus, engine.store)
+        writer.write_checkpoint(k, prompts, objectives, taus, engine.store,
+                                engine.router.counts_by_kind())
         if converged():
             break
 
@@ -939,7 +941,8 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
 def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
                   prompts: PromptSet):
-    """Reload the newest checkpoint so training continues after an abort."""
+    """Reload the newest checkpoint so training continues after an abort:
+    prompts, objectives, taus, memory and message counts."""
     alpha = config.backtest["discount_alpha"]
     last_done = 0
     for k in range(1, config.backtest["max_episodes"] + 1):
@@ -955,6 +958,7 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
     engine.store = MemoryStore.load_jsonl(
         writer.run_dir / "state" / f"memory_{last_done}.jsonl",
         calendar=engine.market.calendar)
+    engine.router.restore_counts(payload.get("message_counts", {}))
     trajectories = [
         Trajectory.from_jsonl(writer.run_dir / f"trajectory_{k}.jsonl", k, alpha)
         for k in range(1, last_done + 1)
