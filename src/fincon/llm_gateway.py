@@ -243,7 +243,10 @@ class HttpBackend:
             raise BackendUnavailable(f"{ENV_ENDPOINT} is not configured")
 
     def generate(self, request: CompletionRequest) -> str:
-        import requests
+        # imported here so runs on the scripted mock never load the HTTP stack
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload = {
             "model": self.model,
@@ -258,18 +261,27 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        http_request = urllib.request.Request(
+            f"{self.endpoint}/chat/completions", data=json.dumps(payload).encode("utf-8"),
+            headers=headers, method="POST")
         try:
-            resp = requests.post(f"{self.endpoint}/chat/completions", json=payload,
-                                 headers=headers, timeout=self.timeout)
-        except requests.Timeout as exc:
+            with urllib.request.urlopen(http_request, timeout=self.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            raise BackendUnavailable(f"backend returned HTTP {exc.code}") from None
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise Timeout(str(exc.reason)) from None
+            raise BackendUnavailable(str(exc.reason)) from None
+        except TimeoutError as exc:
             raise Timeout(str(exc)) from None
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise BackendUnavailable(str(exc)) from None
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"backend returned HTTP {resp.status_code}")
+        if status != 200:
+            raise BackendUnavailable(f"backend returned HTTP {status}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            return json.loads(body)["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed backend response: {exc}") from None
 
 

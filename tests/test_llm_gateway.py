@@ -1,5 +1,7 @@
 import ast
 import json
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from fincon.errors import (
     MissingScriptEntry,
     SchemaError,
     SchemaViolationAfterRetries,
+    Timeout,
 )
 from fincon.llm_gateway import (
     CompletionRequest,
@@ -225,6 +228,89 @@ class TestHttpBackend:
         monkeypatch.delenv("FINCON_LLM_ENDPOINT", raising=False)
         with pytest.raises(BackendUnavailable):
             HttpBackend()
+
+
+class FakeResponse:
+    def __init__(self, body: bytes, status: int = 200):
+        self.body = body
+        self.status = status
+
+    def read(self) -> bytes:
+        return self.body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+class TestHttpBackendOffline:
+    """``urlopen`` is replaced, so no socket is opened."""
+
+    REQUEST = CompletionRequest(role_tag="m", system_prompt="sys", user_prompt="usr",
+                                output_schema="manager_decision", temperature=0.0,
+                                step_key="k")
+
+    def generate(self, monkeypatch, outcome, **backend_kwargs):
+        """Run one ``generate`` whose ``urlopen`` returns or raises ``outcome``;
+        returns (result, [(urllib request, timeout)])."""
+        calls = []
+
+        def urlopen(request, timeout=None):
+            calls.append((request, timeout))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        backend = HttpBackend(endpoint="http://llm.invalid/v1/", api_key="secret",
+                              model="m1", timeout=7.5, **backend_kwargs)
+        return backend.generate(self.REQUEST), calls
+
+    def test_success_posts_payload_with_seed_and_auth(self, monkeypatch):
+        body = json.dumps({"choices": [{"message": {"content": "{\"ok\": 1}"}}]})
+        got, calls = self.generate(monkeypatch, FakeResponse(body.encode()), seed=11)
+        assert got == '{"ok": 1}'
+        [(request, timeout)] = calls
+        assert request.full_url == "http://llm.invalid/v1/chat/completions"
+        assert request.get_method() == "POST"
+        assert timeout == 7.5
+        assert request.get_header("Authorization") == "Bearer secret"
+        assert request.get_header("Content-type") == "application/json"
+        payload = json.loads(request.data)
+        assert payload == {
+            "model": "m1", "temperature": 0.0, "seed": 11,
+            "messages": [{"role": "system", "content": "sys"},
+                         {"role": "user", "content": "usr"}]}
+
+    def test_http_500_is_unavailable(self, monkeypatch):
+        error = urllib.error.HTTPError("http://llm.invalid/v1/chat/completions", 500,
+                                       "Internal Server Error", None, None)
+        with pytest.raises(BackendUnavailable, match="HTTP 500"):
+            self.generate(monkeypatch, error)
+
+    def test_non_200_success_status_is_unavailable(self, monkeypatch):
+        with pytest.raises(BackendUnavailable, match="HTTP 202"):
+            self.generate(monkeypatch, FakeResponse(b"{}", status=202))
+
+    @pytest.mark.parametrize("error", [
+        TimeoutError("timed out"),
+        urllib.error.URLError(TimeoutError("timed out")),
+    ], ids=["read", "connect"])
+    def test_timeout(self, monkeypatch, error):
+        with pytest.raises(Timeout):
+            self.generate(monkeypatch, error)
+
+    def test_connection_error_is_unavailable(self, monkeypatch):
+        with pytest.raises(BackendUnavailable):
+            self.generate(monkeypatch, urllib.error.URLError(ConnectionRefusedError()))
+
+    @pytest.mark.parametrize("body", [b"not json", b"{}", b'{"choices": []}',
+                                      b'{"choices": null}'])
+    def test_malformed_body_is_unavailable(self, monkeypatch, body):
+        with pytest.raises(BackendUnavailable, match="malformed"):
+            self.generate(monkeypatch, FakeResponse(body))
 
 
 def test_no_network_imports_outside_gateway():
