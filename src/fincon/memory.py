@@ -148,17 +148,6 @@ def decay_importance(v0: np.ndarray, theta: np.ndarray, dt: np.ndarray,
     return v0 * np.power(theta, dt) + bonus
 
 
-def relevancy_score(query_emb: np.ndarray, event_emb: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1] between two equal-length nonzero vectors."""
-    a = np.asarray(query_emb, dtype=float)
-    b = np.asarray(event_emb, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    if float(a @ a) == 0.0 or float(b @ b) == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero vector")
-    return float(cosine_matrix(a, b[np.newaxis, :])[0])
-
-
 def importance_score(event: MemoryEvent, as_of: Date,
                      calendar: tuple[Date, ...] | None = None) -> float:
     """Decayed importance v * theta**dt + access bonus.
@@ -325,14 +314,6 @@ class MemoryStore:
             event.access_bonus += ACCESS_BOOST
             cols, row = self._rows[event_id]
             cols.bonus[row] = event.access_bonus
-
-    def events_for(self, owner: str, layer: str | None = None) -> list[MemoryEvent]:
-        with self._lock:
-            cols = self._owners.get(owner)
-            events = list(cols.events) if cols is not None else []
-        if layer is not None:
-            events = [e for e in events if e.layer == layer]
-        return events
 
     def retrieve_top_k(self, query: MemoryQuery) -> list[ScoredEvent]:
         """Top-k events for the query's owner, ranked by combined score.

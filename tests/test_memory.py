@@ -16,8 +16,8 @@ from fincon.memory import (
     MemoryEvent,
     MemoryQuery,
     MemoryStore,
+    cosine_matrix,
     importance_score,
-    relevancy_score,
     scale_unit,
     score_candidates,
 )
@@ -43,22 +43,29 @@ def make_event(event_id, owner="agent", content=None, v0=0.5, theta=0.9,
 class TestRelevancy:
     def test_identical_vectors(self):
         v = np.array([0.3, -1.2, 4.0])
-        assert abs(relevancy_score(v, v) - 1.0) < 1e-12
+        assert abs(cosine_matrix(v, v[np.newaxis, :])[0] - 1.0) < 1e-12
 
     def test_orthogonal(self):
-        assert relevancy_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine_matrix(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))[0] == 0.0
 
     def test_oblique_hand_computed(self):
-        got = relevancy_score(np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-        assert abs(got - SQRT_HALF) < 1e-12
+        got = cosine_matrix(np.array([1.0, 1.0, 0.0]),
+                            np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [2.0, 2.0, 0.0]]))
+        assert abs(got[0] - SQRT_HALF) < 1e-12
+        assert got[1] == 0.0
+        assert abs(got[2] - 1.0) < 1e-12
 
     def test_zero_vector(self):
+        store = MemoryStore()
+        store.add(make_event("e", embedding=[1.0, 2.0, 3.0]))
         with pytest.raises(ZeroVector):
-            relevancy_score(np.zeros(3), np.ones(3))
+            store.retrieve_top_k(MemoryQuery("q", np.zeros(3), date(2022, 2, 1), 1, "agent"))
 
     def test_dimension_mismatch(self):
+        store = MemoryStore()
+        store.add(make_event("e", embedding=[1.0, 2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
-            relevancy_score(np.ones(3), np.ones(4))
+            store.retrieve_top_k(MemoryQuery("q", np.ones(4), date(2022, 2, 1), 1, "agent"))
 
 
 class TestImportance:
@@ -239,7 +246,7 @@ class TestRetrieveTopK:
                 store = MemoryStore()
                 with ThreadPoolExecutor(n_threads) as pool:
                     list(pool.map(lambda t: work(store, t), range(n_threads), timeout=120))
-                events = store.events_for("agent")
+                events = [store.get(event_id) for event_id in store.all_ids()]
                 assert len(events) == len(store) == n_threads * per_thread
                 got = [s.event.event_id for s in store.retrieve_top_k(
                     MemoryQuery("q", query, as_of, len(events), "agent"))]
