@@ -596,7 +596,8 @@ class RunWriter:
     def write_checkpoint(self, episode: int, prompts: PromptSet, objectives: list,
                          taus: list, store: MemoryStore, message_counts: dict) -> None:
         """Memory first: resume trusts a checkpoint only once its JSON file
-        exists, so a crash while the memory file is written loses nothing."""
+        exists, so a crash while the memory file is written leaves the
+        episode to be re-run rather than a truncated store to be loaded."""
         store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
         payload = {
             "episode": episode,
