@@ -4,10 +4,10 @@ One manager consolidates per-ticker insight messages from uni-modal analyst
 instances (one instance per role and ticker, agent_id ``<role>:<ticker>``)
 and is the sole decision maker. Messages travel only along the two-level
 tree: analyst <-> manager and risk_control <-> manager; peer traffic is
-rejected. Textual analyst roles each own exactly one document kind; the
-data analyst owns the price stream. ``analyst_report`` documents are
-ingested and stored but have no dedicated analyst in this six-role
-hierarchy, so they are not fanned out.
+rejected. Each analyst role reads one information source (``SOURCE_FOR_ROLE``):
+a textual role owns one document kind, the data analyst the price stream.
+``analyst_report`` documents are ingested and stored but have no dedicated
+analyst in this six-role hierarchy, so they are not fanned out.
 
 Every assembled prompt is returned alongside the step result so the run
 driver can log it verbatim for audit.
@@ -22,22 +22,24 @@ from datetime import date as Date
 
 from .data_ingest import TextDocument
 from .errors import IllegalRoute, MissingAnalystReport
-from .llm_gateway import CompletionRequest, LlmGateway
+from .llm_gateway import CompletionRequest, LlmGateway, step_key
 from .memory import MemoryEvent, MemoryQuery, MemoryStore
 from .risk_control import ASPECTS, RiskState
 
 MANAGER = "manager"
 RISK_CONTROL = "risk_control"
 
-DAILY_ANALYST_ROLES = ("news_analyst", "filing10k_analyst", "filing10q_analyst",
-                       "ecc_analyst", "data_analyst")
-
-KIND_FOR_ROLE = {
+# the source each analyst role reads: a document kind, or "data" for the
+# price stream; it also keys the role's memory decay ratio
+SOURCE_FOR_ROLE = {
     "news_analyst": "news",
     "filing10k_analyst": "form10k",
     "filing10q_analyst": "form10q",
     "ecc_analyst": "ecc_transcript",
+    "data_analyst": "data",
 }
+
+DAILY_ANALYST_ROLES = tuple(SOURCE_FOR_ROLE)
 
 RISK_AVERSE_CLAUSE = (
     "RISK ALERT: the risk-control component has flagged elevated downside risk. "
@@ -77,10 +79,6 @@ DEFAULT_PROFILE_TEXTS = {
         "You are the market data analyst. Your responsibilities are to interpret "
         "key financial indicators such as momentum and tail risk for {tickers}."
     ),
-    "selection_analyst": (
-        "You are the stock selection analyst. Your responsibilities are to build a "
-        "diversified stock pool from candidates with sufficient news coverage."
-    ),
 }
 
 INSIGHT_INSTRUCTIONS = (
@@ -95,12 +93,6 @@ REFLECTION_INSTRUCTIONS = (
 
 def analyst_id(role: str, ticker: str) -> str:
     return f"{role}:{ticker}"
-
-
-def analyst_decay_ratio(role: str, decay_ratios: dict[str, float]) -> float:
-    """Per-day decay ratio of an analyst's memories: its document kind's
-    ratio, or the ``data`` ratio for the data analyst."""
-    return decay_ratios["data" if role == "data_analyst" else KIND_FOR_ROLE[role]]
 
 
 @dataclass(frozen=True)
@@ -218,52 +210,26 @@ class Reflection:
 # routing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    recipient: str
-    kind: str
-    payload: object = None
-
-
-class Topology:
-    """Two-level tree: analysts <-> manager, risk_control <-> manager."""
-
-    def __init__(self, analyst_ids):
-        self.analyst_ids = tuple(analyst_ids)
-        edges = set()
-        for aid in self.analyst_ids:
-            edges.add((aid, MANAGER))
-            edges.add((MANAGER, aid))
-        edges.add((RISK_CONTROL, MANAGER))
-        edges.add((MANAGER, RISK_CONTROL))
-        self._edges = frozenset(edges)
-
-    def allows(self, sender: str, recipient: str) -> bool:
-        return (sender, recipient) in self._edges
-
-
-def route(message: Message, topology: Topology) -> Message:
-    """Deliver a message along a tree edge; anything else is rejected."""
-    if not topology.allows(message.sender, message.recipient):
-        raise IllegalRoute(f"{message.sender} -> {message.recipient} is not a tree edge")
-    return message
-
-
 class Router:
-    """Topology-enforcing router; the engine sends everything through it.
+    """The two-level tree's edges (analysts <-> manager, risk_control <->
+    manager); the engine sends every message through it.
 
     Only per-kind delivery counts are kept, not the messages themselves.
     """
 
-    def __init__(self, topology: Topology):
-        self.topology = topology
+    def __init__(self, analyst_ids):
+        edges = {(RISK_CONTROL, MANAGER), (MANAGER, RISK_CONTROL)}
+        for aid in analyst_ids:
+            edges.add((aid, MANAGER))
+            edges.add((MANAGER, aid))
+        self._edges = frozenset(edges)
         self._counts: Counter[str] = Counter()
 
-    def send(self, message: Message) -> Message:
-        delivered = route(message, self.topology)
-        self._counts[delivered.kind] += 1
-        return delivered
+    def send(self, sender: str, recipient: str, kind: str) -> None:
+        """Deliver along a tree edge; anything else raises IllegalRoute."""
+        if (sender, recipient) not in self._edges:
+            raise IllegalRoute(f"{sender} -> {recipient} is not a tree edge")
+        self._counts[kind] += 1
 
     def count(self, kind: str | None = None) -> int:
         if kind is None:
@@ -346,10 +312,6 @@ class AnalystSlice:
     price_line: str = ""
 
 
-def _step_key(ctx: StepContext, date: Date, phase: str) -> str:
-    return f"{ctx.episode}:{date.isoformat()}:{phase}"
-
-
 def _retrieve(ctx: StepContext, profile: AgentProfile, date: Date, ticker: str | None):
     query_text = memory_query_text(profile, date, ticker)
     query = MemoryQuery(
@@ -363,9 +325,10 @@ def _retrieve(ctx: StepContext, profile: AgentProfile, date: Date, ticker: str |
     return ctx.store.retrieve_top_k(query)
 
 
-def _store_event(ctx: StepContext, agent_id: str, date: Date, tag: str, content: str,
-                 decay_ratio: float, importance: float | None, layer: str = "procedural"):
-    event = MemoryEvent(
+def store_event(ctx: StepContext, agent_id: str, date: Date, tag: str, content: str,
+                decay_ratio: float, importance: float | None, layer: str = "procedural"):
+    """Add one memory event ``<agent_id>:<episode>:<date>:<tag>`` owned by the agent."""
+    ctx.store.add(MemoryEvent(
         event_id=f"{agent_id}:{ctx.episode}:{date.isoformat()}:{tag}",
         owner=agent_id,
         layer=layer,
@@ -374,9 +337,26 @@ def _store_event(ctx: StepContext, agent_id: str, date: Date, tag: str, content:
         initial_importance=ctx.default_importance if importance is None else importance,
         decay_ratio=decay_ratio,
         created_at=date,
+    ))
+
+
+def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: str,
+              user: str, schema: str, context: dict | None = None):
+    """Run one agent request through the gateway; returns the parsed output
+    and the assembled-prompt record logged for audit."""
+    request = CompletionRequest(
+        role_tag=agent_id,
+        system_prompt=system,
+        user_prompt=user,
+        output_schema=schema,
+        temperature=ctx.temperature,
+        max_retries=ctx.max_retries,
+        step_key=step_key(ctx.episode, date, phase),
+        context=context or {},
     )
-    ctx.store.add(event)
-    return event
+    record = {"date": date.isoformat(), "agent_id": agent_id, "phase": phase,
+              "system": system, "user": user}
+    return ctx.gateway.complete(request).parsed, record
 
 
 def analyst_step(profile: AgentProfile, prompt_text: str, belief_text: str | None,
@@ -384,14 +364,14 @@ def analyst_step(profile: AgentProfile, prompt_text: str, belief_text: str | Non
                  decay_ratio: float):
     """One analyst's daily distillation for its ticker.
 
-    Textual analysts with nothing published today return a neutral
-    "no signal" message without calling the gateway (and store nothing).
+    An analyst whose slice holds neither documents nor market data (a
+    textual analyst with nothing published today) returns a neutral
+    "no signal" message without calling the gateway (and stores nothing).
     Otherwise the step retrieves top-K memories, runs the distillation
     schema, stores the insight as a procedural memory event, and returns
     (InsightMessage, assembled-prompt log entry).
     """
-    is_data_analyst = profile.role == "data_analyst"
-    if not is_data_analyst and not obs_slice.documents:
+    if not obs_slice.documents and not obs_slice.price_line:
         message = InsightMessage(
             from_agent=profile.agent_id, date=date, ticker=obs_slice.ticker,
             distilled_insight=NO_SIGNAL, sentiment="neutral",
@@ -413,27 +393,16 @@ def analyst_step(profile: AgentProfile, prompt_text: str, belief_text: str | Non
     if retrieved:
         parts.append("Relevant memories:\n" + render_memories(retrieved))
     parts.append(INSIGHT_INSTRUCTIONS)
-    user = "\n\n".join(parts)
-    request = CompletionRequest(
-        role_tag=profile.agent_id,
-        system_prompt=system,
-        user_prompt=user,
-        output_schema="analyst_insight",
-        temperature=ctx.temperature,
-        max_retries=ctx.max_retries,
-        step_key=_step_key(ctx, date, "analyze"),
-    )
-    parsed = ctx.gateway.complete(request).parsed
-    _store_event(ctx, profile.agent_id, date, "insight",
-                 f"[{obs_slice.ticker}] {parsed['insight']}",
-                 decay_ratio, parsed.get("importance"))
+    parsed, log_entry = _complete(ctx, profile.agent_id, date, "analyze", system,
+                                  "\n\n".join(parts), "analyst_insight")
+    store_event(ctx, profile.agent_id, date, "insight",
+                f"[{obs_slice.ticker}] {parsed['insight']}",
+                decay_ratio, parsed.get("importance"))
     message = InsightMessage(
         from_agent=profile.agent_id, date=date, ticker=obs_slice.ticker,
         distilled_insight=parsed["insight"], sentiment=parsed["sentiment"],
         indicators=dict(obs_slice.indicators), cited_memory_ids=cited,
     )
-    log_entry = {"date": date.isoformat(), "agent_id": profile.agent_id,
-                 "phase": "analyze", "system": request.system_prompt, "user": user}
     return message, log_entry
 
 
@@ -467,18 +436,9 @@ def manager_step(profile: AgentProfile, prompt_set: PromptSet,
         '"cited_memory_ids": [<memory id>...], "contributions": {<analyst id>: <note>}} '
         f"covering exactly these tickers: [{ticker_list}]."
     )
-    user = "\n\n".join(parts)
-    request = CompletionRequest(
-        role_tag=MANAGER,
-        system_prompt=system,
-        user_prompt=user,
-        output_schema="manager_decision",
-        temperature=ctx.temperature,
-        max_retries=ctx.max_retries,
-        step_key=_step_key(ctx, date, "decide"),
-        context={"tickers": list(tickers), "known_memory_ids": ctx.store.all_ids()},
-    )
-    parsed = ctx.gateway.complete(request).parsed
+    parsed, log_entry = _complete(
+        ctx, MANAGER, date, "decide", system, "\n\n".join(parts), "manager_decision",
+        {"tickers": list(tickers), "known_memory_ids": ctx.store.all_ids()})
     contributions = {k: v for k, v in parsed["contributions"].items()}
     note_lines = "; ".join(f"{k}: {v}" for k, v in sorted(contributions.items()))
     content = f"Decision {date.isoformat()}: " + ", ".join(
@@ -486,7 +446,7 @@ def manager_step(profile: AgentProfile, prompt_set: PromptSet,
     content += f". Reasoning: {parsed['reasoning']}"
     if note_lines:
         content += f". Contributions: {note_lines}"
-    _store_event(ctx, MANAGER, date, "decision", content, decay_ratio, None)
+    store_event(ctx, MANAGER, date, "decision", content, decay_ratio, None)
     decision = TradingDecision(
         date=date,
         directions={t: parsed["actions"][t] for t in tickers},
@@ -495,8 +455,6 @@ def manager_step(profile: AgentProfile, prompt_set: PromptSet,
         contribution_notes=contributions,
         cited_memory_ids=tuple(parsed["cited_memory_ids"]),
     )
-    log_entry = {"date": date.isoformat(), "agent_id": MANAGER, "phase": "decide",
-                 "system": system, "user": user}
     return decision, log_entry
 
 
@@ -510,21 +468,10 @@ def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Da
         f"Today's outcome: {day_summary}",
         REFLECTION_INSTRUCTIONS,
     ])
-    request = CompletionRequest(
-        role_tag=MANAGER,
-        system_prompt=system,
-        user_prompt=user,
-        output_schema="reflection",
-        temperature=ctx.temperature,
-        max_retries=ctx.max_retries,
-        step_key=_step_key(ctx, date, "reflect"),
-    )
-    parsed = ctx.gateway.complete(request).parsed
-    _store_event(ctx, MANAGER, date, f"reflection-{trigger}", parsed["reflection"],
-                 decay_ratio, None)
+    parsed, log_entry = _complete(ctx, MANAGER, date, "reflect", system, user, "reflection")
+    store_event(ctx, MANAGER, date, f"reflection-{trigger}", parsed["reflection"],
+                decay_ratio, None)
     reflection = Reflection(date=date, text=parsed["reflection"], trigger=trigger)
-    log_entry = {"date": date.isoformat(), "agent_id": MANAGER, "phase": "reflect",
-                 "system": system, "user": user}
     return reflection, log_entry
 
 
@@ -538,25 +485,22 @@ def send_feedback(decision: TradingDecision, realized_pnl: float,
                   threshold: float | None, reporting_analysts,
                   insights: dict[str, InsightMessage], date: Date,
                   ctx: StepContext, router: Router, decay_ratios: dict[str, float],
-                  roles: dict[str, str]):
+                  roles: dict[str, str]) -> None:
     """Manager feedback after a significant day: boosts and analyst notes.
 
     When |realized_pnl| reaches the threshold, every memory id cited in the
     decision gets the access bonus and each reporting analyst receives a
     feedback message that is also appended to its procedural memory. Quiet
-    days produce neither boosts nor messages. Returns the feedback messages.
+    days produce neither boosts nor messages.
     """
     if threshold is None or abs(realized_pnl) < threshold:
-        return []
+        return
     for event_id in decision.cited_memory_ids:
         ctx.store.boost_access(event_id)
-    messages = []
     for aid in sorted(reporting_analysts):
         insight = insights[aid].distilled_insight
         text = (f"Feedback for {date.isoformat()}: realized PnL {realized_pnl!r} was "
                 f"significant. Your insight was: {insight}")
-        _store_event(ctx, aid, date, "feedback", text,
-                     analyst_decay_ratio(roles[aid], decay_ratios), None)
-        messages.append(router.send(Message(sender=MANAGER, recipient=aid,
-                                            kind="feedback", payload=text)))
-    return messages
+        store_event(ctx, aid, date, "feedback", text,
+                    decay_ratios[SOURCE_FOR_ROLE[roles[aid]]], None)
+        router.send(MANAGER, aid, "feedback")

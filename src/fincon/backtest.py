@@ -34,17 +34,14 @@ import numpy as np
 
 from .agents import (
     DAILY_ANALYST_ROLES,
-    KIND_FOR_ROLE,
     MANAGER,
     NO_SIGNAL,
     RISK_CONTROL,
+    SOURCE_FOR_ROLE,
     AnalystSlice,
-    Message,
     PromptSet,
     Router,
     StepContext,
-    Topology,
-    analyst_decay_ratio,
     analyst_id,
     analyst_step,
     build_profiles,
@@ -52,8 +49,9 @@ from .agents import (
     reflect_step,
     send_feedback,
     single_stock_weights,
+    store_event,
 )
-from .data_ingest import MarketData, assemble_observation, log_return, parse_date, read_jsonl
+from .data_ingest import MarketData, assemble_observation, log_return, parse_date, read_json, read_jsonl
 from .errors import (
     ConfigError,
     EmptySeries,
@@ -66,11 +64,12 @@ from .errors import (
     MissingTrainingArtifacts,
     MissingTrajectory,
     NonPositiveValue,
+    SchemaError,
     TooFewPairs,
     ZeroVolatility,
 )
 from .llm_gateway import LlmGateway
-from .memory import HashEmbedder, MemoryEvent, MemoryStore
+from .memory import HashEmbedder, MemoryStore
 from .portfolio import MVInputs, ReturnPanel, scale_to_positions, shrink_estimates, solve_mean_variance
 from .risk_control import (
     ASPECT_FOR_ROLE,
@@ -165,14 +164,12 @@ def _merge_defaults(section: str, user: object) -> dict:
 
 
 def read_config_payload(path: str | Path) -> dict:
-    """The JSON document in a config file; ConfigError if missing or invalid."""
+    """The JSON document in a config file; ConfigError if missing, SchemaError
+    if not JSON."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    return read_json(path)
 
 
 @dataclass
@@ -379,12 +376,12 @@ class MetricsReport:
     alpha: float
     days: int
     objective: float
-    pnl_series: str
+    # the run-directory file holding the per-day series
+    pnl_series: str = "metrics.csv"
 
 
 def build_report(pnls, capital: float, cvar_alpha: float, risk_free_daily: float,
-                 annualize: bool, discount_alpha: float,
-                 pnl_series: str = "metrics.csv") -> MetricsReport:
+                 annualize: bool, discount_alpha: float) -> MetricsReport:
     """Compute every report metric from the PnL series alone."""
     values = list(pnls)
     if not values:
@@ -403,7 +400,6 @@ def build_report(pnls, capital: float, cvar_alpha: float, risk_free_daily: float
         alpha=cvar_alpha,
         days=len(values),
         objective=objective_value(values, discount_alpha),
-        pnl_series=pnl_series,
     )
 
 
@@ -561,7 +557,10 @@ class RunWriter:
         self.path("config.used.json").write_text(_dump_json(config.resolved_dict()))
 
     def write_trajectory(self, tag: object, trajectory: Trajectory) -> None:
+        """The completed episode's trajectory; removes the FAILED artifact an
+        earlier, aborted attempt at the episode left."""
         self.path(f"trajectory_{tag}.jsonl").write_text(trajectory.to_jsonl())
+        (self.run_dir / f"trajectory_{tag}.FAILED.jsonl").unlink(missing_ok=True)
 
     def write_failed(self, tag: object, days: list[DayRecord], error: str) -> None:
         records = [d.to_record() for d in days] + [{"FAILED": error}]
@@ -640,8 +639,7 @@ class BacktestEngine:
         )
         self.profiles = build_profiles(config.tickers, roles, general,
                                        config.agents.get("profile_texts") or None)
-        self.topology = Topology(sorted(self.analyst_ids))
-        self.router = Router(self.topology)
+        self.router = Router(self.analyst_ids)
         self.prompt_log: dict[object, list[dict]] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -658,7 +656,8 @@ class BacktestEngine:
 
     def _analyst_slice(self, role: str, ticker: str, obs, date: Date) -> AnalystSlice:
         ticker_slice = obs.tickers[ticker]
-        if role == "data_analyst":
+        source = SOURCE_FOR_ROLE[role]
+        if source == "data":
             indicators = dict(ticker_slice.indicators)
             asset_returns = self.market.log_returns_to(ticker, date)
             if asset_returns:
@@ -667,21 +666,8 @@ class BacktestEngine:
             price_line = (f"close={bar.close!r} adj_close={bar.adj_close!r} "
                           f"volume={bar.volume}")
             return AnalystSlice(ticker=ticker, indicators=indicators, price_line=price_line)
-        kind = KIND_FOR_ROLE[role]
-        docs = tuple(d for d in ticker_slice.documents if d.kind == kind)
+        docs = tuple(d for d in ticker_slice.documents if d.kind == source)
         return AnalystSlice(ticker=ticker, documents=docs)
-
-    def _step_context(self, episode: object, temperature: float) -> StepContext:
-        return StepContext(
-            store=self.store,
-            gateway=self.gateway,
-            embedder=self.embedder,
-            episode=episode,
-            top_k=self.config.memory["top_k"],
-            temperature=temperature,
-            max_retries=self.config.llm["max_retries"],
-            default_importance=self.config.memory["default_importance"],
-        )
 
     def _log_prompts(self, episode: object, entries: list[dict]) -> None:
         self.prompt_log.setdefault(episode, []).extend(
@@ -719,10 +705,20 @@ class BacktestEngine:
         """
         cfg = self.config
         days = self._decision_days(start, end)
+        ctx = StepContext(
+            store=self.store,
+            gateway=self.gateway,
+            embedder=self.embedder,
+            episode=episode,
+            top_k=cfg.memory["top_k"],
+            temperature=cfg.llm["temperature_decision"],
+            max_retries=cfg.llm["max_retries"],
+            default_importance=cfg.memory["default_importance"],
+        )
         records: list[DayRecord] = []
         try:
             with ThreadPoolExecutor(max_workers=cfg.agents["workers"]) as pool:
-                self._run_days(prompts, episode, days, records, pool)
+                self._run_days(prompts, ctx, days, records, pool)
         except FinconError as exc:
             if self.writer is not None:
                 self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
@@ -730,26 +726,16 @@ class BacktestEngine:
         trajectory = Trajectory(episode=episode, days=records)
         trajectory.objective = objective_value(trajectory.pnls(),
                                                cfg.backtest["discount_alpha"])
-        last_date = records[-1].date
         summary = (f"Episode {episode} summary: objective "
                    f"{trajectory.objective!r}, cumulative return "
                    f"{cumulative_return(trajectory.pnls())!r}%.")
-        self.store.add(MemoryEvent(
-            event_id=f"{MANAGER}:{episode}:{last_date.isoformat()}:episode",
-            owner=MANAGER,
-            layer="episodic",
-            content=summary,
-            embedding=self.embedder.embed(summary),
-            initial_importance=cfg.memory["default_importance"],
-            decay_ratio=cfg.memory["decay_ratios"]["manager"],
-            created_at=last_date,
-        ))
+        store_event(ctx, MANAGER, records[-1].date, "episode", summary,
+                    cfg.memory["decay_ratios"]["manager"], None, layer="episodic")
         return trajectory
 
-    def _run_days(self, prompts: PromptSet, episode: object, days: list[Date],
+    def _run_days(self, prompts: PromptSet, ctx: StepContext, days: list[Date],
                   records: list[DayRecord], pool: ThreadPoolExecutor) -> None:
         cfg = self.config
-        ctx = self._step_context(episode, cfg.llm["temperature_decision"])
         decay = cfg.memory["decay_ratios"]
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
@@ -763,16 +749,15 @@ class BacktestEngine:
                 role = self.analyst_ids[aid]
                 ticker = aid.split(":", 1)[1]
                 obs_slice = self._analyst_slice(role, ticker, obs, day)
-                belief = prompts.belief_block.get(ASPECT_FOR_ROLE.get(role, ""))
+                belief = prompts.belief_block.get(ASPECT_FOR_ROLE[role])
                 return analyst_step(self.profiles[aid], prompts.analyst_prompts[aid],
                                     belief, obs_slice, day, ctx,
-                                    analyst_decay_ratio(role, decay))
+                                    decay[SOURCE_FOR_ROLE[role]])
 
             insights = {}
             for aid, (message, entry) in zip(instance_ids, pool.map(run_one, instance_ids)):
                 insights[aid] = message
-                self.router.send(Message(sender=aid, recipient=MANAGER, kind="insight",
-                                         payload=message))
+                self.router.send(aid, MANAGER, "insight")
                 if entry is not None:
                     day_entries.append(entry)
 
@@ -780,8 +765,7 @@ class BacktestEngine:
                 self.profiles[MANAGER], prompts, insights, risk_state, day, ctx,
                 cfg.tickers, instance_ids, decay["manager"])
             day_entries.append(entry)
-            self.router.send(Message(sender=MANAGER, recipient=RISK_CONTROL,
-                                     kind="decision", payload=decision))
+            self.router.send(MANAGER, RISK_CONTROL, "decision")
 
             decision.weights = self._solve_weights(decision, day)
             decision.check_weight_signs()
@@ -834,7 +818,7 @@ class BacktestEngine:
                 insights={aid: m.distilled_insight for aid, m in insights.items()},
                 cited_memory_ids=list(decision.cited_memory_ids),
             ))
-            self._log_prompts(episode, day_entries)
+            self._log_prompts(ctx.episode, day_entries)
             risk_state = checked
             prev_rho = rho_t
 
@@ -917,12 +901,10 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
             updates.append(update)
             taus.append(update.learning_rate)
             writer.write_belief(k, update)
-            engine.router.send(Message(sender=RISK_CONTROL, recipient=MANAGER,
-                                       kind="belief_update", payload=update))
+            engine.router.send(RISK_CONTROL, MANAGER, "belief_update")
             for target in update.target_agents:
                 if target != MANAGER:
-                    engine.router.send(Message(sender=MANAGER, recipient=target,
-                                               kind="belief_update", payload=update))
+                    engine.router.send(MANAGER, target, "belief_update")
         writer.write_checkpoint(k, prompts, objectives, taus, engine.store,
                                 engine.router.counts_by_kind())
         if converged():
@@ -942,6 +924,14 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     return prompts, trajectories, updates
 
 
+def _prompt_set(payload, path: Path) -> PromptSet:
+    """The PromptSet a run file stores; SchemaError when its fields do not fit."""
+    try:
+        return PromptSet(**payload)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(0, None, f"{path}: not a prompt set ({exc})") from None
+
+
 def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
                   prompts: PromptSet):
     """Reload the newest checkpoint so training continues after an abort:
@@ -954,8 +944,9 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
             last_done = k
     if last_done == 0:
         return 1, prompts, [], [], []
-    payload = json.loads((writer.run_dir / "state" / f"checkpoint_{last_done}.json").read_text())
-    prompts = PromptSet(**payload["prompts"])
+    checkpoint = writer.run_dir / "state" / f"checkpoint_{last_done}.json"
+    payload = read_json(checkpoint)
+    prompts = _prompt_set(payload.get("prompts"), checkpoint)
     objectives = [float(x) for x in payload["objectives"]]
     taus = [float(x) for x in payload["taus"]]
     engine.store = MemoryStore.load_jsonl(
@@ -987,7 +978,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         raise MissingTrainingArtifacts(
             f"missing training artifacts under {train_dir} "
             "(expected prompts/final/prompt_set.json and memory/snapshot.jsonl)")
-    prompts = PromptSet(**json.loads(prompt_path.read_text()))
+    prompts = _prompt_set(read_json(prompt_path), prompt_path)
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)

@@ -152,6 +152,21 @@ def read_jsonl(path: str | Path):
             yield row_no, record
 
 
+def read_json(path: str | Path):
+    """The single JSON document a run file holds.
+
+    Raises FileNotFoundError for a missing file and SchemaError(0, None) for
+    one that is not JSON, such as a file cut short by a crash.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(0, None, f"{path}: invalid JSON ({exc})") from None
+
+
 def load_price_series(path: str | Path, ticker: str) -> PriceSeries:
     """Load and validate one price CSV into a date-sorted series.
 

@@ -8,10 +8,6 @@ from ``FINCON_LLM_ENDPOINT`` / ``FINCON_LLM_API_KEY`` / ``FINCON_LLM_MODEL``,
 and a scripted mock that answers by exact (role_tag, step_key) lookup and
 never improvises. All tests run against the mock; nothing else in the
 package performs network activity.
-
-step_key format: ``<episode>:<date>:<phase>`` with phase one of analyze,
-decide, reflect, conceptualize, belief_update (episode is the index during
-training and the literal ``test`` during the test stage).
 """
 
 from __future__ import annotations
@@ -21,6 +17,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from datetime import date as Date
 from pathlib import Path
 
 from .data_ingest import read_jsonl
@@ -38,6 +35,16 @@ SENTIMENTS = ("positive", "negative", "neutral")
 ENV_ENDPOINT = "FINCON_LLM_ENDPOINT"
 ENV_API_KEY = "FINCON_LLM_API_KEY"
 ENV_MODEL = "FINCON_LLM_MODEL"
+
+
+def step_key(episode: object, date: Date, phase: str) -> str:
+    """The key a request is scripted and reported under: ``<episode>:<date>:<phase>``.
+
+    ``episode`` is the training episode index or the literal ``test``;
+    ``phase`` is one of analyze, decide, reflect, conceptualize,
+    belief_update.
+    """
+    return f"{episode}:{date.isoformat()}:{phase}"
 
 
 class ValidationFailure(Exception):

@@ -29,7 +29,7 @@ from .errors import (
     IncompleteEpisode,
     LengthMismatch,
 )
-from .llm_gateway import CompletionRequest, LlmGateway
+from .llm_gateway import CompletionRequest, LlmGateway, step_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import PromptSet
@@ -216,10 +216,10 @@ def render_day_record(record) -> str:
 
 
 def conceptualize(trajectory: "Trajectory", analyst_roles, gateway: LlmGateway,
-                  min_run: int = 2, temperature: float = 0.0,
-                  max_retries: int = 2) -> list[ConceptInsight]:
+                  min_run: int = 2, max_retries: int = 2) -> list[ConceptInsight]:
     """Distill a trajectory's sustained winning/losing runs into per-aspect insights.
 
+    Runs one temperature-0 gateway call, as every between-episode call does.
     Returns an empty list without calling the gateway when no run of at
     least ``min_run`` consecutive positive or negative days exists.
     """
@@ -242,16 +242,15 @@ def conceptualize(trajectory: "Trajectory", analyst_roles, gateway: LlmGateway,
         f"{aspect_list}. Cover the analyst perspectives ({', '.join(analyst_roles)}) "
         "that contributed to these outcomes."
     )
-    last_date = trajectory.days[-1].date.isoformat()
     request = CompletionRequest(
         role_tag=RISK_CONTROL_TAG,
         system_prompt="You are the risk-control component of a trading team. "
                       "You attribute episode performance to information aspects.",
         user_prompt=user_prompt,
         output_schema="conceptual_insights",
-        temperature=temperature,
+        temperature=0.0,
         max_retries=max_retries,
-        step_key=f"{trajectory.episode}:{last_date}:conceptualize",
+        step_key=step_key(trajectory.episode, trajectory.days[-1].date, "conceptualize"),
         context={"aspect_vocabulary": ASPECTS},
     )
     parsed = gateway.complete(request).parsed
@@ -313,7 +312,6 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
         "with a JSON object {\"meta_prompt\": <direction>, \"beliefs\": "
         "{<aspect>: <belief>}} using only the known aspect keys."
     )
-    last_date = h_cur.days[-1].date.isoformat()
     request = CompletionRequest(
         role_tag=RISK_CONTROL_TAG,
         system_prompt="You are the risk-control component of a trading team. "
@@ -322,7 +320,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
         output_schema="belief_update",
         temperature=0.0,
         max_retries=max_retries,
-        step_key=f"{k_cur}:{last_date}:belief_update",
+        step_key=step_key(k_cur, h_cur.days[-1].date, "belief_update"),
         context={"aspect_vocabulary": ASPECTS},
     )
     parsed = gateway.complete(request).parsed

@@ -12,18 +12,15 @@ from fincon.agents import (
     AgentProfile,
     AnalystSlice,
     InsightMessage,
-    Message,
     PromptSet,
     Router,
     StepContext,
-    Topology,
     TradingDecision,
     analyst_id,
     analyst_step,
     build_profiles,
     manager_step,
     reflect_step,
-    route,
     send_feedback,
     single_stock_weights,
 )
@@ -58,36 +55,37 @@ def doc(doc_id, body, kind="news", ticker="SYN", published=D0):
 
 class TestTopology:
     def test_analyst_to_manager_delivered(self):
-        topo = Topology(["news_analyst:SYN"])
-        msg = route(Message("news_analyst:SYN", MANAGER, "insight"), topo)
-        assert msg.recipient == MANAGER
+        router = Router(["news_analyst:SYN"])
+        router.send("news_analyst:SYN", MANAGER, "insight")
+        assert router.count("insight") == 1
 
     def test_analyst_to_analyst_rejected(self):
-        topo = Topology(["news_analyst:SYN", "data_analyst:SYN"])
+        router = Router(["news_analyst:SYN", "data_analyst:SYN"])
         with pytest.raises(IllegalRoute):
-            route(Message("news_analyst:SYN", "data_analyst:SYN", "gossip"), topo)
+            router.send("news_analyst:SYN", "data_analyst:SYN", "gossip")
+        assert router.count() == 0
 
     def test_risk_control_edges(self):
-        topo = Topology(["news_analyst:SYN"])
-        route(Message(RISK_CONTROL, MANAGER, "belief_update"), topo)
-        route(Message(MANAGER, RISK_CONTROL, "decision"), topo)
+        router = Router(["news_analyst:SYN"])
+        router.send(RISK_CONTROL, MANAGER, "belief_update")
+        router.send(MANAGER, RISK_CONTROL, "decision")
         with pytest.raises(IllegalRoute):
-            route(Message("news_analyst:SYN", RISK_CONTROL, "insight"), topo)
+            router.send("news_analyst:SYN", RISK_CONTROL, "insight")
+        assert router.count() == 2
 
     def test_belief_propagation_path(self):
-        topo = Topology(["news_analyst:SYN", "data_analyst:SYN"])
-        router = Router(topo)
-        router.send(Message(RISK_CONTROL, MANAGER, "belief_update"))
-        router.send(Message(MANAGER, "news_analyst:SYN", "belief_update"))
+        router = Router(["news_analyst:SYN", "data_analyst:SYN"])
+        router.send(RISK_CONTROL, MANAGER, "belief_update")
+        router.send(MANAGER, "news_analyst:SYN", "belief_update")
         assert router.count("belief_update") == 2
 
     def test_router_counts_by_kind(self):
-        topo = Topology(["a:SYN"])
-        router = Router(topo)
-        router.send(Message("a:SYN", MANAGER, "insight"))
-        router.send(Message(MANAGER, "a:SYN", "feedback"))
+        router = Router(["a:SYN"])
+        router.send("a:SYN", MANAGER, "insight")
+        router.send(MANAGER, "a:SYN", "feedback")
         assert router.count() == 2
         assert router.count("insight") == 1
+        assert router.counts_by_kind() == {"insight": 1, "feedback": 1}
 
 
 class TestProfiles:
@@ -290,8 +288,7 @@ class TestReflectStep:
 class TestSendFeedback:
     def _setup(self):
         ctx, _ = make_ctx()
-        topo = Topology(["news_analyst:SYN", "data_analyst:SYN"])
-        router = Router(topo)
+        router = Router(["news_analyst:SYN", "data_analyst:SYN"])
         for i, aid in enumerate(["news_analyst:SYN", "data_analyst:SYN"]):
             content = f"cited {i}"
             ctx.store.add(MemoryEvent(
@@ -309,17 +306,16 @@ class TestSendFeedback:
 
     def test_below_threshold_no_boosts_no_messages(self):
         ctx, router, decision, insights, roles = self._setup()
-        out = send_feedback(decision, 0.001, 0.01, sorted(insights), insights, D0,
-                            ctx, router, {"news": 0.9, "data": 0.9}, roles)
-        assert out == []
+        send_feedback(decision, 0.001, 0.01, sorted(insights), insights, D0,
+                      ctx, router, {"news": 0.9, "data": 0.9}, roles)
         assert ctx.store.get("cite0").access_bonus == 0.0
         assert router.count() == 0
 
     def test_significant_day_boosts_both_cited_ids(self):
         ctx, router, decision, insights, roles = self._setup()
-        out = send_feedback(decision, 0.05, 0.01, sorted(insights), insights, D0,
-                            ctx, router, {"news": 0.9, "data": 0.9}, roles)
-        assert len(out) == 2
+        send_feedback(decision, 0.05, 0.01, sorted(insights), insights, D0,
+                      ctx, router, {"news": 0.9, "data": 0.9}, roles)
+        assert router.count("feedback") == 2
         assert ctx.store.get("cite0").access_bonus == 5.0
         assert ctx.store.get("cite1").access_bonus == 5.0
         assert ctx.store.has(f"news_analyst:SYN:1:{D0.isoformat()}:feedback")
@@ -336,6 +332,7 @@ class TestSendFeedback:
         send_feedback(decision2, -0.06, 0.01, sorted(insights), insights, d1, ctx,
                       router, {"news": 0.9, "data": 0.9}, roles)
         assert ctx.store.get("cite0").access_bonus == 10.0
+        assert router.count("feedback") == 4
 
     @pytest.mark.parametrize("role, ratio", [("filing10k_analyst", 0.99),
                                              ("filing10q_analyst", 0.97),
@@ -347,15 +344,15 @@ class TestSendFeedback:
                                    weights={"SYN": 1.0}, reasoning="r",
                                    contribution_notes={}, cited_memory_ids=())
         send_feedback(decision, 0.05, 0.01, [aid], {aid: insight(aid, "SYN")}, D0, ctx,
-                      Router(Topology([aid])), DEFAULT_DECAY_RATIOS, {aid: role})
+                      Router([aid]), DEFAULT_DECAY_RATIOS, {aid: role})
         event = ctx.store.get(f"{aid}:1:{D0.isoformat()}:feedback")
         assert event.decay_ratio == ratio
 
     def test_none_threshold_means_no_feedback(self):
         ctx, router, decision, insights, roles = self._setup()
-        out = send_feedback(decision, 0.5, None, sorted(insights), insights, D0,
-                            ctx, router, {"news": 0.9, "data": 0.9}, roles)
-        assert out == []
+        send_feedback(decision, 0.5, None, sorted(insights), insights, D0,
+                      ctx, router, {"news": 0.9, "data": 0.9}, roles)
+        assert router.count("feedback") == 0
 
 
 class TestDecisionWeights:

@@ -62,6 +62,15 @@ def resume_config(fix) -> RunConfig:
     return RunConfig.from_dict(payload, fix.root)
 
 
+def assert_same_run_dir(run_dir: Path, ref_dir: Path) -> None:
+    """Same file set, and the same bytes in every file but config.used.json
+    (a resumed run records ``backtest.resume``)."""
+    files = {p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file()}
+    assert files == {p.relative_to(ref_dir) for p in ref_dir.rglob("*") if p.is_file()}
+    for name in sorted(files - {Path("config.used.json")}):
+        assert (run_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
+
+
 class TestDailyPnl:
     def test_neutral_action(self):
         assert daily_pnl(0.0, 100.0, 110.0) == 0.0
@@ -638,15 +647,9 @@ class TestTrainTestDrivers:
             assert (run_dir / f"trajectory_{episodes - 1}.jsonl").exists()
 
             backtest.train(resume_config(fix), make_gateway(fix), run_dir)
-            names = [f"trajectory_{k}.jsonl" for k in range(1, episodes + 1)]
-            names += [f"beliefs/episode_{k}.json" for k in range(2, episodes + 1)]
-            names += ["prompts/final/prompt_set.json", f"prompts/assembled_{episodes}.jsonl",
-                      "memory/snapshot.jsonl", "report.json"]
+            # the completed episode's trajectory replaces its FAILED artifact;
             # belief updates and message counts include the restored episodes'
-            names += ["train_summary.json"]
-            for name in names:
-                assert (run_dir / name).read_bytes() == \
-                    (root / "ref" / name).read_bytes(), name
+            assert_same_run_dir(run_dir, root / "ref")
 
     def test_crash_while_writing_checkpoint_memory_resumes_cleanly(self, tmp_path,
                                                                    monkeypatch):
@@ -680,12 +683,7 @@ class TestTrainTestDrivers:
         assert not (run_dir / "state" / "checkpoint_2.json").exists()
 
         backtest.train(resume_config(fix), make_gateway(fix), run_dir)
-        files = {p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file()}
-        assert files == {p.relative_to(tmp_path / "ref")
-                         for p in (tmp_path / "ref").rglob("*") if p.is_file()}
-        for name in sorted(files - {Path("config.used.json")}):
-            assert (run_dir / name).read_bytes() == \
-                (tmp_path / "ref" / name).read_bytes(), name
+        assert_same_run_dir(run_dir, tmp_path / "ref")
 
     def test_resume_after_convergence_runs_no_further_episode(self, tmp_path,
                                                                monkeypatch):

@@ -69,6 +69,17 @@ class TestTrain:
         assert code == 2
         assert (tmp_path / "run" / "trajectory_2.FAILED.jsonl").exists()
 
+    def test_resume_from_corrupt_checkpoint_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path)
+        run_dir = tmp_path / "run"
+        args = ["train", "--config", str(fix.config_path),
+                "--mock-script", str(fix.script_path), "--run-dir", str(run_dir)]
+        assert main(args) == 0
+        checkpoint = run_dir / "state" / "checkpoint_2.json"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-40])
+        assert main(args + ["--override", "backtest.resume=true"]) == 1
+        assert "checkpoint_2.json: invalid JSON" in capsys.readouterr().err
+
     def test_mock_and_endpoint_simultaneously_rejected(self, tmp_path, monkeypatch, capsys):
         fix = build_fixture(tmp_path)
         monkeypatch.setenv("FINCON_LLM_ENDPOINT", "http://example.invalid")
@@ -156,6 +167,28 @@ class TestTestCommand:
                      "--override", f"backtest.train_run_dir={train_dir}"])
         assert code == 1
         assert "snapshot.jsonl: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: data[:-40], "prompt_set.json: invalid JSON"),
+        (lambda data: data.replace(b'"manager_prompt"', b'"manager_text"'),
+         "prompt_set.json: not a prompt set"),
+    ], ids=["truncated", "renamed_field"])
+    def test_corrupt_inherited_prompt_set_exit_one(self, tmp_path, capsys, corrupt,
+                                                   message):
+        fix = build_fixture(tmp_path, n_test=4)
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir)]) == 0
+        prompt_set = train_dir / "prompts" / "final" / "prompt_set.json"
+        prompt_set.write_bytes(corrupt(prompt_set.read_bytes()))
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 class TestReport:

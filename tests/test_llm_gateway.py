@@ -2,6 +2,7 @@ import ast
 import json
 import urllib.error
 import urllib.request
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from fincon.llm_gateway import (
     ValidationFailure,
     load_mock_script,
     parse_json_response,
+    step_key,
 )
 
 
@@ -82,6 +84,14 @@ class TestMockScript:
         first = LlmGateway(backend).complete(req)
         second = LlmGateway(backend).complete(req)
         assert first == second
+
+    @pytest.mark.parametrize("episode, phase, expected", [
+        (1, "decide", "1:2022-02-07:decide"),
+        ("test", "analyze", "test:2022-02-07:analyze"),
+    ])
+    def test_step_key_format(self, episode, phase, expected):
+        # the first case is the mock-script example in the README
+        assert step_key(episode, date(2022, 2, 7), phase) == expected
 
 
 class RecordingBackend:
