@@ -932,6 +932,16 @@ def _prompt_set(payload, path: Path) -> PromptSet:
         raise SchemaError(0, None, f"{path}: not a prompt set ({exc})") from None
 
 
+def _checkpoint_numbers(payload, key: str, path: Path) -> list[float]:
+    """The list of numbers a checkpoint stores under ``key``; SchemaError
+    when the field is missing or is not one."""
+    values = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(values, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        raise SchemaError(0, key, f"{path}: {key!r} is not a list of numbers")
+    return [float(x) for x in values]
+
+
 def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
                   prompts: PromptSet):
     """Reload the newest checkpoint so training continues after an abort:
@@ -946,13 +956,18 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
         return 1, prompts, [], [], []
     checkpoint = writer.run_dir / "state" / f"checkpoint_{last_done}.json"
     payload = read_json(checkpoint)
+    objectives = _checkpoint_numbers(payload, "objectives", checkpoint)
+    taus = _checkpoint_numbers(payload, "taus", checkpoint)
     prompts = _prompt_set(payload.get("prompts"), checkpoint)
-    objectives = [float(x) for x in payload["objectives"]]
-    taus = [float(x) for x in payload["taus"]]
     engine.store = MemoryStore.load_jsonl(
         writer.run_dir / "state" / f"memory_{last_done}.jsonl",
         calendar=engine.market.calendar)
-    engine.router.restore_counts(payload.get("message_counts", {}))
+    counts = payload.get("message_counts", {})
+    if not isinstance(counts, dict) or not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in counts.values()):
+        raise SchemaError(0, "message_counts",
+                          f"{checkpoint}: 'message_counts' is not a map of counts")
+    engine.router.restore_counts(counts)
     trajectories = [
         Trajectory.from_jsonl(writer.run_dir / f"trajectory_{k}.jsonl", k, alpha)
         for k in range(1, last_done + 1)

@@ -137,6 +137,16 @@ def read_jsonl(path: str | Path):
     Line numbers double as row numbers. Raises FileNotFoundError for a
     missing file and SchemaError(row, None) for a line that is not JSON.
     """
+    for row_no, _, record in read_jsonl_lines(path):
+        yield row_no, record
+
+
+def read_jsonl_lines(path: str | Path):
+    """Yield ``(row_no, line, record)`` for each non-blank line of a JSONL
+    file, ``line`` being the text the record was parsed from, stripped.
+
+    The one JSONL reader; ``read_jsonl`` drops the line. Raises as it does.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
@@ -149,7 +159,7 @@ def read_jsonl(path: str | Path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(row_no, None, f"{path}: invalid JSON ({exc})") from None
-            yield row_no, record
+            yield row_no, line, record
 
 
 def read_json(path: str | Path):

@@ -28,8 +28,8 @@ from datetime import date as Date
 
 import numpy as np
 
-from .data_ingest import parse_date, read_jsonl
-from .errors import DimensionMismatch, FutureEvent, UnknownEventId, ZeroVector
+from .data_ingest import parse_date, read_jsonl_lines
+from .errors import DimensionMismatch, FutureEvent, SchemaError, UnknownEventId, ZeroVector
 
 LAYERS = ("working", "procedural", "episodic")
 
@@ -89,7 +89,7 @@ class MemoryEvent:
             "owner": self.owner,
             "layer": self.layer,
             "content": self.content,
-            "embedding": [float(x) for x in self.embedding],
+            "embedding": np.asarray(self.embedding, dtype=float).tolist(),
             "initial_importance": self.initial_importance,
             "decay_ratio": self.decay_ratio,
             "created_at": self.created_at.isoformat(),
@@ -98,6 +98,11 @@ class MemoryEvent:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MemoryEvent":
+        """The event a snapshot record holds; KeyError, TypeError or
+        ValueError when the record does not describe one."""
+        for name in ("event_id", "owner", "content"):
+            if not isinstance(rec[name], str):
+                raise TypeError(f"{name} must be a string, got {rec[name]!r}")
         return cls(
             event_id=rec["event_id"],
             owner=rec["owner"],
@@ -362,6 +367,9 @@ class MemoryStore:
 
         Each event's line is encoded once and again only after its access
         bonus changes, so repeated snapshots of a growing store stay cheap.
+        An event ``load_jsonl`` read keeps the line it was read from (stripped,
+        ending in a newline) until its bonus changes, so a snapshot this
+        method wrote loads and saves back byte for byte.
         """
         with self._lock:
             events = sorted(self._events.items())
@@ -376,7 +384,16 @@ class MemoryStore:
 
     @classmethod
     def load_jsonl(cls, path, calendar: tuple[Date, ...] | None = None) -> "MemoryStore":
+        """The store a ``save_jsonl`` snapshot holds, each line kept as its
+        event's encoding. SchemaError(row, None) names the file and row of a
+        line that is not JSON or not an event the store accepts."""
         store = cls(calendar=calendar)
-        for _, rec in read_jsonl(path):
-            store.add(MemoryEvent.from_record(rec))
+        for row_no, line, rec in read_jsonl_lines(path):
+            try:
+                event = MemoryEvent.from_record(rec)
+                store.add(event)
+            except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+                raise SchemaError(row_no, None, f"{path}: row {row_no} is not a memory "
+                                  f"event ({type(exc).__name__}: {exc})") from None
+            store._encoded[event.event_id] = (event.access_bonus, line + "\n")
         return store

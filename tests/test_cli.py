@@ -20,6 +20,19 @@ def build_fixture(tmp_path, **kwargs):
     return build_single_stock_fixture(tmp_path / "fix", **kwargs)
 
 
+def edit_first_record(**fields):
+    """A snapshot edit: set each field of the first record, or delete it for None."""
+    def edit(lines):
+        record = json.loads(lines[0])
+        for key, value in fields.items():
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        return [json.dumps(record)] + lines[1:]
+    return edit
+
+
 class TestValidateData:
     def test_clean_fixtures_exit_zero(self, tmp_path, capsys):
         fix = build_fixture(tmp_path)
@@ -79,6 +92,29 @@ class TestTrain:
         checkpoint.write_bytes(checkpoint.read_bytes()[:-40])
         assert main(args + ["--override", "backtest.resume=true"]) == 1
         assert "checkpoint_2.json: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: payload.pop("objectives"), "'objectives' is not a list of numbers"),
+        (lambda payload: payload.update(taus=0.5), "'taus' is not a list of numbers"),
+        (lambda payload: payload.update(objectives=["high"]),
+         "'objectives' is not a list of numbers"),
+        (lambda payload: payload.update(taus=[None]), "'taus' is not a list of numbers"),
+        (lambda payload: payload.update(message_counts={"insight": "7"}),
+         "'message_counts' is not a map of counts"),
+    ], ids=["missing", "not_a_list", "not_numeric", "null_entry", "text_count"])
+    def test_resume_from_checkpoint_bad_field_exit_one(self, tmp_path, capsys, edit,
+                                                       message):
+        fix = build_fixture(tmp_path)
+        run_dir = tmp_path / "run"
+        args = ["train", "--config", str(fix.config_path),
+                "--mock-script", str(fix.script_path), "--run-dir", str(run_dir)]
+        assert main(args) == 0
+        checkpoint = run_dir / "state" / "checkpoint_2.json"
+        payload = json.loads(checkpoint.read_text())
+        edit(payload)
+        checkpoint.write_text(json.dumps(payload))
+        assert main(args + ["--override", "backtest.resume=true"]) == 1
+        assert f"checkpoint_2.json: {message}" in capsys.readouterr().err
 
     def test_mock_and_endpoint_simultaneously_rejected(self, tmp_path, monkeypatch, capsys):
         fix = build_fixture(tmp_path)
@@ -167,6 +203,34 @@ class TestTestCommand:
                      "--override", f"backtest.train_run_dir={train_dir}"])
         assert code == 1
         assert "snapshot.jsonl: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, row", [
+        (edit_first_record(content=None), 1),
+        (lambda lines: lines[:2] + lines[:1] + lines[2:], 3),
+        (edit_first_record(layer="semantic"), 1),
+        (lambda lines: ["[1, 2]"] + lines[1:], 1),
+        (edit_first_record(event_id=7), 1),
+        (edit_first_record(embedding=[[0.5]]), 1),
+    ], ids=["missing_field", "duplicate_id", "unknown_layer", "json_array",
+            "numeric_id", "nested_embedding"])
+    def test_inherited_snapshot_record_not_an_event_exit_one(self, tmp_path, capsys,
+                                                             corrupt, row):
+        fix = build_fixture(tmp_path, n_test=4)
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir)]) == 0
+        snapshot = train_dir / "memory" / "snapshot.jsonl"
+        lines = snapshot.read_text().splitlines()
+        assert len(lines) >= 3
+        snapshot.write_text("\n".join(corrupt(lines)) + "\n")
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"])
+        assert code == 1
+        assert f"snapshot.jsonl: row {row} is not a memory event" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda data: data[:-40], "prompt_set.json: invalid JSON"),

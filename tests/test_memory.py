@@ -1,6 +1,8 @@
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -379,3 +381,91 @@ class TestEmbedderAndSnapshot:
         store.add(make_event("e"))
         with pytest.raises(ValueError):
             store.add(make_event("e"))
+
+
+class TestSnapshotLineCache:
+    """A line ``load_jsonl`` read is written back as read until its event's
+    access bonus changes; only new and boosted events are encoded."""
+
+    @staticmethod
+    def count_encodes(monkeypatch):
+        calls = []
+        to_record = MemoryEvent.to_record
+
+        def counting(event):
+            calls.append(event.event_id)
+            return to_record(event)
+
+        monkeypatch.setattr(MemoryEvent, "to_record", counting)
+        return calls
+
+    @staticmethod
+    def saved_lines(store, path):
+        store.save_jsonl(path)
+        return path.read_text().splitlines(keepends=True)
+
+    def saved_snapshot(self, tmp_path):
+        store = MemoryStore()
+        for i in range(6):
+            store.add(make_event(f"e{i}", bonus=float(i % 2) * 5.0,
+                                 created=date(2022, 1, 3 + i)))
+        path = tmp_path / "snap.jsonl"
+        store.save_jsonl(path)
+        return path
+
+    def test_reload_and_save_writes_identical_bytes_without_encoding(self, tmp_path,
+                                                                     monkeypatch):
+        path = self.saved_snapshot(tmp_path)
+        calls = self.count_encodes(monkeypatch)
+        again = tmp_path / "again.jsonl"
+        MemoryStore.load_jsonl(path).save_jsonl(again)
+        assert again.read_bytes() == path.read_bytes()
+        assert calls == []
+
+    def test_boost_reencodes_only_that_line(self, tmp_path, monkeypatch):
+        path = self.saved_snapshot(tmp_path)
+        before = path.read_text().splitlines(keepends=True)
+        loaded = MemoryStore.load_jsonl(path)
+        loaded.boost_access("e3")
+        calls = self.count_encodes(monkeypatch)
+        after = self.saved_lines(loaded, tmp_path / "after.jsonl")
+        assert calls == ["e3"]
+        changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+        assert changed == [3] and len(after) == len(before)
+        fresh = MemoryStore()
+        fresh.add(loaded.get("e3"))
+        assert self.saved_lines(fresh, tmp_path / "fresh.jsonl") == [after[3]]
+
+    def test_new_event_is_encoded(self, tmp_path, monkeypatch):
+        loaded = MemoryStore.load_jsonl(self.saved_snapshot(tmp_path))
+        loaded.add(make_event("e9", created=date(2022, 2, 1)))
+        calls = self.count_encodes(monkeypatch)
+        lines = self.saved_lines(loaded, tmp_path / "grown.jsonl")
+        assert calls == ["e9"]
+        assert json.loads(lines[-1]) == loaded.get("e9").to_record()
+
+    def test_last_line_without_newline_comes_back_terminated(self, tmp_path):
+        path = self.saved_snapshot(tmp_path)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(path.read_bytes().rstrip(b"\n"))
+        again = tmp_path / "again.jsonl"
+        MemoryStore.load_jsonl(cut).save_jsonl(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_hand_written_line_kept_until_boosted(self, tmp_path):
+        event = make_event("e0")
+        spaced = json.dumps(event.to_record())  # default ", " and ": " separators
+        path = tmp_path / "hand.jsonl"
+        path.write_text("  " + spaced + "  \n")
+        loaded = MemoryStore.load_jsonl(path)
+        assert self.saved_lines(loaded, tmp_path / "kept.jsonl") == [spaced + "\n"]
+        loaded.boost_access("e0")
+        canonical = json.dumps(loaded.get("e0").to_record(), sort_keys=True,
+                               separators=(",", ":")) + "\n"
+        assert self.saved_lines(loaded, tmp_path / "boosted.jsonl") == [canonical]
+
+    def test_to_record_embedding_is_python_floats_for_any_float_array(self):
+        emb32 = np.array([0.1, -0.7, 1.0 / 3.0], dtype=np.float32)
+        record = replace(make_event("e"), embedding=emb32).to_record()
+        assert record["embedding"] == [float(x) for x in emb32]
+        assert all(type(x) is float for x in record["embedding"])
