@@ -73,6 +73,7 @@ from .memory import HashEmbedder, MemoryStore
 from .portfolio import MVInputs, ReturnPanel, scale_to_positions, shrink_estimates, solve_mean_variance
 from .risk_control import (
     ASPECT_FOR_ROLE,
+    BeliefUpdate,
     RiskState,
     alert_trigger,
     compare_and_update,
@@ -592,19 +593,14 @@ class RunWriter:
     def write_summary(self, name: str, payload: dict) -> None:
         self.path(name).write_text(_dump_json(payload))
 
-    def write_checkpoint(self, episode: int, prompts: PromptSet, objectives: list,
-                         taus: list, store: MemoryStore, message_counts: dict) -> None:
+    def write_checkpoint(self, episode: int, store: MemoryStore, message_counts: dict) -> None:
         """Memory first: resume trusts a checkpoint only once its JSON file
         exists, so a crash while the memory file is written leaves the
-        episode to be re-run rather than a truncated store to be loaded."""
+        episode to be re-run rather than a truncated store to be loaded. The
+        rest of the training state is in the episode's trajectory and belief
+        files, written before either."""
         store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
-        payload = {
-            "episode": episode,
-            "prompts": asdict(prompts),
-            "objectives": objectives,
-            "taus": taus,
-            "message_counts": message_counts,
-        }
+        payload = {"episode": episode, "message_counts": message_counts}
         self.path("state", f"checkpoint_{episode}.json").write_text(_dump_json(payload))
 
 
@@ -854,11 +850,11 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     From episode 2 on, each completed episode triggers a belief update
     comparing it with its predecessor, whose insights are reused from the
-    previous update when this session made one; training stops at the
-    episode cap or when the overlap/objective convergence rule fires. With
-    ``resume`` set, episodes whose trajectory and checkpoint already exist
-    are reloaded instead of re-run, and a restored state that had already
-    converged runs no further episode.
+    previous update, so each episode is conceptualized once; training stops
+    at the episode cap or when the overlap/objective convergence rule fires.
+    With ``resume`` set, episodes whose trajectory and checkpoint already
+    exist are reloaded instead of re-run, and a restored state that had
+    already converged runs no further episode.
     """
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
@@ -866,59 +862,46 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     engine = BacktestEngine(config, market, gateway, writer=writer)
     prompts = PromptSet.initial(engine.profiles)
     trajectories: list[Trajectory] = []
-    updates = []
-    objectives: list[float] = []
-    taus: list[float] = []
-    max_episodes = config.backtest["max_episodes"]
-    start_episode = 1
+    updates: list[BeliefUpdate] = []
+    if config.backtest.get("resume"):
+        prompts, trajectories, updates = _resume_state(config, writer, engine, prompts)
 
     def converged() -> bool:
-        return convergence_check(taus, objectives,
+        return convergence_check([u.learning_rate for u in updates],
+                                 [t.objective for t in trajectories],
                                  tau_threshold=config.risk["convergence_tau"],
                                  epsilon=config.risk["convergence_epsilon"],
-                                 max_episodes=max_episodes)
+                                 max_episodes=config.backtest["max_episodes"])
 
-    if config.backtest.get("resume"):
-        start_episode, prompts, objectives, taus, trajectories = _resume_state(
-            config, writer, engine, prompts)
-        if converged():
-            start_episode = max_episodes + 1
-
-    for k in range(start_episode, max_episodes + 1):
+    while not converged():
+        k = len(trajectories) + 1
         trajectory = engine.run_episode(prompts, k, config.train_start, config.train_end)
         trajectories.append(trajectory)
-        objectives.append(trajectory.objective)
         writer.write_trajectory(k, trajectory)
         writer.write_prompt_log(k, engine.prompt_log.get(k, []))
         if k >= 2:
             update, prompts = compare_and_update(
-                trajectories[-2], trajectories[-1],
-                (objectives[-2], objectives[-1]),
-                prompts, gateway, engine.analyst_ids,
+                trajectories[-2], trajectory, prompts, gateway, engine.analyst_ids,
                 min_run=config.risk["min_run_length"],
                 max_retries=config.llm["max_retries"],
                 insights_prev=updates[-1].insights_cur if updates else None)
             updates.append(update)
-            taus.append(update.learning_rate)
             writer.write_belief(k, update)
             engine.router.send(RISK_CONTROL, MANAGER, "belief_update")
             for target in update.target_agents:
                 if target != MANAGER:
                     engine.router.send(MANAGER, target, "belief_update")
-        writer.write_checkpoint(k, prompts, objectives, taus, engine.store,
-                                engine.router.counts_by_kind())
-        if converged():
-            break
+        writer.write_checkpoint(k, engine.store, engine.router.counts_by_kind())
 
     writer.write_prompt_set(prompts)
     writer.write_memory(engine.store)
     _write_report(writer, config, trajectories[-1])
     writer.write_summary("train_summary.json", {
         "episodes_run": len(trajectories),
-        "objectives": objectives,
-        "taus": taus,
-        "belief_updates": len(taus),
-        "belief_update_calls": len(taus),
+        "objectives": [t.objective for t in trajectories],
+        "taus": [u.learning_rate for u in updates],
+        "belief_updates": len(updates),
+        "belief_update_calls": len(updates),
         "message_count": engine.router.count(),
     })
     return prompts, trajectories, updates
@@ -932,47 +915,45 @@ def _prompt_set(payload, path: Path) -> PromptSet:
         raise SchemaError(0, None, f"{path}: not a prompt set ({exc})") from None
 
 
-def _checkpoint_numbers(payload, key: str, path: Path) -> list[float]:
-    """The list of numbers a checkpoint stores under ``key``; SchemaError
-    when the field is missing or is not one."""
-    values = payload.get(key) if isinstance(payload, dict) else None
-    if not isinstance(values, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
-        raise SchemaError(0, key, f"{path}: {key!r} is not a list of numbers")
-    return [float(x) for x in values]
-
-
 def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
                   prompts: PromptSet):
-    """Reload the newest checkpoint so training continues after an abort:
-    prompts, objectives, taus, memory and message counts."""
-    alpha = config.backtest["discount_alpha"]
+    """Rebuild the training state of the newest checkpoint from the run's
+    files, so training continues after an abort. Returns (prompts,
+    trajectories, belief updates); restores memory and message counts."""
+    run_dir = writer.run_dir
     last_done = 0
     for k in range(1, config.backtest["max_episodes"] + 1):
-        if (writer.run_dir / f"trajectory_{k}.jsonl").exists() and \
-                (writer.run_dir / "state" / f"checkpoint_{k}.json").exists():
+        if (run_dir / f"trajectory_{k}.jsonl").exists() and \
+                (run_dir / "state" / f"checkpoint_{k}.json").exists():
             last_done = k
     if last_done == 0:
-        return 1, prompts, [], [], []
-    checkpoint = writer.run_dir / "state" / f"checkpoint_{last_done}.json"
+        return prompts, [], []
+    checkpoint = run_dir / "state" / f"checkpoint_{last_done}.json"
     payload = read_json(checkpoint)
-    objectives = _checkpoint_numbers(payload, "objectives", checkpoint)
-    taus = _checkpoint_numbers(payload, "taus", checkpoint)
-    prompts = _prompt_set(payload.get("prompts"), checkpoint)
-    engine.store = MemoryStore.load_jsonl(
-        writer.run_dir / "state" / f"memory_{last_done}.jsonl",
-        calendar=engine.market.calendar)
-    counts = payload.get("message_counts", {})
+    counts = payload.get("message_counts") if isinstance(payload, dict) else None
     if not isinstance(counts, dict) or not all(
             isinstance(n, int) and not isinstance(n, bool) for n in counts.values()):
         raise SchemaError(0, "message_counts",
                           f"{checkpoint}: 'message_counts' is not a map of counts")
     engine.router.restore_counts(counts)
+    engine.store = MemoryStore.load_jsonl(run_dir / "state" / f"memory_{last_done}.jsonl",
+                                          calendar=engine.market.calendar)
     trajectories = [
-        Trajectory.from_jsonl(writer.run_dir / f"trajectory_{k}.jsonl", k, alpha)
+        Trajectory.from_jsonl(run_dir / f"trajectory_{k}.jsonl", k,
+                              config.backtest["discount_alpha"])
         for k in range(1, last_done + 1)
     ]
-    return last_done + 1, prompts, objectives, taus, trajectories
+    updates = []
+    for k in range(2, last_done + 1):
+        path = run_dir / "beliefs" / f"episode_{k}.json"
+        record = read_json(path)
+        try:
+            updates.append(BeliefUpdate.from_record(record))
+            prompts = prompts.with_belief_block(updates[-1].beliefs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(0, None, f"{path}: not a belief update "
+                              f"({type(exc).__name__}: {exc})") from None
+    return prompts, trajectories, updates
 
 
 def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,

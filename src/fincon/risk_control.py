@@ -186,6 +186,24 @@ class BeliefUpdate:
     target_agents: tuple[str, ...]
     beliefs: dict[str, str]
 
+    @classmethod
+    def from_record(cls, rec: dict) -> "BeliefUpdate":
+        """The update a belief file holds; KeyError, TypeError or ValueError
+        when the record does not describe one."""
+        rate = rec["learning_rate"]
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise TypeError(f"learning_rate must be a number, got {rate!r}")
+        return cls(
+            episode_pair=tuple(rec["episode_pair"]),
+            winner=rec["winner"],
+            insights_prev=tuple(ConceptInsight(**c) for c in rec["insights_prev"]),
+            insights_cur=tuple(ConceptInsight(**c) for c in rec["insights_cur"]),
+            meta_prompt=rec["meta_prompt"],
+            learning_rate=float(rate),
+            target_agents=tuple(rec["target_agents"]),
+            beliefs=dict(rec["beliefs"]),
+        )
+
 
 def extract_runs(pnls, min_len: int = 2) -> list[dict]:
     """Maximal runs of consecutive positive or consecutive negative PnL days.
@@ -264,8 +282,7 @@ def aspects_in_text(text: str) -> list[str]:
     return [a for a in ASPECTS if a.lower() in lowered]
 
 
-def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
-                       objectives: tuple[float, float], prompts: "PromptSet",
+def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", prompts: "PromptSet",
                        gateway: LlmGateway, analysts: dict[str, str],
                        min_run: int = 2, max_retries: int = 2,
                        insights_prev: tuple[ConceptInsight, ...] | None = None):
@@ -281,7 +298,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory",
     """
     if not h_prev.days or not h_cur.days:
         raise IncompleteEpisode("both episodes must contain trading days")
-    obj_prev, obj_cur = objectives
+    obj_prev, obj_cur = h_prev.objective, h_cur.objective
     k_prev, k_cur = h_prev.episode, h_cur.episode
     winner = k_cur if obj_cur >= obj_prev else k_prev
     analyst_roles = sorted(set(analysts.values()))

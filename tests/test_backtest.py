@@ -62,6 +62,23 @@ def resume_config(fix) -> RunConfig:
     return RunConfig.from_dict(payload, fix.root)
 
 
+class CountingBackend:
+    """The scripted backend, counting into ``keys`` the step keys it is asked
+    for."""
+
+    def __init__(self, script_path, keys: Counter | None = None):
+        self.inner = load_mock_script(script_path)
+        self.keys = Counter() if keys is None else keys
+
+    def generate(self, request):
+        self.keys[request.step_key] += 1
+        return self.inner.generate(request)
+
+
+def between_episode_keys(keys) -> dict[str, int]:
+    return {k: n for k, n in keys.items() if k.endswith((":conceptualize", ":belief_update"))}
+
+
 def assert_same_run_dir(run_dir: Path, ref_dir: Path) -> None:
     """Same file set, and the same bytes in every file but config.used.json
     (a resumed run records ``backtest.resume``)."""
@@ -563,30 +580,21 @@ class TestTrainTestDrivers:
                     if key.endswith(":conceptualize")}
         assert len(scripted) == 4
 
-        class Counting:
-            def __init__(self, script_path):
-                self.inner = load_mock_script(script_path)
-                self.keys = Counter()
-
-            def generate(self, request):
-                self.keys[request.step_key] += 1
-                return self.inner.generate(request)
-
-        backend = Counting(fix.script_path)
+        backend = CountingBackend(fix.script_path)
         backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
                        tmp_path / "run")
         requested = {k: n for k, n in backend.keys.items() if k.endswith(":conceptualize")}
         assert requested == {key: 1 for key in scripted}
 
-        # a resumed session has no previous update, so its first update
-        # conceptualizes the restored episode again
+        # a resumed session reads the restored update's insights back from
+        # its belief file, so it conceptualizes only the episode it runs
         for name in ("trajectory_4.jsonl", "state/checkpoint_4.json"):
             (tmp_path / "run" / name).unlink()
-        backend = Counting(fix.script_path)
+        backend = CountingBackend(fix.script_path)
         backtest.train(resume_config(fix), LlmGateway(backend), tmp_path / "run")
         requested = {k.split(":")[0]: n for k, n in backend.keys.items()
                      if k.endswith(":conceptualize")}
-        assert requested == {"3": 1, "4": 1}
+        assert requested == {"4": 1}
 
     def test_test_stage_inherits_and_never_updates_beliefs(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=12, n_test=8, episodes=2,
@@ -650,6 +658,34 @@ class TestTrainTestDrivers:
             # the completed episode's trajectory replaces its FAILED artifact;
             # belief updates and message counts include the restored episodes'
             assert_same_run_dir(run_dir, root / "ref")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_resume_after_abort_in_next_episode_asks_each_step_once(self, tmp_path, k):
+        fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=4,
+                                         news_every=4)
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+        scripted = between_episode_keys(
+            Counter(key for _, key in load_mock_script(fix.script_path).entries))
+        assert len(scripted) == 4 + 3
+
+        # drop one decide entry of episode k + 1 to abort it mid-episode
+        victim = f"{k + 1}:{fix.train_days[4].isoformat()}:decide"
+        lines = fix.script_path.read_text().splitlines()
+        broken = fix.root / "broken.jsonl"
+        broken.write_text("".join(l + "\n" for l in lines if victim not in l))
+        keys = Counter()
+        run_dir = tmp_path / "resumable"
+        with pytest.raises(EpisodeAborted):
+            backtest.train(config, LlmGateway(CountingBackend(broken, keys)), run_dir)
+        assert (run_dir / f"trajectory_{k + 1}.FAILED.jsonl").exists()
+
+        backtest.train(resume_config(fix),
+                       LlmGateway(CountingBackend(fix.script_path, keys)), run_dir)
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+        # across both sessions each episode is conceptualized once and each
+        # belief update asked for once
+        assert between_episode_keys(keys) == scripted
 
     def test_crash_while_writing_checkpoint_memory_resumes_cleanly(self, tmp_path,
                                                                    monkeypatch):

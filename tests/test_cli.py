@@ -33,6 +33,20 @@ def edit_first_record(**fields):
     return edit
 
 
+def edit_json(**fields):
+    """A run-file edit: set each field of the file's JSON object, or delete it
+    for None."""
+    def edit(path):
+        payload = json.loads(path.read_text())
+        for key, value in fields.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload))
+    return edit
+
+
 class TestValidateData:
     def test_clean_fixtures_exit_zero(self, tmp_path, capsys):
         fix = build_fixture(tmp_path)
@@ -93,28 +107,42 @@ class TestTrain:
         assert main(args + ["--override", "backtest.resume=true"]) == 1
         assert "checkpoint_2.json: invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda payload: payload.pop("objectives"), "'objectives' is not a list of numbers"),
-        (lambda payload: payload.update(taus=0.5), "'taus' is not a list of numbers"),
-        (lambda payload: payload.update(objectives=["high"]),
-         "'objectives' is not a list of numbers"),
-        (lambda payload: payload.update(taus=[None]), "'taus' is not a list of numbers"),
-        (lambda payload: payload.update(message_counts={"insight": "7"}),
-         "'message_counts' is not a map of counts"),
-    ], ids=["missing", "not_a_list", "not_numeric", "null_entry", "text_count"])
-    def test_resume_from_checkpoint_bad_field_exit_one(self, tmp_path, capsys, edit,
+    @pytest.mark.parametrize("name, edit, message", [
+        ("beliefs/episode_2.json", edit_json(learning_rate=None),
+         "episode_2.json: not a belief update (KeyError: 'learning_rate')"),
+        ("beliefs/episode_2.json", edit_json(insights_cur=0.5),
+         "episode_2.json: not a belief update (TypeError"),
+        ("beliefs/episode_2.json", edit_json(learning_rate="high"),
+         "episode_2.json: not a belief update (TypeError"),
+        ("beliefs/episode_2.json", edit_json(insights_prev=[None]),
+         "episode_2.json: not a belief update (TypeError"),
+        ("state/checkpoint_2.json", edit_json(message_counts={"insight": "7"}),
+         "checkpoint_2.json: 'message_counts' is not a map of counts"),
+        ("beliefs/episode_2.json", edit_json(beliefs={"astrology": "read the stars"}),
+         "episode_2.json: not a belief update (ValueError: belief_block key 'astrology'"),
+        ("beliefs/episode_2.json",
+         edit_json(insights_cur=[{"aspect": "astrology", "text": "read the stars"}]),
+         "episode_2.json: not a belief update (ValueError: unknown aspect 'astrology'"),
+        ("beliefs/episode_2.json", lambda path: path.write_bytes(path.read_bytes()[:-40]),
+         "episode_2.json: invalid JSON"),
+        ("beliefs/episode_2.json", lambda path: path.unlink(), "episode_2.json"),
+        ("state/checkpoint_2.json", edit_json(message_counts=None),
+         "checkpoint_2.json: 'message_counts' is not a map of counts"),
+    ], ids=["missing", "not_a_list", "not_numeric", "null_entry", "text_count",
+            "unknown_belief_aspect", "unknown_insight_aspect", "truncated_belief_file",
+            "missing_belief_file", "missing_counts"])
+    def test_resume_from_checkpoint_bad_field_exit_one(self, tmp_path, capsys, name, edit,
                                                        message):
+        """Resume rebuilds the training state from the checkpoint and the
+        belief files; a file that does not fit exits 1 naming it."""
         fix = build_fixture(tmp_path)
         run_dir = tmp_path / "run"
         args = ["train", "--config", str(fix.config_path),
                 "--mock-script", str(fix.script_path), "--run-dir", str(run_dir)]
         assert main(args) == 0
-        checkpoint = run_dir / "state" / "checkpoint_2.json"
-        payload = json.loads(checkpoint.read_text())
-        edit(payload)
-        checkpoint.write_text(json.dumps(payload))
+        edit(run_dir / name)
         assert main(args + ["--override", "backtest.resume=true"]) == 1
-        assert f"checkpoint_2.json: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_mock_and_endpoint_simultaneously_rejected(self, tmp_path, monkeypatch, capsys):
         fix = build_fixture(tmp_path)

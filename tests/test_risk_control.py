@@ -191,7 +191,8 @@ class TestExtractRuns:
             assert got == oracle_runs(pnls, min_len)
 
 
-def make_trajectory(pnls, episode=1, directions=None, start=date(2022, 3, 1)):
+def make_trajectory(pnls, episode=1, directions=None, start=date(2022, 3, 1),
+                    objective=None):
     days = trading_days(start, len(pnls))
     records = []
     for i, (d, pnl) in enumerate(zip(days, pnls)):
@@ -203,7 +204,7 @@ def make_trajectory(pnls, episode=1, directions=None, start=date(2022, 3, 1)):
             insights={"data_analyst:SYN": f"insight day {i}"},
             cited_memory_ids=[]))
     traj = Trajectory(episode=episode, days=records)
-    traj.objective = sum(pnls)
+    traj.objective = sum(pnls) if objective is None else objective
     return traj
 
 
@@ -284,63 +285,64 @@ ANALYSTS = {"data_analyst:SYN": "data_analyst", "news_analyst:SYN": "news_analys
 
 class TestCompareAndUpdate:
     def test_winner_is_argmax(self):
-        prev = make_trajectory([0.01, 0.02], episode=1)
-        cur = make_trajectory([0.03, 0.04], episode=2)
-        update, _ = compare_and_update(prev, cur, (1.0, 2.0), make_prompts(),
+        prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
+        cur = make_trajectory([0.03, 0.04], episode=2, objective=2.0)
+        update, _ = compare_and_update(prev, cur, make_prompts(),
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.winner == 2
-        update, _ = compare_and_update(prev, cur, (2.0, 1.0), make_prompts(),
+        prev.objective, cur.objective = 2.0, 1.0
+        update, _ = compare_and_update(prev, cur, make_prompts(),
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.winner == 1
 
     def test_tie_prefers_current_episode(self):
-        prev = make_trajectory([0.01, 0.02], episode=3)
-        cur = make_trajectory([0.01, 0.02], episode=4)
-        update, _ = compare_and_update(prev, cur, (1.5, 1.5), make_prompts(),
+        prev = make_trajectory([0.01, 0.02], episode=3, objective=1.5)
+        cur = make_trajectory([0.01, 0.02], episode=4, objective=1.5)
+        update, _ = compare_and_update(prev, cur, make_prompts(),
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.winner == 4
 
     def test_update_structure_matches_reported_aspect_set(self):
-        prev = make_trajectory([0.01, 0.02, -0.01, -0.02], episode=1)
-        cur = make_trajectory([0.02, 0.01, 0.01, -0.02], episode=2)
-        update, prompts = compare_and_update(prev, cur, (1.0, 2.0), make_prompts(),
+        prev = make_trajectory([0.01, 0.02, -0.01, -0.02], episode=1, objective=1.0)
+        cur = make_trajectory([0.02, 0.01, 0.01, -0.02], episode=2, objective=2.0)
+        update, prompts = compare_and_update(prev, cur, make_prompts(),
                                              LlmGateway(belief_backend()), ANALYSTS)
         assert set(update.beliefs) == {"historical momentum", "news insights",
                                        "Form 10-Q", "other aspects"}
         assert prompts.belief_block == update.beliefs
 
     def test_learning_rate_is_action_overlap(self):
-        prev = make_trajectory([0.01] * 4, episode=1,
+        prev = make_trajectory([0.01] * 4, episode=1, objective=1.0,
                                directions=["long", "long", "long", "long"])
-        cur = make_trajectory([0.01] * 4, episode=2,
+        cur = make_trajectory([0.01] * 4, episode=2, objective=2.0,
                               directions=["long", "short", "long", "short"])
-        update, _ = compare_and_update(prev, cur, (1.0, 2.0), make_prompts(),
+        update, _ = compare_and_update(prev, cur, make_prompts(),
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.learning_rate == 0.5
 
     def test_target_agents_from_meta_prompt_aspects(self):
-        prev = make_trajectory([0.01, 0.02], episode=1)
-        cur = make_trajectory([0.01, 0.02], episode=2)
+        prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
+        cur = make_trajectory([0.01, 0.02], episode=2, objective=2.0)
         update, _ = compare_and_update(
-            prev, cur, (1.0, 2.0), make_prompts(),
+            prev, cur, make_prompts(),
             LlmGateway(belief_backend(meta="Lean harder on news insights only.")),
             ANALYSTS)
         assert update.target_agents == ("manager", "news_analyst:SYN")
 
     def test_edit_instruction_scales_with_tau(self):
-        prev = make_trajectory([0.01] * 4, episode=1, directions=["long"] * 4)
-        cur = make_trajectory([0.01] * 4, episode=2, directions=["short"] * 4)
+        prev = make_trajectory([0.01] * 4, episode=1, objective=1.0, directions=["long"] * 4)
+        cur = make_trajectory([0.01] * 4, episode=2, objective=2.0, directions=["short"] * 4)
         backend = belief_backend()
-        compare_and_update(prev, cur, (1.0, 2.0), make_prompts(),
+        compare_and_update(prev, cur, make_prompts(),
                            LlmGateway(backend), ANALYSTS)
         update_prompt = backend.requests[-1].user_prompt
         assert "Substantially rewrite" in update_prompt
 
     def test_incomplete_episode_rejected(self):
-        prev = make_trajectory([0.01, 0.02], episode=1)
+        prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
         cur = Trajectory(episode=2, days=[])
         with pytest.raises(IncompleteEpisode):
-            compare_and_update(prev, cur, (1.0, 2.0), make_prompts(),
+            compare_and_update(prev, cur, make_prompts(),
                                LlmGateway(belief_backend()), ANALYSTS)
 
 
