@@ -246,9 +246,11 @@ class RunConfig:
                 raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found")
             texts[role] = file_path.read_text()
         sections["agents"]["profile_texts"] = texts
-        alpha = sections["backtest"]["discount_alpha"]
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"backtest.discount_alpha must be in (0,1], got {alpha}")
+        for key in ("discount_alpha", "position_size"):
+            value = sections["backtest"][key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0.0 < value <= 1.0:
+                raise ConfigError(f"backtest.{key} must be in (0,1], got {value!r}")
         cvar_alpha = sections["risk"]["cvar_alpha"]
         if not 0.0 < cvar_alpha < 1.0:
             raise ConfigError(f"risk.cvar_alpha must be in (0,1), got {cvar_alpha}")
@@ -498,6 +500,8 @@ class DayRecord:
 
     @classmethod
     def from_record(cls, rec: dict) -> "DayRecord":
+        """The day a trajectory record holds; KeyError, TypeError or
+        ValueError when the record does not describe one."""
         return cls(**{**rec, "date": parse_date(rec["date"])})
 
 
@@ -523,7 +527,15 @@ class Trajectory:
 
     @classmethod
     def from_jsonl(cls, path: str | Path, episode: object, discount_alpha: float) -> "Trajectory":
-        days = [DayRecord.from_record(rec) for _, rec in read_jsonl(path)]
+        """The trajectory a ``to_jsonl`` file holds. SchemaError(row, None)
+        names the file and row of a line that is not JSON or not a day record."""
+        days = []
+        for row_no, rec in read_jsonl(path):
+            try:
+                days.append(DayRecord.from_record(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(row_no, None, f"{path}: row {row_no} is not a day record "
+                                  f"({type(exc).__name__}: {exc})") from None
         traj = cls(episode=episode, days=days)
         traj.objective = objective_value(traj.pnls(), discount_alpha)
         return traj
@@ -878,7 +890,7 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         trajectory = engine.run_episode(prompts, k, config.train_start, config.train_end)
         trajectories.append(trajectory)
         writer.write_trajectory(k, trajectory)
-        writer.write_prompt_log(k, engine.prompt_log.get(k, []))
+        writer.write_prompt_log(k, engine.prompt_log.pop(k, []))
         if k >= 2:
             update, prompts = compare_and_update(
                 trajectories[-2], trajectory, prompts, gateway, engine.analyst_ids,
@@ -982,7 +994,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     engine = BacktestEngine(config, market, gateway, store=store, writer=writer)
     trajectory = engine.run_episode(prompts, "test", config.test_start, config.test_end)
     writer.write_trajectory("test", trajectory)
-    writer.write_prompt_log("test", engine.prompt_log.get("test", []))
+    writer.write_prompt_log("test", engine.prompt_log.pop("test", []))
     report = _write_report(writer, config, trajectory)
     writer.write_memory(engine.store)
     writer.write_summary("test_summary.json", {

@@ -33,6 +33,13 @@ def edit_first_record(**fields):
     return edit
 
 
+def edit_lines(corrupt):
+    """A run-file edit that applies a line edit such as ``edit_first_record``."""
+    def edit(path):
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    return edit
+
+
 def edit_json(**fields):
     """A run-file edit: set each field of the file's JSON object, or delete it
     for None."""
@@ -128,9 +135,11 @@ class TestTrain:
         ("beliefs/episode_2.json", lambda path: path.unlink(), "episode_2.json"),
         ("state/checkpoint_2.json", edit_json(message_counts=None),
          "checkpoint_2.json: 'message_counts' is not a map of counts"),
+        ("trajectory_1.jsonl", edit_lines(edit_first_record(pnl=None)),
+         "trajectory_1.jsonl: row 1 is not a day record"),
     ], ids=["missing", "not_a_list", "not_numeric", "null_entry", "text_count",
             "unknown_belief_aspect", "unknown_insight_aspect", "truncated_belief_file",
-            "missing_belief_file", "missing_counts"])
+            "missing_belief_file", "missing_counts", "trajectory_record"])
     def test_resume_from_checkpoint_bad_field_exit_one(self, tmp_path, capsys, name, edit,
                                                        message):
         """Resume rebuilds the training state from the checkpoint and the
@@ -178,6 +187,8 @@ class TestTrain:
         "backtest.max_episodes=0",
         "agents.workers=0",
         "agents.workers=1.5",
+        "backtest.position_size=2",
+        "backtest.position_size=-1",
     ])
     def test_invalid_override_exit_one(self, tmp_path, capsys, override):
         fix = build_fixture(tmp_path)
@@ -187,6 +198,35 @@ class TestTrain:
                      "--override", override])
         assert code == 1
         assert override.split("=")[0] in capsys.readouterr().err
+
+
+class TestProfiles:
+    def test_profile_file_and_text_reach_the_assembled_system_prompts(self, tmp_path):
+        fix = build_fixture(tmp_path, extra_config={"agents": {
+            "profile_files": {"data_analyst": "profiles/data.txt"},
+            "profile_texts": {"manager": "Custom manager of {tickers}."}}})
+        (fix.root / "profiles").mkdir()
+        (fix.root / "profiles" / "data.txt").write_text("Custom data analyst for {tickers}.")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(run_dir)]) == 0
+        entries = [json.loads(line) for line in
+                   (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()]
+        custom = {"data_analyst:SYN": "Custom data analyst for SYN.\n\n",
+                  "manager": "Custom manager of SYN.\n\n"}
+        assert {e["agent_id"] for e in entries} == set(custom)
+        for entry in entries:
+            assert entry["system"].startswith(custom[entry["agent_id"]]), entry["phase"]
+
+    def test_missing_profile_file_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path, extra_config={"agents": {
+            "profile_files": {"data_analyst": "profiles/missing.txt"}}})
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "agents.profile_files[data_analyst]" in capsys.readouterr().err
 
 
 class TestTestCommand:
@@ -291,18 +331,26 @@ class TestReport:
                      "--run-dir", str(tmp_path / "empty")])
         assert code == 1
 
-    def test_corrupt_trajectory_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda lines: lines + ['{"date": "2022-'], "invalid JSON"),
+        (edit_first_record(pnl=None), "row 1 is not a day record (TypeError"),
+        (edit_first_record(leverage=2.0), "row 1 is not a day record (TypeError"),
+        (edit_first_record(date="2022-13-01"), "row 1 is not a day record (ValueError"),
+        (edit_first_record(date=None), "row 1 is not a day record (KeyError"),
+        (lambda lines: ["[1, 2]"] + lines[1:], "row 1 is not a day record (TypeError"),
+    ], ids=["invalid_json", "missing_field", "extra_field", "bad_date", "no_date",
+            "json_array"])
+    def test_corrupt_trajectory_exit_one(self, tmp_path, capsys, corrupt, message):
         fix = build_fixture(tmp_path)
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(fix.config_path),
                      "--mock-script", str(fix.script_path),
                      "--run-dir", str(run_dir)]) == 0
-        with (run_dir / "trajectory_2.jsonl").open("a") as fh:
-            fh.write('{"date": "2022-\n')
+        edit_lines(corrupt)(run_dir / "trajectory_2.jsonl")
         code = main(["report", "--config", str(fix.config_path),
                      "--run-dir", str(run_dir)])
         assert code == 1
-        assert "trajectory_2.jsonl: invalid JSON" in capsys.readouterr().err
+        assert f"trajectory_2.jsonl: {message}" in capsys.readouterr().err
 
     def test_recompute_matches_and_is_idempotent(self, tmp_path):
         fix = build_fixture(tmp_path)
