@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from pathlib import Path
 
+import numpy as np
+
 DEFAULT_ALPHA = 0.01
 DEFAULT_MIN_HISTORY = 10
 SIGNS = {"long": 1.0, "short": -1.0, "neutral": 0.0}
@@ -199,6 +201,36 @@ def oracle_top_k(events, query_emb, as_of: Date, k: int, owner: str,
     scored = [(e.event_id, r, i, r + i, e.created_at) for e, r, i in zip(cands, rel, imp)]
     scored.sort(key=lambda s: (-s[3], -s[4].toordinal(), s[0]))
     return [s[:4] for s in scored[:k]]
+
+
+def oracle_pg(mu, sigma, lo, hi, max_iter: int = 60_000) -> float:
+    """Box-constrained mean-variance optimum ``max w.mu - w'Sigma w`` by
+    projected gradient: midpoint start, step from ``eigvalsh``, run until the
+    objective stops improving or ``max_iter`` steps."""
+    lam_max = float(np.linalg.eigvalsh(sigma).max())
+    step = 1.0 / (2.5 * max(lam_max, 1e-9))
+    w = (lo + hi) / 2.0
+    prev = -math.inf
+    for _ in range(max_iter):
+        w = np.minimum(np.maximum(w + step * (mu - 2.0 * sigma @ w), lo), hi)
+        obj = float(w @ mu - w @ (sigma @ w))
+        if obj - prev < 1e-15:
+            break
+        prev = obj
+    return float(w @ mu - w @ (sigma @ w))
+
+
+def oracle_grid(mu, sigma, lo, hi, h: float = 1e-3) -> float:
+    """The same optimum by a dense ``h`` grid search over the (at most
+    2-dimensional) box."""
+    axes = [np.arange(lo[i], hi[i] + h / 2, h) if hi[i] > lo[i]
+            else np.array([lo[i]]) for i in range(len(mu))]
+    if len(mu) == 1:
+        w = axes[0][:, None]
+    else:
+        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        w = np.column_stack([g0.ravel(), g1.ravel()])
+    return float((w @ mu - np.einsum("ij,jk,ik->i", w, sigma, w)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from fixtures import (
     build_portfolio_fixture,
     build_single_stock_fixture,
     constant_directions,
+    oracle_grid,
+    oracle_pg,
     oracle_top_k,
     oracle_var_cvar,
 )
@@ -56,31 +58,6 @@ def test_criterion_01_risk_metric_oracle_equivalence():
     _report(1, f"VaR/CVaR == sort-and-tail oracle on 1000 histories in {elapsed:.2f}s")
 
 
-def _pg_oracle(mu, sigma, lo, hi, max_iter=60_000):
-    lam_max = float(np.linalg.eigvalsh(sigma).max())
-    step = 1.0 / (2.5 * max(lam_max, 1e-9))
-    w = (lo + hi) / 2.0
-    prev = -math.inf
-    for _ in range(max_iter):
-        w = np.minimum(np.maximum(w + step * (mu - 2.0 * sigma @ w), lo), hi)
-        obj = float(w @ mu - w @ (sigma @ w))
-        if obj - prev < 1e-15:
-            break
-        prev = obj
-    return float(w @ mu - w @ (sigma @ w))
-
-
-def _grid_oracle(mu, sigma, lo, hi, h=1e-3):
-    axes = [np.arange(lo[i], hi[i] + h / 2, h) if hi[i] > lo[i]
-            else np.array([lo[i]]) for i in range(len(mu))]
-    if len(mu) == 1:
-        w = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        w = np.column_stack([g0.ravel(), g1.ravel()])
-    return float((w @ mu - np.einsum("ij,jk,ik->i", w, sigma, w)).max())
-
-
 def test_criterion_02_mean_variance_solver():
     start = time.monotonic()
     w = solve_mean_variance(MVInputs(mu=np.array([0.4, 1.2]), sigma=np.eye(2),
@@ -96,7 +73,7 @@ def test_criterion_02_mean_variance_solver():
         lo, hi = direction_bounds(directions)
         got = mv_objective(solve_mean_variance(
             MVInputs(mu=mu, sigma=sigma, directions=directions)), mu, sigma)
-        assert abs(got - _pg_oracle(mu, sigma, lo, hi)) < 1e-6, f"trial {trial}"
+        assert abs(got - oracle_pg(mu, sigma, lo, hi)) < 1e-6, f"trial {trial}"
     for trial in range(10):
         n = int(rng.integers(1, 3))
         a = rng.standard_normal((n, n))
@@ -106,7 +83,7 @@ def test_criterion_02_mean_variance_solver():
         lo, hi = direction_bounds(directions)
         got = mv_objective(solve_mean_variance(
             MVInputs(mu=mu, sigma=sigma, directions=directions)), mu, sigma)
-        want = _grid_oracle(mu, sigma, lo, hi)
+        want = oracle_grid(mu, sigma, lo, hi)
         assert got >= want - 1e-9 and abs(got - want) < 1e-5
     elapsed = time.monotonic() - start
     assert elapsed < 30.0

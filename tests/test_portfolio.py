@@ -18,6 +18,8 @@ from fincon.portfolio import (
     solve_mean_variance,
 )
 
+from fixtures import oracle_grid, oracle_pg
+
 
 # --- independent oracles -----------------------------------------------------
 
@@ -35,29 +37,6 @@ def oracle_shrink(returns, lam):
     sigma = [[(1 - lam) * s[i][j] + (lam * s[i][j] if i == j else 0.0)
               for j in range(n)] for i in range(n)]
     return np.array(mu), np.array(sigma)
-
-
-def oracle_pg(mu, sigma, lo, hi, iters=30_000):
-    """Projected-gradient oracle: midpoint start, eigvalsh step, fixed budget."""
-    lam_max = float(np.linalg.eigvalsh(sigma).max())
-    step = 1.0 / (2.5 * max(lam_max, 1e-9))
-    w = (lo + hi) / 2.0
-    for _ in range(iters):
-        w = np.minimum(np.maximum(w + step * (mu - 2.0 * sigma @ w), lo), hi)
-    return float(w @ mu - w @ (sigma @ w))
-
-
-def oracle_grid(mu, sigma, lo, hi, h=1e-3):
-    """Dense 1e-3 grid search over the (at most 2-dim) box."""
-    axes = [np.arange(lo[i], hi[i] + h / 2, h) if hi[i] > lo[i]
-            else np.array([lo[i]]) for i in range(len(mu))]
-    if len(mu) == 1:
-        w = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        w = np.column_stack([g0.ravel(), g1.ravel()])
-    obj = w @ mu - np.einsum("ij,jk,ik->i", w, sigma, w)
-    return float(obj.max())
 
 
 def random_instance(rng, n):
