@@ -98,7 +98,6 @@ def analyst_id(role: str, ticker: str) -> str:
 @dataclass(frozen=True)
 class AgentProfile:
     agent_id: str
-    role: str
     profile_text: str
     general_config: str
 
@@ -112,7 +111,7 @@ def build_profiles(tickers, analyst_roles, general_config: str,
     joined = ", ".join(tickers)
     profiles = {
         MANAGER: AgentProfile(
-            agent_id=MANAGER, role=MANAGER,
+            agent_id=MANAGER,
             profile_text=texts[MANAGER].format(tickers=joined),
             general_config=general_config,
         )
@@ -121,40 +120,11 @@ def build_profiles(tickers, analyst_roles, general_config: str,
         for ticker in tickers:
             aid = analyst_id(role, ticker)
             profiles[aid] = AgentProfile(
-                agent_id=aid, role=role,
+                agent_id=aid,
                 profile_text=texts[role].format(tickers=ticker),
                 general_config=general_config,
             )
     return profiles
-
-
-@dataclass(frozen=True)
-class PromptSet:
-    """The textual policy parameters: per-analyst prompts, the manager prompt,
-    and the structured investment-belief block updated between episodes."""
-
-    analyst_prompts: dict[str, str]
-    manager_prompt: str
-    belief_block: dict[str, str]
-
-    def __post_init__(self):
-        for aspect in self.belief_block:
-            if aspect not in ASPECTS:
-                raise ValueError(f"belief_block key {aspect!r} not in the aspect vocabulary")
-
-    def with_belief_block(self, beliefs: dict[str, str]) -> "PromptSet":
-        return PromptSet(analyst_prompts=dict(self.analyst_prompts),
-                         manager_prompt=self.manager_prompt,
-                         belief_block=dict(beliefs))
-
-    @classmethod
-    def initial(cls, profiles: dict[str, AgentProfile]) -> "PromptSet":
-        analyst_prompts = {
-            aid: p.profile_text for aid, p in profiles.items() if p.role != MANAGER
-        }
-        return cls(analyst_prompts=analyst_prompts,
-                   manager_prompt=profiles[MANAGER].profile_text,
-                   belief_block={})
 
 
 @dataclass(frozen=True)
@@ -359,10 +329,11 @@ def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: s
     return ctx.gateway.complete(request).parsed, record
 
 
-def analyst_step(profile: AgentProfile, prompt_text: str, belief_text: str | None,
+def analyst_step(profile: AgentProfile, belief_text: str | None,
                  obs_slice: AnalystSlice, date: Date, ctx: StepContext,
                  decay_ratio: float):
-    """One analyst's daily distillation for its ticker.
+    """One analyst's daily distillation for its ticker, with the belief for
+    the analyst's aspect (None before the first belief update).
 
     An analyst whose slice holds neither documents nor market data (a
     textual analyst with nothing published today) returns a neutral
@@ -380,7 +351,7 @@ def analyst_step(profile: AgentProfile, prompt_text: str, belief_text: str | Non
         return message, None
     retrieved = _retrieve(ctx, profile, date, obs_slice.ticker)
     cited = tuple(s.event.event_id for s in retrieved)
-    system = f"{prompt_text}\n\n{profile.general_config}"
+    system = f"{profile.profile_text}\n\n{profile.general_config}"
     if belief_text:
         system += f"\n\nCurrent investment belief for your aspect:\n{belief_text}"
     parts = [f"Date: {date.isoformat()}", f"Ticker: {obs_slice.ticker}"]
@@ -406,23 +377,24 @@ def analyst_step(profile: AgentProfile, prompt_text: str, belief_text: str | Non
     return message, log_entry
 
 
-def manager_step(profile: AgentProfile, prompt_set: PromptSet,
+def manager_step(profile: AgentProfile, beliefs: dict[str, str],
                  insights: dict[str, InsightMessage], risk_state: RiskState,
                  date: Date, ctx: StepContext, tickers, expected_analysts,
                  decay_ratio: float):
     """Consolidate the day's insights into one schema-validated decision.
 
     Requires a report (possibly "no signal") from every expected analyst.
-    When the risk state is alerting, the assembled prompt carries the
-    risk-averse instruction. The decision's reasoning and per-analyst
+    The system prompt carries the investment-belief block ``beliefs``; when
+    the risk state is alerting, the user prompt carries the risk-averse
+    instruction. The decision's reasoning and per-analyst
     contribution notes are stored in the manager's procedural memory.
     """
     missing = sorted(set(expected_analysts) - set(insights))
     if missing:
         raise MissingAnalystReport(f"no report from {missing} on {date}")
     retrieved = _retrieve(ctx, profile, date, None)
-    system = f"{prompt_set.manager_prompt}\n\n{profile.general_config}"
-    system += "\n\nInvestment beliefs:\n" + render_belief_block(prompt_set.belief_block)
+    system = f"{profile.profile_text}\n\n{profile.general_config}"
+    system += "\n\nInvestment beliefs:\n" + render_belief_block(beliefs)
     parts = [f"Date: {date.isoformat()}"]
     if risk_state.alert:
         parts.append(RISK_AVERSE_CLAUSE)

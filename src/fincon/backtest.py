@@ -11,9 +11,9 @@ at most t; PnL realizes on the t -> t+1 transition.
 Training (``train``) loops episodes over the training range and runs the
 over-episode belief update after every episode from the second on, stopping
 at the configured maximum or when the action overlap converges. Testing
-(``test``) inherits prompts and memory from a training run directory and
-runs a single pass with the within-episode control active and the belief
-machinery disabled.
+(``test``) inherits the investment-belief block and memory from a training
+run directory and runs a single pass with the within-episode control active
+and the belief machinery disabled.
 
 All run artifacts (config.used.json, trajectory JSONL, beliefs, prompts,
 memory snapshot, report.json, metrics.csv) are written with canonical
@@ -39,7 +39,6 @@ from .agents import (
     RISK_CONTROL,
     SOURCE_FOR_ROLE,
     AnalystSlice,
-    PromptSet,
     Router,
     StepContext,
     analyst_id,
@@ -76,6 +75,7 @@ from .risk_control import (
     BeliefUpdate,
     RiskState,
     alert_trigger,
+    check_belief_block,
     compare_and_update,
     convergence_check,
     cvar,
@@ -582,8 +582,10 @@ class RunWriter:
     def write_belief(self, episode: int, update) -> None:
         self.path("beliefs", f"episode_{episode}.json").write_text(_dump_json(asdict(update)))
 
-    def write_prompt_set(self, prompts: PromptSet) -> None:
-        self.path("prompts", "final", "prompt_set.json").write_text(_dump_json(asdict(prompts)))
+    def write_prompt_set(self, beliefs: dict[str, str]) -> None:
+        """The final belief block, which the test stage inherits."""
+        self.path("prompts", "final", "prompt_set.json").write_text(
+            _dump_json({"belief_block": beliefs}))
 
     def write_prompt_log(self, tag: object, entries: list[dict]) -> None:
         self.path("prompts", f"assembled_{tag}.jsonl").write_text(_dump_jsonl(entries))
@@ -703,9 +705,10 @@ class BacktestEngine:
 
     # -- episode loop ---------------------------------------------------------
 
-    def run_episode(self, prompts: PromptSet, episode: object,
+    def run_episode(self, beliefs: dict[str, str], episode: object,
                     start: Date, end: Date) -> Trajectory:
-        """One pass over [start, end]; returns the trajectory.
+        """One pass over [start, end] under the belief block ``beliefs``;
+        returns the trajectory.
 
         A gateway failure aborts the episode: the partial trajectory is
         written as a FAILED artifact (when a writer is attached) and
@@ -726,7 +729,7 @@ class BacktestEngine:
         records: list[DayRecord] = []
         try:
             with ThreadPoolExecutor(max_workers=cfg.agents["workers"]) as pool:
-                self._run_days(prompts, ctx, days, records, pool)
+                self._run_days(beliefs, ctx, days, records, pool)
         except FinconError as exc:
             if self.writer is not None:
                 self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
@@ -741,7 +744,7 @@ class BacktestEngine:
                     cfg.memory["decay_ratios"]["manager"], None, layer="episodic")
         return trajectory
 
-    def _run_days(self, prompts: PromptSet, ctx: StepContext, days: list[Date],
+    def _run_days(self, beliefs: dict[str, str], ctx: StepContext, days: list[Date],
                   records: list[DayRecord], pool: ThreadPoolExecutor) -> None:
         cfg = self.config
         decay = cfg.memory["decay_ratios"]
@@ -757,10 +760,8 @@ class BacktestEngine:
                 role = self.analyst_ids[aid]
                 ticker = aid.split(":", 1)[1]
                 obs_slice = self._analyst_slice(role, ticker, obs, day)
-                belief = prompts.belief_block.get(ASPECT_FOR_ROLE[role])
-                return analyst_step(self.profiles[aid], prompts.analyst_prompts[aid],
-                                    belief, obs_slice, day, ctx,
-                                    decay[SOURCE_FOR_ROLE[role]])
+                return analyst_step(self.profiles[aid], beliefs.get(ASPECT_FOR_ROLE[role]),
+                                    obs_slice, day, ctx, decay[SOURCE_FOR_ROLE[role]])
 
             insights = {}
             for aid, (message, entry) in zip(instance_ids, pool.map(run_one, instance_ids)):
@@ -770,7 +771,7 @@ class BacktestEngine:
                     day_entries.append(entry)
 
             decision, entry = manager_step(
-                self.profiles[MANAGER], prompts, insights, risk_state, day, ctx,
+                self.profiles[MANAGER], beliefs, insights, risk_state, day, ctx,
                 cfg.tickers, instance_ids, decay["manager"])
             day_entries.append(entry)
             self.router.send(MANAGER, RISK_CONTROL, "decision")
@@ -858,7 +859,7 @@ def _write_report(writer: RunWriter, config: RunConfig,
 
 def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
           market: MarketData | None = None):
-    """Run the training stage; returns (final prompts, trajectories, updates).
+    """Run the training stage; returns (trajectories, belief updates).
 
     From episode 2 on, each completed episode triggers a belief update
     comparing it with its predecessor, whose insights are reused from the
@@ -872,11 +873,13 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     writer = RunWriter(run_dir)
     writer.write_config(config)
     engine = BacktestEngine(config, market, gateway, writer=writer)
-    prompts = PromptSet.initial(engine.profiles)
     trajectories: list[Trajectory] = []
     updates: list[BeliefUpdate] = []
     if config.backtest.get("resume"):
-        prompts, trajectories, updates = _resume_state(config, writer, engine, prompts)
+        trajectories, updates = _resume_state(config, writer, engine)
+
+    def beliefs() -> dict[str, str]:
+        return updates[-1].beliefs if updates else {}
 
     def converged() -> bool:
         return convergence_check([u.learning_rate for u in updates],
@@ -887,13 +890,13 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     while not converged():
         k = len(trajectories) + 1
-        trajectory = engine.run_episode(prompts, k, config.train_start, config.train_end)
+        trajectory = engine.run_episode(beliefs(), k, config.train_start, config.train_end)
         trajectories.append(trajectory)
         writer.write_trajectory(k, trajectory)
         writer.write_prompt_log(k, engine.prompt_log.pop(k, []))
         if k >= 2:
-            update, prompts = compare_and_update(
-                trajectories[-2], trajectory, prompts, gateway, engine.analyst_ids,
+            update = compare_and_update(
+                trajectories[-2], trajectory, beliefs(), gateway, engine.analyst_ids,
                 min_run=config.risk["min_run_length"],
                 max_retries=config.llm["max_retries"],
                 insights_prev=updates[-1].insights_cur if updates else None)
@@ -905,7 +908,7 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
                     engine.router.send(MANAGER, target, "belief_update")
         writer.write_checkpoint(k, engine.store, engine.router.counts_by_kind())
 
-    writer.write_prompt_set(prompts)
+    writer.write_prompt_set(beliefs())
     writer.write_memory(engine.store)
     _write_report(writer, config, trajectories[-1])
     writer.write_summary("train_summary.json", {
@@ -916,22 +919,27 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         "belief_update_calls": len(updates),
         "message_count": engine.router.count(),
     })
-    return prompts, trajectories, updates
+    return trajectories, updates
 
 
-def _prompt_set(payload, path: Path) -> PromptSet:
-    """The PromptSet a run file stores; SchemaError when its fields do not fit."""
+def read_belief_block(path: Path) -> dict[str, str]:
+    """The belief block of a training run's final prompt set; SchemaError
+    when the file holds none. Other fields, which earlier versions wrote,
+    are ignored."""
+    payload = read_json(path)
     try:
-        return PromptSet(**payload)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(0, None, f"{path}: not a prompt set ({exc})") from None
+        beliefs = payload["belief_block"]
+        check_belief_block(beliefs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(0, "belief_block", f"{path}: not a prompt set "
+                          f"({type(exc).__name__}: {exc})") from None
+    return beliefs
 
 
-def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
-                  prompts: PromptSet):
+def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine):
     """Rebuild the training state of the newest checkpoint from the run's
-    files, so training continues after an abort. Returns (prompts,
-    trajectories, belief updates); restores memory and message counts."""
+    files, so training continues after an abort. Returns (trajectories,
+    belief updates); restores memory and message counts."""
     run_dir = writer.run_dir
     last_done = 0
     for k in range(1, config.backtest["max_episodes"] + 1):
@@ -939,7 +947,7 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
                 (run_dir / "state" / f"checkpoint_{k}.json").exists():
             last_done = k
     if last_done == 0:
-        return prompts, [], []
+        return [], []
     checkpoint = run_dir / "state" / f"checkpoint_{last_done}.json"
     payload = read_json(checkpoint)
     counts = payload.get("message_counts") if isinstance(payload, dict) else None
@@ -961,11 +969,10 @@ def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine,
         record = read_json(path)
         try:
             updates.append(BeliefUpdate.from_record(record))
-            prompts = prompts.with_belief_block(updates[-1].beliefs)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(0, None, f"{path}: not a belief update "
                               f"({type(exc).__name__}: {exc})") from None
-    return prompts, trajectories, updates
+    return trajectories, updates
 
 
 def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
@@ -986,13 +993,13 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         raise MissingTrainingArtifacts(
             f"missing training artifacts under {train_dir} "
             "(expected prompts/final/prompt_set.json and memory/snapshot.jsonl)")
-    prompts = _prompt_set(read_json(prompt_path), prompt_path)
+    beliefs = read_belief_block(prompt_path)
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)
     store = MemoryStore.load_jsonl(memory_path, calendar=market.calendar)
     engine = BacktestEngine(config, market, gateway, store=store, writer=writer)
-    trajectory = engine.run_episode(prompts, "test", config.test_start, config.test_end)
+    trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end)
     writer.write_trajectory("test", trajectory)
     writer.write_prompt_log("test", engine.prompt_log.pop("test", []))
     report = _write_report(writer, config, trajectory)

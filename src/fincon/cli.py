@@ -99,7 +99,7 @@ def _cmd_train(args) -> int:
     config = _load_config(args)
     run_dir = _require_run_dir(args)
     gateway = _build_gateway(args, config)
-    prompts, trajectories, updates = backtest.train(config, gateway, run_dir)
+    trajectories, updates = backtest.train(config, gateway, run_dir)
     print(f"train: {len(trajectories)} episodes, {len(updates)} belief updates "
           f"-> {run_dir}", file=sys.stderr)
     return 0

@@ -32,7 +32,6 @@ from .errors import (
 from .llm_gateway import CompletionRequest, LlmGateway, step_key
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .agents import PromptSet
     from .backtest import Trajectory
 
 ASPECTS = ("historical momentum", "news insights", "Form 10-Q", "Form 10-K",
@@ -175,6 +174,18 @@ class ConceptInsight:
             raise ValueError(f"unknown aspect {self.aspect!r}")
 
 
+def check_belief_block(block) -> None:
+    """TypeError unless ``block`` maps aspects to belief texts; ValueError
+    for a key outside the aspect vocabulary."""
+    if not isinstance(block, dict):
+        raise TypeError(f"belief block must be an object, got {block!r}")
+    for aspect, text in block.items():
+        if aspect not in ASPECTS:
+            raise ValueError(f"belief_block key {aspect!r} not in the aspect vocabulary")
+        if not isinstance(text, str):
+            raise TypeError(f"belief for {aspect!r} must be a string, got {text!r}")
+
+
 @dataclass(frozen=True)
 class BeliefUpdate:
     episode_pair: tuple[int, int]
@@ -184,7 +195,11 @@ class BeliefUpdate:
     meta_prompt: str
     learning_rate: float
     target_agents: tuple[str, ...]
+    # the investment-belief block after this update, keyed by aspect
     beliefs: dict[str, str]
+
+    def __post_init__(self):
+        check_belief_block(self.beliefs)
 
     @classmethod
     def from_record(cls, rec: dict) -> "BeliefUpdate":
@@ -201,7 +216,7 @@ class BeliefUpdate:
             meta_prompt=rec["meta_prompt"],
             learning_rate=float(rate),
             target_agents=tuple(rec["target_agents"]),
-            beliefs=dict(rec["beliefs"]),
+            beliefs=rec["beliefs"],
         )
 
 
@@ -282,7 +297,7 @@ def aspects_in_text(text: str) -> list[str]:
     return [a for a in ASPECTS if a.lower() in lowered]
 
 
-def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", prompts: "PromptSet",
+def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[str, str],
                        gateway: LlmGateway, analysts: dict[str, str],
                        min_run: int = 2, max_retries: int = 2,
                        insights_prev: tuple[ConceptInsight, ...] | None = None):
@@ -292,9 +307,10 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", prompts: "Prom
     insights are given (the previous update's ``insights_cur``, so each
     episode is conceptualized once), computes the action-overlap learning
     rate, and runs a single temperature-0 gateway call that both states the
-    optimization direction (meta prompt) and rewrites the belief block with
-    edit aggressiveness scaled by the overlap. Returns (BeliefUpdate,
-    updated PromptSet). Tie on objectives prefers the current episode.
+    optimization direction (meta prompt) and rewrites the belief block
+    ``beliefs`` with edit aggressiveness scaled by the overlap. Returns the
+    BeliefUpdate, which holds the rewritten block. Tie on objectives prefers
+    the current episode.
     """
     if not h_prev.days or not h_cur.days:
         raise IncompleteEpisode("both episodes must contain trading days")
@@ -314,7 +330,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", prompts: "Prom
             return "(none)"
         return "\n".join(f"- {c.aspect}: {c.text}" for c in insights)
 
-    current_beliefs = json.dumps(prompts.belief_block, sort_keys=True)
+    current_beliefs = json.dumps(beliefs, sort_keys=True)
     user_prompt = (
         f"Episode {k_prev} objective value: {obj_prev!r}\n"
         f"Episode {k_cur} objective value: {obj_cur!r}\n"
@@ -342,11 +358,10 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", prompts: "Prom
     )
     parsed = gateway.complete(request).parsed
     meta_prompt = parsed["meta_prompt"]
-    beliefs = parsed["beliefs"]
     touched = aspects_in_text(meta_prompt)
     target_agents = ["manager"] + sorted(
         aid for aid, role in analysts.items() if ASPECT_FOR_ROLE.get(role) in touched)
-    update = BeliefUpdate(
+    return BeliefUpdate(
         episode_pair=(k_prev, k_cur),
         winner=winner,
         insights_prev=tuple(insights_prev),
@@ -354,6 +369,5 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", prompts: "Prom
         meta_prompt=meta_prompt,
         learning_rate=tau,
         target_agents=tuple(target_agents),
-        beliefs=dict(beliefs),
+        beliefs=dict(parsed["beliefs"]),
     )
-    return update, prompts.with_belief_block(dict(beliefs))

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 from datetime import date
 
 import pytest
@@ -12,7 +11,6 @@ from fincon.agents import (
     AgentProfile,
     AnalystSlice,
     InsightMessage,
-    PromptSet,
     Router,
     StepContext,
     TradingDecision,
@@ -24,7 +22,7 @@ from fincon.agents import (
     send_feedback,
     single_stock_weights,
 )
-from fincon.backtest import DEFAULT_DECAY_RATIOS, RunWriter
+from fincon.backtest import DEFAULT_DECAY_RATIOS
 from fincon.data_ingest import PriceBar, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
@@ -44,8 +42,8 @@ def make_ctx(entries=None, episode=1):
 
 
 def news_profile(ticker="SYN"):
-    return AgentProfile(agent_id=f"news_analyst:{ticker}", role="news_analyst",
-                        profile_text="news role", general_config="task intro")
+    return AgentProfile(agent_id=f"news_analyst:{ticker}", profile_text="news role",
+                        general_config="task intro")
 
 
 def doc(doc_id, body, kind="news", ticker="SYN", published=D0):
@@ -92,8 +90,7 @@ class TestProfiles:
     def test_exactly_one_manager_and_per_ticker_instances(self):
         profiles = build_profiles(["AAA", "BBB"], ["news_analyst", "data_analyst"],
                                   "general")
-        managers = [p for p in profiles.values() if p.role == MANAGER]
-        assert len(managers) == 1
+        assert profiles[MANAGER].agent_id == MANAGER
         assert set(profiles) == {MANAGER, "news_analyst:AAA", "news_analyst:BBB",
                                  "data_analyst:AAA", "data_analyst:BBB"}
 
@@ -103,32 +100,10 @@ class TestProfiles:
         assert profiles["news_analyst:AAA"].profile_text == "custom AAA text"
 
 
-class TestPromptSet:
-    def test_belief_vocabulary_enforced(self):
-        with pytest.raises(ValueError):
-            PromptSet(analyst_prompts={}, manager_prompt="m",
-                      belief_block={"astrology": "x"})
-
-    def test_round_trip(self, tmp_path):
-        ps = PromptSet(analyst_prompts={"a:SYN": "t"}, manager_prompt="m",
-                       belief_block={"ECC": "listen closely"})
-        RunWriter(tmp_path).write_prompt_set(ps)
-        payload = json.loads((tmp_path / "prompts" / "final" / "prompt_set.json").read_text())
-        assert payload == asdict(ps)
-        assert PromptSet(**payload) == ps
-
-    def test_with_belief_block_replaces_only_beliefs(self):
-        ps = PromptSet(analyst_prompts={"a:SYN": "t"}, manager_prompt="m",
-                       belief_block={})
-        updated = ps.with_belief_block({"ECC": "x"})
-        assert updated.analyst_prompts == ps.analyst_prompts
-        assert updated.belief_block == {"ECC": "x"}
-
-
 class TestAnalystStep:
     def test_day_with_no_news_yields_no_signal_without_gateway(self):
         ctx, backend = make_ctx()
-        message, entry = analyst_step(news_profile(), "prompt", None,
+        message, entry = analyst_step(news_profile(), None,
                                       AnalystSlice(ticker="SYN"), D0, ctx, 0.9)
         assert message.distilled_insight == NO_SIGNAL
         assert message.sentiment == "neutral"
@@ -150,7 +125,7 @@ class TestAnalystStep:
                 embedding=ctx.embedder.embed(content), initial_importance=0.5,
                 decay_ratio=0.9, created_at=date(2022, 3, 1)))
         slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"), doc("n2", "b")))
-        message, entry = analyst_step(news_profile(), "prompt", "belief text",
+        message, entry = analyst_step(news_profile(), "belief text",
                                       slice_, D0, ctx, 0.9)
         assert message.distilled_insight == "scripted insight"
         assert set(message.cited_memory_ids) == {"news_analyst:SYN:0:0",
@@ -171,9 +146,9 @@ class TestAnalystStep:
         key = f"1:{days[-1].isoformat()}:analyze"
         ctx, _ = make_ctx({("data_analyst:SYN", key): json.dumps(
             {"insight": "uptrend", "sentiment": "positive"})})
-        profile = AgentProfile(agent_id="data_analyst:SYN", role="data_analyst",
-                               profile_text="data role", general_config="task")
-        message, entry = analyst_step(profile, "prompt", None,
+        profile = AgentProfile(agent_id="data_analyst:SYN", profile_text="data role",
+                               general_config="task")
+        message, entry = analyst_step(profile, None,
                                       AnalystSlice(ticker="SYN",
                                                    indicators={"momentum": mom},
                                                    price_line="close=110.0"),
@@ -196,7 +171,7 @@ def insight(aid, ticker, text="view"):
 
 
 def manager_profile():
-    return AgentProfile(agent_id=MANAGER, role=MANAGER, profile_text="manager role",
+    return AgentProfile(agent_id=MANAGER, profile_text="manager role",
                         general_config="task intro")
 
 
@@ -211,10 +186,8 @@ def alerting_state():
 class TestManagerStep:
     def test_scripted_long_maps_to_unit_position(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
-        prompts = PromptSet(analyst_prompts={"data_analyst:SYN": "p"},
-                            manager_prompt="m", belief_block={})
         decision, entry = manager_step(
-            manager_profile(), prompts, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
+            manager_profile(), {}, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
             calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
         assert decision.directions == {"SYN": "long"}
         assert single_stock_weights(decision) == {"SYN": 1.0}
@@ -222,10 +195,8 @@ class TestManagerStep:
 
     def test_risk_alert_adds_risk_averse_clause(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "neutral"}))
-        prompts = PromptSet(analyst_prompts={"data_analyst:SYN": "p"},
-                            manager_prompt="m", belief_block={})
         decision, entry = manager_step(
-            manager_profile(), prompts, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
+            manager_profile(), {}, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
             alerting_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
         assert decision.directions == {"SYN": "neutral"}
         assert RISK_AVERSE_CLAUSE in entry["user"]
@@ -236,9 +207,7 @@ class TestManagerStep:
         ctx, _ = make_ctx(decide_entries(D0, actions))
         insights = {f"data_analyst:{t}": insight(f"data_analyst:{t}", t)
                     for t in tickers}
-        prompts = PromptSet(analyst_prompts={k: "p" for k in insights},
-                            manager_prompt="m", belief_block={})
-        decision, _ = manager_step(manager_profile(), prompts, insights, calm_state(),
+        decision, _ = manager_step(manager_profile(), {}, insights, calm_state(),
                                    D0, ctx, tickers, sorted(insights), 0.95)
         from fincon.portfolio import direction_bounds
         lo, hi = direction_bounds([decision.directions[t] for t in tickers])
@@ -247,16 +216,13 @@ class TestManagerStep:
 
     def test_missing_analyst_report(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
-        prompts = PromptSet(analyst_prompts={}, manager_prompt="m", belief_block={})
         with pytest.raises(MissingAnalystReport):
-            manager_step(manager_profile(), prompts, {}, calm_state(), D0, ctx,
+            manager_step(manager_profile(), {}, {}, calm_state(), D0, ctx,
                          ["SYN"], ["data_analyst:SYN"], 0.95)
 
     def test_decision_stored_in_manager_memory(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
-        prompts = PromptSet(analyst_prompts={"data_analyst:SYN": "p"},
-                            manager_prompt="m", belief_block={})
-        manager_step(manager_profile(), prompts,
+        manager_step(manager_profile(), {},
                      {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
                      calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
         stored = ctx.store.get(f"manager:1:{D0.isoformat()}:decision")
@@ -264,10 +230,7 @@ class TestManagerStep:
 
     def test_beliefs_rendered_into_system_prompt(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
-        prompts = PromptSet(analyst_prompts={"data_analyst:SYN": "p"},
-                            manager_prompt="m",
-                            belief_block={"news insights": "trust headlines"})
-        _, entry = manager_step(manager_profile(), prompts,
+        _, entry = manager_step(manager_profile(), {"news insights": "trust headlines"},
                                 {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
                                 calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
         assert "trust headlines" in entry["system"]

@@ -373,7 +373,7 @@ class TestEngineSingleStock:
             directions_fn=constant_directions("neutral"),
             analyst_roles=("data_analyst",))
         config = RunConfig.load(fix.config_path)
-        _, trajs, updates = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, updates = backtest.train(config, make_gateway(fix), tmp_path / "run")
         assert updates == []
         traj = trajs[0]
         assert [d.pnl for d in traj.days] == [0.0] * 5
@@ -389,7 +389,7 @@ class TestEngineSingleStock:
             directions_fn=constant_directions("long"),
             analyst_roles=("data_analyst",))
         config = RunConfig.load(fix.config_path)
-        _, trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
         traj = trajs[0]
         reflected = [(i, d) for i, d in enumerate(traj.days) if d.reflections]
         assert len(reflected) == 1
@@ -404,7 +404,7 @@ class TestEngineSingleStock:
             directions_fn=constant_directions("long"),
             analyst_roles=("data_analyst",))
         config = RunConfig.load(fix.config_path)
-        _, trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
         closes = fix.train_closes()
         want = 100.0 * math.log(closes[-1] / closes[0])
         assert abs(cumulative_return(trajs[0].pnls()) - want) < 1e-12
@@ -413,7 +413,7 @@ class TestEngineSingleStock:
         fix = build_single_stock_fixture(tmp_path, n_train=18, episodes=1,
                                          analyst_roles=("data_analyst",))
         config = RunConfig.load(fix.config_path)
-        _, trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
         trace = fix.traces[1]
         for got, want in zip(trajs[0].days, trace):
             assert abs(got.pnl - want.pnl) < 1e-12
@@ -466,7 +466,7 @@ class TestEngineSingleStock:
                 e["response"] = json.dumps(resp)
         fix.script_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
         config = RunConfig.load(fix.config_path)
-        _, trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
         assert trajs[0].days[3].cited_memory_ids == [cited]
         snapshot = (tmp_path / "run" / "memory" / "snapshot.jsonl").read_text()
         assert cited in snapshot
@@ -480,11 +480,9 @@ class TestEngineSingleStock:
         writer = backtest.RunWriter(tmp_path / "run")
         writer.write_config(config)
         engine = backtest.BacktestEngine(config, market, gateway, writer=writer)
-        from fincon.agents import PromptSet
-        prompts = PromptSet.initial(engine.profiles)
         trajs = []
         for k in (1, 2):
-            trajs.append(engine.run_episode(prompts, k, config.train_start,
+            trajs.append(engine.run_episode({}, k, config.train_start,
                                             config.train_end))
         n_instances = len(engine.analyst_ids)
         expected = 0
@@ -509,7 +507,7 @@ class TestEnginePortfolio:
         config_path, script, days, closes, range_days = build_portfolio_fixture(tmp_path)
         config = RunConfig.load(config_path)
         gateway = LlmGateway(load_mock_script(script))
-        _, trajs, _ = backtest.train(config, gateway, tmp_path / "run")
+        trajs, _ = backtest.train(config, gateway, tmp_path / "run")
         traj = trajs[0]
         idx = {d: i for i, d in enumerate(days)}
         for day in traj.days:
@@ -557,7 +555,7 @@ class TestTrainTestDrivers:
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1,
                                          analyst_roles=("data_analyst",))
         config = RunConfig.load(fix.config_path)
-        _, trajs, updates = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, updates = backtest.train(config, make_gateway(fix), tmp_path / "run")
         assert len(trajs) == 1
         assert updates == []
         summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
@@ -567,7 +565,7 @@ class TestTrainTestDrivers:
         fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=4,
                                          news_every=4)
         config = RunConfig.load(fix.config_path)
-        _, trajs, updates = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        trajs, updates = backtest.train(config, make_gateway(fix), tmp_path / "run")
         assert len(trajs) == 4
         assert len(updates) == 3
         for k in (2, 3, 4):

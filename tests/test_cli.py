@@ -256,6 +256,31 @@ class TestTestCommand:
         assert summary["belief_update_calls"] == 0
 
 
+    def test_test_stage_adds_an_analyst_role_training_lacked(self, tmp_path):
+        """The test stage reads its agents' texts from its own config, so a
+        role that training did not run still gets the inherited belief for
+        its aspect."""
+        fix = build_fixture(tmp_path, n_test=4, news_every=2,
+                            analyst_roles=("news_analyst", "data_analyst"))
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir),
+                     "--override", 'agents.analyst_roles=["data_analyst"]']) == 0
+        assert main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"]) == 0
+        entries = [json.loads(line) for line in (
+            tmp_path / "test_run" / "prompts" / "assembled_test.jsonl").read_text().splitlines()]
+        news = [e for e in entries if e["agent_id"] == "news_analyst:SYN"]
+        assert news
+        for entry in news:
+            assert entry["system"].endswith(
+                "Current investment belief for your aspect:\n"
+                "v2: trust sentiment only with volume."), entry["date"]
+
     def test_corrupt_inherited_snapshot_exit_one(self, tmp_path, capsys):
         fix = build_fixture(tmp_path, n_test=4)
         train_dir = tmp_path / "train_run"
@@ -302,9 +327,15 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda data: data[:-40], "prompt_set.json: invalid JSON"),
-        (lambda data: data.replace(b'"manager_prompt"', b'"manager_text"'),
-         "prompt_set.json: not a prompt set"),
-    ], ids=["truncated", "renamed_field"])
+        (lambda data: data.replace(b'"belief_block"', b'"beliefs"'),
+         "prompt_set.json: not a prompt set (KeyError"),
+        (lambda data: b'{"belief_block": {"astrology": "read the stars"}}',
+         "prompt_set.json: not a prompt set (ValueError: belief_block key 'astrology'"),
+        (lambda data: b'{"belief_block": {"ECC": 5}}',
+         "prompt_set.json: not a prompt set (TypeError"),
+        (lambda data: b'[]', "prompt_set.json: not a prompt set (TypeError"),
+    ], ids=["truncated", "renamed_field", "unknown_aspect", "numeric_belief",
+            "json_array"])
     def test_corrupt_inherited_prompt_set_exit_one(self, tmp_path, capsys, corrupt,
                                                    message):
         fix = build_fixture(tmp_path, n_test=4)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fincon.agents import PromptSet
+from fincon import backtest
 from fincon.backtest import DayRecord, RunWriter, Trajectory
 from fincon.errors import (
     AlphaOutOfRange,
@@ -275,11 +275,6 @@ def belief_backend(meta="Focus on historical momentum and news insights."):
     })
 
 
-def make_prompts():
-    return PromptSet(analyst_prompts={"data_analyst:SYN": "d", "news_analyst:SYN": "n"},
-                     manager_prompt="m", belief_block={})
-
-
 ANALYSTS = {"data_analyst:SYN": "data_analyst", "news_analyst:SYN": "news_analyst"}
 
 
@@ -287,44 +282,42 @@ class TestCompareAndUpdate:
     def test_winner_is_argmax(self):
         prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
         cur = make_trajectory([0.03, 0.04], episode=2, objective=2.0)
-        update, _ = compare_and_update(prev, cur, make_prompts(),
+        update = compare_and_update(prev, cur, {},
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.winner == 2
         prev.objective, cur.objective = 2.0, 1.0
-        update, _ = compare_and_update(prev, cur, make_prompts(),
+        update = compare_and_update(prev, cur, {},
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.winner == 1
 
     def test_tie_prefers_current_episode(self):
         prev = make_trajectory([0.01, 0.02], episode=3, objective=1.5)
         cur = make_trajectory([0.01, 0.02], episode=4, objective=1.5)
-        update, _ = compare_and_update(prev, cur, make_prompts(),
+        update = compare_and_update(prev, cur, {},
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.winner == 4
 
     def test_update_structure_matches_reported_aspect_set(self):
         prev = make_trajectory([0.01, 0.02, -0.01, -0.02], episode=1, objective=1.0)
         cur = make_trajectory([0.02, 0.01, 0.01, -0.02], episode=2, objective=2.0)
-        update, prompts = compare_and_update(prev, cur, make_prompts(),
-                                             LlmGateway(belief_backend()), ANALYSTS)
+        update = compare_and_update(prev, cur, {}, LlmGateway(belief_backend()), ANALYSTS)
         assert set(update.beliefs) == {"historical momentum", "news insights",
                                        "Form 10-Q", "other aspects"}
-        assert prompts.belief_block == update.beliefs
 
     def test_learning_rate_is_action_overlap(self):
         prev = make_trajectory([0.01] * 4, episode=1, objective=1.0,
                                directions=["long", "long", "long", "long"])
         cur = make_trajectory([0.01] * 4, episode=2, objective=2.0,
                               directions=["long", "short", "long", "short"])
-        update, _ = compare_and_update(prev, cur, make_prompts(),
+        update = compare_and_update(prev, cur, {},
                                        LlmGateway(belief_backend()), ANALYSTS)
         assert update.learning_rate == 0.5
 
     def test_target_agents_from_meta_prompt_aspects(self):
         prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
         cur = make_trajectory([0.01, 0.02], episode=2, objective=2.0)
-        update, _ = compare_and_update(
-            prev, cur, make_prompts(),
+        update = compare_and_update(
+            prev, cur, {},
             LlmGateway(belief_backend(meta="Lean harder on news insights only.")),
             ANALYSTS)
         assert update.target_agents == ("manager", "news_analyst:SYN")
@@ -333,7 +326,7 @@ class TestCompareAndUpdate:
         prev = make_trajectory([0.01] * 4, episode=1, objective=1.0, directions=["long"] * 4)
         cur = make_trajectory([0.01] * 4, episode=2, objective=2.0, directions=["short"] * 4)
         backend = belief_backend()
-        compare_and_update(prev, cur, make_prompts(),
+        compare_and_update(prev, cur, {},
                            LlmGateway(backend), ANALYSTS)
         update_prompt = backend.requests[-1].user_prompt
         assert "Substantially rewrite" in update_prompt
@@ -342,7 +335,7 @@ class TestCompareAndUpdate:
         prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
         cur = Trajectory(episode=2, days=[])
         with pytest.raises(IncompleteEpisode):
-            compare_and_update(prev, cur, make_prompts(),
+            compare_and_update(prev, cur, {},
                                LlmGateway(belief_backend()), ANALYSTS)
 
 
@@ -360,6 +353,27 @@ class TestTypes:
     def test_concept_insight_rejects_unknown_aspect(self):
         with pytest.raises(ValueError):
             ConceptInsight(aspect="astrology", text="x")
+
+    def test_belief_update_rejects_unknown_aspect(self):
+        with pytest.raises(ValueError, match="belief_block key 'astrology'"):
+            BeliefUpdate(episode_pair=(1, 2), winner=2, insights_prev=(), insights_cur=(),
+                         meta_prompt="m", learning_rate=0.5, target_agents=("manager",),
+                         beliefs={"astrology": "x"})
+
+    def test_final_belief_block_round_trip(self, tmp_path):
+        beliefs = {"ECC": "listen closely"}
+        RunWriter(tmp_path).write_prompt_set(beliefs)
+        path = tmp_path / "prompts" / "final" / "prompt_set.json"
+        assert json.loads(path.read_text()) == {"belief_block": beliefs}
+        assert backtest.read_belief_block(path) == beliefs
+
+    def test_earlier_prompt_set_reads_its_belief_block(self, tmp_path):
+        """Training runs of earlier versions also stored the profile texts."""
+        path = tmp_path / "prompt_set.json"
+        path.write_text(json.dumps({"analyst_prompts": {"data_analyst:SYN": "d"},
+                                    "belief_block": {"ECC": "listen closely"},
+                                    "manager_prompt": "m"}))
+        assert backtest.read_belief_block(path) == {"ECC": "listen closely"}
 
     def test_belief_update_serializes(self, tmp_path):
         update = BeliefUpdate(
