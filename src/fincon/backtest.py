@@ -502,7 +502,14 @@ class DayRecord:
     def from_record(cls, rec: dict) -> "DayRecord":
         """The day a trajectory record holds; KeyError, TypeError or
         ValueError when the record does not describe one."""
-        return cls(**{**rec, "date": parse_date(rec["date"])})
+        day = cls(**{**rec, "date": parse_date(rec["date"])})
+        for name in ("pnl", "cvar"):
+            value = getattr(day, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+        if not isinstance(day.alert, bool):
+            raise TypeError(f"alert must be true or false, got {day.alert!r}")
+        return day
 
 
 @dataclass

@@ -369,8 +369,11 @@ class TestReport:
         (edit_first_record(date="2022-13-01"), "row 1 is not a day record (ValueError"),
         (edit_first_record(date=None), "row 1 is not a day record (KeyError"),
         (lambda lines: ["[1, 2]"] + lines[1:], "row 1 is not a day record (TypeError"),
+        (edit_first_record(pnl="x"), "row 1 is not a day record (TypeError: pnl"),
+        (edit_first_record(cvar=True), "row 1 is not a day record (TypeError: cvar"),
+        (edit_first_record(alert=1), "row 1 is not a day record (TypeError: alert"),
     ], ids=["invalid_json", "missing_field", "extra_field", "bad_date", "no_date",
-            "json_array"])
+            "json_array", "text_pnl", "bool_cvar", "numeric_alert"])
     def test_corrupt_trajectory_exit_one(self, tmp_path, capsys, corrupt, message):
         fix = build_fixture(tmp_path)
         run_dir = tmp_path / "run"
