@@ -147,6 +147,76 @@ DEFAULTS = {
 }
 
 
+@dataclass(frozen=True)
+class Bound:
+    """The type and interval a numeric config key must take: a finite number
+    (an integer when ``kind`` is int) from ``low`` to ``high``, each end
+    included unless it is open or infinite."""
+
+    kind: type
+    low: float = -math.inf
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+
+    def admits(self, value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, int if self.kind is int
+                                                     else (int, float)):
+            return False
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        return ((self.low < value) if self.low_open else (self.low <= value)) and \
+            ((value < self.high) if self.high_open else (value <= self.high))
+
+    def __str__(self) -> str:
+        left = "(" if self.low_open or self.low == -math.inf else "["
+        right = ")" if self.high_open or self.high == math.inf else "]"
+        kind = "an integer" if self.kind is int else "a number"
+        return f"{kind} in {left}{self.low:g}, {self.high:g}{right}"
+
+
+# every numeric config key; the memory.decay_ratios bound holds for each
+# document kind's ratio
+CONFIG_BOUNDS = {
+    "data_ingest.momentum_window": Bound(int, 1),
+    "memory.top_k": Bound(int, 1),
+    "memory.default_importance": Bound(float, 0, 1),
+    "memory.decay_ratios": Bound(float, 0, 1, low_open=True, high_open=True),
+    "llm.temperature_decision": Bound(float, 0),
+    "llm.max_retries": Bound(int, 0),
+    "llm.min_interval": Bound(float, 0),
+    "agents.workers": Bound(int, 1),
+    "risk.cvar_alpha": Bound(float, 0, 1, low_open=True, high_open=True),
+    "risk.min_cvar_history": Bound(int, 0),
+    "risk.min_run_length": Bound(int, 1),
+    "risk.convergence_tau": Bound(float, 0, 1),
+    "risk.convergence_epsilon": Bound(float),
+    "portfolio.shrinkage_lambda": Bound(float, 0, 1),
+    "portfolio.estimation_window": Bound(int, 2),
+    "portfolio.min_news": Bound(int, 0),
+    "portfolio.pool_size": Bound(int, 1),
+    "backtest.discount_alpha": Bound(float, 0, 1, low_open=True),
+    "backtest.max_episodes": Bound(int, 1),
+    "backtest.capital": Bound(float, 0, low_open=True),
+    "backtest.position_size": Bound(float, 0, 1, low_open=True),
+    "backtest.risk_free_daily": Bound(float),
+    "backtest.feedback_threshold_mult": Bound(float, 0),
+    "backtest.feedback_window": Bound(int, 2),
+}
+
+
+def _check_bounds(sections: dict) -> None:
+    """ConfigError naming the first numeric key outside its CONFIG_BOUNDS."""
+    for key, bound in CONFIG_BOUNDS.items():
+        section, name = key.split(".")
+        value = sections[section][name]
+        named = ({f"{key}.{kind}": v for kind, v in value.items()}
+                 if name == "decay_ratios" else {key: value})
+        for label, v in named.items():
+            if not bound.admits(v):
+                raise ConfigError(f"{label} must be {bound}, got {v!r}")
+
+
 def _merge_defaults(section: str, user: object) -> dict:
     if not isinstance(user, dict):
         raise ConfigError(f"{section} must be a JSON object, got {user!r}")
@@ -157,6 +227,9 @@ def _merge_defaults(section: str, user: object) -> dict:
         if key == "decay_ratios":
             if not isinstance(value, dict):
                 raise ConfigError(f"memory.decay_ratios must be a JSON object, got {value!r}")
+            for kind in value:
+                if kind not in DEFAULT_DECAY_RATIOS:
+                    raise ConfigError(f"unknown key memory.decay_ratios.{kind}")
             ratios = dict(DEFAULT_DECAY_RATIOS)
             ratios.update(value)
             value = ratios
@@ -238,6 +311,18 @@ class RunConfig:
             for name in ("data_ingest", "memory", "llm", "agents", "risk",
                          "portfolio", "backtest")
         }
+        _check_bounds(sections)
+        roles = sections["agents"]["analyst_roles"]
+        if not isinstance(roles, list) or not all(r in DAILY_ANALYST_ROLES for r in roles):
+            raise ConfigError(f"agents.analyst_roles must be a list of analyst roles "
+                              f"{list(DAILY_ANALYST_ROLES)}, got {roles!r}")
+        for name in ("profile_texts", "profile_files"):
+            entries = sections["agents"][name]
+            if not isinstance(entries, dict) or not all(
+                    role in (MANAGER, *DAILY_ANALYST_ROLES) and isinstance(text, str)
+                    for role, text in entries.items()):
+                raise ConfigError(f"agents.{name} must map agent roles to strings, "
+                                  f"got {entries!r}")
         # profile texts may live in referenced plain-text files
         texts = dict(sections["agents"]["profile_texts"])
         for role, rel in sections["agents"]["profile_files"].items():
@@ -246,21 +331,6 @@ class RunConfig:
                 raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found")
             texts[role] = file_path.read_text()
         sections["agents"]["profile_texts"] = texts
-        for key in ("discount_alpha", "position_size"):
-            value = sections["backtest"][key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0.0 < value <= 1.0:
-                raise ConfigError(f"backtest.{key} must be in (0,1], got {value!r}")
-        cvar_alpha = sections["risk"]["cvar_alpha"]
-        if not 0.0 < cvar_alpha < 1.0:
-            raise ConfigError(f"risk.cvar_alpha must be in (0,1), got {cvar_alpha}")
-        for role in sections["agents"]["analyst_roles"]:
-            if role not in DAILY_ANALYST_ROLES:
-                raise ConfigError(f"unknown analyst role {role!r}")
-        for name, key in (("backtest", "max_episodes"), ("agents", "workers")):
-            value = sections[name][key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name}.{key} must be an integer >= 1, got {value!r}")
         return cls(
             mode=mode, tickers=tickers, price_paths=prices, document_paths=documents,
             train_start=train_start, train_end=train_end,

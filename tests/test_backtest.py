@@ -351,6 +351,26 @@ class TestRunConfig:
         for name, defaults in backtest.DEFAULTS.items():
             assert documented[name] == defaults, name
 
+    def test_readme_bounds_table_matches_config_bounds(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| `")]
+        documented = {key.strip().strip("`"): text.strip() for key, text in rows}
+        assert documented == {key: str(bound)
+                              for key, bound in backtest.CONFIG_BOUNDS.items()}
+
+    @pytest.mark.parametrize("key, admitted, rejected", [
+        ("backtest.position_size", [1, 1.0, 1e-9], [0, 1.5, True, "1", float("nan")]),
+        ("risk.cvar_alpha", [0.5], [0.0, 1.0, None]),
+        ("agents.workers", [1, 64], [0, 1.0, False]),
+        ("backtest.risk_free_daily", [-0.01, 0, 0.01], [float("inf"), float("-inf")]),
+    ])
+    def test_bounds_admit_their_interval_only(self, key, admitted, rejected):
+        bound = backtest.CONFIG_BOUNDS[key]
+        assert all(bound.admits(v) for v in admitted)
+        assert not any(bound.admits(v) for v in rejected)
+
     def test_bad_discount_alpha(self, tmp_path):
         payload = minimal_payload(tmp_path)
         payload["backtest"] = {"discount_alpha": 0.0}

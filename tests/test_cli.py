@@ -189,6 +189,19 @@ class TestTrain:
         "agents.workers=1.5",
         "backtest.position_size=2",
         "backtest.position_size=-1",
+        "risk.cvar_alpha=x",
+        "memory.top_k=0",
+        'memory.decay_ratios={"news": 1.5}',
+        'memory.decay_ratios={"newz": 0.5}',
+        "memory.default_importance=2",
+        "backtest.capital=0",
+        "backtest.capital=NaN",
+        "data_ingest.momentum_window=0",
+        'agents.profile_texts={"manager": 5}',
+        'agents.profile_texts={"astrologer": "Read {tickers}."}',
+        "agents.analyst_roles=5",
+        "llm.max_retries=-1",
+        "backtest.feedback_window=0",
     ])
     def test_invalid_override_exit_one(self, tmp_path, capsys, override):
         fix = build_fixture(tmp_path)
