@@ -18,6 +18,7 @@ from . import backtest, portfolio
 from .errors import (
     ConfigError,
     FinconError,
+    LengthMismatch,
     MissingTrainingArtifacts,
     MissingTrajectory,
     NonMonotoneDates,
@@ -128,17 +129,20 @@ def _cmd_select_stocks(args) -> int:
     config = _load_config(args)
     run_dir = _require_run_dir(args)
     market = backtest.load_market(config)
+    # no look-ahead: only news published and bars dated through train_end
     news_counts = {t: 0 for t in config.price_paths}
     for docs in market.docs_by_attach.values():
         for doc in docs:
-            if doc.kind == "news" and doc.ticker in news_counts:
+            if doc.kind == "news" and doc.ticker in news_counts \
+                    and doc.published <= config.train_end:
                 news_counts[doc.ticker] += 1
-    candidates = []
-    for ticker in sorted(config.price_paths):
-        history = market.log_returns_to(ticker, market.calendar[-1])
-        candidates.append((ticker, news_counts[ticker], history))
-    selected = portfolio.select_stocks(candidates, config.portfolio["pool_size"],
-                                       config.portfolio["min_news"])
+    candidates = [(t, news_counts[t], market.log_returns_to(t, config.train_end))
+                  for t in sorted(config.price_paths)]
+    try:
+        selected = portfolio.select_stocks(candidates, config.portfolio["pool_size"],
+                                           config.portfolio["min_news"])
+    except LengthMismatch as exc:
+        raise ConfigError(f"select-stocks through {config.train_end}: {exc}") from None
     writer = backtest.RunWriter(run_dir)
     writer.write_summary("selected_stocks.json", {
         "selected": selected,

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     InsufficientCandidates,
     InsufficientSamples,
+    LengthMismatch,
     NonPositivePrice,
     NonPSDMatrix,
     SolverNonConvergence,
@@ -209,9 +210,10 @@ def select_stocks(candidates: list[tuple[str, int, np.ndarray]], n: int,
     if len(survivors) < n:
         raise InsufficientCandidates(
             f"{len(survivors)} candidates pass the news filter, need {n}")
-    lengths = {len(r) for _, r in survivors}
-    if len(lengths) > 1:
-        raise ValueError("return histories must have equal lengths")
+    lengths = {t: len(r) for t, r in survivors}
+    if len(set(lengths.values())) > 1:
+        raise LengthMismatch("return histories differ in length: " + ", ".join(
+            f"{t} {n}" for t, n in sorted(lengths.items())))
     survivors.sort(key=lambda x: x[0])
     names = [t for t, _ in survivors]
     if n == 1:

@@ -413,22 +413,36 @@ class TestReport:
 
 
 class TestSelectStocks:
-    def _build(self, tmp_path):
+    def _build(self, tmp_path, phase_after_train_end=None, news_after_train_end=(),
+               missing_bar=None):
+        """Four tickers over 40 days, training through day 20. Each ticker's
+        daily return follows a sine phase; ``phase_after_train_end`` gives
+        tickers another phase after day 20. ``news_after_train_end`` tickers
+        get five more news items after day 20, and ``missing_bar`` drops one
+        ticker's bar (ticker, day index)."""
         root = tmp_path / "sel"
-        root.mkdir()
+        root.mkdir(parents=True)
         days = trading_days(date(2022, 1, 3), 40)
         import math
         tickers = ["AAA", "BBB", "CCC", "DDD"]
         for j, t in enumerate(tickers):
-            closes = [100.0 * math.exp(sum(0.01 * math.sin(0.9 * i + 2.1 * j)
+            phases = [(phase_after_train_end or {}).get(t, j) if i > 20 else j
+                      for i in range(40)]
+            closes = [100.0 * math.exp(sum(0.01 * math.sin(0.9 * i + 2.1 * phases[i])
                                            for i in range(k))) for k in range(40)]
-            write_price_csv(root / f"{t}.csv", days, closes)
+            kept = [i for i in range(40) if missing_bar != (t, i)]
+            write_price_csv(root / f"{t}.csv", [days[i] for i in kept],
+                            [closes[i] for i in kept])
         docs = []
         counts = {"AAA": 5, "BBB": 5, "CCC": 5, "DDD": 1}
         for t, count in counts.items():
             for i in range(count):
                 docs.append({"doc_id": f"{t}-n{i}", "ticker": t, "kind": "news",
                              "published": days[2 + i].isoformat(), "body": "x"})
+        for t in news_after_train_end:
+            for i in range(5):
+                docs.append({"doc_id": f"{t}-late{i}", "ticker": t, "kind": "news",
+                             "published": days[25 + i].isoformat(), "body": "x"})
         write_documents(root / "docs.jsonl", docs)
         payload = {
             "mode": "train",
@@ -463,6 +477,29 @@ class TestSelectStocks:
         first = (run_dir / "selected_stocks.json").read_bytes()
         main(["select-stocks", "--config", str(config), "--run-dir", str(run_dir)])
         assert (run_dir / "selected_stocks.json").read_bytes() == first
+
+    def test_selection_ignores_data_after_train_end(self, tmp_path):
+        """Bars and news after train_end, which BBB and DDD gain here, change
+        neither the news counts nor the pick."""
+        picks = []
+        for name, kwargs in (("same", {}),
+                             ("diverged", {"phase_after_train_end": {"BBB": 2},
+                                           "news_after_train_end": ("DDD",)})):
+            config = self._build(tmp_path / name, **kwargs)
+            assert main(["select-stocks", "--config", str(config),
+                         "--run-dir", str(tmp_path / name / "run")]) == 0
+            out = json.loads((tmp_path / name / "run" / "selected_stocks.json").read_text())
+            assert out["news_counts"]["DDD"] == 1
+            picks.append(out["selected"])
+        assert picks[0] == picks[1]
+
+    def test_unequal_return_histories_exit_one_naming_them(self, tmp_path, capsys):
+        config = self._build(tmp_path, missing_bar=("CCC", 10))
+        code = main(["select-stocks", "--config", str(config),
+                     "--run-dir", str(tmp_path / "sel_run")])
+        assert code == 1
+        assert "return histories differ in length: AAA 20, BBB 20, CCC 19" \
+            in capsys.readouterr().err
 
 
 class TestArgumentHandling:
