@@ -160,13 +160,13 @@ class Bound:
     high_open: bool = False
 
     def admits(self, value) -> bool:
-        if isinstance(value, bool) or not isinstance(value, int if self.kind is int
-                                                     else (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, self.kind)):
             return False
         if isinstance(value, float) and not math.isfinite(value):
             return False
-        return ((self.low < value) if self.low_open else (self.low <= value)) and \
-            ((value < self.high) if self.high_open else (value <= self.high))
+        above = self.low < value if self.low_open else self.low <= value
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
 
     def __str__(self) -> str:
         left = "(" if self.low_open or self.low == -math.inf else "["
