@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
@@ -90,63 +91,6 @@ TRADING_DAYS_PER_YEAR = 252
 # configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_DECAY_RATIOS = {
-    "news": 0.90,
-    "ecc_transcript": 0.97,
-    "form10q": 0.97,
-    "form10k": 0.99,
-    "analyst_report": 0.95,
-    "data": 0.90,
-    "manager": 0.95,
-}
-
-DEFAULTS = {
-    "data_ingest": {"momentum_window": 20},
-    "memory": {
-        "top_k": 5,
-        "default_importance": 0.5,
-        "decay_ratios": DEFAULT_DECAY_RATIOS,
-    },
-    "llm": {
-        "temperature_decision": 0.3,
-        "max_retries": 2,
-        "min_interval": 0.0,
-    },
-    "agents": {
-        "analyst_roles": list(DAILY_ANALYST_ROLES),
-        "workers": 2,
-        "general_config": "",
-        "profile_texts": {},
-        "profile_files": {},
-    },
-    "risk": {
-        "cvar_alpha": 0.01,
-        "min_cvar_history": 10,
-        "min_run_length": 2,
-        "convergence_tau": 0.8,
-        "convergence_epsilon": 1e-6,
-    },
-    "portfolio": {
-        "shrinkage_lambda": 0.3,
-        "estimation_window": 60,
-        "min_news": 800,
-        "pool_size": 3,
-    },
-    "backtest": {
-        "discount_alpha": 1.0,
-        "max_episodes": 4,
-        "capital": 100_000.0,
-        "position_size": 1.0,
-        "risk_free_daily": 0.0,
-        "annualize_sharpe": False,
-        "feedback_threshold_mult": 2.0,
-        "feedback_window": 20,
-        "train_run_dir": None,
-        "resume": False,
-    },
-}
-
-
 @dataclass(frozen=True)
 class Bound:
     """The type and interval a numeric config key must take: a finite number
@@ -175,66 +119,141 @@ class Bound:
         return f"{kind} in {left}{self.low:g}, {self.high:g}{right}"
 
 
-# every numeric config key; the memory.decay_ratios bound holds for each
-# document kind's ratio
-CONFIG_BOUNDS = {
-    "data_ingest.momentum_window": Bound(int, 1),
-    "memory.top_k": Bound(int, 1),
-    "memory.default_importance": Bound(float, 0, 1),
-    "memory.decay_ratios": Bound(float, 0, 1, low_open=True, high_open=True),
-    "llm.temperature_decision": Bound(float, 0),
-    "llm.max_retries": Bound(int, 0),
-    "llm.min_interval": Bound(float, 0),
-    "agents.workers": Bound(int, 1),
-    "risk.cvar_alpha": Bound(float, 0, 1, low_open=True, high_open=True),
-    "risk.min_cvar_history": Bound(int, 0),
-    "risk.min_run_length": Bound(int, 1),
-    "risk.convergence_tau": Bound(float, 0, 1),
-    "risk.convergence_epsilon": Bound(float),
-    "portfolio.shrinkage_lambda": Bound(float, 0, 1),
-    "portfolio.estimation_window": Bound(int, 2),
-    "portfolio.min_news": Bound(int, 0),
-    "portfolio.pool_size": Bound(int, 1),
-    "backtest.discount_alpha": Bound(float, 0, 1, low_open=True),
-    "backtest.max_episodes": Bound(int, 1),
-    "backtest.capital": Bound(float, 0, low_open=True),
-    "backtest.position_size": Bound(float, 0, 1, low_open=True),
-    "backtest.risk_free_daily": Bound(float),
-    "backtest.feedback_threshold_mult": Bound(float, 0),
-    "backtest.feedback_window": Bound(int, 2),
+@dataclass(frozen=True)
+class Kind:
+    """What a non-numeric config value must be: ``text`` says it, in error
+    messages and the README, and ``admits`` tests a value."""
+
+    text: str
+    admits: Callable[[object], bool]
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_date(value) -> bool:
+    if not isinstance(value, str):
+        return False
+    try:
+        parse_date(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _list_of(item: Callable[[object], bool], text: str, min_len: int = 0) -> Kind:
+    return Kind(text, lambda v: isinstance(v, list) and len(v) >= min_len
+                and all(map(item, v)))
+
+
+def _map_of(keys: tuple | None, value: Callable[[object], bool], text: str) -> Kind:
+    """A JSON object whose keys are among ``keys`` (any key for None) and
+    whose values ``value`` admits."""
+    return Kind(text, lambda v: isinstance(v, dict) and all(
+        (keys is None or k in keys) and value(x) for k, x in v.items()))
+
+
+BOOL = Kind("true or false", lambda v: isinstance(v, bool))
+DATE = Kind("a date Y-M-D", _is_date)
+ROLE_TEXTS = _map_of((MANAGER, *DAILY_ANALYST_ROLES), _is_str,
+                     "a map of manager or analyst roles to strings")
+# the memory sources a decay ratio keys: each analyst role's source, and the
+# manager's own events
+DECAY_SOURCES = (*SOURCE_FOR_ROLE.values(), MANAGER)
+
+# every key of the config document: dotted key -> (default, kind). A key
+# whose kind rejects its default (tickers, dates) must be given; a map merges
+# onto its default.
+CONFIG_SCHEMA = {
+    "mode": ("train", Kind("train or test", lambda v: v in ("train", "test"))),
+    "tickers": ([], _list_of(_is_str, "a non-empty list of ticker strings", min_len=1)),
+    "data.prices": ({}, _map_of(None, _is_str, "a map of tickers to path strings")),
+    "data.documents": ([], _list_of(_is_str, "a list of path strings")),
+    "dates.train_start": (None, DATE),
+    "dates.train_end": (None, DATE),
+    "dates.test_start": (None, DATE),
+    "dates.test_end": (None, DATE),
+    "seed": (None, Kind("an integer or null",
+                        lambda v: v is None or isinstance(v, int) and not isinstance(v, bool))),
+    "data_ingest.momentum_window": (20, Bound(int, 1)),
+    "memory.top_k": (5, Bound(int, 1)),
+    "memory.default_importance": (0.5, Bound(float, 0, 1)),
+    "memory.decay_ratios": (
+        {"news": 0.90, "ecc_transcript": 0.97, "form10q": 0.97, "form10k": 0.99,
+         "data": 0.90, "manager": 0.95},
+        _map_of(DECAY_SOURCES, Bound(float, 0, 1, low_open=True, high_open=True).admits,
+                f"a map of {', '.join(DECAY_SOURCES)} to numbers in (0, 1)")),
+    "llm.temperature_decision": (0.3, Bound(float, 0)),
+    "llm.max_retries": (2, Bound(int, 0)),
+    "llm.min_interval": (0.0, Bound(float, 0)),
+    "agents.analyst_roles": (
+        list(DAILY_ANALYST_ROLES),
+        _list_of(lambda r: r in DAILY_ANALYST_ROLES,
+                 f"a list drawn from {', '.join(DAILY_ANALYST_ROLES)}")),
+    "agents.workers": (2, Bound(int, 1)),
+    "agents.general_config": ("", Kind("a string", _is_str)),
+    "agents.profile_texts": ({}, ROLE_TEXTS),
+    "agents.profile_files": ({}, ROLE_TEXTS),
+    "risk.cvar_alpha": (0.01, Bound(float, 0, 1, low_open=True, high_open=True)),
+    "risk.min_cvar_history": (10, Bound(int, 0)),
+    "risk.min_run_length": (2, Bound(int, 1)),
+    "risk.convergence_tau": (0.8, Bound(float, 0, 1)),
+    "risk.convergence_epsilon": (1e-6, Bound(float)),
+    "portfolio.shrinkage_lambda": (0.3, Bound(float, 0, 1)),
+    "portfolio.estimation_window": (60, Bound(int, 2)),
+    "portfolio.min_news": (800, Bound(int, 0)),
+    "portfolio.pool_size": (3, Bound(int, 1)),
+    "backtest.discount_alpha": (1.0, Bound(float, 0, 1, low_open=True)),
+    "backtest.max_episodes": (4, Bound(int, 1)),
+    "backtest.capital": (100_000.0, Bound(float, 0, low_open=True)),
+    "backtest.position_size": (1.0, Bound(float, 0, 1, low_open=True)),
+    "backtest.risk_free_daily": (0.0, Bound(float)),
+    "backtest.annualize_sharpe": (False, BOOL),
+    "backtest.feedback_threshold_mult": (2.0, Bound(float, 0)),
+    "backtest.feedback_window": (20, Bound(int, 2)),
+    "backtest.train_run_dir": (None, Kind("a path string or null",
+                                          lambda v: v is None or isinstance(v, str))),
+    "backtest.resume": (False, BOOL),
 }
 
-
-def _check_bounds(sections: dict) -> None:
-    """ConfigError naming the first numeric key outside its CONFIG_BOUNDS."""
-    for key, bound in CONFIG_BOUNDS.items():
-        section, name = key.split(".")
-        value = sections[section][name]
-        named = ({f"{key}.{kind}": v for kind, v in value.items()}
-                 if name == "decay_ratios" else {key: value})
-        for label, v in named.items():
-            if not bound.admits(v):
-                raise ConfigError(f"{label} must be {bound}, got {v!r}")
+# the per-module sections, each a RunConfig attribute
+SECTIONS = ("data_ingest", "memory", "llm", "agents", "risk", "portfolio", "backtest")
 
 
-def _merge_defaults(section: str, user: object) -> dict:
-    if not isinstance(user, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {user!r}")
-    merged = dict(DEFAULTS[section])
-    for key, value in user.items():
-        if key not in merged:
-            raise ConfigError(f"unknown key {section}.{key}")
-        if key == "decay_ratios":
-            if not isinstance(value, dict):
-                raise ConfigError(f"memory.decay_ratios must be a JSON object, got {value!r}")
-            for kind in value:
-                if kind not in DEFAULT_DECAY_RATIOS:
-                    raise ConfigError(f"unknown key memory.decay_ratios.{kind}")
-            ratios = dict(DEFAULT_DECAY_RATIOS)
-            ratios.update(value)
-            value = ratios
-        merged[key] = value
-    return merged
+def _resolve(payload: object) -> dict:
+    """The config document with every default filled in, as nested dicts.
+
+    Walks CONFIG_SCHEMA once; ConfigError names the first key whose value
+    its kind rejects, or that the schema does not have.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"the config must be a JSON object, got {payload!r}")
+    resolved: dict = {}
+    for key, (default, kind) in CONFIG_SCHEMA.items():
+        section, _, name = key.rpartition(".")
+        given, into = payload, resolved
+        if section:
+            given = payload.get(section, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"{section} must be a JSON object, got {given!r}")
+            into = resolved.setdefault(section, {})
+        value = given.get(name, default)
+        if not kind.admits(value):
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        into[name] = {**default, **value} if isinstance(default, dict) else value
+    for name, given in payload.items():
+        if name in CONFIG_SCHEMA:
+            continue
+        if name not in resolved:
+            raise ConfigError(f"unknown key {name}")
+        for key in given:
+            if key not in resolved[name]:
+                raise ConfigError(f"unknown key {name}.{key}")
+    return resolved
 
 
 def read_config_payload(path: str | Path) -> dict:
@@ -276,69 +295,35 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict, base_dir: str | Path = ".") -> "RunConfig":
+        """The config ``payload`` resolved by the schema, plus the checks that
+        span several keys: a price file per ticker, the date order, and each
+        profile file."""
         base = Path(base_dir)
-        mode = payload.get("mode", "train")
-        if mode not in ("train", "test"):
-            raise ConfigError(f"mode must be train or test, got {mode!r}")
-        tickers = list(payload.get("tickers", []))
-        if not tickers:
-            raise ConfigError("tickers must be a non-empty list")
-        data = payload.get("data", {})
-        prices = {t: str(base / p) for t, p in data.get("prices", {}).items()}
+        doc = _resolve(payload)
+        tickers = doc["tickers"]
+        prices = {t: str(base / p) for t, p in doc["data"]["prices"].items()}
         for t in tickers:
             if t not in prices:
                 raise ConfigError(f"data.prices missing ticker {t}")
-        documents = [str(base / p) for p in data.get("documents", [])]
-        dates = payload.get("dates", {})
-        parsed = {}
-        for key in ("train_start", "train_end", "test_start", "test_end"):
-            if key not in dates:
-                raise ConfigError(f"dates.{key} is required")
-            try:
-                parsed[key] = parse_date(dates[key])
-            except ValueError:
-                raise ConfigError(f"dates.{key}: bad date {dates[key]!r}") from None
-        train_start, train_end = parsed["train_start"], parsed["train_end"]
-        test_start, test_end = parsed["test_start"], parsed["test_end"]
-        if not train_start <= train_end:
+        dates = {key: parse_date(text) for key, text in doc["dates"].items()}
+        if not dates["train_start"] <= dates["train_end"]:
             raise ConfigError("train_start must not exceed train_end")
-        if not test_start <= test_end:
+        if not dates["test_start"] <= dates["test_end"]:
             raise ConfigError("test_start must not exceed test_end")
-        if not train_end < test_start:
+        if not dates["train_end"] < dates["test_start"]:
             raise ConfigError("the training range must precede the test range")
-        sections = {
-            name: _merge_defaults(name, payload.get(name, {}))
-            for name in ("data_ingest", "memory", "llm", "agents", "risk",
-                         "portfolio", "backtest")
-        }
-        _check_bounds(sections)
-        roles = sections["agents"]["analyst_roles"]
-        if not isinstance(roles, list) or not all(r in DAILY_ANALYST_ROLES for r in roles):
-            raise ConfigError(f"agents.analyst_roles must be a list of analyst roles "
-                              f"{list(DAILY_ANALYST_ROLES)}, got {roles!r}")
-        for name in ("profile_texts", "profile_files"):
-            entries = sections["agents"][name]
-            if not isinstance(entries, dict) or not all(
-                    role in (MANAGER, *DAILY_ANALYST_ROLES) and isinstance(text, str)
-                    for role, text in entries.items()):
-                raise ConfigError(f"agents.{name} must map agent roles to strings, "
-                                  f"got {entries!r}")
         # profile texts may live in referenced plain-text files
-        texts = dict(sections["agents"]["profile_texts"])
-        for role, rel in sections["agents"]["profile_files"].items():
+        texts = doc["agents"]["profile_texts"]
+        for role, rel in doc["agents"]["profile_files"].items():
             file_path = base / rel
             if not file_path.exists():
                 raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found")
             texts[role] = file_path.read_text()
-        sections["agents"]["profile_texts"] = texts
         return cls(
-            mode=mode, tickers=tickers, price_paths=prices, document_paths=documents,
-            train_start=train_start, train_end=train_end,
-            test_start=test_start, test_end=test_end,
-            seed=payload.get("seed"),
-            raw=payload,
-            base_dir=base,
-            **sections,
+            mode=doc["mode"], tickers=tickers, price_paths=prices,
+            document_paths=[str(base / p) for p in doc["data"]["documents"]],
+            **dates, seed=doc["seed"], raw=payload, base_dir=base,
+            **{name: doc[name] for name in SECTIONS},
         )
 
     @classmethod
@@ -361,8 +346,7 @@ class RunConfig:
         }
         if self.seed is not None:
             out["seed"] = self.seed
-        for name in ("data_ingest", "memory", "llm", "agents", "risk", "portfolio",
-                     "backtest"):
+        for name in SECTIONS:
             out[name] = getattr(self, name)
         return out
 
@@ -952,7 +936,7 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     engine = BacktestEngine(config, market, gateway, writer=writer)
     trajectories: list[Trajectory] = []
     updates: list[BeliefUpdate] = []
-    if config.backtest.get("resume"):
+    if config.backtest["resume"]:
         trajectories, updates = _resume_state(config, writer, engine)
 
     def beliefs() -> dict[str, str]:
@@ -1060,7 +1044,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     is never invoked, so test_summary.json records 0 belief-update calls.
     Returns (trajectory, report).
     """
-    train_dir = config.backtest.get("train_run_dir")
+    train_dir = config.backtest["train_run_dir"]
     if not train_dir:
         raise MissingTrainingArtifacts("backtest.train_run_dir is not configured")
     train_dir = config.base_dir / train_dir

@@ -22,7 +22,7 @@ from fincon.agents import (
     send_feedback,
     single_stock_weights,
 )
-from fincon.backtest import DEFAULT_DECAY_RATIOS
+from fincon.backtest import CONFIG_SCHEMA
 from fincon.data_ingest import PriceBar, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
@@ -307,7 +307,7 @@ class TestSendFeedback:
                                    weights={"SYN": 1.0}, reasoning="r",
                                    contribution_notes={}, cited_memory_ids=())
         send_feedback(decision, 0.05, 0.01, [aid], {aid: insight(aid, "SYN")}, D0, ctx,
-                      Router([aid]), DEFAULT_DECAY_RATIOS, {aid: role})
+                      Router([aid]), CONFIG_SCHEMA["memory.decay_ratios"][0], {aid: role})
         event = ctx.store.get(f"{aid}:1:{D0.isoformat()}:feedback")
         assert event.decay_ratio == ratio
 

@@ -343,22 +343,32 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
                 RunConfig.from_dict(payload, tmp_path)
 
-    def test_readme_config_block_matches_defaults(self):
+    def test_readme_config_block_matches_schema(self):
+        """The block lists every schema key with a value its kind admits, and
+        every per-module key with its default."""
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         section = readme.split("### Configuration", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        documented = json.loads(block)
-        for name, defaults in backtest.DEFAULTS.items():
-            assert documented[name] == defaults, name
+        documented = {}
+        for name, value in json.loads(block).items():
+            if name in backtest.CONFIG_SCHEMA:
+                documented[name] = value
+            else:
+                documented.update({f"{name}.{key}": v for key, v in value.items()})
+        assert set(documented) == set(backtest.CONFIG_SCHEMA)
+        for key, (default, kind) in backtest.CONFIG_SCHEMA.items():
+            assert kind.admits(documented[key]), key
+            if key.split(".")[0] in backtest.SECTIONS:
+                assert documented[key] == default, key
 
-    def test_readme_bounds_table_matches_config_bounds(self):
+    def test_readme_kinds_table_matches_schema(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
         rows = [line.split("|")[1:3] for line in section.splitlines()
                 if line.startswith("| `")]
         documented = {key.strip().strip("`"): text.strip() for key, text in rows}
-        assert documented == {key: str(bound)
-                              for key, bound in backtest.CONFIG_BOUNDS.items()}
+        assert documented == {key: str(kind)
+                              for key, (_, kind) in backtest.CONFIG_SCHEMA.items()}
 
     @pytest.mark.parametrize("key, admitted, rejected", [
         ("backtest.position_size", [1, 1.0, 1e-9], [0, 1.5, True, "1", float("nan")]),
@@ -367,7 +377,7 @@ class TestRunConfig:
         ("backtest.risk_free_daily", [-0.01, 0, 0.01], [float("inf"), float("-inf")]),
     ])
     def test_bounds_admit_their_interval_only(self, key, admitted, rejected):
-        bound = backtest.CONFIG_BOUNDS[key]
+        _, bound = backtest.CONFIG_SCHEMA[key]
         assert all(bound.admits(v) for v in admitted)
         assert not any(bound.admits(v) for v in rejected)
 

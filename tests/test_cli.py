@@ -202,6 +202,15 @@ class TestTrain:
         "agents.analyst_roles=5",
         "llm.max_retries=-1",
         "backtest.feedback_window=0",
+        "backtest.resume=no",
+        "backtest.annualize_sharpe=no",
+        "data=[]",
+        "data.prices=[]",
+        "dates=5",
+        "tickers=SYN",
+        "data.documents=docs.jsonl",
+        "agents.general_config=5",
+        "seed=abc",
     ])
     def test_invalid_override_exit_one(self, tmp_path, capsys, override):
         fix = build_fixture(tmp_path)
@@ -252,6 +261,17 @@ class TestTestCommand:
                      "--override", f"backtest.train_run_dir={tmp_path / 'nowhere'}"])
         assert code == 1
         assert "training artifacts" in capsys.readouterr().err.lower()
+
+    def test_non_path_train_run_dir_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path, n_test=4)
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", "backtest.train_run_dir=5"])
+        assert code == 1
+        assert "backtest.train_run_dir must be a path string or null, got 5" \
+            in capsys.readouterr().err
 
     def test_train_then_test_exit_zero(self, tmp_path):
         fix = build_fixture(tmp_path, n_test=4)
