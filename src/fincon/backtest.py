@@ -297,7 +297,7 @@ class RunConfig:
     def from_dict(cls, payload: dict, base_dir: str | Path = ".") -> "RunConfig":
         """The config ``payload`` resolved by the schema, plus the checks that
         span several keys: a price file per ticker, the date order, and each
-        profile file."""
+        profile file and text."""
         base = Path(base_dir)
         doc = _resolve(payload)
         tickers = doc["tickers"]
@@ -319,6 +319,18 @@ class RunConfig:
             if not file_path.exists():
                 raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found")
             texts[role] = file_path.read_text()
+        # build_profiles formats the manager's text with all tickers joined,
+        # an analyst's with its one ticker
+        joined = ", ".join(tickers)
+        for role, text in texts.items():
+            try:
+                for value in ([joined] if role == MANAGER else tickers):
+                    text.format(tickers=value)
+            except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
+                source = "files" if role in doc["agents"]["profile_files"] else "texts"
+                raise ConfigError(
+                    f"agents.profile_{source}[{role}]: {text!r} must have {{tickers}} as "
+                    f"its only placeholder ({type(exc).__name__}: {exc})") from None
         return cls(
             mode=doc["mode"], tickers=tickers, price_paths=prices,
             document_paths=[str(base / p) for p in doc["data"]["documents"]],

@@ -211,6 +211,9 @@ class TestTrain:
         "data.documents=docs.jsonl",
         "agents.general_config=5",
         "seed=abc",
+        'agents.profile_texts={"manager": "Trade {ticker} well."}',
+        'agents.profile_texts={"data_analyst": "Read {0}."}',
+        'agents.profile_texts={"manager": "Trade {tickers well."}',
     ])
     def test_invalid_override_exit_one(self, tmp_path, capsys, override):
         fix = build_fixture(tmp_path)
@@ -240,6 +243,18 @@ class TestProfiles:
         assert {e["agent_id"] for e in entries} == set(custom)
         for entry in entries:
             assert entry["system"].startswith(custom[entry["agent_id"]]), entry["phase"]
+
+    def test_profile_file_with_a_bad_placeholder_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path, extra_config={"agents": {
+            "profile_files": {"data_analyst": "profiles/data.txt"}}})
+        (fix.root / "profiles").mkdir()
+        (fix.root / "profiles" / "data.txt").write_text("Custom data analyst for {ticker}.")
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "agents.profile_files[data_analyst]: 'Custom data analyst for {ticker}.' " \
+            "must have {tickers} as its only placeholder (KeyError" in capsys.readouterr().err
 
     def test_missing_profile_file_exit_one(self, tmp_path, capsys):
         fix = build_fixture(tmp_path, extra_config={"agents": {
