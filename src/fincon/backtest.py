@@ -145,9 +145,8 @@ def _is_date(value) -> bool:
     return True
 
 
-def _list_of(item: Callable[[object], bool], text: str, min_len: int = 0) -> Kind:
-    return Kind(text, lambda v: isinstance(v, list) and len(v) >= min_len
-                and all(map(item, v)))
+def _list_of(item: Callable[[object], bool], text: str) -> Kind:
+    return Kind(text, lambda v: isinstance(v, list) and all(map(item, v)))
 
 
 def _map_of(keys: tuple | None, value: Callable[[object], bool], text: str) -> Kind:
@@ -170,7 +169,9 @@ DECAY_SOURCES = (*SOURCE_FOR_ROLE.values(), MANAGER)
 # onto its default.
 CONFIG_SCHEMA = {
     "mode": ("train", Kind("train or test", lambda v: v in ("train", "test"))),
-    "tickers": ([], _list_of(_is_str, "a non-empty list of ticker strings", min_len=1)),
+    "tickers": ([], Kind("a non-empty list of distinct ticker strings",
+                         lambda v: isinstance(v, list) and bool(v) and all(map(_is_str, v))
+                         and len(set(v)) == len(v))),
     "data.prices": ({}, _map_of(None, _is_str, "a map of tickers to path strings")),
     "data.documents": ([], _list_of(_is_str, "a list of path strings")),
     "dates.train_start": (None, DATE),

@@ -208,6 +208,7 @@ class TestTrain:
         "data.prices=[]",
         "dates=5",
         "tickers=SYN",
+        'tickers=["SYN", "SYN"]',
         "data.documents=docs.jsonl",
         "agents.general_config=5",
         "seed=abc",
