@@ -212,6 +212,8 @@ class TestTrain:
         "data.documents=docs.jsonl",
         "agents.general_config=5",
         "seed=abc",
+        "notes=x",
+        "data.dividends=[]",
         'agents.profile_texts={"manager": "Trade {ticker} well."}',
         'agents.profile_texts={"data_analyst": "Read {0}."}',
         'agents.profile_texts={"manager": "Trade {tickers well."}',
