@@ -164,20 +164,23 @@ ROLE_TEXTS = _map_of((MANAGER, *DAILY_ANALYST_ROLES), _is_str,
 # manager's own events
 DECAY_SOURCES = (*SOURCE_FOR_ROLE.values(), MANAGER)
 
-# every key of the config document: dotted key -> (default, kind). A key
-# whose kind rejects its default (tickers, dates) must be given; a map merges
-# onto its default.
+# the default of a key that must be given
+REQUIRED = object()
+
+# every key of the config document: dotted key -> (default, kind). Each
+# default is of its key's kind, so only given values are checked; a map
+# merges onto its default.
 CONFIG_SCHEMA = {
     "mode": ("train", Kind("train or test", lambda v: v in ("train", "test"))),
-    "tickers": ([], Kind("a non-empty list of distinct ticker strings",
+    "tickers": (REQUIRED, Kind("a non-empty list of distinct ticker strings",
                          lambda v: isinstance(v, list) and bool(v) and all(map(_is_str, v))
                          and len(set(v)) == len(v))),
     "data.prices": ({}, _map_of(None, _is_str, "a map of tickers to path strings")),
     "data.documents": ([], _list_of(_is_str, "a list of path strings")),
-    "dates.train_start": (None, DATE),
-    "dates.train_end": (None, DATE),
-    "dates.test_start": (None, DATE),
-    "dates.test_end": (None, DATE),
+    "dates.train_start": (REQUIRED, DATE),
+    "dates.train_end": (REQUIRED, DATE),
+    "dates.test_start": (REQUIRED, DATE),
+    "dates.test_end": (REQUIRED, DATE),
     "seed": (None, Kind("an integer or null",
                         lambda v: v is None or isinstance(v, int) and not isinstance(v, bool))),
     "data_ingest.momentum_window": (20, Bound(int, 1)),
@@ -224,28 +227,38 @@ CONFIG_SCHEMA = {
 # the per-module sections, each a RunConfig attribute
 SECTIONS = ("data_ingest", "memory", "llm", "agents", "risk", "portfolio", "backtest")
 
+# CONFIG_SCHEMA's rows by section ("" for top-level keys), so that the walk
+# looks each section up once
+_ROWS_BY_SECTION: dict[str, list] = {}
+for _key, (_default, _kind) in CONFIG_SCHEMA.items():
+    _section, _, _name = _key.rpartition(".")
+    _ROWS_BY_SECTION.setdefault(_section, []).append((_key, _name, _default, _kind))
+
 
 def _resolve(payload: object) -> dict:
     """The config document with every default filled in, as nested dicts.
 
-    Walks CONFIG_SCHEMA once; ConfigError names the first key whose value
-    its kind rejects, or that the schema does not have.
+    Walks CONFIG_SCHEMA once; ConfigError names the first key that is
+    required but missing, whose given value its kind rejects, or that the
+    schema does not have.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"the config must be a JSON object, got {payload!r}")
     resolved: dict = {}
-    for key, (default, kind) in CONFIG_SCHEMA.items():
-        section, _, name = key.rpartition(".")
+    for section, rows in _ROWS_BY_SECTION.items():
         given, into = payload, resolved
         if section:
             given = payload.get(section, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"{section} must be a JSON object, got {given!r}")
-            into = resolved.setdefault(section, {})
-        value = given.get(name, default)
-        if not kind.admits(value):
-            raise ConfigError(f"{key} must be {kind}, got {value!r}")
-        into[name] = {**default, **value} if isinstance(default, dict) else value
+            into = resolved[section] = {}
+        for key, name, default, kind in rows:
+            value = given.get(name, default)
+            if value is REQUIRED:
+                raise ConfigError(f"{key} is required")
+            if value is not default and not kind.admits(value):
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            into[name] = {**default, **value} if isinstance(default, dict) else value
     for name, given in payload.items():
         if name in CONFIG_SCHEMA:
             continue

@@ -343,6 +343,21 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"unknown key {section}.{key}"):
                 RunConfig.from_dict(payload, tmp_path)
 
+    def test_every_default_is_of_its_kind(self):
+        """The walk checks only given values, so each default must pass its kind."""
+        for key, (default, kind) in backtest.CONFIG_SCHEMA.items():
+            assert default is backtest.REQUIRED or kind.admits(default), key
+
+    def test_missing_required_key_named(self, tmp_path):
+        payload = minimal_payload(tmp_path)
+        del payload["dates"]["train_end"]
+        with pytest.raises(ConfigError, match="^dates.train_end is required$"):
+            RunConfig.from_dict(payload, tmp_path)
+        payload = minimal_payload(tmp_path)
+        del payload["tickers"]
+        with pytest.raises(ConfigError, match="^tickers is required$"):
+            RunConfig.from_dict(payload, tmp_path)
+
     def test_readme_config_block_matches_schema(self):
         """The block lists every schema key with a value its kind admits, and
         every per-module key with its default."""
