@@ -168,13 +168,13 @@ DECAY_SOURCES = (*SOURCE_FOR_ROLE.values(), MANAGER)
 REQUIRED = object()
 
 # every key of the config document: dotted key -> (default, kind). Each
-# default is of its key's kind, so only given values are checked; a map
-# merges onto its default.
+# default but REQUIRED is of its key's kind, so only given values are
+# checked; a map merges onto its default.
 CONFIG_SCHEMA = {
     "mode": ("train", Kind("train or test", lambda v: v in ("train", "test"))),
     "tickers": (REQUIRED, Kind("a non-empty list of distinct ticker strings",
-                         lambda v: isinstance(v, list) and bool(v) and all(map(_is_str, v))
-                         and len(set(v)) == len(v))),
+                               lambda v: isinstance(v, list) and bool(v)
+                               and all(map(_is_str, v)) and len(set(v)) == len(v))),
     "data.prices": ({}, _map_of(None, _is_str, "a map of tickers to path strings")),
     "data.documents": ([], _list_of(_is_str, "a list of path strings")),
     "dates.train_start": (REQUIRED, DATE),
