@@ -4,8 +4,9 @@ One manager consolidates per-ticker insight messages from uni-modal analyst
 instances (one instance per role and ticker, agent_id ``<role>:<ticker>``)
 and is the sole decision maker. Messages travel only along the two-level
 tree: analyst <-> manager and risk_control <-> manager; peer traffic is
-rejected. Each analyst role reads one information source (``SOURCE_FOR_ROLE``):
-a textual role owns one document kind, the data analyst the price stream.
+rejected. ``ROLES`` is the one table of analyst roles: each reads one
+information source (a textual role owns one document kind, the data analyst
+the price stream) and follows one aspect of the investment-belief block.
 ``analyst_report`` documents are ingested and stored but have no dedicated
 analyst in this six-role hierarchy, so they are not fanned out.
 
@@ -19,27 +20,57 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date as Date
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .data_ingest import TextDocument
-from .errors import IllegalRoute, MissingAnalystReport
+from .errors import BadProfileText, IllegalRoute, MissingAnalystReport
 from .llm_gateway import CompletionRequest, LlmGateway, step_key
 from .memory import MemoryEvent, MemoryQuery, MemoryStore
-from .risk_control import ASPECTS, RiskState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .risk_control import RiskState
 
 MANAGER = "manager"
 RISK_CONTROL = "risk_control"
 
-# the source each analyst role reads: a document kind, or "data" for the
-# price stream; it also keys the role's memory decay ratio
-SOURCE_FOR_ROLE = {
-    "news_analyst": "news",
-    "filing10k_analyst": "form10k",
-    "filing10q_analyst": "form10q",
-    "ecc_analyst": "ecc_transcript",
-    "data_analyst": "data",
-}
+# the investment-belief block's aspects: each analyst role's, and "other aspects"
+ASPECTS = ("historical momentum", "news insights", "Form 10-Q", "Form 10-K",
+           "ECC", "other aspects")
 
-DAILY_ANALYST_ROLES = tuple(SOURCE_FOR_ROLE)
+
+@dataclass(frozen=True)
+class Role:
+    """An analyst role: the ``source`` it reads (a document kind, or "data"
+    for the price stream, which also keys its memory decay ratio), the
+    belief ``aspect`` it follows, and its default profile text."""
+
+    source: str
+    aspect: str
+    profile_text: str
+
+
+ROLES = {
+    "news_analyst": Role("news", "news insights", (
+        "You are the investment analyst for daily financial news. Your "
+        "responsibilities are to distill investment insights and financial sentiment "
+        "from news about {tickers}.")),
+    "filing10k_analyst": Role("form10k", "Form 10-K", (
+        "You are the investment analyst for annual filing reports (Form 10-K). Your "
+        "responsibilities are to distill long-horizon investment insights for "
+        "{tickers}.")),
+    "filing10q_analyst": Role("form10q", "Form 10-Q", (
+        "You are the investment analyst for quarterly filing reports (Form 10-Q). "
+        "Your responsibilities are to distill medium-horizon investment insights for "
+        "{tickers}.")),
+    "ecc_analyst": Role("ecc_transcript", "ECC", (
+        "You are the investment analyst for earnings-call transcripts. Your "
+        "responsibilities are to extract investment tendencies from management "
+        "commentary about {tickers}.")),
+    "data_analyst": Role("data", "historical momentum", (
+        "You are the market data analyst. Your responsibilities are to interpret "
+        "key financial indicators such as momentum and tail risk for {tickers}.")),
+}
 
 RISK_AVERSE_CLAUSE = (
     "RISK ALERT: the risk-control component has flagged elevated downside risk. "
@@ -49,37 +80,11 @@ RISK_AVERSE_CLAUSE = (
 
 NO_SIGNAL = "no signal"
 
-DEFAULT_PROFILE_TEXTS = {
-    MANAGER: (
-        "You are an experienced trading manager in an investment firm. Your "
-        "responsibilities are to consolidate investment insights from your analysts "
-        "and decide trading actions on {tickers}."
-    ),
-    "news_analyst": (
-        "You are the investment analyst for daily financial news. Your "
-        "responsibilities are to distill investment insights and financial sentiment "
-        "from news about {tickers}."
-    ),
-    "filing10k_analyst": (
-        "You are the investment analyst for annual filing reports (Form 10-K). Your "
-        "responsibilities are to distill long-horizon investment insights for "
-        "{tickers}."
-    ),
-    "filing10q_analyst": (
-        "You are the investment analyst for quarterly filing reports (Form 10-Q). "
-        "Your responsibilities are to distill medium-horizon investment insights for "
-        "{tickers}."
-    ),
-    "ecc_analyst": (
-        "You are the investment analyst for earnings-call transcripts. Your "
-        "responsibilities are to extract investment tendencies from management "
-        "commentary about {tickers}."
-    ),
-    "data_analyst": (
-        "You are the market data analyst. Your responsibilities are to interpret "
-        "key financial indicators such as momentum and tail risk for {tickers}."
-    ),
-}
+MANAGER_PROFILE_TEXT = (
+    "You are an experienced trading manager in an investment firm. Your "
+    "responsibilities are to consolidate investment insights from your analysts "
+    "and decide trading actions on {tickers}."
+)
 
 INSIGHT_INSTRUCTIONS = (
     'Respond with a JSON object {"insight": <distilled insight>, '
@@ -98,32 +103,45 @@ def analyst_id(role: str, ticker: str) -> str:
 @dataclass(frozen=True)
 class AgentProfile:
     agent_id: str
+    role: str
+    # None for the manager, which trades every ticker
+    ticker: str | None
     profile_text: str
     general_config: str
+    decay_ratio: float
+
+    @cached_property
+    def system_header(self) -> str:
+        """The opening of each of the agent's system prompts."""
+        return f"{self.profile_text}\n\n{self.general_config}"
 
 
 def build_profiles(tickers, analyst_roles, general_config: str,
+                   decay_ratios: dict[str, float],
                    profile_texts: dict[str, str] | None = None) -> dict[str, AgentProfile]:
-    """Profiles for the manager plus one instance of each role per ticker."""
-    texts = dict(DEFAULT_PROFILE_TEXTS)
-    if profile_texts:
-        texts.update(profile_texts)
-    joined = ", ".join(tickers)
-    profiles = {
-        MANAGER: AgentProfile(
-            agent_id=MANAGER,
-            profile_text=texts[MANAGER].format(tickers=joined),
-            general_config=general_config,
-        )
-    }
-    for role in analyst_roles:
-        for ticker in tickers:
-            aid = analyst_id(role, ticker)
-            profiles[aid] = AgentProfile(
-                agent_id=aid,
-                profile_text=texts[role].format(tickers=ticker),
-                general_config=general_config,
-            )
+    """Profiles for the manager plus one instance of each role per ticker.
+
+    The manager's text is formatted with all tickers joined, an analyst's
+    with its one ticker. Each role's text is formatted, so a given text is
+    checked even if its role runs no instance: BadProfileText names the
+    first whose only placeholder is not ``{tickers}``.
+    """
+    texts = {MANAGER: MANAGER_PROFILE_TEXT,
+             **{role: spec.profile_text for role, spec in ROLES.items()},
+             **(profile_texts or {})}
+    # (agent id, role, ticker, the value of {tickers}, decay ratio)
+    agents = [(MANAGER, MANAGER, None, ", ".join(tickers), decay_ratios[MANAGER])]
+    agents += [(analyst_id(role, ticker), role, ticker, ticker, decay_ratios[spec.source])
+               for role, spec in ROLES.items() for ticker in tickers]
+    profiles = {}
+    for aid, role, ticker, value, decay_ratio in agents:
+        try:
+            text = texts[role].format(tickers=value)
+        except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
+            raise BadProfileText(role, f"{texts[role]!r} must have {{tickers}} as its only "
+                                       f"placeholder ({type(exc).__name__}: {exc})") from None
+        if role == MANAGER or role in analyst_roles:
+            profiles[aid] = AgentProfile(aid, role, ticker, text, general_config, decay_ratio)
     return profiles
 
 
@@ -232,8 +250,8 @@ def render_memories(scored) -> str:
         f"[{s.event.event_id}] (score {s.gamma:.6f}) {s.event.content}" for s in scored)
 
 
-def render_belief_block(block: dict[str, str], aspects=None) -> str:
-    keys = [a for a in (aspects or ASPECTS) if a in block]
+def render_belief_block(block: dict[str, str]) -> str:
+    keys = [a for a in ASPECTS if a in block]
     if not keys:
         return "(no investment beliefs yet)"
     return "\n".join(f"- {a}: {block[a]}" for a in keys)
@@ -330,8 +348,7 @@ def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: s
 
 
 def analyst_step(profile: AgentProfile, belief_text: str | None,
-                 obs_slice: AnalystSlice, date: Date, ctx: StepContext,
-                 decay_ratio: float):
+                 obs_slice: AnalystSlice, date: Date, ctx: StepContext):
     """One analyst's daily distillation for its ticker, with the belief for
     the analyst's aspect (None before the first belief update).
 
@@ -351,7 +368,7 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
         return message, None
     retrieved = _retrieve(ctx, profile, date, obs_slice.ticker)
     cited = tuple(s.event.event_id for s in retrieved)
-    system = f"{profile.profile_text}\n\n{profile.general_config}"
+    system = profile.system_header
     if belief_text:
         system += f"\n\nCurrent investment belief for your aspect:\n{belief_text}"
     parts = [f"Date: {date.isoformat()}", f"Ticker: {obs_slice.ticker}"]
@@ -368,7 +385,7 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
                                   "\n\n".join(parts), "analyst_insight")
     store_event(ctx, profile.agent_id, date, "insight",
                 f"[{obs_slice.ticker}] {parsed['insight']}",
-                decay_ratio, parsed.get("importance"))
+                profile.decay_ratio, parsed.get("importance"))
     message = InsightMessage(
         from_agent=profile.agent_id, date=date, ticker=obs_slice.ticker,
         distilled_insight=parsed["insight"], sentiment=parsed["sentiment"],
@@ -379,8 +396,7 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
 
 def manager_step(profile: AgentProfile, beliefs: dict[str, str],
                  insights: dict[str, InsightMessage], risk_state: RiskState,
-                 date: Date, ctx: StepContext, tickers, expected_analysts,
-                 decay_ratio: float):
+                 date: Date, ctx: StepContext, tickers, expected_analysts):
     """Consolidate the day's insights into one schema-validated decision.
 
     Requires a report (possibly "no signal") from every expected analyst.
@@ -393,8 +409,7 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     if missing:
         raise MissingAnalystReport(f"no report from {missing} on {date}")
     retrieved = _retrieve(ctx, profile, date, None)
-    system = f"{profile.profile_text}\n\n{profile.general_config}"
-    system += "\n\nInvestment beliefs:\n" + render_belief_block(beliefs)
+    system = profile.system_header + "\n\nInvestment beliefs:\n" + render_belief_block(beliefs)
     parts = [f"Date: {date.isoformat()}"]
     if risk_state.alert:
         parts.append(RISK_AVERSE_CLAUSE)
@@ -418,7 +433,7 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     content += f". Reasoning: {parsed['reasoning']}"
     if note_lines:
         content += f". Contributions: {note_lines}"
-    store_event(ctx, MANAGER, date, "decision", content, decay_ratio, None)
+    store_event(ctx, MANAGER, date, "decision", content, profile.decay_ratio, None)
     decision = TradingDecision(
         date=date,
         directions={t: parsed["actions"][t] for t in tickers},
@@ -431,18 +446,18 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
 
 
 def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Date,
-                 ctx: StepContext, decay_ratio: float):
+                 ctx: StepContext):
     """Manager self-reflection requested by the within-episode risk trigger."""
-    system = f"{profile.profile_text}\n\n{profile.general_config}"
     user = "\n\n".join([
         f"Date: {date.isoformat()}",
         f"The risk-control component triggered a self-reflection ({trigger}).",
         f"Today's outcome: {day_summary}",
         REFLECTION_INSTRUCTIONS,
     ])
-    parsed, log_entry = _complete(ctx, MANAGER, date, "reflect", system, user, "reflection")
+    parsed, log_entry = _complete(ctx, MANAGER, date, "reflect", profile.system_header,
+                                  user, "reflection")
     store_event(ctx, MANAGER, date, f"reflection-{trigger}", parsed["reflection"],
-                decay_ratio, None)
+                profile.decay_ratio, None)
     reflection = Reflection(date=date, text=parsed["reflection"], trigger=trigger)
     return reflection, log_entry
 
@@ -456,23 +471,21 @@ def single_stock_weights(decision: TradingDecision, position_size: float = 1.0) 
 def send_feedback(decision: TradingDecision, realized_pnl: float,
                   threshold: float | None, reporting_analysts,
                   insights: dict[str, InsightMessage], date: Date,
-                  ctx: StepContext, router: Router, decay_ratios: dict[str, float],
-                  roles: dict[str, str]) -> None:
+                  ctx: StepContext, router: Router) -> None:
     """Manager feedback after a significant day: boosts and analyst notes.
 
     When |realized_pnl| reaches the threshold, every memory id cited in the
-    decision gets the access bonus and each reporting analyst receives a
-    feedback message that is also appended to its procedural memory. Quiet
-    days produce neither boosts nor messages.
+    decision gets the access bonus and each reporting analyst (a profile)
+    receives a feedback message that is also appended to its procedural
+    memory. Quiet days produce neither boosts nor messages.
     """
     if threshold is None or abs(realized_pnl) < threshold:
         return
     for event_id in decision.cited_memory_ids:
         ctx.store.boost_access(event_id)
-    for aid in sorted(reporting_analysts):
-        insight = insights[aid].distilled_insight
+    for profile in sorted(reporting_analysts, key=lambda p: p.agent_id):
+        aid = profile.agent_id
         text = (f"Feedback for {date.isoformat()}: realized PnL {realized_pnl!r} was "
-                f"significant. Your insight was: {insight}")
-        store_event(ctx, aid, date, "feedback", text,
-                    decay_ratios[SOURCE_FOR_ROLE[roles[aid]]], None)
+                f"significant. Your insight was: {insights[aid].distilled_insight}")
+        store_event(ctx, aid, date, "feedback", text, profile.decay_ratio, None)
         router.send(MANAGER, aid, "feedback")

@@ -34,15 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .agents import (
-    DAILY_ANALYST_ROLES,
     MANAGER,
     NO_SIGNAL,
     RISK_CONTROL,
-    SOURCE_FOR_ROLE,
+    ROLES,
+    AgentProfile,
     AnalystSlice,
     Router,
     StepContext,
-    analyst_id,
     analyst_step,
     build_profiles,
     manager_step,
@@ -53,6 +52,7 @@ from .agents import (
 )
 from .data_ingest import MarketData, assemble_observation, log_return, parse_date, read_json, read_jsonl
 from .errors import (
+    BadProfileText,
     ConfigError,
     EmptySeries,
     EmptyTrajectory,
@@ -72,7 +72,6 @@ from .llm_gateway import LlmGateway
 from .memory import HashEmbedder, MemoryStore
 from .portfolio import MVInputs, ReturnPanel, scale_to_positions, shrink_estimates, solve_mean_variance
 from .risk_control import (
-    ASPECT_FOR_ROLE,
     BeliefUpdate,
     RiskState,
     alert_trigger,
@@ -158,11 +157,11 @@ def _map_of(keys: tuple | None, value: Callable[[object], bool], text: str) -> K
 
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
 DATE = Kind("a date Y-M-D", _is_date)
-ROLE_TEXTS = _map_of((MANAGER, *DAILY_ANALYST_ROLES), _is_str,
+ROLE_TEXTS = _map_of((MANAGER, *ROLES), _is_str,
                      "a map of manager or analyst roles to strings")
 # the memory sources a decay ratio keys: each analyst role's source, and the
 # manager's own events
-DECAY_SOURCES = (*SOURCE_FOR_ROLE.values(), MANAGER)
+DECAY_SOURCES = (*(role.source for role in ROLES.values()), MANAGER)
 
 # the default of a key that must be given
 REQUIRED = object()
@@ -195,9 +194,8 @@ CONFIG_SCHEMA = {
     "llm.max_retries": (2, Bound(int, 0)),
     "llm.min_interval": (0.0, Bound(float, 0)),
     "agents.analyst_roles": (
-        list(DAILY_ANALYST_ROLES),
-        _list_of(lambda r: r in DAILY_ANALYST_ROLES,
-                 f"a list drawn from {', '.join(DAILY_ANALYST_ROLES)}")),
+        list(ROLES),
+        _list_of(lambda r: r in ROLES, f"a list drawn from {', '.join(ROLES)}")),
     "agents.workers": (2, Bound(int, 1)),
     "agents.general_config": ("", Kind("a string", _is_str)),
     "agents.profile_texts": ({}, ROLE_TEXTS),
@@ -302,16 +300,14 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
     # the config file's directory: relative paths resolve against it
     base_dir: Path = Path(".")
-
-    @property
-    def is_portfolio(self) -> bool:
-        return len(self.tickers) > 1
+    # the manager's and every analyst instance's profile, by agent id
+    profiles: dict[str, AgentProfile] = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, payload: dict, base_dir: str | Path = ".") -> "RunConfig":
         """The config ``payload`` resolved by the schema, plus the checks that
         span several keys: a price file per ticker, the date order, and each
-        profile file and text."""
+        profile file and text, which the agent profiles are built from."""
         base = Path(base_dir)
         doc = _resolve(payload)
         tickers = doc["tickers"]
@@ -327,28 +323,28 @@ class RunConfig:
         if not dates["train_end"] < dates["test_start"]:
             raise ConfigError("the training range must precede the test range")
         # profile texts may live in referenced plain-text files
-        texts = doc["agents"]["profile_texts"]
-        for role, rel in doc["agents"]["profile_files"].items():
+        agents = doc["agents"]
+        texts = agents["profile_texts"]
+        for role, rel in agents["profile_files"].items():
             file_path = base / rel
             if not file_path.exists():
                 raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found")
             texts[role] = file_path.read_text()
-        # build_profiles formats the manager's text with all tickers joined,
-        # an analyst's with its one ticker
-        joined = ", ".join(tickers)
-        for role, text in texts.items():
-            try:
-                for value in ([joined] if role == MANAGER else tickers):
-                    text.format(tickers=value)
-            except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
-                source = "files" if role in doc["agents"]["profile_files"] else "texts"
-                raise ConfigError(
-                    f"agents.profile_{source}[{role}]: {text!r} must have {{tickers}} as "
-                    f"its only placeholder ({type(exc).__name__}: {exc})") from None
+        general = agents["general_config"] or (
+            f"Investment task: {'portfolio management' if len(tickers) > 1 else 'single stock trading'} "
+            f"on {', '.join(tickers)}. Objective: maximize cumulative discounted PnL "
+            f"while controlling downside risk."
+        )
+        try:
+            profiles = build_profiles(tickers, agents["analyst_roles"], general,
+                                      doc["memory"]["decay_ratios"], texts)
+        except BadProfileText as exc:
+            source = "files" if exc.role in agents["profile_files"] else "texts"
+            raise ConfigError(f"agents.profile_{source}[{exc.role}]: {exc}") from None
         return cls(
             mode=doc["mode"], tickers=tickers, price_paths=prices,
             document_paths=[str(base / p) for p in doc["data"]["documents"]],
-            **dates, seed=doc["seed"], raw=payload, base_dir=base,
+            **dates, seed=doc["seed"], raw=payload, base_dir=base, profiles=profiles,
             **{name: doc[name] for name in SECTIONS},
         )
 
@@ -724,19 +720,11 @@ class BacktestEngine:
         self.store = store if store is not None else MemoryStore(calendar=market.calendar)
         self.writer = writer
         self.embedder = HashEmbedder()
-        roles = list(config.agents["analyst_roles"])
-        self.analyst_ids = {
-            analyst_id(role, ticker): role
-            for role in roles for ticker in config.tickers
-        }
-        general = config.agents["general_config"] or (
-            f"Investment task: {'portfolio management' if config.is_portfolio else 'single stock trading'} "
-            f"on {', '.join(config.tickers)}. Objective: maximize cumulative discounted PnL "
-            f"while controlling downside risk."
-        )
-        self.profiles = build_profiles(config.tickers, roles, general,
-                                       config.agents.get("profile_texts") or None)
-        self.router = Router(self.analyst_ids)
+        self.manager = config.profiles[MANAGER]
+        # the analyst instances' profiles by agent id, in fan-out order
+        self.analysts = {aid: p for aid, p in sorted(config.profiles.items())
+                         if aid != MANAGER}
+        self.router = Router(self.analysts)
         self.prompt_log: dict[object, list[dict]] = {}
 
     # -- helpers ------------------------------------------------------------
@@ -751,9 +739,8 @@ class BacktestEngine:
                 "to realize the final day's PnL")
         return days
 
-    def _analyst_slice(self, role: str, ticker: str, obs, date: Date) -> AnalystSlice:
+    def _analyst_slice(self, source: str, ticker: str, obs, date: Date) -> AnalystSlice:
         ticker_slice = obs.tickers[ticker]
-        source = SOURCE_FOR_ROLE[role]
         if source == "data":
             indicators = dict(ticker_slice.indicators)
             asset_returns = self.market.log_returns_to(ticker, date)
@@ -772,7 +759,7 @@ class BacktestEngine:
 
     def _solve_weights(self, decision, date: Date) -> dict[str, float]:
         cfg = self.config
-        if not cfg.is_portfolio:
+        if len(cfg.tickers) == 1:
             return single_stock_weights(decision, cfg.backtest["position_size"])
         window = cfg.portfolio["estimation_window"]
         histories = {t: self.market.log_returns_to(t, date, max_window=window)
@@ -828,38 +815,34 @@ class BacktestEngine:
                    f"{trajectory.objective!r}, cumulative return "
                    f"{cumulative_return(trajectory.pnls())!r}%.")
         store_event(ctx, MANAGER, records[-1].date, "episode", summary,
-                    cfg.memory["decay_ratios"]["manager"], None, layer="episodic")
+                    self.manager.decay_ratio, None, layer="episodic")
         return trajectory
 
     def _run_days(self, beliefs: dict[str, str], ctx: StepContext, days: list[Date],
                   records: list[DayRecord], pool: ThreadPoolExecutor) -> None:
         cfg = self.config
-        decay = cfg.memory["decay_ratios"]
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
-        instance_ids = sorted(self.analyst_ids)
         for day in days:
             obs = assemble_observation(day, cfg.tickers, self.market)
             day_entries: list[dict] = []
 
-            def run_one(aid: str):
-                role = self.analyst_ids[aid]
-                ticker = aid.split(":", 1)[1]
-                obs_slice = self._analyst_slice(role, ticker, obs, day)
-                return analyst_step(self.profiles[aid], beliefs.get(ASPECT_FOR_ROLE[role]),
-                                    obs_slice, day, ctx, decay[SOURCE_FOR_ROLE[role]])
+            def run_one(profile: AgentProfile):
+                role = ROLES[profile.role]
+                obs_slice = self._analyst_slice(role.source, profile.ticker, obs, day)
+                return analyst_step(profile, beliefs.get(role.aspect), obs_slice, day, ctx)
 
             insights = {}
-            for aid, (message, entry) in zip(instance_ids, pool.map(run_one, instance_ids)):
+            for aid, (message, entry) in zip(self.analysts,
+                                             pool.map(run_one, self.analysts.values())):
                 insights[aid] = message
                 self.router.send(aid, MANAGER, "insight")
                 if entry is not None:
                     day_entries.append(entry)
 
-            decision, entry = manager_step(
-                self.profiles[MANAGER], beliefs, insights, risk_state, day, ctx,
-                cfg.tickers, instance_ids, decay["manager"])
+            decision, entry = manager_step(self.manager, beliefs, insights, risk_state, day,
+                                           ctx, cfg.tickers, self.analysts)
             day_entries.append(entry)
             self.router.send(MANAGER, RISK_CONTROL, "decision")
 
@@ -886,19 +869,16 @@ class BacktestEngine:
             if checked.alert:
                 day_summary = (f"PnL {r_t!r}, CVaR {rho_t!r} "
                                f"(previous {prev_rho!r}), trigger {trigger}.")
-                reflection, r_entry = reflect_step(
-                    self.profiles[MANAGER], trigger, day_summary, day, ctx,
-                    decay["manager"])
+                reflection, r_entry = reflect_step(self.manager, trigger, day_summary, day, ctx)
                 reflections.append({"trigger": reflection.trigger, "text": reflection.text})
                 day_entries.append(r_entry)
 
             threshold = rolling_sigma_threshold(
                 pnl_history, cfg.backtest["feedback_window"],
                 cfg.backtest["feedback_threshold_mult"])
-            reporting = [aid for aid, m in insights.items()
+            reporting = [self.analysts[aid] for aid, m in insights.items()
                          if m.distilled_insight != NO_SIGNAL]
-            send_feedback(decision, r_t, threshold, reporting, insights, day, ctx,
-                          self.router, decay, self.analyst_ids)
+            send_feedback(decision, r_t, threshold, reporting, insights, day, ctx, self.router)
 
             records.append(DayRecord(
                 date=day,
@@ -983,7 +963,8 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         writer.write_prompt_log(k, engine.prompt_log.pop(k, []))
         if k >= 2:
             update = compare_and_update(
-                trajectories[-2], trajectory, beliefs(), gateway, engine.analyst_ids,
+                trajectories[-2], trajectory, beliefs(), gateway,
+                {aid: p.role for aid, p in engine.analysts.items()},
                 min_run=config.risk["min_run_length"],
                 max_retries=config.llm["max_retries"],
                 insights_prev=updates[-1].insights_cur if updates else None)

@@ -87,6 +87,15 @@ class MissingAnalystReport(FinconError):
     """The manager step started before every configured analyst reported."""
 
 
+class BadProfileText(FinconError):
+    """A profile text has a placeholder other than ``{tickers}``; ``role``
+    names the profile."""
+
+    def __init__(self, role, message):
+        self.role = role
+        super().__init__(message)
+
+
 # -- risk control ------------------------------------------------------------
 
 class EmptyHistory(FinconError):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 from typing import TYPE_CHECKING
 
+from .agents import ASPECTS, ROLES
 from .errors import (
     AlphaOutOfRange,
     EmptyHistory,
@@ -33,17 +34,6 @@ from .llm_gateway import CompletionRequest, LlmGateway, step_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backtest import Trajectory
-
-ASPECTS = ("historical momentum", "news insights", "Form 10-Q", "Form 10-K",
-           "ECC", "other aspects")
-
-ASPECT_FOR_ROLE = {
-    "data_analyst": "historical momentum",
-    "news_analyst": "news insights",
-    "filing10q_analyst": "Form 10-Q",
-    "filing10k_analyst": "Form 10-K",
-    "ecc_analyst": "ECC",
-}
 
 RISK_CONTROL_TAG = "risk_control"
 
@@ -360,7 +350,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[
     meta_prompt = parsed["meta_prompt"]
     touched = aspects_in_text(meta_prompt)
     target_agents = ["manager"] + sorted(
-        aid for aid, role in analysts.items() if ASPECT_FOR_ROLE.get(role) in touched)
+        aid for aid, role in analysts.items() if ROLES[role].aspect in touched)
     return BeliefUpdate(
         episode_pair=(k_prev, k_cur),
         winner=winner,

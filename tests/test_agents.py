@@ -32,6 +32,7 @@ from fincon.risk_control import RiskState
 from fixtures import trading_days
 
 D0 = date(2022, 3, 7)
+DECAY_RATIOS = CONFIG_SCHEMA["memory.decay_ratios"][0]
 
 
 def make_ctx(entries=None, episode=1):
@@ -42,8 +43,9 @@ def make_ctx(entries=None, episode=1):
 
 
 def news_profile(ticker="SYN"):
-    return AgentProfile(agent_id=f"news_analyst:{ticker}", profile_text="news role",
-                        general_config="task intro")
+    return AgentProfile(agent_id=f"news_analyst:{ticker}", role="news_analyst", ticker=ticker,
+                        profile_text="news role", general_config="task intro",
+                        decay_ratio=0.9)
 
 
 def doc(doc_id, body, kind="news", ticker="SYN", published=D0):
@@ -89,13 +91,13 @@ class TestTopology:
 class TestProfiles:
     def test_exactly_one_manager_and_per_ticker_instances(self):
         profiles = build_profiles(["AAA", "BBB"], ["news_analyst", "data_analyst"],
-                                  "general")
+                                  "general", DECAY_RATIOS)
         assert profiles[MANAGER].agent_id == MANAGER
         assert set(profiles) == {MANAGER, "news_analyst:AAA", "news_analyst:BBB",
                                  "data_analyst:AAA", "data_analyst:BBB"}
 
     def test_custom_profile_text(self):
-        profiles = build_profiles(["AAA"], ["news_analyst"], "general",
+        profiles = build_profiles(["AAA"], ["news_analyst"], "general", DECAY_RATIOS,
                                   {"news_analyst": "custom {tickers} text"})
         assert profiles["news_analyst:AAA"].profile_text == "custom AAA text"
 
@@ -104,7 +106,7 @@ class TestAnalystStep:
     def test_day_with_no_news_yields_no_signal_without_gateway(self):
         ctx, backend = make_ctx()
         message, entry = analyst_step(news_profile(), None,
-                                      AnalystSlice(ticker="SYN"), D0, ctx, 0.9)
+                                      AnalystSlice(ticker="SYN"), D0, ctx)
         assert message.distilled_insight == NO_SIGNAL
         assert message.sentiment == "neutral"
         assert backend.calls == 0
@@ -125,8 +127,7 @@ class TestAnalystStep:
                 embedding=ctx.embedder.embed(content), initial_importance=0.5,
                 decay_ratio=0.9, created_at=date(2022, 3, 1)))
         slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"), doc("n2", "b")))
-        message, entry = analyst_step(news_profile(), "belief text",
-                                      slice_, D0, ctx, 0.9)
+        message, entry = analyst_step(news_profile(), "belief text", slice_, D0, ctx)
         assert message.distilled_insight == "scripted insight"
         assert set(message.cited_memory_ids) == {"news_analyst:SYN:0:0",
                                                  "news_analyst:SYN:0:1"}
@@ -146,13 +147,14 @@ class TestAnalystStep:
         key = f"1:{days[-1].isoformat()}:analyze"
         ctx, _ = make_ctx({("data_analyst:SYN", key): json.dumps(
             {"insight": "uptrend", "sentiment": "positive"})})
-        profile = AgentProfile(agent_id="data_analyst:SYN", profile_text="data role",
-                               general_config="task")
+        profile = AgentProfile(agent_id="data_analyst:SYN", role="data_analyst", ticker="SYN",
+                               profile_text="data role", general_config="task",
+                               decay_ratio=0.9)
         message, entry = analyst_step(profile, None,
                                       AnalystSlice(ticker="SYN",
                                                    indicators={"momentum": mom},
                                                    price_line="close=110.0"),
-                                      days[-1], ctx, 0.9)
+                                      days[-1], ctx)
         assert abs(message.indicators["momentum"] - 0.10) < 1e-12
         assert "momentum" in entry["user"]
 
@@ -171,8 +173,9 @@ def insight(aid, ticker, text="view"):
 
 
 def manager_profile():
-    return AgentProfile(agent_id=MANAGER, profile_text="manager role",
-                        general_config="task intro")
+    return AgentProfile(agent_id=MANAGER, role=MANAGER, ticker=None,
+                        profile_text="manager role", general_config="task intro",
+                        decay_ratio=0.95)
 
 
 def calm_state():
@@ -188,7 +191,7 @@ class TestManagerStep:
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
         decision, entry = manager_step(
             manager_profile(), {}, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
-            calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
+            calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
         assert decision.directions == {"SYN": "long"}
         assert single_stock_weights(decision) == {"SYN": 1.0}
         assert RISK_AVERSE_CLAUSE not in entry["user"]
@@ -197,7 +200,7 @@ class TestManagerStep:
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "neutral"}))
         decision, entry = manager_step(
             manager_profile(), {}, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
-            alerting_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
+            alerting_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
         assert decision.directions == {"SYN": "neutral"}
         assert RISK_AVERSE_CLAUSE in entry["user"]
 
@@ -208,7 +211,7 @@ class TestManagerStep:
         insights = {f"data_analyst:{t}": insight(f"data_analyst:{t}", t)
                     for t in tickers}
         decision, _ = manager_step(manager_profile(), {}, insights, calm_state(),
-                                   D0, ctx, tickers, sorted(insights), 0.95)
+                                   D0, ctx, tickers, sorted(insights))
         from fincon.portfolio import direction_bounds
         lo, hi = direction_bounds([decision.directions[t] for t in tickers])
         assert list(lo) == [0.0, -1.0, 0.0]
@@ -218,13 +221,13 @@ class TestManagerStep:
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
         with pytest.raises(MissingAnalystReport):
             manager_step(manager_profile(), {}, {}, calm_state(), D0, ctx,
-                         ["SYN"], ["data_analyst:SYN"], 0.95)
+                         ["SYN"], ["data_analyst:SYN"])
 
     def test_decision_stored_in_manager_memory(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
         manager_step(manager_profile(), {},
                      {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
-                     calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
+                     calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
         stored = ctx.store.get(f"manager:1:{D0.isoformat()}:decision")
         assert "scripted reasoning" in stored.content
 
@@ -232,7 +235,7 @@ class TestManagerStep:
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))
         _, entry = manager_step(manager_profile(), {"news insights": "trust headlines"},
                                 {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
-                                calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"], 0.95)
+                                calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
         assert "trust headlines" in entry["system"]
 
 
@@ -241,7 +244,7 @@ class TestReflectStep:
         key = f"1:{D0.isoformat()}:reflect"
         ctx, _ = make_ctx({(MANAGER, key): json.dumps({"reflection": "be careful"})})
         reflection, entry = reflect_step(manager_profile(), "negative_pnl",
-                                         "PnL -0.01", D0, ctx, 0.95)
+                                         "PnL -0.01", D0, ctx)
         assert reflection.trigger == "negative_pnl"
         assert reflection.text == "be careful"
         assert ctx.store.get(f"manager:1:{D0.isoformat()}:reflection-negative_pnl")
@@ -262,38 +265,34 @@ class TestSendFeedback:
                                    weights={"SYN": 1.0}, reasoning="r",
                                    contribution_notes={},
                                    cited_memory_ids=("cite0", "cite1"))
-        insights = {aid: insight(aid, "SYN")
-                    for aid in ("news_analyst:SYN", "data_analyst:SYN")}
-        roles = {"news_analyst:SYN": "news_analyst", "data_analyst:SYN": "data_analyst"}
-        return ctx, router, decision, insights, roles
+        profiles = build_profiles(["SYN"], ["news_analyst", "data_analyst"], "", DECAY_RATIOS)
+        reporting = [profiles["news_analyst:SYN"], profiles["data_analyst:SYN"]]
+        insights = {p.agent_id: insight(p.agent_id, "SYN") for p in reporting}
+        return ctx, router, decision, insights, reporting
 
     def test_below_threshold_no_boosts_no_messages(self):
-        ctx, router, decision, insights, roles = self._setup()
-        send_feedback(decision, 0.001, 0.01, sorted(insights), insights, D0,
-                      ctx, router, {"news": 0.9, "data": 0.9}, roles)
+        ctx, router, decision, insights, reporting = self._setup()
+        send_feedback(decision, 0.001, 0.01, reporting, insights, D0, ctx, router)
         assert ctx.store.get("cite0").access_bonus == 0.0
         assert router.count() == 0
 
     def test_significant_day_boosts_both_cited_ids(self):
-        ctx, router, decision, insights, roles = self._setup()
-        send_feedback(decision, 0.05, 0.01, sorted(insights), insights, D0,
-                      ctx, router, {"news": 0.9, "data": 0.9}, roles)
+        ctx, router, decision, insights, reporting = self._setup()
+        send_feedback(decision, 0.05, 0.01, reporting, insights, D0, ctx, router)
         assert router.count("feedback") == 2
         assert ctx.store.get("cite0").access_bonus == 5.0
         assert ctx.store.get("cite1").access_bonus == 5.0
         assert ctx.store.has(f"news_analyst:SYN:1:{D0.isoformat()}:feedback")
 
     def test_repeated_significant_days_accumulate(self):
-        ctx, router, decision, insights, roles = self._setup()
-        send_feedback(decision, 0.05, 0.01, sorted(insights), insights, D0, ctx,
-                      router, {"news": 0.9, "data": 0.9}, roles)
+        ctx, router, decision, insights, reporting = self._setup()
+        send_feedback(decision, 0.05, 0.01, reporting, insights, D0, ctx, router)
         d1 = date(2022, 3, 8)
         decision2 = TradingDecision(date=d1, directions={"SYN": "long"},
                                     weights={"SYN": 1.0}, reasoning="r",
                                     contribution_notes={},
                                     cited_memory_ids=("cite0", "cite1"))
-        send_feedback(decision2, -0.06, 0.01, sorted(insights), insights, d1, ctx,
-                      router, {"news": 0.9, "data": 0.9}, roles)
+        send_feedback(decision2, -0.06, 0.01, reporting, insights, d1, ctx, router)
         assert ctx.store.get("cite0").access_bonus == 10.0
         assert router.count("feedback") == 4
 
@@ -306,15 +305,15 @@ class TestSendFeedback:
         decision = TradingDecision(date=D0, directions={"SYN": "long"},
                                    weights={"SYN": 1.0}, reasoning="r",
                                    contribution_notes={}, cited_memory_ids=())
-        send_feedback(decision, 0.05, 0.01, [aid], {aid: insight(aid, "SYN")}, D0, ctx,
-                      Router([aid]), CONFIG_SCHEMA["memory.decay_ratios"][0], {aid: role})
+        profile = build_profiles(["SYN"], [role], "", DECAY_RATIOS)[aid]
+        send_feedback(decision, 0.05, 0.01, [profile], {aid: insight(aid, "SYN")}, D0, ctx,
+                      Router([aid]))
         event = ctx.store.get(f"{aid}:1:{D0.isoformat()}:feedback")
         assert event.decay_ratio == ratio
 
     def test_none_threshold_means_no_feedback(self):
-        ctx, router, decision, insights, roles = self._setup()
-        send_feedback(decision, 0.5, None, sorted(insights), insights, D0,
-                      ctx, router, {"news": 0.9, "data": 0.9}, roles)
+        ctx, router, decision, insights, reporting = self._setup()
+        send_feedback(decision, 0.5, None, reporting, insights, D0, ctx, router)
         assert router.count("feedback") == 0
 
 

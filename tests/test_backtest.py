@@ -529,7 +529,7 @@ class TestEngineSingleStock:
         for k in (1, 2):
             trajs.append(engine.run_episode({}, k, config.train_start,
                                             config.train_end))
-        n_instances = len(engine.analyst_ids)
+        n_instances = len(engine.analysts)
         expected = 0
         for traj in trajs:
             pnls = []
