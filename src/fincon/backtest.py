@@ -50,7 +50,15 @@ from .agents import (
     single_stock_weights,
     store_event,
 )
-from .data_ingest import MarketData, assemble_observation, log_return, parse_date, read_json, read_jsonl
+from .data_ingest import (
+    MarketData,
+    assemble_observation,
+    log_return,
+    open_input,
+    parse_date,
+    read_json,
+    read_jsonl,
+)
 from .errors import (
     BadProfileText,
     ConfigError,
@@ -327,9 +335,13 @@ class RunConfig:
         texts = agents["profile_texts"]
         for role, rel in agents["profile_files"].items():
             file_path = base / rel
-            if not file_path.exists():
-                raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found")
-            texts[role] = file_path.read_text()
+            try:
+                with open_input(file_path) as fh:
+                    texts[role] = fh.read()
+            except FileNotFoundError:
+                raise ConfigError(f"agents.profile_files[{role}]: {file_path} not found") from None
+            except SchemaError as exc:
+                raise ConfigError(f"agents.profile_files[{role}]: {exc}") from None
         general = agents["general_config"] or (
             f"Investment task: {'portfolio management' if len(tickers) > 1 else 'single stock trading'} "
             f"on {', '.join(tickers)}. Objective: maximize cumulative discounted PnL "

@@ -16,6 +16,7 @@ import bisect
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from functools import cached_property
@@ -131,6 +132,24 @@ def parse_date(text: str) -> Date:
     return Date(y, m, d)
 
 
+@contextmanager
+def open_input(path: Path, newline: str | None = None):
+    """``path`` opened as UTF-8 text, whatever the locale, so that a run
+    reads the same text on every machine.
+
+    Raises FileNotFoundError for a missing file, and SchemaError(0, None)
+    naming the file for one that cannot be opened, such as a directory, or
+    that is not UTF-8 where it is read.
+    """
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    try:
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(0, None, f"{path}: not a readable UTF-8 text file ({exc})") from None
+
+
 def read_jsonl(path: str | Path):
     """Yield ``(row_no, record)`` for each non-blank line of a JSONL file.
 
@@ -145,12 +164,11 @@ def read_jsonl_lines(path: str | Path):
     """Yield ``(row_no, line, record)`` for each non-blank line of a JSONL
     file, ``line`` being the text the record was parsed from, stripped.
 
-    The one JSONL reader; ``read_jsonl`` drops the line. Raises as it does.
+    The one JSONL reader; ``read_jsonl`` drops the line. Raises as it does,
+    and as ``open_input``.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with path.open() as fh:
+    with open_input(path) as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -165,14 +183,14 @@ def read_jsonl_lines(path: str | Path):
 def read_json(path: str | Path):
     """The single JSON document a run file holds.
 
-    Raises FileNotFoundError for a missing file and SchemaError(0, None) for
-    one that is not JSON, such as a file cut short by a crash.
+    Raises as ``open_input`` does, and SchemaError(0, None) for a file that
+    is not JSON, such as one cut short by a crash.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
+    with open_input(path) as fh:
+        text = fh.read()
     try:
-        return json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(0, None, f"{path}: invalid JSON ({exc})") from None
 
@@ -180,15 +198,13 @@ def read_json(path: str | Path):
 def load_price_series(path: str | Path, ticker: str) -> PriceSeries:
     """Load and validate one price CSV into a date-sorted series.
 
-    Raises FileNotFoundError for a missing file, SchemaError(row, column) for
-    a malformed or invariant-violating row (rows are 1-based, header
-    excluded), and NonMonotoneDates when dates are out of order or repeated.
+    Raises as ``open_input`` does, SchemaError(row, column) for a malformed
+    or invariant-violating row (rows are 1-based, header excluded), and
+    NonMonotoneDates when dates are out of order or repeated.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     bars: list[PriceBar] = []
-    with path.open(newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

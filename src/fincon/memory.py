@@ -373,7 +373,7 @@ class MemoryStore:
         """
         with self._lock:
             events = sorted(self._events.items())
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for event_id, event in events:
                 cached = self._encoded.get(event_id)
                 if cached is None or cached[0] != event.access_bonus:

@@ -269,6 +269,33 @@ class TestProfiles:
         assert "agents.profile_files[data_analyst]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("override, named", [
+        ('agents.profile_files={"manager": "pdir"}', "agents.profile_files[manager]"),
+        ('data.prices={"SYN": "pdir"}', "pdir"),
+        ('data.documents=["pdir"]', "pdir"),
+    ])
+    def test_config_path_naming_a_directory_exit_one(self, tmp_path, capsys, override,
+                                                     named):
+        fix = build_fixture(tmp_path, episodes=1)
+        (fix.root / "pdir").mkdir()
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run"), "--override", override])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    def test_profile_file_not_utf8_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path, episodes=1, extra_config={"agents": {
+            "profile_files": {"manager": "profiles/manager.txt"}}})
+        (fix.root / "profiles").mkdir()
+        (fix.root / "profiles" / "manager.txt").write_bytes(b"\xffTrade {tickers}.")
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "agents.profile_files[manager]" in capsys.readouterr().err
+
+
 class TestTestCommand:
     def test_without_training_artifacts_exit_one(self, tmp_path, capsys):
         fix = build_fixture(tmp_path, n_test=4)

@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
+import fincon
 from fincon.data_ingest import (
     MarketData,
     PriceBar,
@@ -206,6 +211,23 @@ class TestDocuments:
              "published": "2022-01-05", "body": "y"}])
         with pytest.raises(SchemaError):
             load_documents(tmp_path / "d.jsonl")
+
+
+    def test_utf8_body_read_under_a_posix_locale(self, tmp_path):
+        """Inputs are UTF-8 whatever the locale, so an ASCII locale neither
+        fails on nor misreads a non-ASCII body."""
+        path = tmp_path / "d.jsonl"
+        doc = {"doc_id": "a", "ticker": "SYN", "kind": "news",
+               "published": "2022-01-04", "body": "caf\u00e9"}
+        path.write_bytes((json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8"))
+        script = ("import sys; from fincon.data_ingest import load_documents; "
+                  "assert load_documents(sys.argv[1])[0].body == 'caf\\u00e9'")
+        env = {**os.environ, "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(fincon.__file__).parents[1])}
+        env.pop("PYTHONUTF8", None)
+        result = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestAssembleObservation:
