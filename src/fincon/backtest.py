@@ -53,6 +53,7 @@ from .agents import (
 from .data_ingest import (
     MarketData,
     assemble_observation,
+    jsonl_line,
     log_return,
     open_input,
     parse_date,
@@ -645,8 +646,7 @@ def _dump_json(payload: dict) -> str:
 
 
 def _dump_jsonl(records) -> str:
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in records)
+    return "".join(map(jsonl_line, records))
 
 
 class RunWriter:

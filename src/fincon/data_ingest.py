@@ -180,6 +180,12 @@ def read_jsonl_lines(path: str | Path):
             yield row_no, line, record
 
 
+def jsonl_line(record) -> str:
+    """``record`` as one canonical JSON-lines line: sorted keys, no spaces,
+    ending in a newline. Every JSONL file a run writes is made of these."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def read_json(path: str | Path):
     """The single JSON document a run file holds.
 

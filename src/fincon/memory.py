@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import threading
 from collections.abc import KeysView
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .data_ingest import parse_date, read_jsonl_lines
+from .data_ingest import jsonl_line, parse_date, read_jsonl_lines
 from .errors import DimensionMismatch, FutureEvent, SchemaError, UnknownEventId, ZeroVector
 
 LAYERS = ("working", "procedural", "episodic")
@@ -377,8 +376,7 @@ class MemoryStore:
             for event_id, event in events:
                 cached = self._encoded.get(event_id)
                 if cached is None or cached[0] != event.access_bonus:
-                    line = json.dumps(event.to_record(), sort_keys=True,
-                                      separators=(",", ":")) + "\n"
+                    line = jsonl_line(event.to_record())
                     cached = self._encoded[event_id] = (event.access_bonus, line)
                 fh.write(cached[1])
 
