@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import fincon
 from fincon.agents import (
+    ASPECTS,
     MANAGER,
     NO_SIGNAL,
     RISK_AVERSE_CLAUSE,
     RISK_CONTROL,
+    ROLES,
     AgentProfile,
     AnalystSlice,
     InsightMessage,
@@ -23,7 +30,7 @@ from fincon.agents import (
     single_stock_weights,
 )
 from fincon.backtest import CONFIG_SCHEMA
-from fincon.data_ingest import PriceBar, PriceSeries, TextDocument, momentum
+from fincon.data_ingest import DOCUMENT_KINDS, PriceBar, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
 from fincon.memory import HashEmbedder, MemoryEvent, MemoryStore
@@ -86,6 +93,35 @@ class TestTopology:
         assert router.count() == 2
         assert router.count("insight") == 1
         assert router.counts_by_kind() == {"insight": 1, "feedback": 1}
+
+
+class TestRoleTable:
+    def test_each_source_is_the_price_stream_or_a_document_kind(self):
+        for role, spec in ROLES.items():
+            assert spec.source == "data" or spec.source in DOCUMENT_KINDS, role
+
+    def test_each_aspect_is_in_the_vocabulary_and_belongs_to_one_role(self):
+        aspects = [spec.aspect for spec in ROLES.values()]
+        assert set(aspects) <= set(ASPECTS)
+        assert len(set(aspects)) == len(aspects)
+
+    def test_each_source_has_a_default_decay_ratio(self):
+        defaults = CONFIG_SCHEMA["memory.decay_ratios"][0]
+        assert {spec.source for spec in ROLES.values()} | {MANAGER} == set(defaults)
+
+
+PACKAGE_DIR = Path(fincon.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
+def test_module_imports_on_its_own(module):
+    """agents and risk_control share the role table, so each module must
+    import first in a fresh interpreter without an import cycle."""
+    name = "fincon" if module == "__init__" else f"fincon.{module}"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestProfiles:
