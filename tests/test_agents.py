@@ -109,6 +109,13 @@ class TestRoleTable:
         defaults = CONFIG_SCHEMA["memory.decay_ratios"][0]
         assert {spec.source for spec in ROLES.values()} | {MANAGER} == set(defaults)
 
+    def test_readme_roles_table_matches_the_table(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Roles", 1)[1].split("\n### ", 1)[0]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
+                for line in section.splitlines() if line.startswith("| `")]
+        assert rows == [[role, spec.source, spec.aspect] for role, spec in ROLES.items()]
+
 
 PACKAGE_DIR = Path(fincon.__file__).parent
 
