@@ -217,6 +217,8 @@ class TestTrain:
         'agents.profile_texts={"manager": "Trade {ticker} well."}',
         'agents.profile_texts={"data_analyst": "Read {0}."}',
         'agents.profile_texts={"manager": "Trade {tickers well."}',
+        # a role the fixture runs no instance of
+        'agents.profile_texts={"news_analyst": "Read {0}."}',
     ])
     def test_invalid_override_exit_one(self, tmp_path, capsys, override):
         fix = build_fixture(tmp_path)
