@@ -134,13 +134,10 @@ def parse_date(text: str) -> Date:
 
 @contextmanager
 def open_input(path: Path, newline: str | None = None):
-    """``path`` opened as UTF-8 text, whatever the locale, so that a run
-    reads the same text on every machine.
-
-    Raises FileNotFoundError for a missing file, and SchemaError(0, None)
-    naming the file for one that cannot be opened, such as a directory, or
-    that is not UTF-8 where it is read.
-    """
+    """``path`` opened as UTF-8 text whatever the locale, so a run reads the
+    same text on every machine. FileNotFoundError for a missing file;
+    SchemaError(0, None) naming the file for one that cannot be opened (a
+    directory) or is not UTF-8 where it is read."""
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
@@ -193,10 +190,9 @@ def read_json(path: str | Path):
     is not JSON, such as one cut short by a crash.
     """
     path = Path(path)
-    with open_input(path) as fh:
-        text = fh.read()
     try:
-        return json.loads(text)
+        with open_input(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(0, None, f"{path}: invalid JSON ({exc})") from None
 
