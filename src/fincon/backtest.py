@@ -618,27 +618,9 @@ class Trajectory:
                 labels.append(day.directions[ticker])
         return labels
 
-    def to_jsonl(self) -> str:
-        return _dump_jsonl(d.to_record() for d in self.days)
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path, episode: object, discount_alpha: float) -> "Trajectory":
-        """The trajectory a ``to_jsonl`` file holds. SchemaError(row, None)
-        names the file and row of a line that is not JSON or not a day record."""
-        days = []
-        for row_no, rec in read_jsonl(path):
-            try:
-                days.append(DayRecord.from_record(rec))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(row_no, None, f"{path}: row {row_no} is not a day record "
-                                  f"({type(exc).__name__}: {exc})") from None
-        traj = cls(episode=episode, days=days)
-        traj.objective = objective_value(traj.pnls(), discount_alpha)
-        return traj
-
 
 # ---------------------------------------------------------------------------
-# run directory writer
+# run directory
 # ---------------------------------------------------------------------------
 
 def _dump_json(payload: dict) -> str:
@@ -650,15 +632,20 @@ def _dump_jsonl(records) -> str:
 
 
 class RunWriter:
-    """Writes every run artifact with canonical, reproducible serialization."""
+    """The one owner of the run-directory layout: writes every artifact with
+    canonical serialization and reads back, beside each writer, what resume,
+    the test stage and ``report`` need. Opening a directory creates nothing."""
 
     def __init__(self, run_dir: str | Path):
         self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, *parts) -> Path:
+        """A file to write, its directory created (ConfigError if it cannot be)."""
         p = self.run_dir.joinpath(*parts)
-        p.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            p.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create directory {p.parent}: {exc.strerror}") from None
         return p
 
     def write_config(self, config: RunConfig) -> None:
@@ -667,8 +654,20 @@ class RunWriter:
     def write_trajectory(self, tag: object, trajectory: Trajectory) -> None:
         """The completed episode's trajectory; removes the FAILED artifact an
         earlier, aborted attempt at the episode left."""
-        self.path(f"trajectory_{tag}.jsonl").write_text(trajectory.to_jsonl())
+        self.path(f"trajectory_{tag}.jsonl").write_text(
+            _dump_jsonl(d.to_record() for d in trajectory.days))
         (self.run_dir / f"trajectory_{tag}.FAILED.jsonl").unlink(missing_ok=True)
+
+    def read_trajectory(self, tag: object, discount_alpha: float) -> Trajectory:
+        """SchemaError(row, None) names a line that is not JSON or not a day record."""
+        path = self.run_dir / f"trajectory_{tag}.jsonl"
+        days = []
+        for row_no, rec in read_jsonl(path):
+            try:
+                days.append(DayRecord.from_record(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError.not_a(path, "day record", exc, row_no) from None
+        return Trajectory(tag, days, objective_value([d.pnl for d in days], discount_alpha))
 
     def write_failed(self, tag: object, days: list[DayRecord], error: str) -> None:
         records = [d.to_record() for d in days] + [{"FAILED": error}]
@@ -677,16 +676,42 @@ class RunWriter:
     def write_belief(self, episode: int, update) -> None:
         self.path("beliefs", f"episode_{episode}.json").write_text(_dump_json(asdict(update)))
 
+    def read_belief(self, episode: int) -> BeliefUpdate:
+        path = self.run_dir / "beliefs" / f"episode_{episode}.json"
+        try:
+            return BeliefUpdate.from_record(read_json(path))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError.not_a(path, "belief update", exc) from None
+
     def write_prompt_set(self, beliefs: dict[str, str]) -> None:
         """The final belief block, which the test stage inherits."""
         self.path("prompts", "final", "prompt_set.json").write_text(
             _dump_json({"belief_block": beliefs}))
+
+    def read_belief_block(self) -> dict[str, str]:
+        """What a test stage inherits first: MissingTrainingArtifacts unless the
+        memory snapshot exists too; other prompt-set fields are ignored."""
+        path = self.run_dir / "prompts" / "final" / "prompt_set.json"
+        if not path.exists() or not (self.run_dir / "memory" / "snapshot.jsonl").exists():
+            raise MissingTrainingArtifacts(
+                f"missing training artifacts under {self.run_dir} "
+                "(expected prompts/final/prompt_set.json and memory/snapshot.jsonl)")
+        payload = read_json(path)
+        try:
+            check_belief_block(payload["belief_block"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError.not_a(path, "prompt set", exc) from None
+        return payload["belief_block"]
 
     def write_prompt_log(self, tag: object, entries: list[dict]) -> None:
         self.path("prompts", f"assembled_{tag}.jsonl").write_text(_dump_jsonl(entries))
 
     def write_memory(self, store: MemoryStore) -> None:
         store.save_jsonl(self.path("memory", "snapshot.jsonl"))
+
+    def read_memory(self, calendar: tuple[Date, ...]) -> MemoryStore:
+        return MemoryStore.load_jsonl(self.run_dir / "memory" / "snapshot.jsonl",
+                                      calendar=calendar)
 
     def write_report(self, report: MetricsReport) -> None:
         self.path("report.json").write_text(_dump_json(asdict(report)))
@@ -711,6 +736,35 @@ class RunWriter:
         store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
         payload = {"episode": episode, "message_counts": message_counts}
         self.path("state", f"checkpoint_{episode}.json").write_text(_dump_json(payload))
+
+    def read_checkpoint(self, episode: int, calendar: tuple[Date, ...]) -> tuple[MemoryStore, dict]:
+        """(memory, message counts); SchemaError unless the counts are integers."""
+        path = self.run_dir / "state" / f"checkpoint_{episode}.json"
+        payload = read_json(path)
+        counts = payload.get("message_counts") if isinstance(payload, dict) else None
+        if not isinstance(counts, dict) or not all(
+                isinstance(n, int) and not isinstance(n, bool) for n in counts.values()):
+            raise SchemaError(0, "message_counts",
+                              f"{path}: 'message_counts' is not a map of counts")
+        return MemoryStore.load_jsonl(self.run_dir / "state" / f"memory_{episode}.jsonl",
+                                      calendar=calendar), counts
+
+    def completed_episodes(self, cap: int) -> list[int]:
+        """Episodes 1, 2, ... (to ``cap``) whose trajectory and checkpoint both
+        exist, stopping at the first that lacks either: what resume restores."""
+        k = 0
+        while k < cap and (self.run_dir / f"trajectory_{k + 1}.jsonl").exists() \
+                and (self.run_dir / "state" / f"checkpoint_{k + 1}.json").exists():
+            k += 1
+        return list(range(1, k + 1))
+
+    def report_tag(self, cap: int) -> object:
+        """What ``report`` reads: the test trajectory, else the newest completed episode."""
+        if (self.run_dir / "trajectory_test.jsonl").exists():
+            return "test"
+        if not (done := self.completed_episodes(cap)):
+            raise MissingTrajectory(f"no test trajectory or completed episode in {self.run_dir}")
+        return done[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -944,18 +998,21 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     comparing it with its predecessor, whose insights are reused from the
     previous update, so each episode is conceptualized once; training stops
     at the episode cap or when the overlap/objective convergence rule fires.
-    With ``resume`` set, episodes whose trajectory and checkpoint already
-    exist are reloaded instead of re-run, and a restored state that had
-    already converged runs no further episode.
+    With ``resume`` set, the run directory's completed episodes
+    (``RunWriter.completed_episodes``) are reloaded instead of re-run, and a
+    restored state that had already converged runs no further episode.
     """
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)
     engine = BacktestEngine(config, market, gateway, writer=writer)
-    trajectories: list[Trajectory] = []
-    updates: list[BeliefUpdate] = []
-    if config.backtest["resume"]:
-        trajectories, updates = _resume_state(config, writer, engine)
+    done = writer.completed_episodes(config.backtest["max_episodes"]) \
+        if config.backtest["resume"] else []
+    if done:
+        engine.store, counts = writer.read_checkpoint(done[-1], market.calendar)
+        engine.router.restore_counts(counts)
+    trajectories = [writer.read_trajectory(k, config.backtest["discount_alpha"]) for k in done]
+    updates = [writer.read_belief(k) for k in done[1:]]
 
     def beliefs() -> dict[str, str]:
         return updates[-1].beliefs if updates else {}
@@ -1002,59 +1059,6 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     return trajectories, updates
 
 
-def read_belief_block(path: Path) -> dict[str, str]:
-    """The belief block of a training run's final prompt set; SchemaError
-    when the file holds none. Other fields, which earlier versions wrote,
-    are ignored."""
-    payload = read_json(path)
-    try:
-        beliefs = payload["belief_block"]
-        check_belief_block(beliefs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(0, "belief_block", f"{path}: not a prompt set "
-                          f"({type(exc).__name__}: {exc})") from None
-    return beliefs
-
-
-def _resume_state(config: RunConfig, writer: RunWriter, engine: BacktestEngine):
-    """Rebuild the training state of the newest checkpoint from the run's
-    files, so training continues after an abort. Returns (trajectories,
-    belief updates); restores memory and message counts."""
-    run_dir = writer.run_dir
-    last_done = 0
-    for k in range(1, config.backtest["max_episodes"] + 1):
-        if (run_dir / f"trajectory_{k}.jsonl").exists() and \
-                (run_dir / "state" / f"checkpoint_{k}.json").exists():
-            last_done = k
-    if last_done == 0:
-        return [], []
-    checkpoint = run_dir / "state" / f"checkpoint_{last_done}.json"
-    payload = read_json(checkpoint)
-    counts = payload.get("message_counts") if isinstance(payload, dict) else None
-    if not isinstance(counts, dict) or not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in counts.values()):
-        raise SchemaError(0, "message_counts",
-                          f"{checkpoint}: 'message_counts' is not a map of counts")
-    engine.router.restore_counts(counts)
-    engine.store = MemoryStore.load_jsonl(run_dir / "state" / f"memory_{last_done}.jsonl",
-                                          calendar=engine.market.calendar)
-    trajectories = [
-        Trajectory.from_jsonl(run_dir / f"trajectory_{k}.jsonl", k,
-                              config.backtest["discount_alpha"])
-        for k in range(1, last_done + 1)
-    ]
-    updates = []
-    for k in range(2, last_done + 1):
-        path = run_dir / "beliefs" / f"episode_{k}.json"
-        record = read_json(path)
-        try:
-            updates.append(BeliefUpdate.from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(0, None, f"{path}: not a belief update "
-                              f"({type(exc).__name__}: {exc})") from None
-    return trajectories, updates
-
-
 def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
          market: MarketData | None = None):
     """Run the test stage from inherited training artifacts.
@@ -1066,18 +1070,12 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     train_dir = config.backtest["train_run_dir"]
     if not train_dir:
         raise MissingTrainingArtifacts("backtest.train_run_dir is not configured")
-    train_dir = config.base_dir / train_dir
-    prompt_path = train_dir / "prompts" / "final" / "prompt_set.json"
-    memory_path = train_dir / "memory" / "snapshot.jsonl"
-    if not prompt_path.exists() or not memory_path.exists():
-        raise MissingTrainingArtifacts(
-            f"missing training artifacts under {train_dir} "
-            "(expected prompts/final/prompt_set.json and memory/snapshot.jsonl)")
-    beliefs = read_belief_block(prompt_path)
+    training = RunWriter(config.base_dir / train_dir)
+    beliefs = training.read_belief_block()
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)
-    store = MemoryStore.load_jsonl(memory_path, calendar=market.calendar)
+    store = training.read_memory(market.calendar)
     engine = BacktestEngine(config, market, gateway, store=store, writer=writer)
     trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end)
     writer.write_trajectory("test", trajectory)
@@ -1093,14 +1091,8 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
 
 def recompute_report(run_dir: str | Path, config: RunConfig) -> MetricsReport:
-    """Rebuild report.json and metrics.csv from the newest trajectory on disk."""
-    run_dir = Path(run_dir)
-    candidates = [run_dir / "trajectory_test.jsonl"]
-    candidates += sorted(run_dir.glob("trajectory_[0-9]*.jsonl"), reverse=True)
-    path = next((p for p in candidates if p.exists()), None)
-    if path is None:
-        raise MissingTrajectory(f"no trajectory file in {run_dir}")
-    tag = path.stem.replace("trajectory_", "")
-    trajectory = Trajectory.from_jsonl(path, tag, config.backtest["discount_alpha"])
+    """Rebuild report.json and metrics.csv from ``RunWriter.report_tag``'s trajectory."""
     writer = RunWriter(run_dir)
+    tag = writer.report_tag(config.backtest["max_episodes"])
+    trajectory = writer.read_trajectory(tag, config.backtest["discount_alpha"])
     return _write_report(writer, config, trajectory)

@@ -24,6 +24,13 @@ class SchemaError(FinconError):
         self.column = column
         super().__init__(message or f"schema violation at row {row}, column {column!r}")
 
+    @classmethod
+    def not_a(cls, path, what: str, exc: Exception, row: int = 0) -> "SchemaError":
+        """The error for a record of ``path`` (at ``row`` when > 0) that does
+        not parse as ``what``, naming the parser's exception ``exc``."""
+        where = f"row {row} is " if row else ""
+        return cls(row, None, f"{path}: {where}not a {what} ({type(exc).__name__}: {exc})")
+
 
 class NonMonotoneDates(FinconError):
     """Dates in a price file are not strictly increasing."""

@@ -391,7 +391,6 @@ class MemoryStore:
                 event = MemoryEvent.from_record(rec)
                 store.add(event)
             except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-                raise SchemaError(row_no, None, f"{path}: row {row_no} is not a memory "
-                                  f"event ({type(exc).__name__}: {exc})") from None
+                raise SchemaError.not_a(path, "memory event", exc, row_no) from None
             store._encoded[event.event_id] = (event.access_bonus, line + "\n")
         return store

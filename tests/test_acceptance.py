@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fincon import backtest
-from fincon.backtest import RunConfig, Trajectory, cumulative_return, max_drawdown, sharpe_ratio, wilcoxon_signed_rank
+from fincon.backtest import RunConfig, RunWriter, cumulative_return, max_drawdown, sharpe_ratio, wilcoxon_signed_rank
 from fincon.cli import main
 from fincon.errors import ZeroVolatility
 from fincon.llm_gateway import LlmGateway, load_mock_script
@@ -231,8 +231,8 @@ def test_criterion_09_no_look_ahead(tmp_path):
     run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
     backtest.train(RunConfig.load(config_a), LlmGateway(load_mock_script(script_a)), run_a)
     backtest.train(RunConfig.load(config_b), LlmGateway(load_mock_script(script_b)), run_b)
-    traj_a = Trajectory.from_jsonl(run_a / "trajectory_1.jsonl", 1, 1.0)
-    traj_b = Trajectory.from_jsonl(run_b / "trajectory_1.jsonl", 1, 1.0)
+    traj_a = RunWriter(run_a).read_trajectory(1, 1.0)
+    traj_b = RunWriter(run_b).read_trajectory(1, 1.0)
     for da, db in zip(traj_a.days, traj_b.days):
         assert da.directions == db.directions
         assert da.weights == db.weights

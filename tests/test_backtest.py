@@ -12,7 +12,6 @@ import pytest
 from fincon import backtest
 from fincon.backtest import (
     RunConfig,
-    Trajectory,
     build_report,
     cumulative_return,
     daily_pnl,
@@ -484,8 +483,8 @@ class TestEngineSingleStock:
         config = RunConfig.load(fix.config_path)
         backtest.train(config, make_gateway(fix), tmp_path / "run")
         report = json.loads((tmp_path / "run" / "report.json").read_text())
-        traj = Trajectory.from_jsonl(tmp_path / "run" / "trajectory_1.jsonl", 1,
-                                     config.backtest["discount_alpha"])
+        traj = backtest.RunWriter(tmp_path / "run").read_trajectory(
+            1, config.backtest["discount_alpha"])
         rebuilt = build_report(traj.pnls(), config.backtest["capital"],
                                config.risk["cvar_alpha"],
                                config.backtest["risk_free_daily"],
@@ -580,8 +579,8 @@ class TestEnginePortfolio:
                        LlmGateway(load_mock_script(script_a)), run_a)
         backtest.train(RunConfig.load(config_b),
                        LlmGateway(load_mock_script(script_b)), run_b)
-        traj_a = Trajectory.from_jsonl(run_a / "trajectory_1.jsonl", 1, 1.0)
-        traj_b = Trajectory.from_jsonl(run_b / "trajectory_1.jsonl", 1, 1.0)
+        traj_a = backtest.RunWriter(run_a).read_trajectory(1, 1.0)
+        traj_b = backtest.RunWriter(run_b).read_trajectory(1, 1.0)
         for da, db in zip(traj_a.days, traj_b.days):
             assert da.directions == db.directions
             assert da.weights == db.weights

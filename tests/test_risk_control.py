@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fincon import backtest
 from fincon.backtest import DayRecord, RunWriter, Trajectory
 from fincon.errors import (
     AlphaOutOfRange,
@@ -17,6 +16,7 @@ from fincon.errors import (
     LengthMismatch,
 )
 from fincon.llm_gateway import LlmGateway
+from fincon.memory import MemoryStore
 from fincon.risk_control import (
     ASPECTS,
     BeliefUpdate,
@@ -362,18 +362,22 @@ class TestTypes:
 
     def test_final_belief_block_round_trip(self, tmp_path):
         beliefs = {"ECC": "listen closely"}
-        RunWriter(tmp_path).write_prompt_set(beliefs)
+        writer = RunWriter(tmp_path)
+        writer.write_prompt_set(beliefs)
+        writer.write_memory(MemoryStore())
         path = tmp_path / "prompts" / "final" / "prompt_set.json"
         assert json.loads(path.read_text()) == {"belief_block": beliefs}
-        assert backtest.read_belief_block(path) == beliefs
+        assert writer.read_belief_block() == beliefs
 
     def test_earlier_prompt_set_reads_its_belief_block(self, tmp_path):
         """Training runs of earlier versions also stored the profile texts."""
-        path = tmp_path / "prompt_set.json"
-        path.write_text(json.dumps({"analyst_prompts": {"data_analyst:SYN": "d"},
-                                    "belief_block": {"ECC": "listen closely"},
-                                    "manager_prompt": "m"}))
-        assert backtest.read_belief_block(path) == {"ECC": "listen closely"}
+        writer = RunWriter(tmp_path)
+        writer.write_memory(MemoryStore())
+        writer.path("prompts", "final", "prompt_set.json").write_text(json.dumps({
+            "analyst_prompts": {"data_analyst:SYN": "d"},
+            "belief_block": {"ECC": "listen closely"},
+            "manager_prompt": "m"}))
+        assert writer.read_belief_block() == {"ECC": "listen closely"}
 
     def test_belief_update_serializes(self, tmp_path):
         update = BeliefUpdate(
