@@ -67,10 +67,15 @@ def _load_config(args) -> backtest.RunConfig:
 
 
 def _build_gateway(args, config: backtest.RunConfig) -> LlmGateway:
+    """The gateway to exactly one backend: the mock script or the HTTP
+    endpoint; ConfigError when both or neither are configured."""
+    endpoint = os.environ.get(ENV_ENDPOINT)
+    if args.mock_script and endpoint:
+        raise ConfigError(
+            f"--mock-script and {ENV_ENDPOINT} cannot be configured simultaneously")
+    if not args.mock_script and not endpoint:
+        raise ConfigError(f"no backend: pass --mock-script or set {ENV_ENDPOINT}")
     if args.mock_script:
-        if os.environ.get(ENV_ENDPOINT):
-            raise ConfigError(
-                f"--mock-script and {ENV_ENDPOINT} cannot be configured simultaneously")
         backend = load_mock_script(args.mock_script)
     else:
         backend = HttpBackend(seed=config.seed)
