@@ -223,7 +223,8 @@ class ScriptedBackend:
 
 
 def load_mock_script(path: str | Path) -> ScriptedBackend:
-    """Load a JSONL mock script; duplicate (role_tag, step_key) is an error."""
+    """Load a JSONL mock script; a duplicate (role_tag, step_key) or a
+    response that is not a string is an error."""
     entries: dict[tuple[str, str], str] = {}
     for row_no, rec in read_jsonl(path):
         for key in ("role_tag", "step_key", "response"):
@@ -232,7 +233,10 @@ def load_mock_script(path: str | Path) -> ScriptedBackend:
         lookup = (str(rec["role_tag"]), str(rec["step_key"]))
         if lookup in entries:
             raise SchemaError(row_no, "step_key", f"{path}: duplicate entry for {lookup}")
-        entries[lookup] = str(rec["response"])
+        if not isinstance(rec["response"], str):
+            raise SchemaError(row_no, "response", f"{path}: row {row_no}: response must be "
+                              f"a JSON string, got {type(rec['response']).__name__}")
+        entries[lookup] = rec["response"]
     return ScriptedBackend(entries)
 
 
