@@ -162,6 +162,45 @@ class TestTrain:
         assert code == 1
         assert "simultaneously" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "test"])
+    def test_no_backend_configured_exit_one(self, tmp_path, monkeypatch, capsys, command):
+        fix = build_fixture(tmp_path)
+        monkeypatch.delenv("FINCON_LLM_ENDPOINT", raising=False)
+        code = main([command, "--config", str(fix.config_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "no backend: pass --mock-script or set FINCON_LLM_ENDPOINT" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_mock_script_response_not_a_string_exit_one(self, tmp_path, capsys):
+        """A response must be the reply text itself; a JSON object there is
+        rejected at load, before any episode runs."""
+        fix = build_fixture(tmp_path)
+        lines = fix.script_path.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry["response"] = json.loads(entry["response"])
+        lines[2] = json.dumps(entry)
+        fix.script_path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "script.jsonl: row 3: response must be a JSON string, got dict" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_run_dir_naming_a_file_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path, episodes=1)
+        run_file = tmp_path / "run"
+        run_file.write_text("a plain file\n")
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(run_file)])
+        assert code == 1
+        assert f"cannot create directory {run_file}" in capsys.readouterr().err
+        assert run_file.read_text() == "a plain file\n"
+
     def test_missing_run_dir_flag(self, tmp_path):
         fix = build_fixture(tmp_path)
         code = main(["train", "--config", str(fix.config_path),
@@ -465,6 +504,45 @@ class TestReport:
                      "--run-dir", str(run_dir)])
         assert code == 1
         assert f"trajectory_2.jsonl: {message}" in capsys.readouterr().err
+
+    def test_report_reads_episode_ten_of_ten(self, tmp_path):
+        """The newest episode is found by number, not by name: a string
+        sort would put trajectory_9 after trajectory_10."""
+        fix = build_fixture(
+            tmp_path, n_train=6, episodes=10,
+            directions_fn=lambda episode, t: "long" if (t * episode) % 3 else "short",
+            extra_config={"risk": {"convergence_epsilon": -1e9}})
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path), "--run-dir", str(run_dir)]) == 0
+        summary = json.loads((run_dir / "train_summary.json").read_text())
+        assert summary["episodes_run"] == 10
+        before_report = (run_dir / "report.json").read_bytes()
+        before_csv = (run_dir / "metrics.csv").read_bytes()
+        assert main(["report", "--config", str(fix.config_path),
+                     "--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "report.json").read_bytes() == before_report
+        assert (run_dir / "metrics.csv").read_bytes() == before_csv
+
+    def test_report_reads_the_episode_before_an_aborted_one(self, tmp_path):
+        """An aborted episode 2 leaves only its FAILED trajectory, so the
+        report is episode 1's, as a one-episode run writes it."""
+        fix = build_fixture(tmp_path)
+        lines = [l for l in fix.script_path.read_text().splitlines()
+                 if f"2:{fix.train_days[3].isoformat()}:decide" not in l]
+        broken = fix.root / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        run_dir, one_dir = tmp_path / "run", tmp_path / "one"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(broken), "--run-dir", str(run_dir)]) == 2
+        assert (run_dir / "trajectory_2.FAILED.jsonl").exists()
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path), "--run-dir", str(one_dir),
+                     "--override", "backtest.max_episodes=1"]) == 0
+        assert main(["report", "--config", str(fix.config_path),
+                     "--run-dir", str(run_dir)]) == 0
+        for name in ("report.json", "metrics.csv"):
+            assert (run_dir / name).read_bytes() == (one_dir / name).read_bytes(), name
 
     def test_recompute_matches_and_is_idempotent(self, tmp_path):
         fix = build_fixture(tmp_path)
