@@ -795,6 +795,28 @@ class TestTrainTestDrivers:
             assert (run_dir / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
 
+    def test_resume_with_a_smaller_episode_cap_restores_up_to_the_cap(self, tmp_path):
+        """A finished 3-episode run resumed with max_episodes=2 restores
+        episodes 1 and 2 only, runs none, and ends as a 2-episode run."""
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        assert (run_dir / "trajectory_3.jsonl").exists()
+        two = dict(fix.payload, backtest={"max_episodes": 2})
+        backtest.train(RunConfig.from_dict(two, fix.root), make_gateway(fix), tmp_path / "ref")
+
+        two["backtest"] = {"max_episodes": 2, "resume": True}
+        backend = CountingBackend(fix.script_path)
+        trajs, updates = backtest.train(RunConfig.from_dict(two, fix.root),
+                                        LlmGateway(backend), run_dir)
+        assert [t.episode for t in trajs] == [1, 2] and len(updates) == 1
+        assert not backend.keys  # no model call: nothing re-runs
+        for name in ("prompts/final/prompt_set.json", "memory/snapshot.jsonl",
+                     "report.json", "metrics.csv", "train_summary.json"):
+            assert (run_dir / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
+
     def test_train_run_dir_resolves_against_the_config_directory(self, tmp_path,
                                                                   monkeypatch):
         fix = build_single_stock_fixture(tmp_path / "fixture", n_train=6, n_test=4,
