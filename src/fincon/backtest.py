@@ -659,7 +659,8 @@ class RunWriter:
         (self.run_dir / f"trajectory_{tag}.FAILED.jsonl").unlink(missing_ok=True)
 
     def read_trajectory(self, tag: object, discount_alpha: float) -> Trajectory:
-        """SchemaError(row, None) names a line that is not JSON or not a day record."""
+        """Its objective discounted by ``discount_alpha``; SchemaError(row, None)
+        names a line that is not JSON or not a day record."""
         path = self.run_dir / f"trajectory_{tag}.jsonl"
         days = []
         for row_no, rec in read_jsonl(path):

@@ -174,7 +174,8 @@ class MissingTrainingArtifacts(FinconError):
 
 
 class MissingTrajectory(FinconError):
-    """Report requested on a run directory with no trajectory file."""
+    """Report requested on a run directory with neither a test trajectory nor
+    a completed training episode."""
 
 
 class EpisodeAborted(FinconError):
