@@ -27,6 +27,7 @@ from .data_ingest import TextDocument
 from .errors import BadProfileText, IllegalRoute, MissingAnalystReport
 from .llm_gateway import CompletionRequest, LlmGateway, step_key
 from .memory import MemoryEvent, MemoryQuery, MemoryStore
+from .portfolio import DIRECTION_BOXES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .risk_control import RiskState
@@ -165,22 +166,9 @@ class InsightMessage:
 class TradingDecision:
     date: Date
     directions: dict[str, str]
-    weights: dict[str, float]
     reasoning: str
     contribution_notes: dict[str, str]
     cited_memory_ids: tuple[str, ...]
-
-    def check_weight_signs(self) -> None:
-        """Direction/weight consistency: long in [0,1], short in [-1,0], neutral 0."""
-        for ticker, direction in self.directions.items():
-            w = self.weights.get(ticker, 0.0)
-            ok = {
-                "long": 0.0 <= w <= 1.0 + 1e-12,
-                "short": -1.0 - 1e-12 <= w <= 0.0,
-                "neutral": w == 0.0,
-            }[direction]
-            if not ok:
-                raise ValueError(f"{ticker}: weight {w} inconsistent with {direction}")
 
 
 @dataclass(frozen=True)
@@ -417,9 +405,10 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     if retrieved:
         parts.append("Relevant memories:\n" + render_memories(retrieved))
     ticker_list = ", ".join(f'"{t}"' for t in tickers)
+    labels = "|".join(f'"{d}"' for d in DIRECTION_BOXES)
     parts.append(
         "Decide one direction per ticker. Respond with a JSON object "
-        '{"actions": {<ticker>: "long"|"short"|"neutral"}, "reasoning": <text>, '
+        '{"actions": {<ticker>: ' + labels + '}, "reasoning": <text>, '
         '"cited_memory_ids": [<memory id>...], "contributions": {<analyst id>: <note>}} '
         f"covering exactly these tickers: [{ticker_list}]."
     )
@@ -437,7 +426,6 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     decision = TradingDecision(
         date=date,
         directions={t: parsed["actions"][t] for t in tickers},
-        weights={},
         reasoning=parsed["reasoning"],
         contribution_notes=contributions,
         cited_memory_ids=tuple(parsed["cited_memory_ids"]),
@@ -460,12 +448,6 @@ def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Da
                 profile.decay_ratio, None)
     reflection = Reflection(date=date, text=parsed["reflection"], trigger=trigger)
     return reflection, log_entry
-
-
-def single_stock_weights(decision: TradingDecision, position_size: float = 1.0) -> dict[str, float]:
-    """Map direction labels onto signed unit positions for single-stock runs."""
-    signs = {"long": 1.0, "short": -1.0, "neutral": 0.0}
-    return {t: signs[d] * position_size for t, d in decision.directions.items()}
 
 
 def send_feedback(decision: TradingDecision, realized_pnl: float,

@@ -47,7 +47,6 @@ from .agents import (
     manager_step,
     reflect_step,
     send_feedback,
-    single_stock_weights,
     store_event,
 )
 from .data_ingest import (
@@ -79,7 +78,13 @@ from .errors import (
 )
 from .llm_gateway import LlmGateway
 from .memory import HashEmbedder, MemoryStore
-from .portfolio import MVInputs, ReturnPanel, scale_to_positions, shrink_estimates, solve_mean_variance
+from .portfolio import (
+    check_weight_signs,
+    scale_to_positions,
+    shrink_estimates,
+    single_stock_weights,
+    solve_mean_variance,
+)
 from .risk_control import (
     BeliefUpdate,
     RiskState,
@@ -824,10 +829,10 @@ class BacktestEngine:
         self.prompt_log.setdefault(episode, []).extend(
             sorted(entries, key=lambda e: (e["date"], e["phase"], e["agent_id"])))
 
-    def _solve_weights(self, decision, date: Date) -> dict[str, float]:
+    def _solve_weights(self, directions: dict[str, str], date: Date) -> dict[str, float]:
         cfg = self.config
         if len(cfg.tickers) == 1:
-            return single_stock_weights(decision, cfg.backtest["position_size"])
+            return single_stock_weights(directions, cfg.backtest["position_size"])
         window = cfg.portfolio["estimation_window"]
         histories = {t: self.market.log_returns_to(t, date, max_window=window)
                      for t in cfg.tickers}
@@ -837,11 +842,8 @@ class BacktestEngine:
                 f"need at least 2 aligned daily returns before {date}; "
                 "provide warmup bars before the simulation range")
         matrix = np.column_stack([histories[t][-t_len:] for t in cfg.tickers])
-        panel = ReturnPanel(tickers=tuple(cfg.tickers), dates=tuple(range(t_len)),
-                            returns=matrix)
-        mu, sigma = shrink_estimates(panel, cfg.portfolio["shrinkage_lambda"])
-        directions = tuple(decision.directions[t] for t in cfg.tickers)
-        w = solve_mean_variance(MVInputs(mu=mu, sigma=sigma, directions=directions))
+        mu, sigma = shrink_estimates(matrix, cfg.portfolio["shrinkage_lambda"])
+        w = solve_mean_variance(mu, sigma, [directions[t] for t in cfg.tickers])
         return {t: float(w[i]) for i, t in enumerate(cfg.tickers)}
 
     # -- episode loop ---------------------------------------------------------
@@ -913,18 +915,16 @@ class BacktestEngine:
             day_entries.append(entry)
             self.router.send(MANAGER, RISK_CONTROL, "decision")
 
-            decision.weights = self._solve_weights(decision, day)
-            decision.check_weight_signs()
-            closes = np.array([self.market.close(t, day) for t in cfg.tickers])
+            weights = self._solve_weights(decision.directions, day)
+            check_weight_signs(decision.directions, weights)
+            closes = [self.market.close(t, day) for t in cfg.tickers]
             shares = scale_to_positions(
-                np.array([decision.weights[t] for t in cfg.tickers]),
-                cfg.backtest["capital"], closes)
+                np.array([weights[t] for t in cfg.tickers]), cfg.backtest["capital"], closes)
 
             next_day = self.market.trading_day_after(day)
             r_t = math.fsum(
-                daily_pnl(decision.weights[t], self.market.close(t, day),
-                          self.market.close(t, next_day))
-                for t in cfg.tickers)
+                daily_pnl(weights[t], close, self.market.close(t, next_day))
+                for t, close in zip(cfg.tickers, closes))
             pnl_history.append(r_t)
             rho_t = cvar(pnl_history, cfg.risk["cvar_alpha"])
             provisional = RiskState(date=day, cvar=rho_t, prev_cvar=prev_rho,
@@ -950,7 +950,7 @@ class BacktestEngine:
             records.append(DayRecord(
                 date=day,
                 directions=dict(decision.directions),
-                weights={t: decision.weights[t] for t in cfg.tickers},
+                weights=weights,
                 target_shares={t: float(shares[i]) for i, t in enumerate(cfg.tickers)},
                 pnl=r_t,
                 cvar=rho_t,

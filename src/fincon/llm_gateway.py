@@ -28,8 +28,8 @@ from .errors import (
     SchemaViolationAfterRetries,
     Timeout,
 )
+from .portfolio import DIRECTION_BOXES
 
-DIRECTIONS = ("long", "short", "neutral")
 SENTIMENTS = ("positive", "negative", "neutral")
 
 ENV_ENDPOINT = "FINCON_LLM_ENDPOINT"
@@ -109,10 +109,11 @@ def _validate_decision(parsed: dict, context: dict) -> dict:
         extra = [t for t in actions if t not in tickers]
         if extra:
             raise ValidationFailure(f"actions name unknown tickers {extra}")
+    labels = tuple(DIRECTION_BOXES)
     for ticker, direction in actions.items():
-        if direction not in DIRECTIONS:
+        if direction not in labels:
             raise ValidationFailure(
-                f"direction for {ticker} must be one of {DIRECTIONS}, got {direction!r}")
+                f"direction for {ticker} must be one of {labels}, got {direction!r}")
     reasoning = _require(parsed, "reasoning", str)
     cited = parsed.get("cited_memory_ids", [])
     if not isinstance(cited, list) or not all(isinstance(c, str) for c in cited):

@@ -1,16 +1,16 @@
-"""Stock-pool selection, moment shrinkage, and the constrained mean-variance solve.
+"""Direction rule, stock-pool selection, moment shrinkage, and the
+constrained mean-variance solve.
 
-The solve maximizes <w, mu> - <w, Sigma w> over per-coordinate boxes given by
-the manager's direction labels: long -> [0, 1], short -> [-1, 0],
-neutral -> {0}. Projected gradient ascent with step 1/(2B), B the Gershgorin
-bound on Sigma's largest eigenvalue, is monotone and convergent for this
-concave objective.
+``DIRECTION_BOXES`` maps each of the manager's direction labels to a weight
+box. A single-stock run holds the box's nonzero end; a portfolio run
+maximizes <w, mu> - <w, Sigma w> over the boxes. Projected gradient ascent
+with step 1/(2B), B the Gershgorin bound on Sigma's largest eigenvalue, is
+monotone and convergent for this concave objective.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -29,34 +29,31 @@ DIRECTION_BOXES = {
     "short": (-1.0, 0.0),
     "neutral": (0.0, 0.0),
 }
+"""The one table of the manager's direction labels, each with its weight box
+(lo, hi): the decision schema's vocabulary, the single-stock sign, the
+weight-sign check and the solver's bounds all read it."""
 
 
-@dataclass(frozen=True)
-class ReturnPanel:
-    """T x N matrix of daily log returns, dates by rows, tickers by columns."""
-
-    tickers: tuple[str, ...]
-    dates: tuple
-    returns: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.returns, dtype=float)
-        if r.ndim != 2 or r.shape != (len(self.dates), len(self.tickers)):
-            raise ValueError("returns must be T x N matching dates and tickers")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("returns contain non-finite entries")
-        object.__setattr__(self, "returns", r)
+def single_stock_weights(directions: dict[str, str],
+                         position_size: float = 1.0) -> dict[str, float]:
+    """Signed unit positions for single-stock runs: each box's nonzero end
+    (lo + hi) times ``position_size``."""
+    return {t: sum(DIRECTION_BOXES[d]) * position_size for t, d in directions.items()}
 
 
-@dataclass(frozen=True)
-class MVInputs:
-    mu: np.ndarray
-    sigma: np.ndarray
-    directions: tuple[str, ...]
+def check_weight_signs(directions: dict[str, str], weights: dict[str, float]) -> None:
+    """ValueError unless each ticker's weight lies in its direction's box,
+    with a 1e-12 relative slack past a nonzero end and none past 0."""
+    for ticker, direction in directions.items():
+        lo, hi = DIRECTION_BOXES[direction]
+        w = weights[ticker]
+        if not lo - 1e-12 * abs(lo) <= w <= hi + 1e-12 * abs(hi):
+            raise ValueError(f"{ticker}: weight {w} inconsistent with {direction}")
 
 
-def shrink_estimates(panel: ReturnPanel, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shrunk mean and covariance of the panel's daily returns.
+def shrink_estimates(returns, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shrunk mean and covariance of a T x N matrix of daily log returns,
+    dates by rows, tickers by columns.
 
     The sample covariance S (ddof=1) shrinks toward its own diagonal,
     Sigma = (1-lam) S + lam diag(S); the sample mean shrinks toward its
@@ -64,7 +61,11 @@ def shrink_estimates(panel: ReturnPanel, lam: float) -> tuple[np.ndarray, np.nda
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0,1], got {lam}")
-    r = panel.returns
+    r = np.asarray(returns, dtype=float)
+    if r.ndim != 2:
+        raise ValueError(f"returns must be a T x N matrix, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("returns contain non-finite entries")
     if r.shape[0] < 2:
         raise InsufficientSamples(f"need T >= 2 rows, got {r.shape[0]}")
     mu_hat = r.mean(axis=0)
@@ -130,7 +131,7 @@ def _box_qp(mu: np.ndarray, sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return w, obj
 
 
-def solve_mean_variance(inputs: MVInputs, obj_tol: float = 1e-10,
+def solve_mean_variance(mu, sigma, directions, obj_tol: float = 1e-10,
                         step_tol: float = 1e-8, max_iter: int = 10_000) -> np.ndarray:
     """Maximizer of <w,mu> - <w,Sigma w> over the direction boxes.
 
@@ -140,14 +141,14 @@ def solve_mean_variance(inputs: MVInputs, obj_tol: float = 1e-10,
     iteration cap returns the current iterate; only a non-finite objective
     raises SolverNonConvergence.
     """
-    mu = np.asarray(inputs.mu, dtype=float)
-    sigma = np.asarray(inputs.sigma, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(mu)):
         raise ValueError("mu contains non-finite entries")
     _check_psd(sigma)
-    if len(inputs.directions) != mu.shape[0]:
+    if len(directions) != mu.shape[0]:
         raise ValueError("directions length must match mu")
-    lo, hi = direction_bounds(inputs.directions)
+    lo, hi = direction_bounds(directions)
     step = 1.0 / (2.0 * max(gershgorin_bound(sigma), 1e-12))
     w, obj = _box_qp(mu, sigma, lo, hi, step, obj_tol, step_tol, max_iter)
     if not math.isfinite(obj):

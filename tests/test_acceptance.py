@@ -20,7 +20,7 @@ from fincon.cli import main
 from fincon.errors import ZeroVolatility
 from fincon.llm_gateway import LlmGateway, load_mock_script
 from fincon.memory import HashEmbedder, MemoryEvent, MemoryQuery, MemoryStore, importance_score
-from fincon.portfolio import MVInputs, direction_bounds, mv_objective, solve_mean_variance
+from fincon.portfolio import direction_bounds, mv_objective, solve_mean_variance
 from fincon.risk_control import RiskState, overlap_percentage, var_cvar, within_episode_check
 
 from fixtures import (
@@ -60,8 +60,7 @@ def test_criterion_01_risk_metric_oracle_equivalence():
 
 def test_criterion_02_mean_variance_solver():
     start = time.monotonic()
-    w = solve_mean_variance(MVInputs(mu=np.array([0.4, 1.2]), sigma=np.eye(2),
-                                     directions=("long", "long")))
+    w = solve_mean_variance(np.array([0.4, 1.2]), np.eye(2), ("long", "long"))
     assert abs(w[0] - 0.2) < 1e-6 and abs(w[1] - 0.6) < 1e-6
     rng = np.random.default_rng(102)
     for trial in range(500):
@@ -71,8 +70,7 @@ def test_criterion_02_mean_variance_solver():
         mu = rng.standard_normal(n)
         directions = [str(rng.choice(["long", "short", "neutral"])) for _ in range(n)]
         lo, hi = direction_bounds(directions)
-        got = mv_objective(solve_mean_variance(
-            MVInputs(mu=mu, sigma=sigma, directions=directions)), mu, sigma)
+        got = mv_objective(solve_mean_variance(mu, sigma, directions), mu, sigma)
         assert abs(got - oracle_pg(mu, sigma, lo, hi)) < 1e-6, f"trial {trial}"
     for trial in range(10):
         n = int(rng.integers(1, 3))
@@ -81,8 +79,7 @@ def test_criterion_02_mean_variance_solver():
         mu = rng.standard_normal(n)
         directions = [str(rng.choice(["long", "short", "neutral"])) for _ in range(n)]
         lo, hi = direction_bounds(directions)
-        got = mv_objective(solve_mean_variance(
-            MVInputs(mu=mu, sigma=sigma, directions=directions)), mu, sigma)
+        got = mv_objective(solve_mean_variance(mu, sigma, directions), mu, sigma)
         want = oracle_grid(mu, sigma, lo, hi)
         assert got >= want - 1e-9 and abs(got - want) < 1e-5
     elapsed = time.monotonic() - start

@@ -27,13 +27,13 @@ from fincon.agents import (
     manager_step,
     reflect_step,
     send_feedback,
-    single_stock_weights,
 )
 from fincon.backtest import CONFIG_SCHEMA
 from fincon.data_ingest import DOCUMENT_KINDS, PriceBar, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
 from fincon.memory import HashEmbedder, MemoryEvent, MemoryStore
+from fincon.portfolio import check_weight_signs, single_stock_weights
 from fincon.risk_control import RiskState
 
 from fixtures import trading_days
@@ -236,7 +236,7 @@ class TestManagerStep:
             manager_profile(), {}, {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
             calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
         assert decision.directions == {"SYN": "long"}
-        assert single_stock_weights(decision) == {"SYN": 1.0}
+        assert single_stock_weights(decision.directions) == {"SYN": 1.0}
         assert RISK_AVERSE_CLAUSE not in entry["user"]
 
     def test_risk_alert_adds_risk_averse_clause(self):
@@ -305,7 +305,7 @@ class TestSendFeedback:
                 embedding=ctx.embedder.embed(content), initial_importance=0.5,
                 decay_ratio=0.9, created_at=date(2022, 3, 1)))
         decision = TradingDecision(date=D0, directions={"SYN": "long"},
-                                   weights={"SYN": 1.0}, reasoning="r",
+                                   reasoning="r",
                                    contribution_notes={},
                                    cited_memory_ids=("cite0", "cite1"))
         profiles = build_profiles(["SYN"], ["news_analyst", "data_analyst"], "", DECAY_RATIOS)
@@ -332,7 +332,7 @@ class TestSendFeedback:
         send_feedback(decision, 0.05, 0.01, reporting, insights, D0, ctx, router)
         d1 = date(2022, 3, 8)
         decision2 = TradingDecision(date=d1, directions={"SYN": "long"},
-                                    weights={"SYN": 1.0}, reasoning="r",
+                                    reasoning="r",
                                     contribution_notes={},
                                     cited_memory_ids=("cite0", "cite1"))
         send_feedback(decision2, -0.06, 0.01, reporting, insights, d1, ctx, router)
@@ -346,7 +346,7 @@ class TestSendFeedback:
         ctx, _ = make_ctx()
         aid = analyst_id(role, "SYN")
         decision = TradingDecision(date=D0, directions={"SYN": "long"},
-                                   weights={"SYN": 1.0}, reasoning="r",
+                                   reasoning="r",
                                    contribution_notes={}, cited_memory_ids=())
         profile = build_profiles(["SYN"], [role], "", DECAY_RATIOS)[aid]
         send_feedback(decision, 0.05, 0.01, [profile], {aid: insight(aid, "SYN")}, D0, ctx,
@@ -362,18 +362,12 @@ class TestSendFeedback:
 
 class TestDecisionWeights:
     def test_sign_consistency_validation(self):
-        decision = TradingDecision(date=D0, directions={"SYN": "short"},
-                                   weights={"SYN": 0.5}, reasoning="r",
-                                   contribution_notes={}, cited_memory_ids=())
         with pytest.raises(ValueError):
-            decision.check_weight_signs()
+            check_weight_signs({"SYN": "short"}, {"SYN": 0.5})
 
     def test_single_stock_mapping(self):
-        decision = TradingDecision(date=D0,
-                                   directions={"A": "long", "B": "short", "C": "neutral"},
-                                   weights={}, reasoning="r", contribution_notes={},
-                                   cited_memory_ids=())
-        got = single_stock_weights(decision, position_size=2.0)
+        got = single_stock_weights({"A": "long", "B": "short", "C": "neutral"},
+                                   position_size=2.0)
         assert got == {"A": 2.0, "B": -2.0, "C": 0.0}
 
     def test_analyst_id_format(self):

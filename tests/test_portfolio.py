@@ -5,8 +5,8 @@ import pytest
 
 from fincon.errors import InsufficientCandidates, InsufficientSamples, NonPositivePrice, NonPSDMatrix
 from fincon.portfolio import (
-    MVInputs,
-    ReturnPanel,
+    DIRECTION_BOXES,
+    check_weight_signs,
     correlation_table,
     direction_bounds,
     gershgorin_bound,
@@ -15,6 +15,7 @@ from fincon.portfolio import (
     scale_to_positions,
     select_stocks,
     shrink_estimates,
+    single_stock_weights,
     solve_mean_variance,
 )
 
@@ -47,12 +48,39 @@ def random_instance(rng, n):
         str(rng.choice(["long", "short", "neutral"])) for _ in range(n)]
 
 
+class TestDirectionBoxes:
+    def test_labels_are_the_decision_vocabulary(self):
+        assert tuple(DIRECTION_BOXES) == ("long", "short", "neutral")
+
+    @pytest.mark.parametrize("direction, weight", [
+        ("long", 0.0), ("long", 1.0), ("long", 1.0 + 1e-13),
+        ("short", 0.0), ("short", -1.0), ("short", -1.0 - 1e-13),
+        ("neutral", 0.0), ("neutral", -0.0),
+    ])
+    def test_weight_inside_its_box_passes(self, direction, weight):
+        check_weight_signs({"A": direction}, {"A": weight})
+
+    @pytest.mark.parametrize("direction, weight", [
+        ("long", -1e-300), ("long", 1.0 + 1e-11),
+        ("short", 1e-300), ("short", -1.0 - 1e-11),
+        ("neutral", 1e-300), ("neutral", -1e-300), ("long", float("nan")),
+    ])
+    def test_weight_outside_its_box_is_rejected(self, direction, weight):
+        with pytest.raises(ValueError, match=f"A: weight .* inconsistent with {direction}"):
+            check_weight_signs({"B": "neutral", "A": direction}, {"B": 0.0, "A": weight})
+
+    def test_unit_single_stock_weights_pass_the_sign_check(self):
+        directions = {"A": "long", "B": "short", "C": "neutral"}
+        weights = single_stock_weights(directions)
+        assert weights == {"A": 1.0, "B": -1.0, "C": 0.0}
+        check_weight_signs(directions, weights)
+
+
 class TestShrinkEstimates:
     def test_lambda_zero_is_identity(self):
         rng = np.random.default_rng(0)
         r = rng.standard_normal((50, 4)) * 0.01
-        panel = ReturnPanel(tickers=("A", "B", "C", "D"), dates=tuple(range(50)), returns=r)
-        mu, sigma = shrink_estimates(panel, 0.0)
+        mu, sigma = shrink_estimates(r, 0.0)
         want_mu, want_sigma = oracle_shrink(r, 0.0)
         assert np.allclose(mu, want_mu, atol=1e-14)
         assert np.allclose(sigma, want_sigma, atol=1e-14)
@@ -60,8 +88,7 @@ class TestShrinkEstimates:
     def test_lambda_one_full_shrink(self):
         rng = np.random.default_rng(1)
         r = rng.standard_normal((40, 3)) * 0.02
-        panel = ReturnPanel(tickers=("A", "B", "C"), dates=tuple(range(40)), returns=r)
-        mu, sigma = shrink_estimates(panel, 1.0)
+        mu, sigma = shrink_estimates(r, 1.0)
         assert np.allclose(mu, mu.mean())
         off_diag = sigma - np.diag(np.diag(sigma))
         assert np.all(off_diag == 0.0)
@@ -69,41 +96,45 @@ class TestShrinkEstimates:
     def test_intermediate_lambda_matches_formula_oracle(self):
         rng = np.random.default_rng(2)
         r = rng.standard_normal((100, 3)) * 0.015
-        panel = ReturnPanel(tickers=("A", "B", "C"), dates=tuple(range(100)), returns=r)
-        mu, sigma = shrink_estimates(panel, 0.3)
+        mu, sigma = shrink_estimates(r, 0.3)
         want_mu, want_sigma = oracle_shrink(r, 0.3)
         assert np.allclose(mu, want_mu, atol=1e-12)
         assert np.allclose(sigma, want_sigma, atol=1e-12)
 
     def test_insufficient_samples(self):
-        panel = ReturnPanel(tickers=("A",), dates=(0,), returns=np.zeros((1, 1)))
         with pytest.raises(InsufficientSamples):
-            shrink_estimates(panel, 0.3)
+            shrink_estimates(np.zeros((1, 1)), 0.3)
 
     def test_bad_lambda(self):
-        panel = ReturnPanel(tickers=("A",), dates=(0, 1), returns=np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            shrink_estimates(panel, 1.5)
+            shrink_estimates(np.zeros((2, 1)), 1.5)
+
+    @pytest.mark.parametrize("returns, message", [
+        (np.zeros(5), "T x N matrix"),
+        (np.zeros((3, 2, 2)), "T x N matrix"),
+        (np.array([[0.01, 0.0], [np.nan, 0.0], [0.0, 0.02]]), "non-finite"),
+        (np.array([[0.01], [np.inf], [0.0]]), "non-finite"),
+    ])
+    def test_non_matrix_or_non_finite_returns_rejected(self, returns, message):
+        with pytest.raises(ValueError, match=message):
+            shrink_estimates(returns, 0.3)
 
 
 class TestSolveMeanVariance:
     def test_separable_worked_case(self):
-        w = solve_mean_variance(MVInputs(mu=np.array([0.4, 1.2]), sigma=np.eye(2),
-                                         directions=("long", "long")))
+        w = solve_mean_variance(np.array([0.4, 1.2]), np.eye(2), ("long", "long"))
         assert abs(w[0] - 0.2) < 1e-6
         assert abs(w[1] - 0.6) < 1e-6
 
     def test_short_box(self):
-        w = solve_mean_variance(MVInputs(mu=np.array([-0.5]), sigma=np.array([[1.0]]),
-                                         directions=("short",)))
+        w = solve_mean_variance(np.array([-0.5]), np.array([[1.0]]), ("short",))
         assert abs(w[0] + 0.25) < 1e-6
 
     def test_neutral_coordinate_pinned_to_zero(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((3, 3))
-        w = solve_mean_variance(MVInputs(mu=np.array([5.0, -5.0, 5.0]),
-                                         sigma=a.T @ a,
-                                         directions=("long", "neutral", "short")))
+        w = solve_mean_variance(np.array([5.0, -5.0, 5.0]), a.T @ a,
+                                ("long", "neutral", "short"))
         assert w[1] == 0.0
 
     def test_matches_projected_gradient_oracle(self):
@@ -112,7 +143,7 @@ class TestSolveMeanVariance:
             n = int(rng.integers(1, 7))
             mu, sigma, directions = random_instance(rng, n)
             lo, hi = direction_bounds(directions)
-            w = solve_mean_variance(MVInputs(mu=mu, sigma=sigma, directions=directions))
+            w = solve_mean_variance(mu, sigma, directions)
             got = mv_objective(w, mu, sigma)
             want = oracle_pg(mu, sigma, lo, hi)
             assert abs(got - want) < 1e-6, f"trial {trial}"
@@ -123,7 +154,7 @@ class TestSolveMeanVariance:
             n = int(rng.integers(1, 3))
             mu, sigma, directions = random_instance(rng, n)
             lo, hi = direction_bounds(directions)
-            w = solve_mean_variance(MVInputs(mu=mu, sigma=sigma, directions=directions))
+            w = solve_mean_variance(mu, sigma, directions)
             got = mv_objective(w, mu, sigma)
             want = oracle_grid(mu, sigma, lo, hi)
             assert got >= want - 1e-9
@@ -135,7 +166,7 @@ class TestSolveMeanVariance:
             n = int(rng.integers(1, 7))
             mu, sigma, directions = random_instance(rng, n)
             lo, hi = direction_bounds(directions)
-            w = solve_mean_variance(MVInputs(mu=mu, sigma=sigma, directions=directions))
+            w = solve_mean_variance(mu, sigma, directions)
             assert np.all(w >= lo)
             assert np.all(w <= hi)
 
@@ -145,7 +176,7 @@ class TestSolveMeanVariance:
             n = int(rng.integers(1, 7))
             mu, sigma, directions = random_instance(rng, n)
             lo, hi = direction_bounds(directions)
-            w = solve_mean_variance(MVInputs(mu=mu, sigma=sigma, directions=directions))
+            w = solve_mean_variance(mu, sigma, directions)
             grad = mu - 2.0 * sigma @ w
             for i in range(n):
                 if lo[i] == hi[i]:
@@ -160,21 +191,19 @@ class TestSolveMeanVariance:
     def test_asymmetric_sigma_rejected(self):
         sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(NonPSDMatrix):
-            solve_mean_variance(MVInputs(mu=np.zeros(2), sigma=sigma,
-                                         directions=("long", "long")))
+            solve_mean_variance(np.zeros(2), sigma, ("long", "long"))
 
     def test_negative_eigenvalue_rejected(self):
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NonPSDMatrix):
-            solve_mean_variance(MVInputs(mu=np.zeros(2), sigma=sigma,
-                                         directions=("long", "long")))
+            solve_mean_variance(np.zeros(2), sigma, ("long", "long"))
 
     def test_deterministic(self):
         mu = np.array([0.3, -0.2, 0.8])
         a = np.array([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 0.9]])
-        inputs = MVInputs(mu=mu, sigma=a, directions=("long", "short", "long"))
-        w1 = solve_mean_variance(inputs)
-        w2 = solve_mean_variance(inputs)
+        directions = ("long", "short", "long")
+        w1 = solve_mean_variance(mu, a, directions)
+        w2 = solve_mean_variance(mu, a, directions)
         assert np.array_equal(w1, w2)
 
     def test_gershgorin_bounds_largest_eigenvalue(self):
