@@ -157,6 +157,22 @@ def read_jsonl(path: str | Path):
         yield row_no, record
 
 
+def read_jsonl_objects(path: str | Path, keys: tuple[str, ...]):
+    """Yield ``(row_no, record)`` as ``read_jsonl`` does, for an input file
+    whose every row is a JSON object holding each of ``keys``.
+
+    SchemaError(row, None) for a row that is not an object, and
+    SchemaError(row, key) naming the first key a row lacks.
+    """
+    for row_no, rec in read_jsonl(path):
+        if not isinstance(rec, dict):
+            raise SchemaError(row_no, None, f"{path}: row {row_no} is not a JSON object")
+        for key in keys:
+            if key not in rec:
+                raise SchemaError(row_no, key, f"{path}: missing {key}")
+        yield row_no, rec
+
+
 def read_jsonl_lines(path: str | Path):
     """Yield ``(row_no, line, record)`` for each non-blank line of a JSONL
     file, ``line`` being the text the record was parsed from, stripped.
@@ -248,24 +264,23 @@ def load_documents(path: str | Path) -> list[TextDocument]:
     """Load a document JSONL file; line numbers double as row numbers."""
     docs: list[TextDocument] = []
     seen_ids: set[str] = set()
-    for row_no, rec in read_jsonl(path):
-        for key in ("doc_id", "ticker", "kind", "published", "body"):
-            if key not in rec:
-                raise SchemaError(row_no, key, f"{path}: missing {key}")
+    for row_no, rec in read_jsonl_objects(path, ("doc_id", "ticker", "kind", "published",
+                                                 "body")):
         if rec["kind"] not in DOCUMENT_KINDS:
             raise SchemaError(row_no, "kind", f"{path}: unknown kind {rec['kind']!r}")
         if not str(rec["body"]).strip():
             raise SchemaError(row_no, "body", f"{path}: empty body")
-        if rec["doc_id"] in seen_ids:
-            raise SchemaError(row_no, "doc_id", f"{path}: duplicate doc_id {rec['doc_id']!r}")
-        seen_ids.add(rec["doc_id"])
+        doc_id = str(rec["doc_id"])
+        if doc_id in seen_ids:
+            raise SchemaError(row_no, "doc_id", f"{path}: duplicate doc_id {doc_id!r}")
+        seen_ids.add(doc_id)
         try:
             published = parse_date(rec["published"])
         except ValueError:
             raise SchemaError(row_no, "published",
                               f"{path}: bad date {rec['published']!r}") from None
         docs.append(TextDocument(
-            doc_id=str(rec["doc_id"]),
+            doc_id=doc_id,
             ticker=str(rec["ticker"]),
             kind=str(rec["kind"]),
             published=published,

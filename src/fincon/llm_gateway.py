@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from pathlib import Path
 
-from .data_ingest import read_jsonl
+from .data_ingest import read_jsonl_objects
 from .errors import (
     BackendUnavailable,
     MissingScriptEntry,
@@ -227,10 +227,7 @@ def load_mock_script(path: str | Path) -> ScriptedBackend:
     """Load a JSONL mock script; a duplicate (role_tag, step_key) or a
     response that is not a string is an error."""
     entries: dict[tuple[str, str], str] = {}
-    for row_no, rec in read_jsonl(path):
-        for key in ("role_tag", "step_key", "response"):
-            if key not in rec:
-                raise SchemaError(row_no, key, f"{path}: missing {key}")
+    for row_no, rec in read_jsonl_objects(path, ("role_tag", "step_key", "response")):
         lookup = (str(rec["role_tag"]), str(rec["step_key"]))
         if lookup in entries:
             raise SchemaError(row_no, "step_key", f"{path}: duplicate entry for {lookup}")

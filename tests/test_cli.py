@@ -71,6 +71,34 @@ class TestValidateData:
         assert "prices_SYN.csv" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line, message", [
+        ('"doc_id ticker kind published body"', "docs.jsonl: row 2 is not a JSON object"),
+        ("[1, 2]", "docs.jsonl: row 2 is not a JSON object"),
+        ('{"ticker": "SYN"}', "docs.jsonl: missing doc_id"),
+    ], ids=["string", "array", "missing_key"])
+    def test_document_row_not_an_object_exit_one(self, tmp_path, capsys, line, message):
+        fix = build_fixture(tmp_path, news_every=3)
+        lines = (fix.root / "docs.jsonl").read_text().splitlines()
+        (fix.root / "docs.jsonl").write_text("\n".join(lines[:1] + [line] + lines[1:]) + "\n")
+        code = main(["validate-data", "--config", str(fix.config_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_document_ids_compare_as_stored_text(self, tmp_path, capsys):
+        """A list doc_id is stored as its text; 1 and "1" are the same id."""
+        fix = build_fixture(tmp_path, news_every=3)
+        path = fix.root / "docs.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        docs[0]["doc_id"] = [1]
+        write_documents(path, docs)
+        assert main(["validate-data", "--config", str(fix.config_path)]) == 0
+        docs[0]["doc_id"], docs[1]["doc_id"] = 1, "1"
+        write_documents(path, docs)
+        code = main(["validate-data", "--config", str(fix.config_path)])
+        assert code == 1
+        assert "docs.jsonl: duplicate doc_id '1'" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_full_train_exit_zero(self, tmp_path):
         fix = build_fixture(tmp_path)
@@ -188,6 +216,19 @@ class TestTrain:
         assert code == 1
         assert "script.jsonl: row 3: response must be a JSON string, got dict" \
             in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", ["5", '"role_tag step_key response"', "[1, 2]",
+                                      "null"])
+    def test_mock_script_row_not_an_object_exit_one(self, tmp_path, capsys, line):
+        fix = build_fixture(tmp_path)
+        lines = fix.script_path.read_text().splitlines()
+        fix.script_path.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "script.jsonl: row 3 is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_run_dir_naming_a_file_exit_one(self, tmp_path, capsys):
