@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -636,6 +637,14 @@ def _dump_jsonl(records) -> str:
     return "".join(map(jsonl_line, records))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """``path`` holds ``text`` or what it held before, never a part: the text
+    goes to a temporary file beside it, which then replaces it."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 class RunWriter:
     """The one owner of the run-directory layout: writes every artifact with
     canonical serialization and reads back, beside each writer, what resume,
@@ -737,11 +746,12 @@ class RunWriter:
         """Memory first: resume trusts a checkpoint only once its JSON file
         exists, so a crash while the memory file is written leaves the
         episode to be re-run rather than a truncated store to be loaded. The
-        rest of the training state is in the episode's trajectory and belief
-        files, written before either."""
+        JSON file itself appears whole or not at all. The rest of the
+        training state is in the episode's trajectory and belief files,
+        written before either."""
         store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
         payload = {"episode": episode, "message_counts": message_counts}
-        self.path("state", f"checkpoint_{episode}.json").write_text(_dump_json(payload))
+        _write_atomic(self.path("state", f"checkpoint_{episode}.json"), _dump_json(payload))
 
     def read_checkpoint(self, episode: int, calendar: tuple[Date, ...]) -> tuple[MemoryStore, dict]:
         """(memory, message counts); SchemaError unless the counts are integers."""

@@ -763,6 +763,36 @@ class TestTrainTestDrivers:
         backtest.train(resume_config(fix), make_gateway(fix), run_dir)
         assert_same_run_dir(run_dir, tmp_path / "ref")
 
+    def test_crash_while_writing_checkpoint_file_resumes_cleanly(self, tmp_path,
+                                                                 monkeypatch):
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+
+        class Crash(Exception):
+            pass
+
+        write_text = Path.write_text
+
+        def crash_writing_checkpoint_2(self, data, *args, **kwargs):
+            # episode 2's checkpoint file: truncate it and stop before its
+            # bytes land, as a process killed mid-write would
+            if self.name.startswith("checkpoint_2.json"):
+                write_text(self, "")
+                raise Crash
+            return write_text(self, data, *args, **kwargs)
+
+        run_dir = tmp_path / "resumable"
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", crash_writing_checkpoint_2)
+            with pytest.raises(Crash):
+                backtest.train(config, make_gateway(fix), run_dir)
+        assert (run_dir / "state" / "memory_2.jsonl").exists()
+
+        backtest.train(resume_config(fix), make_gateway(fix), run_dir)
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
     def test_resume_after_convergence_runs_no_further_episode(self, tmp_path,
                                                                monkeypatch):
         # constant directions overlap fully, so training converges at episode 2 of 3
