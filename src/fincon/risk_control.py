@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from typing import TYPE_CHECKING
@@ -281,10 +282,14 @@ def conceptualize(trajectory: "Trajectory", analyst_roles, gateway: LlmGateway,
     return [ConceptInsight(aspect=a, text=parsed["insights"][a]) for a in ordered]
 
 
+# each aspect as a whole phrase: no word character just before or after it
+_ASPECT_PATTERNS = [(a, re.compile(rf"(?<!\w){re.escape(a)}(?!\w)", re.IGNORECASE))
+                    for a in ASPECTS]
+
+
 def aspects_in_text(text: str) -> list[str]:
-    """Aspect keys mentioned in a meta prompt (case-insensitive substring)."""
-    lowered = text.lower()
-    return [a for a in ASPECTS if a.lower() in lowered]
+    """Aspect keys mentioned in a meta prompt as whole phrases, ignoring case."""
+    return [a for a, pattern in _ASPECT_PATTERNS if pattern.search(text)]
 
 
 def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[str, str],

@@ -344,6 +344,16 @@ class TestAspectsInText:
         text = "We should trust HISTORICAL MOMENTUM and Form 10-Q data."
         assert aspects_in_text(text) == ["historical momentum", "Form 10-Q"]
 
+    @pytest.mark.parametrize("text, want", [
+        ("An eccentric rally; read the Form 10-KSB", []),
+        ("Weigh the ECC, not the Form 10-K's footnotes.", ["Form 10-K", "ECC"]),
+        ("news insights-driven; (historical momentum)", ["historical momentum",
+                                                         "news insights"]),
+        ("Form 10-Qs and ECCs", []),
+    ])
+    def test_matches_whole_phrases_only(self, text, want):
+        assert aspects_in_text(text) == want
+
     def test_vocabulary_is_the_figure_keys_plus_other(self):
         assert ASPECTS == ("historical momentum", "news insights", "Form 10-Q",
                            "Form 10-K", "ECC", "other aspects")
