@@ -15,6 +15,7 @@ from fincon.errors import (
     SchemaViolationAfterRetries,
     Timeout,
 )
+from fincon import llm_gateway
 from fincon.llm_gateway import (
     CompletionRequest,
     HttpBackend,
@@ -189,12 +190,79 @@ class TestValidationAndRetry:
         out = LlmGateway(backend).complete(req)
         assert out.parsed["beliefs"]["other aspects"] == "sector trends; macro"
 
+    @pytest.mark.parametrize("direction", ["buy", ["long"], {"long": 1}])
+    def test_bad_direction_error_names_the_labels(self, direction):
+        bad = json.dumps({"actions": {"SYN": direction}, "reasoning": "r",
+                          "cited_memory_ids": [], "contributions": {}})
+        backend = RecordingBackend([bad])
+        req = CompletionRequest(role_tag="manager", system_prompt="s", user_prompt="u",
+                                output_schema="manager_decision", max_retries=1,
+                                step_key="k", context={"tickers": ["SYN"]})
+        with pytest.raises(SchemaViolationAfterRetries):
+            LlmGateway(backend).complete(req)
+        assert ("direction for SYN must be one of ('long', 'short', 'neutral'), "
+                f"got {direction!r}") in backend.requests[1].user_prompt
+
     def test_unregistered_schema(self):
         backend = RecordingBackend(["{}"])
         req = CompletionRequest(role_tag="a", system_prompt="s", user_prompt="u",
                                 output_schema="nope", step_key="k")
         with pytest.raises(ValueError):
             LlmGateway(backend).complete(req)
+
+
+class FakeClock:
+    """Stands in for the gateway's ``time`` module: ``sleep`` records the
+    wait and advances the clock by it."""
+
+    def __init__(self, now=100.0):
+        self.now = now
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class SlowBackend:
+    """Answers a fixed insight after ``latency`` seconds of the fake clock."""
+
+    def __init__(self, clock, latency):
+        self.clock = clock
+        self.latency = latency
+
+    def generate(self, request):
+        self.clock.now += self.latency
+        return json.dumps({"insight": "x", "sentiment": "neutral"})
+
+
+class TestRateLimit:
+    REQUEST = CompletionRequest(role_tag="a", system_prompt="s", user_prompt="u",
+                                output_schema="analyst_insight", step_key="k")
+
+    def test_second_call_sleeps_out_the_rest_of_the_interval(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(llm_gateway, "time", clock)
+        gateway = LlmGateway(SlowBackend(clock, latency=0.25), min_interval=1.0)
+        gateway.complete(self.REQUEST)
+        assert clock.sleeps == []
+        gateway.complete(self.REQUEST)
+        assert clock.sleeps == [pytest.approx(0.75)]
+        # a call that comes after the interval has passed does not wait
+        clock.now += 5.0
+        gateway.complete(self.REQUEST)
+        assert len(clock.sleeps) == 1
+
+    def test_zero_interval_never_sleeps(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(llm_gateway, "time", clock)
+        gateway = LlmGateway(SlowBackend(clock, latency=0.0), min_interval=0.0)
+        for _ in range(3):
+            gateway.complete(self.REQUEST)
+        assert clock.sleeps == []
 
 
 class TestParsing:
