@@ -30,8 +30,8 @@ DIRECTION_BOXES = {
     "neutral": (0.0, 0.0),
 }
 """The one table of the manager's direction labels, each with its weight box
-(lo, hi): the decision schema's vocabulary, the single-stock sign, the
-weight-sign check and the solver's bounds all read it."""
+(lo, hi). The manager's prompt and decision schema, the single-stock sign,
+the weight-sign check and the solver's bounds all read it."""
 
 
 def single_stock_weights(directions: dict[str, str],

@@ -15,7 +15,6 @@ from fincon.portfolio import (
     scale_to_positions,
     select_stocks,
     shrink_estimates,
-    single_stock_weights,
     solve_mean_variance,
 )
 
@@ -68,12 +67,6 @@ class TestDirectionBoxes:
     def test_weight_outside_its_box_is_rejected(self, direction, weight):
         with pytest.raises(ValueError, match=f"A: weight .* inconsistent with {direction}"):
             check_weight_signs({"B": "neutral", "A": direction}, {"B": 0.0, "A": weight})
-
-    def test_unit_single_stock_weights_pass_the_sign_check(self):
-        directions = {"A": "long", "B": "short", "C": "neutral"}
-        weights = single_stock_weights(directions)
-        assert weights == {"A": 1.0, "B": -1.0, "C": 0.0}
-        check_weight_signs(directions, weights)
 
 
 class TestShrinkEstimates:
