@@ -287,6 +287,11 @@ class AnalystSlice:
     indicators: dict[str, float] = field(default_factory=dict)
     price_line: str = ""
 
+    @property
+    def calls_model(self) -> bool:
+        """Whether the analyst has input today: documents or market data."""
+        return bool(self.documents or self.price_line)
+
 
 def _retrieve(ctx: StepContext, profile: AgentProfile, date: Date, ticker: str | None):
     query_text = memory_query_text(profile, date, ticker)
@@ -347,7 +352,7 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
     schema, stores the insight as a procedural memory event, and returns
     (InsightMessage, assembled-prompt log entry).
     """
-    if not obs_slice.documents and not obs_slice.price_line:
+    if not obs_slice.calls_model:
         message = InsightMessage(
             from_agent=profile.agent_id, date=date, ticker=obs_slice.ticker,
             distilled_insight=NO_SIGNAL, sentiment="neutral",

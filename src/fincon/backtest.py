@@ -25,7 +25,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import statistics
+import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -409,12 +411,55 @@ def cumulative_return(pnls) -> float:
     return 100.0 * math.fsum(values)
 
 
+def sample_stdev(values) -> float:
+    """Sample (n-1) standard deviation of two or more finite floats,
+    correctly rounded: the square root of their exact variance, rounded once.
+
+    ``statistics.stdev`` gives the same value from Python 3.11 on, at several
+    times the cost; 3.10 rounds twice and can differ in the last bit. Each
+    value is an integer over a power of two, so all are brought to the
+    smallest one, and the variance is a ratio of integers.
+    """
+    ratios = [x.as_integer_ratio() for x in map(float, values)]
+    n = len(ratios)
+    if n < 2:
+        raise ValueError(f"need at least 2 values, got {n}")
+    scale = max(d for _, d in ratios).bit_length() - 1  # every x * 2**scale is an integer
+    ints = [num << (scale - d.bit_length() + 1) for num, d in ratios]
+    total = sum(ints)
+    # sum((x - mean)**2) / (n - 1) = (n * sum(x**2) - sum(x)**2) / (n * (n - 1))
+    return _sqrt_of_ratio(n * sum(i * i for i in ints) - total * total,
+                          n * (n - 1) << 2 * scale)
+
+
+# bits of the integer square root taken before the one rounding to a float:
+# two more than twice the float's precision, as ``statistics`` uses
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """sqrt(n / m) as the correctly rounded float, for n >= 0 and m > 0.
+
+    The root is taken in integers to ``_SQRT_BITS`` bits, its last bit set
+    when it is inexact (round to odd), so the one rounding to a float
+    cannot land on a false tie.
+    """
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+
+
 def sharpe_ratio(pnls, risk_free_daily: float = 0.0, annualize: bool = False) -> float:
     """Mean excess PnL over its sample (n-1) standard deviation."""
     values = [float(x) for x in pnls]
     if len(values) < 2:
         raise InsufficientData(f"need at least 2 days, got {len(values)}")
-    std = statistics.stdev(values)
+    std = sample_stdev(values)
     if std == 0.0:
         raise ZeroVolatility("PnL standard deviation is zero")
     ratio = (statistics.fmean(values) - risk_free_daily) / std
@@ -458,7 +503,7 @@ def rolling_sigma_threshold(pnls, window: int = 20, mult: float = 2.0) -> float 
     recent = list(pnls)[-window:]
     if len(recent) < 2:
         return None
-    std = statistics.stdev(recent)
+    std = sample_stdev(recent)
     if std == 0.0:
         return None
     return mult * std
@@ -650,8 +695,30 @@ class RunWriter:
     canonical serialization and reads back, beside each writer, what resume,
     the test stage and ``report`` need. Opening a directory creates nothing."""
 
+    # what a run writes for each episode tag (an episode number, or "test"),
+    # and what it writes once, at its end
+    EPISODE_FILES = ("trajectory_{}.jsonl", "trajectory_{}.FAILED.jsonl",
+                     "beliefs/episode_{}.json", "prompts/assembled_{}.jsonl",
+                     "state/memory_{}.jsonl", "state/checkpoint_{}.json")
+    FINAL_FILES = ("prompts/final/prompt_set.json", "memory/snapshot.jsonl", "report.json",
+                   "metrics.csv", "train_summary.json", "test_summary.json")
+
     def __init__(self, run_dir: str | Path):
         self.run_dir = Path(run_dir)
+
+    def clear_outputs(self) -> None:
+        """Remove the episode and final-output files an earlier run left, and
+        no other file, so that neither resume nor ``report`` adopts them."""
+        if not self.run_dir.is_dir():
+            return
+        for pattern in self.EPISODE_FILES:
+            head, tail = pattern.split("{}")
+            name = re.compile(re.escape(head) + "(?:[1-9][0-9]*|test)" + re.escape(tail))
+            for path in self.run_dir.glob(pattern.format("*")):
+                if name.fullmatch(path.relative_to(self.run_dir).as_posix()):
+                    path.unlink()
+        for name in self.FINAL_FILES:
+            (self.run_dir / name).unlink(missing_ok=True)
 
     def path(self, *parts) -> Path:
         """A file to write, its directory created (ConfigError if it cannot be)."""
@@ -790,8 +857,9 @@ class RunWriter:
 class BacktestEngine:
     """Drives episodes over a loaded market with one gateway and one store.
 
-    Each episode fans its analysts out on one thread pool of
-    ``agents.workers`` threads, shut down when the episode returns or fails.
+    Each day, the analysts with input call the model. Two or more fan out on
+    the episode's thread pool of ``agents.workers`` threads, shut down when
+    the episode returns or fails; a lone call runs on the calling thread.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -906,15 +974,22 @@ class BacktestEngine:
         for day in days:
             obs = assemble_observation(day, cfg.tickers, self.market)
             day_entries: list[dict] = []
+            slices = {aid: self._analyst_slice(ROLES[p.role].source, p.ticker, obs, day)
+                      for aid, p in self.analysts.items()}
 
-            def run_one(profile: AgentProfile):
-                role = ROLES[profile.role]
-                obs_slice = self._analyst_slice(role.source, profile.ticker, obs, day)
-                return analyst_step(profile, beliefs.get(role.aspect), obs_slice, day, ctx)
+            def run_one(aid: str):
+                profile = self.analysts[aid]
+                return analyst_step(profile, beliefs.get(ROLES[profile.role].aspect),
+                                    slices[aid], day, ctx)
 
+            # the analysts with input fan out on the pool; a lone call has
+            # nothing to overlap, so it runs on this thread
+            calling = [aid for aid, obs_slice in slices.items() if obs_slice.calls_model]
+            fan_out = pool.map if len(calling) > 1 else map
+            replies = dict(zip(calling, fan_out(run_one, calling)))
             insights = {}
-            for aid, (message, entry) in zip(self.analysts,
-                                             pool.map(run_one, self.analysts.values())):
+            for aid in self.analysts:
+                message, entry = replies[aid] if aid in replies else run_one(aid)
                 insights[aid] = message
                 self.router.send(aid, MANAGER, "insight")
                 if entry is not None:
@@ -1012,9 +1087,13 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     With ``resume`` set, the run directory's completed episodes
     (``RunWriter.completed_episodes``) are reloaded instead of re-run, and a
     restored state that had already converged runs no further episode.
+    Without it, the episode and final-output files an earlier run left in
+    the directory are removed first (``RunWriter.clear_outputs``).
     """
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
+    if not config.backtest["resume"]:
+        writer.clear_outputs()
     writer.write_config(config)
     engine = BacktestEngine(config, market, gateway, writer=writer)
     done = writer.completed_episodes(config.backtest["max_episodes"]) \

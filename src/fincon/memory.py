@@ -18,6 +18,7 @@ test stage inherits the training stage's memory.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import hashlib
 import threading
@@ -31,6 +32,10 @@ from .data_ingest import jsonl_line, parse_date, read_jsonl_lines
 from .errors import DimensionMismatch, FutureEvent, SchemaError, UnknownEventId, ZeroVector
 
 LAYERS = ("working", "procedural", "episodic")
+
+# a snapshot line's embedding: base64 of its values as big-endian float64
+# (older snapshots hold a JSON list of numbers, which still loads)
+EMBEDDING_DTYPE = np.dtype(">f8")
 
 ACCESS_BOOST = 5.0
 
@@ -88,7 +93,8 @@ class MemoryEvent:
             "owner": self.owner,
             "layer": self.layer,
             "content": self.content,
-            "embedding": np.asarray(self.embedding, dtype=float).tolist(),
+            "embedding": base64.b64encode(
+                np.asarray(self.embedding, dtype=EMBEDDING_DTYPE).tobytes()).decode("ascii"),
             "initial_importance": self.initial_importance,
             "decay_ratio": self.decay_ratio,
             "created_at": self.created_at.isoformat(),
@@ -97,17 +103,25 @@ class MemoryEvent:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MemoryEvent":
-        """The event a snapshot record holds; KeyError, TypeError or
-        ValueError when the record does not describe one."""
+        """The event a snapshot record holds, its embedding in either form;
+        KeyError, TypeError or ValueError when the record does not describe
+        one."""
         for name in ("event_id", "owner", "content"):
             if not isinstance(rec[name], str):
                 raise TypeError(f"{name} must be a string, got {rec[name]!r}")
+        embedding = rec["embedding"]
+        if isinstance(embedding, str):
+            raw = base64.b64decode(embedding, validate=True)
+            if len(raw) % EMBEDDING_DTYPE.itemsize:
+                raise ValueError(f"embedding holds {len(raw)} bytes, not whole "
+                                 f"{EMBEDDING_DTYPE.itemsize}-byte floats")
+            embedding = np.frombuffer(raw, dtype=EMBEDDING_DTYPE)
         return cls(
             event_id=rec["event_id"],
             owner=rec["owner"],
             layer=rec["layer"],
             content=rec["content"],
-            embedding=np.asarray(rec["embedding"], dtype=float),
+            embedding=np.asarray(embedding, dtype=float),
             initial_importance=float(rec["initial_importance"]),
             decay_ratio=float(rec["decay_ratio"]),
             created_at=parse_date(rec["created_at"]),

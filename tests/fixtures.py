@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,40 @@ def oracle_var_cvar(pnls, alpha: float) -> tuple[float, float]:
             break
     tail = [x for x in xs if x <= var]
     return var, sum(tail) / len(tail)
+
+
+def oracle_sample_stdev(values) -> float:
+    """Correctly rounded sample standard deviation from exact fractions,
+    written independently of the package.
+
+    The variance is exact; the answer is the float r with the exact variance
+    between the squares of the midpoints to r's neighbours (a tie goes to the
+    even significand). A first guess from a scaled float root is walked one
+    float at a time until it is that r.
+    """
+    xs = [Fraction(x) for x in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    if var == 0:
+        return 0.0
+    e = (var.denominator.bit_length() - var.numerator.bit_length()) // 2
+    r = math.ldexp(math.sqrt(var * Fraction(4) ** e), -e)
+
+    def midpoint_squared(a: float, b: float) -> Fraction:
+        return ((Fraction(a) + Fraction(b)) / 2) ** 2
+
+    def odd(x: float) -> bool:  # the last bit of the significand
+        return struct.unpack("<q", struct.pack("<d", x))[0] & 1 == 1
+
+    while True:
+        up, down = math.nextafter(r, math.inf), math.nextafter(r, 0.0)
+        hi, lo = midpoint_squared(r, up), midpoint_squared(down, r)
+        if var > hi or (var == hi and odd(r)):
+            r = up
+        elif var < lo or (var == lo and odd(r)):
+            r = down
+        else:
+            return r
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import statistics
+import sys
 import threading
 from collections import Counter
 from datetime import date
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fincon import backtest
 from fincon.backtest import (
@@ -18,6 +22,7 @@ from fincon.backtest import (
     max_drawdown,
     objective_value,
     rolling_sigma_threshold,
+    sample_stdev,
     sharpe_ratio,
     signed_rank_sums,
     wilcoxon_signed_rank,
@@ -40,6 +45,7 @@ from fixtures import (
     build_portfolio_fixture,
     build_single_stock_fixture,
     constant_directions,
+    oracle_sample_stdev,
     trading_days,
     write_price_csv,
 )
@@ -72,6 +78,34 @@ class CountingBackend:
     def generate(self, request):
         self.keys[request.step_key] += 1
         return self.inner.generate(request)
+
+
+class ThreadLog:
+    """The scripted backend, recording the thread each analyst call runs on,
+    by (day, agent id)."""
+
+    def __init__(self, script_path):
+        self.inner = load_mock_script(script_path)
+        self.threads = {}
+
+    def generate(self, request):
+        if request.step_key.endswith(":analyze"):
+            day = request.step_key.split(":")[1]
+            self.threads[(day, request.role_tag)] = threading.current_thread()
+        return self.inner.generate(request)
+
+
+def break_reply(script_path: Path, role_tag: str, step_key: str) -> Path:
+    """A copy of the script whose one reply fails its schema on every attempt."""
+    lines = []
+    for line in script_path.read_text().splitlines():
+        entry = json.loads(line)
+        if entry["role_tag"] == role_tag and entry["step_key"] == step_key:
+            entry["response"] = "not json"
+        lines.append(json.dumps(entry))
+    broken = script_path.with_name("broken.jsonl")
+    broken.write_text("\n".join(lines) + "\n")
+    return broken
 
 
 def between_episode_keys(keys) -> dict[str, int]:
@@ -181,6 +215,34 @@ class TestObjective:
         pnls = rng.uniform(0.001, 0.05, size=30).tolist()
         values = [objective_value(pnls, a) for a in (0.5, 0.7, 0.9, 1.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+# PnL-sized values, zeros of both signs, and values of any magnitude (with
+# subnormals); a sample reuses a few of them, so it holds ties
+ANY_FLOAT = st.floats(min_value=-1e300, max_value=1e300)
+STDEV_VALUES = st.one_of(st.floats(min_value=-0.1, max_value=0.1),
+                         st.sampled_from([0.0, -0.0]), ANY_FLOAT)
+STDEV_SAMPLES = st.lists(STDEV_VALUES, min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool) | STDEV_VALUES, min_size=2, max_size=20))
+
+
+class TestSampleStdev:
+    @given(STDEV_SAMPLES)
+    @example([0.01, 0.01])
+    @example([5e-324, 0.0])
+    @example([1e300, -1e300, 1e-300])
+    def test_equals_the_fraction_oracle(self, values):
+        assert sample_stdev(values) == oracle_sample_stdev(values)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.stdev rounds twice before Python 3.11")
+    @given(STDEV_SAMPLES)
+    def test_bit_equal_to_statistics_stdev(self, values):
+        assert sample_stdev(values).hex() == statistics.stdev(values).hex()
+
+    def test_needs_two_values(self):
+        with pytest.raises(ValueError):
+            sample_stdev([0.5])
 
 
 class TestRollingThreshold:
@@ -908,22 +970,92 @@ class TestTrainTestDrivers:
         assert not new_threads()
 
         # a data-analyst reply that fails its schema on every attempt aborts
-        # the episode from a pool thread
-        victim = f"1:{fix.train_days[2].isoformat()}:analyze"
-        lines = []
-        for line in fix.script_path.read_text().splitlines():
-            entry = json.loads(line)
-            if entry["role_tag"] == "data_analyst:SYN" and entry["step_key"] == victim:
-                entry["response"] = "not json"
-            lines.append(json.dumps(entry))
-        broken = fix.root / "broken.jsonl"
-        broken.write_text("\n".join(lines) + "\n")
+        # the episode from a pool thread: day 2 has news, so two analysts call
+        broken = break_reply(fix.script_path, "data_analyst:SYN",
+                             f"1:{fix.train_days[2].isoformat()}:analyze")
         backend = PeakThreads(broken)
         with pytest.raises(EpisodeAborted):
             backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
                            tmp_path / "aborted")
         assert backend.peak > 0
         assert not new_threads()
+
+    def test_lone_model_call_runs_on_the_calling_thread(self, tmp_path):
+        # news on every second day: the data analyst calls alone on the
+        # other days, and the news analyst's no-signal step calls nothing
+        fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
+        backend = ThreadLog(fix.script_path)
+        backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
+                       tmp_path / "train")
+        caller = threading.current_thread()
+        for t, day in enumerate(fix.train_days):
+            day = day.isoformat()
+            calls = {role: thread for (d, role), thread in backend.threads.items() if d == day}
+            if t % 2:
+                assert calls == {"data_analyst:SYN": caller}, day
+            else:
+                assert set(calls) == {"data_analyst:SYN", "news_analyst:SYN"}, day
+                assert caller not in calls.values(), day
+
+    def test_lone_call_failing_its_schema_aborts_the_episode(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
+        day = fix.train_days[1]  # no news: the data analyst calls alone
+        broken = break_reply(fix.script_path, "data_analyst:SYN",
+                             f"1:{day.isoformat()}:analyze")
+        before = set(threading.enumerate())
+        backend = ThreadLog(broken)
+        run_dir = tmp_path / "aborted"
+        with pytest.raises(EpisodeAborted):
+            backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend), run_dir)
+        assert backend.threads[(day.isoformat(), "data_analyst:SYN")] \
+            is threading.current_thread()
+        failed = (run_dir / "trajectory_1.FAILED.jsonl").read_text().splitlines()
+        assert [json.loads(line).get("date") for line in failed[:-1]] == \
+            [fix.train_days[0].isoformat()]
+        assert "FAILED" in json.loads(failed[-1])
+        assert set(threading.enumerate()) == before
+
+    def test_rerun_at_another_position_size_aborted_and_resumed_equals_a_clean_run(
+            self, tmp_path):
+        """A fresh train removes the earlier run's episodes, so resume after
+        an abort cannot adopt episodes run at another position size."""
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        assert (run_dir / "trajectory_3.jsonl").exists()
+
+        half = dict(fix.payload, backtest={"max_episodes": 3, "position_size": 0.5})
+        config = RunConfig.from_dict(half, fix.root)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+        victim = f"2:{fix.train_days[4].isoformat()}:decide"
+        lines = fix.script_path.read_text().splitlines()
+        broken = fix.root / "broken.jsonl"
+        broken.write_text("".join(l + "\n" for l in lines if victim not in l))
+        with pytest.raises(EpisodeAborted):
+            backtest.train(config, LlmGateway(load_mock_script(broken)), run_dir)
+
+        half["backtest"] = dict(half["backtest"], resume=True)
+        backtest.train(RunConfig.from_dict(half, fix.root), make_gateway(fix), run_dir)
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
+    def test_clear_outputs_removes_every_run_file_and_no_other(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=6, n_test=4, episodes=2,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        payload = dict(fix.payload, mode="test",
+                       backtest={"train_run_dir": str(tmp_path / "run")})
+        backtest.test(RunConfig.from_dict(payload, fix.root), make_gateway(fix), run_dir)
+        writer = backtest.RunWriter(run_dir)
+        writer.write_failed(3, [], "EpisodeAborted: stopped")
+        foreign = ["notes.txt", "trajectory_x.jsonl", "trajectory_03.jsonl",
+                   "state/memory_1.jsonl.bak", "beliefs/episode_2.json.orig"]
+        for name in foreign:
+            (run_dir / name).write_text("kept\n")
+        writer.clear_outputs()
+        left = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()}
+        assert left == {"config.used.json", *foreign}
 
     def test_recompute_report_missing_trajectory(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1,

@@ -1,3 +1,4 @@
+import base64
 import json
 from datetime import date
 
@@ -464,8 +465,11 @@ class TestTestCommand:
         (lambda lines: ["[1, 2]"] + lines[1:], 1),
         (edit_first_record(event_id=7), 1),
         (edit_first_record(embedding=[[0.5]]), 1),
+        (edit_first_record(embedding="not base64!"), 1),
+        (edit_first_record(embedding=base64.b64encode(bytes(7)).decode()), 1),
     ], ids=["missing_field", "duplicate_id", "unknown_layer", "json_array",
-            "numeric_id", "nested_embedding"])
+            "numeric_id", "nested_embedding", "non_base64_embedding",
+            "seven_byte_embedding"])
     def test_inherited_snapshot_record_not_an_event_exit_one(self, tmp_path, capsys,
                                                              corrupt, row):
         fix = build_fixture(tmp_path, n_test=4)
@@ -584,6 +588,24 @@ class TestReport:
                      "--run-dir", str(run_dir)]) == 0
         for name in ("report.json", "metrics.csv"):
             assert (run_dir / name).read_bytes() == (one_dir / name).read_bytes(), name
+
+    def test_report_after_a_shorter_rerun_reads_its_last_episode(self, tmp_path):
+        """A 2-episode train into a 3-episode run's directory removes the
+        older run's episode 3, so the report is episode 2's, as a clean
+        2-episode run writes it."""
+        fix = build_fixture(tmp_path, episodes=3)
+        train = ["train", "--config", str(fix.config_path),
+                 "--mock-script", str(fix.script_path)]
+        run_dir, two_dir = tmp_path / "run", tmp_path / "two"
+        assert main(train + ["--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "trajectory_3.jsonl").exists()
+        for target in (run_dir, two_dir):
+            assert main(train + ["--run-dir", str(target),
+                                 "--override", "backtest.max_episodes=2"]) == 0
+        assert main(["report", "--config", str(fix.config_path),
+                     "--run-dir", str(run_dir)]) == 0
+        for name in ("report.json", "metrics.csv"):
+            assert (run_dir / name).read_bytes() == (two_dir / name).read_bytes(), name
 
     def test_recompute_matches_and_is_idempotent(self, tmp_path):
         fix = build_fixture(tmp_path)

@@ -11,9 +11,11 @@ Regenerate the digests only for an intended change of the outputs:
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -21,50 +23,65 @@ from pathlib import Path
 from fincon import backtest
 from fincon.backtest import RunConfig
 from fincon.llm_gateway import LlmGateway, load_mock_script
+from fincon.memory import MemoryEvent
 
 from fixtures import build_portfolio_fixture, build_single_stock_fixture
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+CASES = ("single", "portfolio")
+# the training snapshots as written with each embedding a JSON list of
+# numbers, before embeddings were written as base64
+LIST_FORM_TRAIN_SNAPSHOTS = {
+    "single": "db431af27edd3c3a6ead3d6e231c25574657b95b7331cc69af9847c3661f4b55",
+    "portfolio": "9afd0f21c34c236dcbf7d94332d0e10fef2bbed367aec60ed4f9ec3e061da0e3",
+}
 
 
-def _train_and_test(config_path: Path, script_path: Path, workers: int | None) -> None:
-    """Train into ``./train``, then test into ``./test`` from it.
+def _run_stage(fixture: Path, stage: str, workers: int | None) -> None:
+    """Run ``stage`` (train, or test from ``./train``) of the fixture's
+    config and script into ``./<stage>``.
 
-    Run from the config's directory, so the run directories sit next to the
+    Run from the fixture directory, so the run directories sit next to the
     config. ``train_run_dir`` resolves against that directory and lands in
     config.used.json verbatim, so it stays the relative ``train``.
     """
-    payload = json.loads(config_path.read_text())
+    payload = json.loads((fixture / "config.json").read_text())
     if workers is not None:
         payload["agents"]["workers"] = workers
-    config = RunConfig.from_dict(payload, base_dir=config_path.parent)
-    backtest.train(config, LlmGateway(load_mock_script(script_path)), "train")
-    payload["mode"] = "test"
-    payload["backtest"]["train_run_dir"] = "train"
-    test_config = RunConfig.from_dict(payload, base_dir=config_path.parent)
-    backtest.test(test_config, LlmGateway(load_mock_script(script_path)), "test")
+    if stage == "test":
+        payload["mode"] = "test"
+        payload["backtest"]["train_run_dir"] = "train"
+    config = RunConfig.from_dict(payload, base_dir=fixture)
+    run = backtest.train if stage == "train" else backtest.test
+    run(config, LlmGateway(load_mock_script(fixture / "script.jsonl")), stage)
+
+
+def _in_fixture(fixture: Path, stages, workers: int | None = None) -> None:
+    cwd = os.getcwd()
+    try:
+        os.chdir(fixture)
+        for stage in stages:
+            _run_stage(fixture, stage, workers)
+    finally:
+        os.chdir(cwd)
 
 
 def run_digests(root: Path, workers: int | None = None) -> dict[str, str]:
     """SHA-256 of every run-directory file, keyed ``case/stage/relative path``;
     ``workers`` overrides the configs' ``agents.workers``."""
     root = root.resolve()
-    single = build_single_stock_fixture(root / "single" / "fixture", n_train=12, n_test=6,
-                                        episodes=3, news_every=2)
-    portfolio_config, portfolio_script, *_ = build_portfolio_fixture(
-        root / "portfolio" / "fixture", n_days=8, n_test=4)
-    cwd = os.getcwd()
-    try:
-        for case, config_path, script_path in (
-                ("single", single.config_path, single.script_path),
-                ("portfolio", portfolio_config, portfolio_script)):
-            os.chdir(config_path.parent)
-            _train_and_test(config_path, script_path, workers)
-    finally:
-        os.chdir(cwd)
+    build_single_stock_fixture(root / "single" / "fixture", n_train=12, n_test=6,
+                               episodes=3, news_every=2)
+    build_portfolio_fixture(root / "portfolio" / "fixture", n_days=8, n_test=4)
+    for case in CASES:
+        _in_fixture(root / case / "fixture", ("train", "test"), workers)
+    return stage_digests(root, ("train", "test"))
+
+
+def stage_digests(root: Path, stages) -> dict[str, str]:
     digests = {}
-    for case in ("single", "portfolio"):
-        for stage in ("train", "test"):
+    for case in CASES:
+        for stage in stages:
             stage_dir = root / case / "fixture" / stage
             for path in sorted(p for p in stage_dir.rglob("*") if p.is_file()):
                 key = f"{case}/{stage}/{path.relative_to(stage_dir).as_posix()}"
@@ -88,6 +105,43 @@ def test_run_directories_do_not_depend_on_worker_count(tmp_path):
         differing = [name for name in sorted(want) if got[name] != want[name]
                      and not name.endswith("/config.used.json")]
         assert not differing, f"workers={workers} changes {differing}"
+
+
+def to_list_form(path: Path) -> None:
+    """Rewrite a snapshot with each embedding as a JSON list of numbers."""
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        raw = base64.b64decode(record["embedding"], validate=True)
+        record["embedding"] = [x for (x,) in struct.iter_unpack(">d", raw)]
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text("".join(lines))
+
+
+def test_test_stage_from_a_list_form_training_directory(tmp_path):
+    """A training directory whose snapshot holds list embeddings, as written
+    before base64, gives the golden test stage. Its inherited lines are
+    written back as read, so only the test snapshot differs, and it holds
+    the same events."""
+    want = json.loads(GOLDEN.read_text())
+    root = tmp_path.resolve()
+    run_digests(root)
+    for case in CASES:
+        fixture = root / case / "fixture"
+        snapshot = fixture / "train" / "memory" / "snapshot.jsonl"
+        to_list_form(snapshot)
+        assert hashlib.sha256(snapshot.read_bytes()).hexdigest() == \
+            LIST_FORM_TRAIN_SNAPSHOTS[case]
+        golden_test = fixture / "golden_test"
+        (fixture / "test").rename(golden_test)
+        _in_fixture(fixture, ("test",))
+        events = [[MemoryEvent.from_record(json.loads(line)).to_record()
+                   for line in (run / "memory" / "snapshot.jsonl").read_text().splitlines()]
+                  for run in (fixture / "test", golden_test)]
+        assert events[0] == events[1]
+    got = stage_digests(root, ("test",))
+    differing = [name for name in sorted(got) if got[name] != want[name]]
+    assert differing == sorted(f"{case}/test/memory/snapshot.jsonl" for case in CASES)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
+import base64
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,8 +466,55 @@ class TestSnapshotLineCache:
                                separators=(",", ":")) + "\n"
         assert self.saved_lines(loaded, tmp_path / "boosted.jsonl") == [canonical]
 
-    def test_to_record_embedding_is_python_floats_for_any_float_array(self):
-        emb32 = np.array([0.1, -0.7, 1.0 / 3.0], dtype=np.float32)
-        record = replace(make_event("e"), embedding=emb32).to_record()
-        assert record["embedding"] == [float(x) for x in emb32]
-        assert all(type(x) is float for x in record["embedding"])
+    def test_to_record_embedding_is_float64_for_any_float_array(self):
+        for dtype in (np.float16, np.float32, np.float64, ">f8"):
+            tiny = np.finfo(dtype).smallest_subnormal
+            emb = np.array([0.1, -0.7, 1.0 / 3.0, -0.0, tiny, 6e4, math.inf, math.nan],
+                           dtype=dtype)
+            record = replace(make_event("e"), embedding=emb).to_record()
+            want = emb.astype(">f8").tobytes()
+            assert base64.b64decode(record["embedding"], validate=True) == want, dtype
+            back = MemoryEvent.from_record(record).embedding
+            assert back.dtype == np.float64 and back.astype(">f8").tobytes() == want, dtype
+
+
+class TestListFormSnapshot:
+    """``list_form_snapshot.jsonl`` holds each embedding as a JSON list of
+    numbers, as snapshots were written before base64, and
+    ``list_form_snapshot_top_k.json`` the retrievals the code that wrote it
+    returned from it."""
+
+    SNAPSHOT = Path(__file__).with_name("list_form_snapshot.jsonl")
+    TOP_K = Path(__file__).with_name("list_form_snapshot_top_k.json")
+
+    def load(self, path=SNAPSHOT):
+        want = json.loads(self.TOP_K.read_text())
+        calendar = tuple(date.fromisoformat(d) for d in want["calendar"])
+        return MemoryStore.load_jsonl(path, calendar=calendar), want["queries"]
+
+    @staticmethod
+    def retrieve(store, query):
+        hits = store.retrieve_top_k(MemoryQuery(
+            query["text"], HashEmbedder().embed(query["text"]),
+            date.fromisoformat(query["as_of"]), 3, query["owner"], query["layer"]))
+        return [[h.event.event_id, h.relevancy, h.importance, h.gamma] for h in hits]
+
+    def test_loads_to_the_same_top_k(self):
+        store, queries = self.load()
+        assert len(store) == len(self.SNAPSHOT.read_text().splitlines())
+        for query in queries:
+            assert self.retrieve(store, query) == query["hits"], query
+
+    def test_one_file_holds_both_forms(self, tmp_path):
+        store, queries = self.load()
+        store.save_jsonl(tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == self.SNAPSHOT.read_bytes()
+        boosted = sorted(store.all_ids())[0]
+        store.boost_access(boosted)
+        store.save_jsonl(tmp_path / "mixed.jsonl")
+        forms = {json.loads(line)["event_id"]: type(json.loads(line)["embedding"])
+                 for line in (tmp_path / "mixed.jsonl").read_text().splitlines()}
+        assert forms == {eid: str if eid == boosted else list for eid in store.all_ids()}
+        mixed, _ = self.load(tmp_path / "mixed.jsonl")
+        for event_id in store.all_ids():
+            assert mixed.get(event_id).to_record() == store.get(event_id).to_record()
