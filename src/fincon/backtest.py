@@ -417,8 +417,8 @@ def sample_stdev(values) -> float:
 
     ``statistics.stdev`` gives the same value from Python 3.11 on, at several
     times the cost; 3.10 rounds twice and can differ in the last bit. Each
-    value is an integer over a power of two, so all are brought to the
-    smallest one, and the variance is a ratio of integers.
+    value is an integer over a power of two, so scaled by the largest of
+    those powers all are integers, and the variance is a ratio of integers.
     """
     ratios = [x.as_integer_ratio() for x in map(float, values)]
     n = len(ratios)
@@ -451,7 +451,7 @@ def _sqrt_of_ratio(n: int, m: int) -> float:
         n <<= -2 * q
     root = math.isqrt(n // m)
     root |= root * root * m != n
-    return (root << q) / 1 if q >= 0 else root / (1 << -q)
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def sharpe_ratio(pnls, risk_free_daily: float = 0.0, annualize: bool = False) -> float:
