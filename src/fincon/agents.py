@@ -148,13 +148,10 @@ def build_profiles(tickers, analyst_roles, general_config: str,
 
 @dataclass(frozen=True)
 class InsightMessage:
-    from_agent: str
-    date: Date
     ticker: str
     distilled_insight: str
     sentiment: str
     indicators: dict[str, float]
-    cited_memory_ids: tuple[str, ...]
 
     def __post_init__(self):
         for name, value in self.indicators.items():
@@ -164,22 +161,9 @@ class InsightMessage:
 
 @dataclass
 class TradingDecision:
-    date: Date
     directions: dict[str, str]
     reasoning: str
-    contribution_notes: dict[str, str]
     cited_memory_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Reflection:
-    date: Date
-    text: str
-    trigger: str
-
-    def __post_init__(self):
-        if self.trigger not in ("cvar_drop", "negative_pnl", "episodic"):
-            raise ValueError(f"unknown reflection trigger {self.trigger!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +256,10 @@ class StepContext:
     gateway: LlmGateway
     embedder: object
     episode: object
-    top_k: int = 5
-    temperature: float = 0.3
-    max_retries: int = 2
-    default_importance: float = 0.5
+    top_k: int
+    temperature: float
+    max_retries: int
+    default_importance: float
 
 
 @dataclass(frozen=True)
@@ -296,7 +280,6 @@ class AnalystSlice:
 def _retrieve(ctx: StepContext, profile: AgentProfile, date: Date, ticker: str | None):
     query_text = memory_query_text(profile, date, ticker)
     query = MemoryQuery(
-        query_text=query_text,
         embedding=ctx.embedder.embed(query_text),
         as_of=date,
         k=ctx.top_k,
@@ -353,14 +336,10 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
     (InsightMessage, assembled-prompt log entry).
     """
     if not obs_slice.calls_model:
-        message = InsightMessage(
-            from_agent=profile.agent_id, date=date, ticker=obs_slice.ticker,
-            distilled_insight=NO_SIGNAL, sentiment="neutral",
-            indicators={}, cited_memory_ids=(),
-        )
+        message = InsightMessage(ticker=obs_slice.ticker, distilled_insight=NO_SIGNAL,
+                                 sentiment="neutral", indicators={})
         return message, None
     retrieved = _retrieve(ctx, profile, date, obs_slice.ticker)
-    cited = tuple(s.event.event_id for s in retrieved)
     system = profile.system_header
     if belief_text:
         system += f"\n\nCurrent investment belief for your aspect:\n{belief_text}"
@@ -380,10 +359,8 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
                 f"[{obs_slice.ticker}] {parsed['insight']}",
                 profile.decay_ratio, parsed.get("importance"))
     message = InsightMessage(
-        from_agent=profile.agent_id, date=date, ticker=obs_slice.ticker,
-        distilled_insight=parsed["insight"], sentiment=parsed["sentiment"],
-        indicators=dict(obs_slice.indicators), cited_memory_ids=cited,
-    )
+        ticker=obs_slice.ticker, distilled_insight=parsed["insight"],
+        sentiment=parsed["sentiment"], indicators=dict(obs_slice.indicators))
     return message, log_entry
 
 
@@ -420,8 +397,7 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     parsed, log_entry = _complete(
         ctx, MANAGER, date, "decide", system, "\n\n".join(parts), "manager_decision",
         {"tickers": list(tickers), "known_memory_ids": ctx.store.all_ids()})
-    contributions = {k: v for k, v in parsed["contributions"].items()}
-    note_lines = "; ".join(f"{k}: {v}" for k, v in sorted(contributions.items()))
+    note_lines = "; ".join(f"{k}: {v}" for k, v in sorted(parsed["contributions"].items()))
     content = f"Decision {date.isoformat()}: " + ", ".join(
         f"{t}={parsed['actions'][t]}" for t in tickers)
     content += f". Reasoning: {parsed['reasoning']}"
@@ -429,10 +405,8 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
         content += f". Contributions: {note_lines}"
     store_event(ctx, MANAGER, date, "decision", content, profile.decay_ratio, None)
     decision = TradingDecision(
-        date=date,
         directions={t: parsed["actions"][t] for t in tickers},
         reasoning=parsed["reasoning"],
-        contribution_notes=contributions,
         cited_memory_ids=tuple(parsed["cited_memory_ids"]),
     )
     return decision, log_entry
@@ -440,7 +414,8 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
 
 def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Date,
                  ctx: StepContext):
-    """Manager self-reflection requested by the within-episode risk trigger."""
+    """Manager self-reflection requested by the within-episode risk trigger;
+    returns (reflection text, assembled-prompt log entry)."""
     user = "\n\n".join([
         f"Date: {date.isoformat()}",
         f"The risk-control component triggered a self-reflection ({trigger}).",
@@ -451,8 +426,7 @@ def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Da
                                   user, "reflection")
     store_event(ctx, MANAGER, date, f"reflection-{trigger}", parsed["reflection"],
                 profile.decay_ratio, None)
-    reflection = Reflection(date=date, text=parsed["reflection"], trigger=trigger)
-    return reflection, log_entry
+    return parsed["reflection"], log_entry
 
 
 def send_feedback(decision: TradingDecision, realized_pnl: float,

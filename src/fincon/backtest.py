@@ -890,7 +890,7 @@ class BacktestEngine:
         return days
 
     def _analyst_slice(self, source: str, ticker: str, obs, date: Date) -> AnalystSlice:
-        ticker_slice = obs.tickers[ticker]
+        ticker_slice = obs[ticker]
         if source == "data":
             indicators = dict(ticker_slice.indicators)
             asset_returns = self.market.log_returns_to(ticker, date)
@@ -902,10 +902,6 @@ class BacktestEngine:
             return AnalystSlice(ticker=ticker, indicators=indicators, price_line=price_line)
         docs = tuple(d for d in ticker_slice.documents if d.kind == source)
         return AnalystSlice(ticker=ticker, documents=docs)
-
-    def _log_prompts(self, episode: object, entries: list[dict]) -> None:
-        self.prompt_log.setdefault(episode, []).extend(
-            sorted(entries, key=lambda e: (e["date"], e["phase"], e["agent_id"])))
 
     def _solve_weights(self, directions: dict[str, str], date: Date) -> dict[str, float]:
         cfg = self.config
@@ -1012,7 +1008,7 @@ class BacktestEngine:
                 for t, close in zip(cfg.tickers, closes))
             pnl_history.append(r_t)
             rho_t = cvar(pnl_history, cfg.risk["cvar_alpha"])
-            provisional = RiskState(date=day, cvar=rho_t, prev_cvar=prev_rho,
+            provisional = RiskState(cvar=rho_t, prev_cvar=prev_rho,
                                     alert=False, history_len=len(pnl_history))
             trigger = alert_trigger(provisional, r_t, cfg.risk["min_cvar_history"])
             checked = within_episode_check(provisional, r_t, cfg.risk["min_cvar_history"])
@@ -1021,8 +1017,8 @@ class BacktestEngine:
             if checked.alert:
                 day_summary = (f"PnL {r_t!r}, CVaR {rho_t!r} "
                                f"(previous {prev_rho!r}), trigger {trigger}.")
-                reflection, r_entry = reflect_step(self.manager, trigger, day_summary, day, ctx)
-                reflections.append({"trigger": reflection.trigger, "text": reflection.text})
+                text, r_entry = reflect_step(self.manager, trigger, day_summary, day, ctx)
+                reflections.append({"trigger": trigger, "text": text})
                 day_entries.append(r_entry)
 
             threshold = rolling_sigma_threshold(
@@ -1046,7 +1042,7 @@ class BacktestEngine:
                 insights={aid: m.distilled_insight for aid, m in insights.items()},
                 cited_memory_ids=list(decision.cited_memory_ids),
             ))
-            self._log_prompts(ctx.episode, day_entries)
+            self.prompt_log.setdefault(ctx.episode, []).extend(day_entries)
             risk_state = checked
             prev_rho = rho_t
 

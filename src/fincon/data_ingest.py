@@ -64,16 +64,11 @@ class PriceBar:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Date-ordered daily bars for one ticker (dates strictly increasing)."""
+    """Date-ordered daily bars for one ticker (dates strictly increasing, as
+    ``load_price_series`` checks)."""
 
     ticker: str
     bars: tuple[PriceBar, ...]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise NonMonotoneDates(
-                    f"{self.ticker}: {cur.date} does not follow {prev.date}")
 
     @cached_property
     def dates(self) -> tuple[Date, ...]:
@@ -116,14 +111,6 @@ class TickerSlice:
     bar: PriceBar
     indicators: dict[str, float]
     documents: tuple[TextDocument, ...]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Everything observable on one trading day, keyed by ticker."""
-
-    date: Date
-    tickers: dict[str, TickerSlice]
 
 
 def parse_date(text: str) -> Date:
@@ -388,8 +375,9 @@ class MarketData:
         return s.log_returns[start - 1:pos].tolist()
 
 
-def assemble_observation(date: Date, universe: list[str], sources: MarketData) -> Observation:
-    """Bundle one trading day's bars, indicators and documents per ticker.
+def assemble_observation(date: Date, universe: list[str],
+                         sources: MarketData) -> dict[str, TickerSlice]:
+    """Bundle one trading day's bars, indicators and documents, keyed by ticker.
 
     Pure function of its inputs: repeated calls serialize byte-identically.
     Indicators appear only when enough history exists (log_return needs one
@@ -411,4 +399,4 @@ def assemble_observation(date: Date, universe: list[str], sources: MarketData) -
             indicators["momentum"] = momentum(series, date, sources.momentum_window)
         docs = tuple(sources.docs_by_attach.get((date, ticker), ()))
         tickers[ticker] = TickerSlice(bar=bar, indicators=indicators, documents=docs)
-    return Observation(date=date, tickers=tickers)
+    return tickers

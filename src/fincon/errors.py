@@ -58,10 +58,6 @@ class DimensionMismatch(FinconError):
     """Embedding dimensions disagree."""
 
 
-class FutureEvent(FinconError):
-    """Importance queried as of a date before the event was created."""
-
-
 class UnknownEventId(FinconError):
     """No memory event with the given id."""
 

@@ -65,7 +65,6 @@ class CompletionRequest:
 
 @dataclass(frozen=True)
 class ValidatedOutput:
-    schema: str
     parsed: dict
     raw_text: str
 
@@ -336,8 +335,7 @@ class LlmGateway:
             try:
                 parsed = parse_json_response(raw)
                 validated = validator(parsed, request.context)
-                return ValidatedOutput(schema=request.output_schema, parsed=validated,
-                                       raw_text=raw)
+                return ValidatedOutput(parsed=validated, raw_text=raw)
             except ValidationFailure as exc:
                 last_error = str(exc)
                 attempt_request = replace(

@@ -29,7 +29,7 @@ from datetime import date as Date
 import numpy as np
 
 from .data_ingest import jsonl_line, parse_date, read_jsonl_lines
-from .errors import DimensionMismatch, FutureEvent, SchemaError, UnknownEventId, ZeroVector
+from .errors import DimensionMismatch, SchemaError, UnknownEventId, ZeroVector
 
 LAYERS = ("working", "procedural", "episodic")
 
@@ -131,7 +131,6 @@ class MemoryEvent:
 
 @dataclass(frozen=True)
 class MemoryQuery:
-    query_text: str
     embedding: np.ndarray
     as_of: Date
     k: int
@@ -164,22 +163,6 @@ def decay_importance(v0: np.ndarray, theta: np.ndarray, dt: np.ndarray,
                      bonus: np.ndarray) -> np.ndarray:
     """Elementwise v0 * theta**dt + bonus."""
     return v0 * np.power(theta, dt) + bonus
-
-
-def importance_score(event: MemoryEvent, as_of: Date,
-                     calendar: tuple[Date, ...] | None = None) -> float:
-    """Decayed importance v * theta**dt + access bonus.
-
-    dt counts whole trading days when a calendar is supplied, calendar days
-    otherwise. ``as_of`` may not precede the event's creation date.
-    """
-    if as_of < event.created_at:
-        raise FutureEvent(f"{event.event_id} created {event.created_at}, queried {as_of}")
-    dt = int(elapsed_days(trading_position(calendar, event.created_at),
-                          trading_position(calendar, as_of),
-                          (as_of - event.created_at).days))
-    return float(decay_importance(event.initial_importance, event.decay_ratio, dt,
-                                  event.access_bonus))
 
 
 def trading_position(calendar: tuple[Date, ...] | None, day: Date) -> int:
@@ -317,9 +300,6 @@ class MemoryStore:
             return self._events[event_id]
         except KeyError:
             raise UnknownEventId(event_id) from None
-
-    def has(self, event_id: str) -> bool:
-        return event_id in self._events
 
     def all_ids(self) -> KeysView[str]:
         """Live view of every stored event id (membership tests, no copy)."""

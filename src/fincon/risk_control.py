@@ -20,10 +20,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
-from datetime import date as Date
 from typing import TYPE_CHECKING
 
-from .agents import ASPECTS, ROLES
+from .agents import ASPECTS, MANAGER, RISK_CONTROL, ROLES
 from .errors import (
     AlphaOutOfRange,
     EmptyHistory,
@@ -35,8 +34,6 @@ from .llm_gateway import CompletionRequest, LlmGateway, step_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backtest import Trajectory
-
-RISK_CONTROL_TAG = "risk_control"
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +72,6 @@ def cvar(pnl_history, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class RiskState:
-    date: Date
     cvar: float | None
     prev_cvar: float | None
     alert: bool
@@ -83,7 +79,7 @@ class RiskState:
 
     @classmethod
     def initial(cls) -> "RiskState":
-        return cls(date=Date.min, cvar=None, prev_cvar=None, alert=False, history_len=0)
+        return cls(cvar=None, prev_cvar=None, alert=False, history_len=0)
 
 
 def _cvar_dropped(state: RiskState, min_history: int) -> bool:
@@ -267,7 +263,7 @@ def conceptualize(trajectory: "Trajectory", analyst_roles, gateway: LlmGateway,
         "that contributed to these outcomes."
     )
     request = CompletionRequest(
-        role_tag=RISK_CONTROL_TAG,
+        role_tag=RISK_CONTROL,
         system_prompt="You are the risk-control component of a trading team. "
                       "You attribute episode performance to information aspects.",
         user_prompt=user_prompt,
@@ -341,7 +337,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[
         "{<aspect>: <belief>}} using only the known aspect keys."
     )
     request = CompletionRequest(
-        role_tag=RISK_CONTROL_TAG,
+        role_tag=RISK_CONTROL,
         system_prompt="You are the risk-control component of a trading team. "
                       "You optimize the team's investment beliefs between episodes.",
         user_prompt=user_prompt,
@@ -354,7 +350,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[
     parsed = gateway.complete(request).parsed
     meta_prompt = parsed["meta_prompt"]
     touched = aspects_in_text(meta_prompt)
-    target_agents = ["manager"] + sorted(
+    target_agents = [MANAGER] + sorted(
         aid for aid, role in analysts.items() if ROLES[role].aspect in touched)
     return BeliefUpdate(
         episode_pair=(k_prev, k_cur),

@@ -19,7 +19,7 @@ from fincon.backtest import RunConfig, RunWriter, cumulative_return, max_drawdow
 from fincon.cli import main
 from fincon.errors import ZeroVolatility
 from fincon.llm_gateway import LlmGateway, load_mock_script
-from fincon.memory import HashEmbedder, MemoryEvent, MemoryQuery, MemoryStore, importance_score
+from fincon.memory import HashEmbedder, MemoryEvent, MemoryQuery, MemoryStore
 from fincon.portfolio import direction_bounds, mv_objective, solve_mean_variance
 from fincon.risk_control import RiskState, overlap_percentage, var_cvar, within_episode_check
 
@@ -32,7 +32,7 @@ from fixtures import (
     oracle_top_k,
     oracle_var_cvar,
 )
-from test_memory import random_store
+from test_memory import decayed, random_store
 
 
 def _report(n: int, text: str) -> None:
@@ -93,13 +93,15 @@ def test_criterion_03_memory_retrieval():
     event = MemoryEvent(event_id="e", owner="a", layer="procedural", content="c",
                         embedding=emb.embed("c"), initial_importance=0.8,
                         decay_ratio=0.9, created_at=date(2022, 1, 3))
-    got = importance_score(event, date(2022, 1, 5))
+    got = decayed(0.8, 0.9, event.created_at, date(2022, 1, 5))
     assert abs(got - 0.648) < 1e-12  # 0.8 * 0.9**2 at IEEE double precision
     store = MemoryStore()
     store.add(event)
     store.boost_access("e")
-    assert store.get("e").access_bonus == 5.0
-    assert abs(importance_score(store.get("e"), date(2022, 1, 5)) - 5.648) < 1e-12
+    boosted = store.get("e")
+    assert boosted.access_bonus == 5.0
+    got = decayed(0.8, 0.9, event.created_at, date(2022, 1, 5), bonus=boosted.access_bonus)
+    assert abs(got - 5.648) < 1e-12
 
     rng = np.random.default_rng(103)
     from datetime import timedelta
@@ -112,7 +114,7 @@ def test_criterion_03_memory_retrieval():
         q = rng.standard_normal(16)
         k = 7
         got_ids = [s.event.event_id for s in
-                   big.retrieve_top_k(MemoryQuery("q", q, as_of, k, "agent"))]
+                   big.retrieve_top_k(MemoryQuery(q, as_of, k, "agent"))]
         assert got_ids == [hit[0] for hit in oracle_top_k(events, q, as_of, k, "agent")]
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -131,13 +133,12 @@ def test_criterion_04_overlap_learning_rate():
 def test_criterion_05_trigger_truth_table():
     for rho_delta in (-1.0, 0.0, 1.0):
         for r_t in (-0.01, 0.0, 0.01):
-            state = RiskState(date=date(2022, 6, 1), cvar=-2.0 + rho_delta,
-                              prev_cvar=-2.0, alert=False, history_len=15)
+            state = RiskState(cvar=-2.0 + rho_delta, prev_cvar=-2.0, alert=False,
+                              history_len=15)
             got = within_episode_check(state, r_t, min_history=10).alert
             assert got == (rho_delta < 0 or r_t < 0), (rho_delta, r_t)
     # r_t = 0 boundary with flat CVaR never fires
-    flat = RiskState(date=date(2022, 6, 1), cvar=-2.0, prev_cvar=-2.0,
-                     alert=False, history_len=15)
+    flat = RiskState(cvar=-2.0, prev_cvar=-2.0, alert=False, history_len=15)
     assert not within_episode_check(flat, 0.0).alert
     _report(5, "alert == (CVaR dropped OR r_t < 0) on the exhaustive sign grid")
 

@@ -234,9 +234,9 @@ class TestAssembleObservation:
     def test_no_documents(self, tmp_path):
         market, days = _market(tmp_path, docs=[])
         obs = assemble_observation(days[10], ["SYN"], market)
-        assert obs.tickers["SYN"].documents == ()
-        assert obs.tickers["SYN"].bar.date == days[10]
-        assert "momentum" in obs.tickers["SYN"].indicators
+        assert obs["SYN"].documents == ()
+        assert obs["SYN"].bar.date == days[10]
+        assert "momentum" in obs["SYN"].indicators
 
     def test_documents_routed_by_kind(self, tmp_path):
         day = trading_days(date(2022, 1, 3), 30)[10]
@@ -250,7 +250,7 @@ class TestAssembleObservation:
         ]
         market, days = _market(tmp_path, docs=docs)
         obs = assemble_observation(day, ["SYN"], market)
-        kinds = [d.kind for d in obs.tickers["SYN"].documents]
+        kinds = [d.kind for d in obs["SYN"].documents]
         assert sorted(kinds) == ["form10q", "news", "news"]
 
     def test_same_day_ordered_by_doc_id(self, tmp_path):
@@ -263,7 +263,7 @@ class TestAssembleObservation:
         ]
         market, _ = _market(tmp_path, docs=docs)
         obs = assemble_observation(day, ["SYN"], market)
-        assert [d.doc_id for d in obs.tickers["SYN"].documents] == ["a-early", "z-late"]
+        assert [d.doc_id for d in obs["SYN"].documents] == ["a-early", "z-late"]
 
     def test_weekend_document_attaches_to_next_trading_day(self, tmp_path):
         saturday = date(2022, 1, 8)
@@ -273,7 +273,7 @@ class TestAssembleObservation:
         market, days = _market(tmp_path, docs=docs)
         monday = saturday + timedelta(days=2)
         obs = assemble_observation(monday, ["SYN"], market)
-        assert [d.doc_id for d in obs.tickers["SYN"].documents] == ["w"]
+        assert [d.doc_id for d in obs["SYN"].documents] == ["w"]
 
     def test_date_out_of_range(self, tmp_path):
         market, days = _market(tmp_path, docs=[])
@@ -305,22 +305,22 @@ class TestAssembleObservation:
         seen: dict[str, int] = {}
         for day in days:
             obs = assemble_observation(day, ["SYN"], market)
-            for d in obs.tickers["SYN"].documents:
+            for d in obs["SYN"].documents:
                 seen[d.doc_id] = seen.get(d.doc_id, 0) + 1
         assert seen == {f"doc{i:02d}": 1 for i in range(12)}
 
     def test_all_universe_tickers_present(self, tmp_path):
         market, days = _market(tmp_path, docs=[], tickers=("AAA", "BBB"))
         obs = assemble_observation(days[3], ["AAA", "BBB"], market)
-        assert set(obs.tickers) == {"AAA", "BBB"}
+        assert set(obs) == {"AAA", "BBB"}
 
     def test_indicators_absent_without_history(self, tmp_path):
         market, days = _market(tmp_path, docs=[])
         obs = assemble_observation(days[0], ["SYN"], market)
-        assert obs.tickers["SYN"].indicators == {}
+        assert obs["SYN"].indicators == {}
         obs1 = assemble_observation(days[1], ["SYN"], market)
-        assert "log_return" in obs1.tickers["SYN"].indicators
-        assert "momentum" not in obs1.tickers["SYN"].indicators
+        assert "log_return" in obs1["SYN"].indicators
+        assert "momentum" not in obs1["SYN"].indicators
 
 
 class TestFormats:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fincon.errors import DimensionMismatch, FutureEvent, UnknownEventId, ZeroVector
+from fincon.errors import DimensionMismatch, UnknownEventId, ZeroVector
 from fincon.memory import (
     ACCESS_BOOST,
     LAYERS,
@@ -21,12 +21,14 @@ from fincon.memory import (
     MemoryQuery,
     MemoryStore,
     cosine_matrix,
-    importance_score,
+    decay_importance,
+    elapsed_days,
     scale_unit,
     score_candidates,
+    trading_position,
 )
 
-from fixtures import oracle_embed, oracle_importance, oracle_top_k
+from fixtures import oracle_embed, oracle_top_k
 
 SQRT_HALF = 0.7071067811865476  # frozen: mpmath sqrt(1/2)
 
@@ -63,47 +65,46 @@ class TestRelevancy:
         store = MemoryStore()
         store.add(make_event("e", embedding=[1.0, 2.0, 3.0]))
         with pytest.raises(ZeroVector):
-            store.retrieve_top_k(MemoryQuery("q", np.zeros(3), date(2022, 2, 1), 1, "agent"))
+            store.retrieve_top_k(MemoryQuery(np.zeros(3), date(2022, 2, 1), 1, "agent"))
 
     def test_dimension_mismatch(self):
         store = MemoryStore()
         store.add(make_event("e", embedding=[1.0, 2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
-            store.retrieve_top_k(MemoryQuery("q", np.ones(4), date(2022, 2, 1), 1, "agent"))
+            store.retrieve_top_k(MemoryQuery(np.ones(4), date(2022, 2, 1), 1, "agent"))
+
+
+def decayed(v0, theta, created, as_of, calendar=None, bonus=0.0):
+    """The importance retrieval ranks by, from the production dt and decay."""
+    dt = elapsed_days(trading_position(calendar, created), trading_position(calendar, as_of),
+                      (as_of - created).days)
+    return float(decay_importance(v0, theta, dt, bonus))
 
 
 class TestImportance:
     def test_zero_age(self):
-        event = make_event("e", v0=1.0, theta=0.9)
-        assert importance_score(event, event.created_at) == 1.0
+        assert decayed(1.0, 0.9, date(2022, 1, 3), date(2022, 1, 3)) == 1.0
 
     def test_two_day_decay(self):
-        event = make_event("e", v0=0.8, theta=0.9, created=date(2022, 1, 3))
-        got = importance_score(event, date(2022, 1, 5))
+        got = decayed(0.8, 0.9, date(2022, 1, 3), date(2022, 1, 5))
         assert abs(got - 0.648) < 1e-12
 
     def test_access_bonus_added(self):
-        event = make_event("e", v0=0.3, theta=0.9, bonus=5.0)
-        assert abs(importance_score(event, event.created_at) - 5.3) < 1e-12
-
-    def test_future_event(self):
-        event = make_event("e", created=date(2022, 1, 10))
-        with pytest.raises(FutureEvent):
-            importance_score(event, date(2022, 1, 9))
+        got = decayed(0.3, 0.9, date(2022, 1, 3), date(2022, 1, 3), bonus=5.0)
+        assert abs(got - 5.3) < 1e-12
 
     def test_trading_day_delta(self):
         # Fri 2022-01-07 -> Mon 2022-01-10 is one trading day, not three
         calendar = (date(2022, 1, 6), date(2022, 1, 7), date(2022, 1, 10))
-        event = make_event("e", v0=1.0, theta=0.5, created=date(2022, 1, 7))
-        got = importance_score(event, date(2022, 1, 10), calendar)
+        got = decayed(1.0, 0.5, date(2022, 1, 7), date(2022, 1, 10), calendar)
         assert got == 0.5
 
     @given(v0=st.floats(0.01, 1.0), theta=st.floats(0.01, 0.99),
            dt=st.integers(0, 50))
     def test_strictly_decreasing_in_age(self, v0, theta, dt):
-        event = make_event("e", v0=v0, theta=theta, created=date(2022, 1, 1))
-        earlier = importance_score(event, date(2022, 1, 1) + timedelta(days=dt))
-        later = importance_score(event, date(2022, 1, 1) + timedelta(days=dt + 1))
+        created = date(2022, 1, 1)
+        earlier = decayed(v0, theta, created, created + timedelta(days=dt))
+        later = decayed(v0, theta, created, created + timedelta(days=dt + 1))
         assert later < earlier
 
 
@@ -149,7 +150,7 @@ class TestRetrieveTopK:
     def test_empty_store(self):
         store = MemoryStore()
         emb = HashEmbedder(16)
-        query = MemoryQuery("q", emb.embed("q"), date(2022, 2, 1), 5, "agent")
+        query = MemoryQuery(emb.embed("q"), date(2022, 2, 1), 5, "agent")
         assert store.retrieve_top_k(query) == []
 
     def test_matches_brute_force_on_random_stores(self):
@@ -163,7 +164,7 @@ class TestRetrieveTopK:
             as_of = date(2022, 1, 1) + timedelta(days=int(rng.integers(0, 100)))
             k = int(rng.integers(1, 12))
             q = rng.standard_normal(16)
-            query = MemoryQuery("q", q, as_of, k, "agent")
+            query = MemoryQuery(q, as_of, k, "agent")
             got = [s.event.event_id for s in store.retrieve_top_k(query)]
             want = [hit[0] for hit in oracle_top_k(events, q, as_of, k, "agent")]
             assert got == want, f"trial {trial}"
@@ -175,7 +176,7 @@ class TestRetrieveTopK:
         for e in events:
             store.add(e)
         as_of = date(2022, 1, 20)
-        query = MemoryQuery("q", rng.standard_normal(16), as_of, 10, "agent")
+        query = MemoryQuery(rng.standard_normal(16), as_of, 10, "agent")
         for scored in store.retrieve_top_k(query):
             assert scored.event.created_at <= as_of
 
@@ -184,7 +185,7 @@ class TestRetrieveTopK:
         store.add(make_event("mine", owner="a"))
         store.add(make_event("theirs", owner="b"))
         emb = HashEmbedder(16)
-        query = MemoryQuery("q", emb.embed("q"), date(2022, 2, 1), 10, "a")
+        query = MemoryQuery(emb.embed("q"), date(2022, 2, 1), 10, "a")
         got = [s.event.event_id for s in store.retrieve_top_k(query)]
         assert got == ["mine"]
 
@@ -193,7 +194,7 @@ class TestRetrieveTopK:
         for i in range(6):
             store.add(make_event(f"e{i}", created=date(2022, 1, 3 + i)))
         emb = HashEmbedder(16)
-        query = MemoryQuery("q", emb.embed("q"), date(2022, 2, 1), 6, "agent")
+        query = MemoryQuery(emb.embed("q"), date(2022, 2, 1), 6, "agent")
         for scored in store.retrieve_top_k(query):
             assert 0.0 <= scored.relevancy <= 1.0
             assert 0.0 <= scored.importance <= 1.0
@@ -206,14 +207,14 @@ class TestRetrieveTopK:
         store.add(make_event("b", created=date(2022, 1, 5), embedding=emb, dim=4))
         store.add(make_event("a", created=date(2022, 1, 5), embedding=emb, dim=4))
         store.add(make_event("c", created=date(2022, 1, 7), embedding=emb, dim=4))
-        query = MemoryQuery("q", emb, date(2022, 2, 1), 3, "agent")
+        query = MemoryQuery(emb, date(2022, 2, 1), 3, "agent")
         got = [s.event.event_id for s in store.retrieve_top_k(query)]
         assert got == ["c", "a", "b"]
 
     def test_dimension_mismatch(self):
         store = MemoryStore()
         store.add(make_event("e", dim=8))
-        query = MemoryQuery("q", np.ones(16), date(2022, 2, 1), 3, "agent")
+        query = MemoryQuery(np.ones(16), date(2022, 2, 1), 3, "agent")
         with pytest.raises(DimensionMismatch):
             store.retrieve_top_k(query)
 
@@ -223,7 +224,7 @@ class TestRetrieveTopK:
         with pytest.raises(DimensionMismatch):
             store.add(make_event("f", dim=16))
         store.add(make_event("g", owner="other", dim=16))
-        assert not store.has("f") and len(store) == 2
+        assert "f" not in store.all_ids() and len(store) == 2
 
 
     def test_concurrent_writers_keep_owner_columns_consistent(self):
@@ -241,7 +242,7 @@ class TestRetrieveTopK:
                 if i % 3 == 0:
                     store.boost_access(event_id)
                 if i % 10 == 0:
-                    store.retrieve_top_k(MemoryQuery("q", query, as_of, 5, "agent"))
+                    store.retrieve_top_k(MemoryQuery(query, as_of, 5, "agent"))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -253,7 +254,7 @@ class TestRetrieveTopK:
                 events = [store.get(event_id) for event_id in store.all_ids()]
                 assert len(events) == len(store) == n_threads * per_thread
                 got = [s.event.event_id for s in store.retrieve_top_k(
-                    MemoryQuery("q", query, as_of, len(events), "agent"))]
+                    MemoryQuery(query, as_of, len(events), "agent"))]
                 assert got == [hit[0] for hit in
                                oracle_top_k(events, query, as_of, len(events), "agent")]
         finally:
@@ -314,12 +315,8 @@ class TestRetrievalOracle:
             as_of = BASE + timedelta(days=offset)
             emb = np.array(vector, dtype=float)
             got = [(s.event.event_id, s.relevancy, s.importance, s.gamma) for s in
-                   store.retrieve_top_k(MemoryQuery("q", emb, as_of, k, owner, layer))]
+                   store.retrieve_top_k(MemoryQuery(emb, as_of, k, owner, layer))]
             assert got == oracle_top_k(events, emb, as_of, k, owner, layer, calendar)
-            for e in events:
-                if e.created_at <= as_of:
-                    assert importance_score(e, as_of, calendar) == \
-                        oracle_importance(e, as_of, calendar)
 
 
 class TestScaling:
@@ -495,7 +492,7 @@ class TestListFormSnapshot:
     @staticmethod
     def retrieve(store, query):
         hits = store.retrieve_top_k(MemoryQuery(
-            query["text"], HashEmbedder().embed(query["text"]),
+            HashEmbedder().embed(query["text"]),
             date.fromisoformat(query["as_of"]), 3, query["owner"], query["layer"]))
         return [[h.event.event_id, h.relevancy, h.importance, h.gamma] for h in hits]
 

@@ -86,30 +86,25 @@ class TestWithinEpisodeCheck:
     @pytest.mark.parametrize("r_t", [-0.01, 0.0, 0.01])
     def test_truth_table_when_armed(self, rho_delta, r_t):
         prev = -2.0
-        state = RiskState(date=date(2022, 1, 20), cvar=prev + rho_delta,
-                          prev_cvar=prev, alert=False, history_len=10)
+        state = RiskState(cvar=prev + rho_delta, prev_cvar=prev, alert=False, history_len=10)
         checked = within_episode_check(state, r_t, min_history=10)
         assert checked.alert == (rho_delta < 0 or r_t < 0)
 
     def test_zero_pnl_is_not_negative(self):
-        state = RiskState(date=date(2022, 1, 20), cvar=-2.0, prev_cvar=-2.0,
-                          alert=False, history_len=30)
+        state = RiskState(cvar=-2.0, prev_cvar=-2.0, alert=False, history_len=30)
         assert not within_episode_check(state, 0.0).alert
 
     def test_cvar_branch_disarmed_before_min_history(self):
-        state = RiskState(date=date(2022, 1, 5), cvar=-3.0, prev_cvar=-2.0,
-                          alert=False, history_len=5)
+        state = RiskState(cvar=-3.0, prev_cvar=-2.0, alert=False, history_len=5)
         assert not within_episode_check(state, 0.01, min_history=10).alert
         # the negative-PnL branch still fires
         assert within_episode_check(state, -0.01, min_history=10).alert
 
     def test_trigger_precedence(self):
-        armed = RiskState(date=date(2022, 1, 20), cvar=-3.0, prev_cvar=-2.0,
-                          alert=False, history_len=15)
+        armed = RiskState(cvar=-3.0, prev_cvar=-2.0, alert=False, history_len=15)
         assert alert_trigger(armed, -0.01) == "cvar_drop"
         assert alert_trigger(armed, 0.02) == "cvar_drop"
-        flat = RiskState(date=date(2022, 1, 20), cvar=-2.0, prev_cvar=-2.0,
-                         alert=False, history_len=15)
+        flat = RiskState(cvar=-2.0, prev_cvar=-2.0, alert=False, history_len=15)
         assert alert_trigger(flat, -0.01) == "negative_pnl"
         assert alert_trigger(flat, 0.01) is None
 
