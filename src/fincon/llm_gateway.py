@@ -288,9 +288,13 @@ class HttpBackend:
         if status != 200:
             raise BackendUnavailable(f"backend returned HTTP {status}")
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed backend response: {exc}") from None
+        if not isinstance(content, str):
+            raise BackendUnavailable(
+                f"malformed backend response: content is {type(content).__name__}, not a string")
+        return content
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import base64
 import json
+import urllib.request
 from datetime import date
 
 import pytest
@@ -12,6 +13,7 @@ from fixtures import (
     write_documents,
     write_price_csv,
 )
+from test_llm_gateway import FakeResponse
 
 
 def build_fixture(tmp_path, **kwargs):
@@ -131,6 +133,18 @@ class TestTrain:
                      "--run-dir", str(tmp_path / "run")])
         assert code == 2
         assert (tmp_path / "run" / "trajectory_2.FAILED.jsonl").exists()
+
+    def test_endpoint_reply_content_not_a_string_exit_two(self, tmp_path, monkeypatch, capsys):
+        fix = build_fixture(tmp_path)
+        body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout=None: FakeResponse(body))
+        monkeypatch.setenv("FINCON_LLM_ENDPOINT", "http://llm.invalid/v1")
+        code = main(["train", "--config", str(fix.config_path),
+                     "--run-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert "malformed backend response" in capsys.readouterr().err
+        assert (tmp_path / "run" / "trajectory_1.FAILED.jsonl").exists()
 
     def test_resume_from_corrupt_checkpoint_exit_one(self, tmp_path, capsys):
         fix = build_fixture(tmp_path)

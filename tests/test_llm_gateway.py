@@ -330,9 +330,10 @@ class TestHttpBackendOffline:
                                 output_schema="manager_decision", temperature=0.0,
                                 step_key="k")
 
-    def generate(self, monkeypatch, outcome, **backend_kwargs):
-        """Run one ``generate`` whose ``urlopen`` returns or raises ``outcome``;
-        returns (result, [(urllib request, timeout)])."""
+    @staticmethod
+    def backend(monkeypatch, outcome, **backend_kwargs):
+        """A backend whose ``urlopen`` returns or raises ``outcome``, and the
+        list of (urllib request, timeout) that ``urlopen`` is called with."""
         calls = []
 
         def urlopen(request, timeout=None):
@@ -344,6 +345,11 @@ class TestHttpBackendOffline:
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         backend = HttpBackend(endpoint="http://llm.invalid/v1/", api_key="secret",
                               model="m1", timeout=7.5, **backend_kwargs)
+        return backend, calls
+
+    def generate(self, monkeypatch, outcome, **backend_kwargs):
+        """Run one ``generate`` of ``backend``; returns (result, calls)."""
+        backend, calls = self.backend(monkeypatch, outcome, **backend_kwargs)
         return backend.generate(self.REQUEST), calls
 
     def test_success_posts_payload_with_seed_and_auth(self, monkeypatch):
@@ -389,6 +395,13 @@ class TestHttpBackendOffline:
     def test_malformed_body_is_unavailable(self, monkeypatch, body):
         with pytest.raises(BackendUnavailable, match="malformed"):
             self.generate(monkeypatch, FakeResponse(body))
+
+    @pytest.mark.parametrize("content", [None, ["part"], 5], ids=["null", "list", "number"])
+    def test_content_not_a_string_is_unavailable(self, monkeypatch, content):
+        body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        backend, _ = self.backend(monkeypatch, FakeResponse(body))
+        with pytest.raises(BackendUnavailable, match="malformed backend response"):
+            LlmGateway(backend).complete(self.REQUEST)
 
 
 def test_no_network_imports_outside_gateway():
