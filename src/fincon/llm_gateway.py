@@ -92,7 +92,8 @@ def _validate_insight(parsed: dict, context: dict) -> dict:
     out = {"insight": insight, "sentiment": sentiment}
     if "importance" in parsed:
         imp = parsed["importance"]
-        if not isinstance(imp, (int, float)) or not 0.0 <= float(imp) <= 1.0:
+        if (isinstance(imp, bool) or not isinstance(imp, (int, float))
+                or not 0.0 <= float(imp) <= 1.0):
             raise ValidationFailure("importance must be a number in [0,1]")
         out["importance"] = float(imp)
     return out

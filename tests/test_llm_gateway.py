@@ -163,6 +163,16 @@ class TestValidationAndRetry:
         out = LlmGateway(backend).complete(req)
         assert out.parsed == {"insight": "x", "sentiment": "positive", "importance": 0.7}
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_insight_boolean_importance_retried(self, flag):
+        good = {"insight": "x", "sentiment": "positive", "importance": 0.7}
+        backend = RecordingBackend([json.dumps({**good, "importance": flag}), json.dumps(good)])
+        req = CompletionRequest(role_tag="a", system_prompt="s", user_prompt="u",
+                                output_schema="analyst_insight", step_key="k")
+        out = LlmGateway(backend).complete(req)
+        assert out.parsed["importance"] == 0.7
+        assert "importance must be a number" in backend.requests[1].user_prompt
+
     def test_insight_bad_sentiment(self):
         backend = RecordingBackend([json.dumps({"insight": "x", "sentiment": "bullish"})])
         req = CompletionRequest(role_tag="a", system_prompt="s", user_prompt="u",
