@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -133,6 +134,36 @@ def test_module_imports_on_its_own(module):
     result = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def quoted_annotation_names(tree) -> set[str]:
+    """Names read inside quoted annotations, such as ``"Trajectory"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= {name.id for name in ast.walk(ast.parse(node.value, mode="eval"))
+                          if isinstance(name, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
+def test_module_reads_every_name_it_imports(module):
+    """The project runs no linter, so this stands in for an unused-import check."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - read - quoted_annotation_names(tree) == set()
 
 
 class TestProfiles:
