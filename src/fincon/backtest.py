@@ -60,7 +60,7 @@ from .data_ingest import (
     open_input,
     parse_date,
     read_json,
-    read_jsonl,
+    read_jsonl_lines,
 )
 from .errors import (
     BadProfileText,
@@ -108,37 +108,9 @@ TRADING_DAYS_PER_YEAR = 252
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Bound:
-    """The type and interval a numeric config key must take: a finite number
-    (an integer when ``kind`` is int) from ``low`` to ``high``, each end
-    included unless it is open or infinite."""
-
-    kind: type
-    low: float = -math.inf
-    high: float = math.inf
-    low_open: bool = False
-    high_open: bool = False
-
-    def admits(self, value) -> bool:
-        if isinstance(value, bool) or not isinstance(value, (int, self.kind)):
-            return False
-        if isinstance(value, float) and not math.isfinite(value):
-            return False
-        above = self.low < value if self.low_open else self.low <= value
-        below = value < self.high if self.high_open else value <= self.high
-        return above and below
-
-    def __str__(self) -> str:
-        left = "(" if self.low_open or self.low == -math.inf else "["
-        right = ")" if self.high_open or self.high == math.inf else "]"
-        kind = "an integer" if self.kind is int else "a number"
-        return f"{kind} in {left}{self.low:g}, {self.high:g}{right}"
-
-
-@dataclass(frozen=True)
 class Kind:
-    """What a non-numeric config value must be: ``text`` says it, in error
-    messages and the README, and ``admits`` tests a value."""
+    """What a config value must be: ``text`` says it, in error messages and
+    the README, and ``admits`` tests a value."""
 
     text: str
     admits: Callable[[object], bool]
@@ -170,6 +142,26 @@ def _map_of(keys: tuple | None, value: Callable[[object], bool], text: str) -> K
     whose values ``value`` admits."""
     return Kind(text, lambda v: isinstance(v, dict) and all(
         (keys is None or k in keys) and value(x) for k, x in v.items()))
+
+
+def Bound(kind: type, low: float = -math.inf, high: float = math.inf,
+          low_open: bool = False, high_open: bool = False) -> Kind:
+    """A finite number (an integer when ``kind`` is int) from ``low`` to
+    ``high``, each end included unless it is open or infinite."""
+
+    def admits(value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            return False
+        if isinstance(value, float) and not math.isfinite(value):
+            return False
+        above = low < value if low_open else low <= value
+        below = value < high if high_open else value <= high
+        return above and below
+
+    left = "(" if low_open or low == -math.inf else "["
+    right = ")" if high_open or high == math.inf else "]"
+    text = "an integer" if kind is int else "a number"
+    return Kind(f"{text} in {left}{low:g}, {high:g}{right}", admits)
 
 
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
@@ -296,9 +288,11 @@ def read_config_payload(path: str | Path) -> dict:
 
 @dataclass
 class RunConfig:
-    """One run's full, resolved configuration (a single JSON document)."""
+    """One run's full, resolved configuration: ``doc``, the single JSON
+    document that config.used.json records, and typed views of its keys.
+    Each section attribute is ``doc``'s own section dict."""
 
-    mode: str
+    doc: dict
     tickers: list[str]
     price_paths: dict[str, str]
     document_paths: list[str]
@@ -314,7 +308,6 @@ class RunConfig:
     portfolio: dict
     backtest: dict
     seed: int | None = None
-    raw: dict = field(default_factory=dict)
     # the config file's directory: relative paths resolve against it
     base_dir: Path = Path(".")
     # the manager's and every analyst instance's profile, by agent id
@@ -339,6 +332,9 @@ class RunConfig:
             raise ConfigError("test_start must not exceed test_end")
         if not dates["train_end"] < dates["test_start"]:
             raise ConfigError("the training range must precede the test range")
+        doc["dates"] = {key: day.isoformat() for key, day in dates.items()}
+        if doc["seed"] is None:
+            del doc["seed"]
         # profile texts may live in referenced plain-text files
         agents = doc["agents"]
         texts = agents["profile_texts"]
@@ -363,9 +359,9 @@ class RunConfig:
             source = "files" if exc.role in agents["profile_files"] else "texts"
             raise ConfigError(f"agents.profile_{source}[{exc.role}]: {exc}") from None
         return cls(
-            mode=doc["mode"], tickers=tickers, price_paths=prices,
+            doc=doc, tickers=tickers, price_paths=prices,
             document_paths=[str(base / p) for p in doc["data"]["documents"]],
-            **dates, seed=doc["seed"], raw=payload, base_dir=base, profiles=profiles,
+            **dates, seed=doc.get("seed"), base_dir=base, profiles=profiles,
             **{name: doc[name] for name in SECTIONS},
         )
 
@@ -373,25 +369,6 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
         return cls.from_dict(read_config_payload(path), base_dir=path.parent)
-
-    def resolved_dict(self) -> dict:
-        """Fully resolved config (defaults merged) for config.used.json."""
-        out = {
-            "mode": self.mode,
-            "tickers": list(self.tickers),
-            "data": self.raw.get("data", {}),
-            "dates": {
-                "train_start": self.train_start.isoformat(),
-                "train_end": self.train_end.isoformat(),
-                "test_start": self.test_start.isoformat(),
-                "test_end": self.test_end.isoformat(),
-            },
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        for name in SECTIONS:
-            out[name] = getattr(self, name)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +707,7 @@ class RunWriter:
         return p
 
     def write_config(self, config: RunConfig) -> None:
-        self.path("config.used.json").write_text(_dump_json(config.resolved_dict()))
+        self.path("config.used.json").write_text(_dump_json(config.doc))
 
     def write_trajectory(self, tag: object, trajectory: Trajectory) -> None:
         """The completed episode's trajectory; removes the FAILED artifact an
@@ -744,7 +721,7 @@ class RunWriter:
         names a line that is not JSON or not a day record."""
         path = self.run_dir / f"trajectory_{tag}.jsonl"
         days = []
-        for row_no, rec in read_jsonl(path):
+        for row_no, _, rec in read_jsonl_lines(path):
             try:
                 days.append(DayRecord.from_record(rec))
             except (KeyError, TypeError, ValueError) as exc:
@@ -863,11 +840,11 @@ class BacktestEngine:
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
-                 store: MemoryStore | None = None, writer: RunWriter | None = None):
+                 store: MemoryStore, writer: RunWriter):
         self.config = config
         self.market = market
         self.gateway = gateway
-        self.store = store if store is not None else MemoryStore(calendar=market.calendar)
+        self.store = store
         self.writer = writer
         self.embedder = HashEmbedder()
         self.manager = config.profiles[MANAGER]
@@ -875,7 +852,6 @@ class BacktestEngine:
         self.analysts = {aid: p for aid, p in sorted(config.profiles.items())
                          if aid != MANAGER}
         self.router = Router(self.analysts)
-        self.prompt_log: dict[object, list[dict]] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -925,11 +901,11 @@ class BacktestEngine:
     def run_episode(self, beliefs: dict[str, str], episode: object,
                     start: Date, end: Date) -> Trajectory:
         """One pass over [start, end] under the belief block ``beliefs``;
-        returns the trajectory.
+        writes the episode's trajectory and assembled-prompt log and returns
+        the trajectory.
 
         A gateway failure aborts the episode: the partial trajectory is
-        written as a FAILED artifact (when a writer is attached) and
-        EpisodeAborted propagates.
+        written as a FAILED artifact and EpisodeAborted propagates.
         """
         cfg = self.config
         days = self._decision_days(start, end)
@@ -944,12 +920,12 @@ class BacktestEngine:
             default_importance=cfg.memory["default_importance"],
         )
         records: list[DayRecord] = []
+        prompts: list[dict] = []
         try:
             with ThreadPoolExecutor(max_workers=cfg.agents["workers"]) as pool:
-                self._run_days(beliefs, ctx, days, records, pool)
+                self._run_days(beliefs, ctx, days, records, prompts, pool)
         except FinconError as exc:
-            if self.writer is not None:
-                self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
+            self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
             raise EpisodeAborted(episode, exc) from exc
         trajectory = Trajectory(episode=episode, days=records)
         trajectory.objective = objective_value(trajectory.pnls(),
@@ -959,17 +935,19 @@ class BacktestEngine:
                    f"{cumulative_return(trajectory.pnls())!r}%.")
         store_event(ctx, MANAGER, records[-1].date, "episode", summary,
                     self.manager.decay_ratio, None, layer="episodic")
+        self.writer.write_trajectory(episode, trajectory)
+        self.writer.write_prompt_log(episode, prompts)
         return trajectory
 
     def _run_days(self, beliefs: dict[str, str], ctx: StepContext, days: list[Date],
-                  records: list[DayRecord], pool: ThreadPoolExecutor) -> None:
+                  records: list[DayRecord], prompts: list[dict],
+                  pool: ThreadPoolExecutor) -> None:
         cfg = self.config
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
         for day in days:
             obs = assemble_observation(day, cfg.tickers, self.market)
-            day_entries: list[dict] = []
             slices = {aid: self._analyst_slice(ROLES[p.role].source, p.ticker, obs, day)
                       for aid, p in self.analysts.items()}
 
@@ -989,11 +967,11 @@ class BacktestEngine:
                 insights[aid] = message
                 self.router.send(aid, MANAGER, "insight")
                 if entry is not None:
-                    day_entries.append(entry)
+                    prompts.append(entry)
 
             decision, entry = manager_step(self.manager, beliefs, insights, risk_state, day,
                                            ctx, cfg.tickers, self.analysts)
-            day_entries.append(entry)
+            prompts.append(entry)
             self.router.send(MANAGER, RISK_CONTROL, "decision")
 
             weights = self._solve_weights(decision.directions, day)
@@ -1019,7 +997,7 @@ class BacktestEngine:
                                f"(previous {prev_rho!r}), trigger {trigger}.")
                 text, r_entry = reflect_step(self.manager, trigger, day_summary, day, ctx)
                 reflections.append({"trigger": trigger, "text": text})
-                day_entries.append(r_entry)
+                prompts.append(r_entry)
 
             threshold = rolling_sigma_threshold(
                 pnl_history, cfg.backtest["feedback_window"],
@@ -1042,7 +1020,6 @@ class BacktestEngine:
                 insights={aid: m.distilled_insight for aid, m in insights.items()},
                 cited_memory_ids=list(decision.cited_memory_ids),
             ))
-            self.prompt_log.setdefault(ctx.episode, []).extend(day_entries)
             risk_state = checked
             prev_rho = rho_t
 
@@ -1091,12 +1068,12 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     if not config.backtest["resume"]:
         writer.clear_outputs()
     writer.write_config(config)
-    engine = BacktestEngine(config, market, gateway, writer=writer)
     done = writer.completed_episodes(config.backtest["max_episodes"]) \
         if config.backtest["resume"] else []
-    if done:
-        engine.store, counts = writer.read_checkpoint(done[-1], market.calendar)
-        engine.router.restore_counts(counts)
+    store, counts = writer.read_checkpoint(done[-1], market.calendar) if done \
+        else (MemoryStore(calendar=market.calendar), {})
+    engine = BacktestEngine(config, market, gateway, store, writer)
+    engine.router.restore_counts(counts)
     trajectories = [writer.read_trajectory(k, config.backtest["discount_alpha"]) for k in done]
     updates = [writer.read_belief(k) for k in done[1:]]
 
@@ -1114,8 +1091,6 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         k = len(trajectories) + 1
         trajectory = engine.run_episode(beliefs(), k, config.train_start, config.train_end)
         trajectories.append(trajectory)
-        writer.write_trajectory(k, trajectory)
-        writer.write_prompt_log(k, engine.prompt_log.pop(k, []))
         if k >= 2:
             update = compare_and_update(
                 trajectories[-2], trajectory, beliefs(), gateway,
@@ -1161,11 +1136,9 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
     writer.write_config(config)
-    store = training.read_memory(market.calendar)
-    engine = BacktestEngine(config, market, gateway, store=store, writer=writer)
+    engine = BacktestEngine(config, market, gateway, training.read_memory(market.calendar),
+                            writer)
     trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end)
-    writer.write_trajectory("test", trajectory)
-    writer.write_prompt_log("test", engine.prompt_log.pop("test", []))
     report = _write_report(writer, config, trajectory)
     writer.write_memory(engine.store)
     writer.write_summary("test_summary.json", {

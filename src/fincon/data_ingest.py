@@ -134,24 +134,14 @@ def open_input(path: Path, newline: str | None = None):
         raise SchemaError(0, None, f"{path}: not a readable UTF-8 text file ({exc})") from None
 
 
-def read_jsonl(path: str | Path):
-    """Yield ``(row_no, record)`` for each non-blank line of a JSONL file.
-
-    Line numbers double as row numbers. Raises FileNotFoundError for a
-    missing file and SchemaError(row, None) for a line that is not JSON.
-    """
-    for row_no, _, record in read_jsonl_lines(path):
-        yield row_no, record
-
-
 def read_jsonl_objects(path: str | Path, keys: tuple[str, ...]):
-    """Yield ``(row_no, record)`` as ``read_jsonl`` does, for an input file
-    whose every row is a JSON object holding each of ``keys``.
+    """Yield ``(row_no, record)`` for each row of a JSONL input file whose
+    every row is a JSON object holding each of ``keys``.
 
     SchemaError(row, None) for a row that is not an object, and
     SchemaError(row, key) naming the first key a row lacks.
     """
-    for row_no, rec in read_jsonl(path):
+    for row_no, _, rec in read_jsonl_lines(path):
         if not isinstance(rec, dict):
             raise SchemaError(row_no, None, f"{path}: row {row_no} is not a JSON object")
         for key in keys:
@@ -164,8 +154,9 @@ def read_jsonl_lines(path: str | Path):
     """Yield ``(row_no, line, record)`` for each non-blank line of a JSONL
     file, ``line`` being the text the record was parsed from, stripped.
 
-    The one JSONL reader; ``read_jsonl`` drops the line. Raises as it does,
-    and as ``open_input``.
+    The one JSONL reader. Line numbers double as row numbers. Raises as
+    ``open_input`` does, and SchemaError(row, None) for a line that is not
+    JSON.
     """
     path = Path(path)
     with open_input(path) as fh:

@@ -82,30 +82,19 @@ class RiskState:
         return cls(cvar=None, prev_cvar=None, alert=False, history_len=0)
 
 
-def _cvar_dropped(state: RiskState, min_history: int) -> bool:
-    """The CVaR branch of the trigger, armed once the history is long enough."""
-    return (
-        state.history_len >= min_history
-        and state.prev_cvar is not None
-        and state.cvar is not None
-        and state.cvar < state.prev_cvar
-    )
+def alert_trigger(state: RiskState, r_t: float, min_history: int = 10) -> str | None:
+    """The daily trigger: ``cvar_drop`` when CVaR fell below the prior day's
+    once ``history_len`` reaches ``min_history``, else ``negative_pnl`` when
+    today's PnL is negative (r_t == 0 does not fire), else None."""
+    if (state.history_len >= min_history and state.prev_cvar is not None
+            and state.cvar is not None and state.cvar < state.prev_cvar):
+        return "cvar_drop"
+    return "negative_pnl" if r_t < 0 else None
 
 
 def within_episode_check(state: RiskState, r_t: float, min_history: int = 10) -> RiskState:
-    """Evaluate the daily trigger: CVaR dropped OR today's PnL is negative.
-
-    The CVaR branch arms only once ``history_len`` reaches ``min_history``;
-    the negative-PnL branch is always active. r_t == 0 does not fire.
-    """
-    return replace(state, alert=bool(_cvar_dropped(state, min_history) or r_t < 0))
-
-
-def alert_trigger(state: RiskState, r_t: float, min_history: int = 10) -> str | None:
-    """Which reflection trigger applies, with the CVaR drop taking precedence."""
-    if _cvar_dropped(state, min_history):
-        return "cvar_drop"
-    return "negative_pnl" if r_t < 0 else None
+    """``state`` alerting exactly when ``alert_trigger`` fires."""
+    return replace(state, alert=alert_trigger(state, r_t, min_history) is not None)
 
 
 # ---------------------------------------------------------------------------

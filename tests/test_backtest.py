@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import shutil
 import statistics
 import sys
 import threading
@@ -40,6 +41,7 @@ from fincon.errors import (
     ZeroVolatility,
 )
 from fincon.llm_gateway import LlmGateway, load_mock_script
+from fincon.memory import MemoryStore
 
 from fixtures import (
     build_portfolio_fixture,
@@ -383,6 +385,24 @@ class TestRunConfig:
         assert config.memory["decay_ratios"]["form10k"] == 0.99
         assert config.data_ingest["momentum_window"] == 20
 
+    def test_config_used_is_the_resolved_document(self, tmp_path):
+        """config.used.json holds every default, the omitted data.documents
+        included, the dates in ISO form, no null seed, and what a caller set
+        on a section after load."""
+        payload = minimal_payload(tmp_path)
+        del payload["data"]["documents"]
+        payload["dates"]["train_start"] = "2022-1-3"
+        config = RunConfig.from_dict(payload, tmp_path)
+        config.agents["workers"] = 3
+        backtest.RunWriter(tmp_path / "run").write_config(config)
+        used = json.loads((tmp_path / "run" / "config.used.json").read_text())
+        assert used["data"] == {"prices": {"SYN": "p.csv"}, "documents": []}
+        assert used["dates"]["train_start"] == "2022-01-03"
+        assert "seed" not in used
+        assert used["agents"]["workers"] == 3
+        assert used["mode"] == "train"
+        assert set(used) == {*backtest.SECTIONS, "mode", "tickers", "data", "dates"}
+
     def test_train_must_precede_test(self, tmp_path):
         payload = minimal_payload(tmp_path)
         payload["dates"]["test_start"] = payload["dates"]["train_start"]
@@ -585,7 +605,8 @@ class TestEngineSingleStock:
         market = backtest.load_market(config)
         writer = backtest.RunWriter(tmp_path / "run")
         writer.write_config(config)
-        engine = backtest.BacktestEngine(config, market, gateway, writer=writer)
+        engine = backtest.BacktestEngine(config, market, gateway,
+                                         MemoryStore(calendar=market.calendar), writer)
         trajs = []
         for k in (1, 2):
             trajs.append(engine.run_episode({}, k, config.train_start,
@@ -1044,8 +1065,11 @@ class TestTrainTestDrivers:
                                          analyst_roles=("data_analyst",))
         run_dir = tmp_path / "run"
         backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        # a test stage refuses its training directory, so it inherits from a
+        # copy, and the run directory ends up holding every kind of run file
+        shutil.copytree(run_dir, tmp_path / "train")
         payload = dict(fix.payload, mode="test",
-                       backtest={"train_run_dir": str(tmp_path / "run")})
+                       backtest={"train_run_dir": str(tmp_path / "train")})
         backtest.test(RunConfig.from_dict(payload, fix.root), make_gateway(fix), run_dir)
         writer = backtest.RunWriter(run_dir)
         writer.write_failed(3, [], "EpisodeAborted: stopped")

@@ -19,7 +19,7 @@ from fincon.data_ingest import (
     log_return,
     momentum,
     parse_date,
-    read_jsonl,
+    read_jsonl_lines,
 )
 from fincon.errors import (
     DateOutOfRange,
@@ -340,15 +340,16 @@ class TestFormats:
     def test_read_jsonl_numbers_lines_and_skips_blanks(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
-        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
+        assert list(read_jsonl_lines(path)) == [(1, '{"a": 1}', {"a": 1}),
+                                                (4, '{"a": 2}', {"a": 2})]
 
     def test_read_jsonl_invalid_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('{"a": 1}\n{"a": \n')
         with pytest.raises(SchemaError) as err:
-            list(read_jsonl(path))
+            list(read_jsonl_lines(path))
         assert (err.value.row, err.value.column) == (2, None)
 
     def test_read_jsonl_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            list(read_jsonl(tmp_path / "absent.jsonl"))
+            list(read_jsonl_lines(tmp_path / "absent.jsonl"))

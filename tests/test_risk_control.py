@@ -108,6 +108,16 @@ class TestWithinEpisodeCheck:
         assert alert_trigger(flat, -0.01) == "negative_pnl"
         assert alert_trigger(flat, 0.01) is None
 
+    @given(st.one_of(st.none(), st.floats(-1.0, 1.0)), st.one_of(st.none(), st.floats(-1.0, 1.0)),
+           st.booleans(), st.integers(0, 30), st.floats(-0.1, 0.1), st.integers(0, 30))
+    @settings(max_examples=200)
+    def test_check_alerts_exactly_when_a_trigger_applies(self, cvar_t, prev, alert, history_len,
+                                                         r_t, min_history):
+        state = RiskState(cvar=cvar_t, prev_cvar=prev, alert=alert, history_len=history_len)
+        checked = within_episode_check(state, r_t, min_history)
+        assert checked.alert == (alert_trigger(state, r_t, min_history) is not None)
+        assert checked == RiskState(cvar_t, prev, checked.alert, history_len)
+
 
 class TestOverlap:
     def test_identical(self):
