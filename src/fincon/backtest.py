@@ -1126,12 +1126,16 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     The within-episode risk control stays active; the belief-update machinery
     is never invoked, so test_summary.json records 0 belief-update calls.
+    ConfigError, before any write, when ``run_dir`` is the training directory.
     Returns (trajectory, report).
     """
     train_dir = config.backtest["train_run_dir"]
     if not train_dir:
         raise MissingTrainingArtifacts("backtest.train_run_dir is not configured")
     training = RunWriter(config.base_dir / train_dir)
+    if Path(run_dir).resolve() == training.run_dir.resolve():
+        raise ConfigError(f"the test stage cannot write into its training directory "
+                          f"{training.run_dir} (backtest.train_run_dir); give it another --run-dir")
     beliefs = training.read_belief_block()
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)

@@ -431,6 +431,26 @@ class TestTestCommand:
         assert summary["belief_update_calls"] == 0
 
 
+    @pytest.mark.parametrize("spelling", ["train_run", "elsewhere/../train_run"])
+    def test_run_dir_naming_the_training_directory_exit_one(self, tmp_path, capsys,
+                                                            spelling):
+        """A test stage that wrote into its training directory would replace
+        its report and grow its memory snapshot with test-stage events."""
+        fix = build_fixture(tmp_path, n_test=4, episodes=1)
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir)]) == 0
+        before = {p: p.read_bytes() for p in train_dir.rglob("*") if p.is_file()}
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / spelling),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"])
+        assert code == 1
+        assert f"training directory {train_dir}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in train_dir.rglob("*") if p.is_file()} == before
+
     def test_test_stage_adds_an_analyst_role_training_lacked(self, tmp_path):
         """The test stage reads its agents' texts from its own config, so a
         role that training did not run still gets the inherited belief for
