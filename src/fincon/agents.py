@@ -396,7 +396,8 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     )
     parsed, log_entry = _complete(
         ctx, MANAGER, date, "decide", system, "\n\n".join(parts), "manager_decision",
-        {"tickers": list(tickers), "known_memory_ids": ctx.store.all_ids()})
+        {"tickers": list(tickers), "analysts": list(expected_analysts),
+         "known_memory_ids": ctx.store.all_ids()})
     note_lines = "; ".join(f"{k}: {v}" for k, v in sorted(parsed["contributions"].items()))
     content = f"Decision {date.isoformat()}: " + ", ".join(
         f"{t}={parsed['actions'][t]}" for t in tickers)

@@ -124,13 +124,19 @@ def _validate_decision(parsed: dict, context: dict) -> dict:
         if dangling:
             raise ValidationFailure(f"cited_memory_ids not found in memory: {dangling}")
     contributions = parsed.get("contributions", {})
-    if not isinstance(contributions, dict):
-        raise ValidationFailure("contributions must be an object")
+    if not isinstance(contributions, dict) or not all(
+            isinstance(note, str) for note in contributions.values()):
+        raise ValidationFailure("contributions must map analyst ids to note strings")
+    analysts = context.get("analysts")
+    if analysts is not None:
+        unknown = [k for k in contributions if k not in analysts]
+        if unknown:
+            raise ValidationFailure(f"contributions name unknown analysts {unknown}")
     return {
         "actions": dict(actions),
         "reasoning": reasoning,
         "cited_memory_ids": list(cited),
-        "contributions": {str(k): str(v) for k, v in contributions.items()},
+        "contributions": dict(contributions),
     }
 
 

@@ -31,7 +31,7 @@ from fincon.agents import (
 )
 from fincon.backtest import CONFIG_SCHEMA
 from fincon.data_ingest import DOCUMENT_KINDS, PriceBar, PriceSeries, TextDocument, momentum
-from fincon.errors import IllegalRoute, MissingAnalystReport
+from fincon.errors import IllegalRoute, MissingAnalystReport, SchemaViolationAfterRetries
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
 from fincon.memory import HashEmbedder, MemoryEvent, MemoryStore
 from fincon.portfolio import check_weight_signs, single_stock_weights
@@ -237,11 +237,11 @@ class TestAnalystStep:
         assert "momentum" in entry["user"]
 
 
-def decide_entries(day, actions, cited=(), episode=1):
+def decide_entries(day, actions, cited=(), episode=1, contributions=None):
     return {(MANAGER, f"{episode}:{day.isoformat()}:decide"): json.dumps(
         {"actions": actions, "reasoning": "scripted reasoning",
          "cited_memory_ids": list(cited),
-         "contributions": {"data_analyst:SYN": "useful"}})}
+         "contributions": contributions or {"data_analyst:SYN": "useful"}})}
 
 
 def insight(aid, ticker, text="view"):
@@ -284,7 +284,8 @@ class TestManagerStep:
     def test_three_ticker_directions_map_to_weight_boxes(self):
         tickers = ["AAA", "BBB", "CCC"]
         actions = {"AAA": "long", "BBB": "short", "CCC": "neutral"}
-        ctx, _ = make_ctx(decide_entries(D0, actions))
+        ctx, _ = make_ctx(decide_entries(D0, actions,
+                                         contributions={"data_analyst:BBB": "useful"}))
         insights = {f"data_analyst:{t}": insight(f"data_analyst:{t}", t)
                     for t in tickers}
         decision, _ = manager_step(manager_profile(), {}, insights, calm_state(),
@@ -307,6 +308,14 @@ class TestManagerStep:
                      calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
         stored = ctx.store.get(f"manager:1:{D0.isoformat()}:decision")
         assert "scripted reasoning" in stored.content
+
+    def test_contribution_from_an_analyst_not_expected_rejected(self):
+        ctx, _ = make_ctx(decide_entries(
+            D0, {"SYN": "long"}, contributions={"news_analyst:SYN": "useful"}))
+        with pytest.raises(SchemaViolationAfterRetries):
+            manager_step(manager_profile(), {},
+                         {"data_analyst:SYN": insight("data_analyst:SYN", "SYN")},
+                         calm_state(), D0, ctx, ["SYN"], ["data_analyst:SYN"])
 
     def test_beliefs_rendered_into_system_prompt(self):
         ctx, _ = make_ctx(decide_entries(D0, {"SYN": "long"}))

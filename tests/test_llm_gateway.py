@@ -155,6 +155,23 @@ class TestValidationAndRetry:
         with pytest.raises(SchemaViolationAfterRetries):
             LlmGateway(backend).complete(req)
 
+    @pytest.mark.parametrize("contributions, error", [
+        ({"data_analyst:A": None}, "contributions must map analyst ids to note strings"),
+        ({"data_analyst:A": [1]}, "contributions must map analyst ids to note strings"),
+        ({"x": "note"}, "contributions name unknown analysts ['x']"),
+    ], ids=["null note", "list note", "unknown analyst"])
+    def test_bad_contributions_retried(self, contributions, error):
+        good = {"actions": {"A": "long"}, "reasoning": "r", "cited_memory_ids": [],
+                "contributions": {"data_analyst:A": "useful"}}
+        backend = RecordingBackend([json.dumps({**good, "contributions": contributions}),
+                                    json.dumps(good)])
+        req = CompletionRequest(role_tag="manager", system_prompt="s", user_prompt="u",
+                                output_schema="manager_decision", step_key="k",
+                                context={"tickers": ["A"], "analysts": ["data_analyst:A"]})
+        out = LlmGateway(backend).complete(req)
+        assert out.parsed["contributions"] == {"data_analyst:A": "useful"}
+        assert error in backend.requests[1].user_prompt
+
     def test_insight_schema(self):
         backend = RecordingBackend([json.dumps(
             {"insight": "x", "sentiment": "positive", "importance": 0.7})])
