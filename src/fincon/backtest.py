@@ -1135,7 +1135,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     training = RunWriter(config.base_dir / train_dir)
     if Path(run_dir).resolve() == training.run_dir.resolve():
         raise ConfigError(f"the test stage cannot write into its training directory "
-                          f"{training.run_dir} (backtest.train_run_dir); give it another --run-dir")
+                          f"{training.run_dir} (backtest.train_run_dir)")
     beliefs = training.read_belief_block()
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
