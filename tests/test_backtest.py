@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -1088,3 +1089,83 @@ class TestTrainTestDrivers:
         (tmp_path / "empty_run").mkdir()
         with pytest.raises(MissingTrajectory):
             backtest.recompute_report(tmp_path / "empty_run", config)
+
+
+# --- run directory ownership ----------------------------------------------------
+
+PACKAGE_DIR = Path(backtest.__file__).parent
+# the only code in the package that may change a file: every RunWriter method,
+# the atomic write, and the memory snapshot writer
+FILE_WRITERS = ("backtest.RunWriter", "backtest._write_atomic", "memory.MemoryStore.save_jsonl")
+FILE_CHANGING_METHODS = {"write_text", "write_bytes", "unlink", "mkdir"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A call that changes a file: a path method above, ``os.replace``, or an
+    ``open``/``.open`` whose mode writes (or is not a literal)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in FILE_CHANGING_METHODS:
+        return True
+    if name == "replace":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    if name != "open":
+        return False
+    # builtin open(file, mode), Path.open(mode)
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[position:position + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_changing_calls(module: str) -> list[tuple[str, int]]:
+    """(dotted scope, line) of every file-changing call in ``fincon.<module>``."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call) and _writes_a_file(child):
+                found.append((scope, child.lineno))
+            visit(child, inner)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_run_writer_changes_files():
+    """RunWriter is the one owner of the run directory: no other package code
+    writes, replaces, removes or creates a file or directory."""
+    calls = [c for p in sorted(PACKAGE_DIR.glob("*.py")) for c in file_changing_calls(p.stem)]
+    outside = [(scope, line) for scope, line in calls
+               if not any(scope == w or scope.startswith(w + ".") for w in FILE_WRITERS)]
+    assert outside == []
+    # the walk sees each allowed writer, so the guard does not pass vacuously
+    for writer in FILE_WRITERS:
+        assert any(scope.startswith(writer) for scope, _ in calls), writer
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("path.write_text('x')", True),
+    ("os.replace(a, b)", True),
+    ("text.replace('a', 'b')", False),
+    ("replace(state, alert=True)", False),
+    ("path.unlink(missing_ok=True)", True),
+    ("path.parent.mkdir(parents=True)", True),
+    ("open(path, 'w')", True),
+    ("open(path, mode='a', encoding='utf-8')", True),
+    ("open(path, mode)", True),
+    ("open(path)", False),
+    ("open(path, 'rb')", False),
+    ("path.open('r+')", True),
+    ("path.open(encoding='utf-8')", False),
+])
+def test_file_changing_call_detection(source, writes):
+    assert _writes_a_file(ast.parse(source, mode="eval").body) is writes
