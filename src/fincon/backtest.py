@@ -265,6 +265,10 @@ def _resolve(payload: object) -> dict:
                 raise ConfigError(f"{key} is required")
             if value is not default and not kind.admits(value):
                 raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            # a list is copied, like a map, so that a change to the document
+            # reaches neither the schema's default nor the payload
+            if isinstance(value, list):
+                value = list(value)
             into[name] = {**default, **value} if isinstance(default, dict) else value
     for name, given in payload.items():
         if name in CONFIG_SCHEMA:

@@ -404,6 +404,18 @@ class TestRunConfig:
         assert used["mode"] == "train"
         assert set(used) == {*backtest.SECTIONS, "mode", "tickers", "data", "dates"}
 
+    def test_document_shares_no_list_with_the_schema_or_the_payload(self, tmp_path):
+        payload = minimal_payload(tmp_path)
+        del payload["data"]["documents"]
+        config = RunConfig.from_dict(payload, tmp_path)
+        config.agents["analyst_roles"].remove("news_analyst")
+        config.doc["data"]["documents"].append("more.jsonl")
+        config.tickers.append("OTHER")
+        assert backtest.CONFIG_SCHEMA["data.documents"][0] == []
+        assert payload["tickers"] == ["SYN"]
+        fresh = RunConfig.from_dict(minimal_payload(tmp_path), tmp_path)
+        assert "news_analyst" in fresh.agents["analyst_roles"]
+
     def test_train_must_precede_test(self, tmp_path):
         payload = minimal_payload(tmp_path)
         payload["dates"]["test_start"] = payload["dates"]["train_start"]
