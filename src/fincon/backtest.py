@@ -144,6 +144,11 @@ def _map_of(keys: tuple | None, value: Callable[[object], bool], text: str) -> K
         (keys is None or k in keys) and value(x) for k, x in v.items()))
 
 
+def _or_null(kind: Kind) -> Kind:
+    """``kind``, or JSON null."""
+    return Kind(f"{kind} or null", lambda v: v is None or kind.admits(v))
+
+
 def Bound(kind: type, low: float = -math.inf, high: float = math.inf,
           low_open: bool = False, high_open: bool = False) -> Kind:
     """A finite number (an integer when ``kind`` is int) from ``low`` to
@@ -189,8 +194,8 @@ CONFIG_SCHEMA = {
     "dates.train_end": (REQUIRED, DATE),
     "dates.test_start": (REQUIRED, DATE),
     "dates.test_end": (REQUIRED, DATE),
-    "seed": (None, Kind("an integer or null",
-                        lambda v: v is None or isinstance(v, int) and not isinstance(v, bool))),
+    "seed": (None, _or_null(Kind("an integer",
+                                 lambda v: isinstance(v, int) and not isinstance(v, bool)))),
     "data_ingest.momentum_window": (20, Bound(int, 1)),
     "memory.top_k": (5, Bound(int, 1)),
     "memory.default_importance": (0.5, Bound(float, 0, 1)),
@@ -205,7 +210,8 @@ CONFIG_SCHEMA = {
     "agents.analyst_roles": (
         list(ROLES),
         _list_of(lambda r: r in ROLES, f"a list drawn from {', '.join(ROLES)}")),
-    "agents.workers": (2, Bound(int, 1)),
+    # null: one thread per analyst instance; an integer caps the pool
+    "agents.workers": (None, _or_null(Bound(int, 1))),
     "agents.general_config": ("", Kind("a string", _is_str)),
     "agents.profile_texts": ({}, ROLE_TEXTS),
     "agents.profile_files": ({}, ROLE_TEXTS),
@@ -226,8 +232,7 @@ CONFIG_SCHEMA = {
     "backtest.annualize_sharpe": (False, BOOL),
     "backtest.feedback_threshold_mult": (2.0, Bound(float, 0)),
     "backtest.feedback_window": (20, Bound(int, 2)),
-    "backtest.train_run_dir": (None, Kind("a path string or null",
-                                          lambda v: v is None or isinstance(v, str))),
+    "backtest.train_run_dir": (None, _or_null(Kind("a path string", _is_str))),
     "backtest.resume": (False, BOOL),
 }
 
@@ -293,7 +298,8 @@ def read_config_payload(path: str | Path) -> dict:
 @dataclass
 class RunConfig:
     """One run's full, resolved configuration: ``doc``, the single JSON
-    document that config.used.json records, and typed views of its keys.
+    document that config.used.json records (``agents.workers`` aside), and
+    typed views of its keys.
     Each section attribute is ``doc``'s own section dict."""
 
     doc: dict
@@ -711,7 +717,11 @@ class RunWriter:
         return p
 
     def write_config(self, config: RunConfig) -> None:
-        self.path("config.used.json").write_text(_dump_json(config.doc))
+        """The resolved config document without ``agents.workers``: the pool
+        size changes no output, so the run directory does not record it."""
+        doc = dict(config.doc)
+        doc["agents"] = {k: v for k, v in doc["agents"].items() if k != "workers"}
+        self.path("config.used.json").write_text(_dump_json(doc))
 
     def write_trajectory(self, tag: object, trajectory: Trajectory) -> None:
         """The completed episode's trajectory; removes the FAILED artifact an
@@ -839,8 +849,10 @@ class BacktestEngine:
     """Drives episodes over a loaded market with one gateway and one store.
 
     Each day, the analysts with input call the model. Two or more fan out on
-    the episode's thread pool of ``agents.workers`` threads, shut down when
-    the episode returns or fails; a lone call runs on the calling thread.
+    the episode's thread pool, shut down when the episode returns or fails;
+    a lone call runs on the calling thread. The pool has one thread per
+    analyst instance, so every call of a day waits on the model at once,
+    unless an integer ``agents.workers`` caps it.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -926,7 +938,11 @@ class BacktestEngine:
         records: list[DayRecord] = []
         prompts: list[dict] = []
         try:
-            with ThreadPoolExecutor(max_workers=cfg.agents["workers"]) as pool:
+            # by default one thread per analyst instance (a manager-only run
+            # still gets one); the pool starts a thread only for a call that
+            # finds none idle
+            workers = cfg.agents["workers"] or max(len(self.analysts), 1)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 self._run_days(beliefs, ctx, days, records, prompts, pool)
         except FinconError as exc:
             self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")

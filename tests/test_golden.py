@@ -3,7 +3,7 @@
 ``golden_digests.json`` holds the SHA-256 of every file in the train and test
 run directories of a single-stock and a two-ticker portfolio fixture run.
 The same runs with one and with four analyst workers must give the same
-files: only config.used.json, which records the worker count, may differ.
+files, config.used.json included: it does not record the worker count.
 Regenerate the digests only for an intended change of the outputs:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -97,13 +97,13 @@ def test_run_directories_match_golden_digests(tmp_path):
 
 
 def test_run_directories_do_not_depend_on_worker_count(tmp_path):
-    """One and four analyst workers reproduce the golden (two-worker) files."""
+    """One and four analyst workers, and the default pool, reproduce every
+    golden file."""
     want = json.loads(GOLDEN.read_text())
-    for workers in (1, 4):
+    for workers in (1, 4, None):
         got = run_digests(tmp_path / f"workers_{workers}", workers=workers)
         assert set(got) == set(want), f"workers={workers}"
-        differing = [name for name in sorted(want) if got[name] != want[name]
-                     and not name.endswith("/config.used.json")]
+        differing = [name for name in sorted(want) if got[name] != want[name]]
         assert not differing, f"workers={workers} changes {differing}"
 
 
