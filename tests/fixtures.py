@@ -459,14 +459,15 @@ def build_single_stock_fixture(root: Path, *, n_train: int = 20, n_test: int = 0
 
 
 # ---------------------------------------------------------------------------
-# two-ticker portfolio fixture (data analyst only, one episode)
+# portfolio fixture (data analyst only, one episode)
 # ---------------------------------------------------------------------------
 
 def build_portfolio_fixture(root: Path, n_days: int = 8, warmup: int = 25,
                             diverge_at: int | None = None,
-                            tickers: tuple[str, str] = ("AAA", "BBB"),
+                            tickers: tuple[str, ...] = ("AAA", "BBB"),
                             n_test: int = 0):
-    """Two-ticker fixture with constant long/short directions.
+    """Portfolio fixture, two tickers by default, with constant directions:
+    long, short, long, ... in ticker order.
 
     ``diverge_at`` scales every bar from that global index on by 0.7,
     leaving earlier bars untouched (for no-look-ahead checks). Reflect
@@ -502,7 +503,7 @@ def build_portfolio_fixture(root: Path, n_days: int = 8, warmup: int = 25,
     config_path = root / "config.json"
     config_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     entries = []
-    actions = {tickers[0]: "long", tickers[1]: "short"}
+    actions = {t: ("long", "short")[j % 2] for j, t in enumerate(tickers)}
     for tag, day in [(1, d) for d in range_days] + [("test", d) for d in test_days]:
         key = f"{tag}:{day.isoformat()}:analyze"
         for t in tickers:

@@ -389,18 +389,22 @@ class TestRunConfig:
     def test_config_used_is_the_resolved_document(self, tmp_path):
         """config.used.json holds every default, the omitted data.documents
         included, the dates in ISO form, no null seed, and what a caller set
-        on a section after load."""
+        on a section after load, but not the worker count, which changes no
+        output."""
         payload = minimal_payload(tmp_path)
         del payload["data"]["documents"]
         payload["dates"]["train_start"] = "2022-1-3"
         config = RunConfig.from_dict(payload, tmp_path)
+        config.memory["top_k"] = 3
         config.agents["workers"] = 3
         backtest.RunWriter(tmp_path / "run").write_config(config)
         used = json.loads((tmp_path / "run" / "config.used.json").read_text())
         assert used["data"] == {"prices": {"SYN": "p.csv"}, "documents": []}
         assert used["dates"]["train_start"] == "2022-01-03"
         assert "seed" not in used
-        assert used["agents"]["workers"] == 3
+        assert used["memory"]["top_k"] == 3
+        assert "workers" not in used["agents"]
+        assert config.agents["workers"] == 3
         assert used["mode"] == "train"
         assert set(used) == {*backtest.SECTIONS, "mode", "tickers", "data", "dates"}
 
@@ -482,7 +486,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, admitted, rejected", [
         ("backtest.position_size", [1, 1.0, 1e-9], [0, 1.5, True, "1", float("nan")]),
         ("risk.cvar_alpha", [0.5], [0.0, 1.0, None]),
-        ("agents.workers", [1, 64], [0, 1.0, False]),
+        ("agents.workers", [None, 1, 64], [0, 1.0, False]),
         ("backtest.risk_free_daily", [-0.01, 0, 0.01], [float("inf"), float("-inf")]),
     ])
     def test_bounds_admit_their_interval_only(self, key, admitted, rejected):
@@ -967,8 +971,8 @@ class TestTrainTestDrivers:
         assert used["backtest"]["train_run_dir"] == "train"
 
     def test_stages_release_their_analyst_pool(self, tmp_path):
-        # news + data analysts are two instances, so the default two workers
-        # fan them out on a pool
+        # news + data analysts are two instances, so on a day with news both
+        # call and fan out on the pool
         fix = build_single_stock_fixture(tmp_path, n_train=6, n_test=4, episodes=1,
                                          news_every=2)
 
@@ -1013,6 +1017,42 @@ class TestTrainTestDrivers:
                            tmp_path / "aborted")
         assert backend.peak > 0
         assert not new_threads()
+
+    @pytest.mark.parametrize("workers, width", [(None, 4), (2, 2)])
+    def test_pool_runs_a_days_analyst_calls_at_once(self, tmp_path, workers, width):
+        """By default every analyst call of a day waits on the model at the
+        same time; an integer ``agents.workers`` caps how many do."""
+        # four tickers, one data analyst each: all four call on every day
+        tickers = ("AAA", "BBB", "CCC", "DDD")
+        config_path, script, *_ = build_portfolio_fixture(tmp_path, n_days=3,
+                                                          tickers=tickers)
+        before = set(threading.enumerate())
+
+        class Rendezvous:
+            """Scripted backend whose analyst calls each wait until ``width``
+            of them have arrived, recording the peak of new live threads."""
+
+            def __init__(self):
+                self.inner = load_mock_script(script)
+                self.barrier = threading.Barrier(width, timeout=5)
+                self.lock = threading.Lock()
+                self.peak = 0
+
+            def generate(self, request):
+                if request.step_key.endswith(":analyze"):
+                    with self.lock:
+                        self.peak = max(self.peak,
+                                        len(set(threading.enumerate()) - before))
+                    self.barrier.wait()
+                return self.inner.generate(request)
+
+        config = RunConfig.load(config_path)
+        if workers is not None:
+            config.agents["workers"] = workers
+        backend = Rendezvous()
+        backtest.train(config, LlmGateway(backend), tmp_path / "train")
+        assert 0 < backend.peak <= width
+        assert not set(threading.enumerate()) - before
 
     def test_lone_model_call_runs_on_the_calling_thread(self, tmp_path):
         # news on every second day: the data analyst calls alone on the

@@ -276,6 +276,17 @@ class TestTrain:
         used = json.loads((run_dir / "config.used.json").read_text())
         assert used["backtest"]["max_episodes"] == 1
 
+    def test_override_workers_null_runs(self, tmp_path):
+        """null is the default pool: one thread per analyst instance."""
+        fix = build_fixture(tmp_path, episodes=1)
+        run_dir = tmp_path / "run"
+        code = main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(run_dir),
+                     "--override", "agents.workers=null"])
+        assert code == 0
+        assert (run_dir / "trajectory_1.jsonl").exists()
+
     @pytest.mark.parametrize("override", [
         "agents=5",
         "memory.decay_ratios=3",
