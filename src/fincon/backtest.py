@@ -938,9 +938,8 @@ class BacktestEngine:
         records: list[DayRecord] = []
         prompts: list[dict] = []
         try:
-            # by default one thread per analyst instance (a manager-only run
-            # still gets one); the pool starts a thread only for a call that
-            # finds none idle
+            # a manager-only run has no analyst but a pool needs a thread;
+            # threads start only for calls that find none idle
             workers = cfg.agents["workers"] or max(len(self.analysts), 1)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 self._run_days(beliefs, ctx, days, records, prompts, pool)

@@ -1054,6 +1054,12 @@ class TestTrainTestDrivers:
         assert 0 < backend.peak <= width
         assert not set(threading.enumerate()) - before
 
+    def test_manager_only_run_trains(self, tmp_path):
+        # no analyst instance, yet the default pool must have a thread
+        fix = build_single_stock_fixture(tmp_path, n_train=4, episodes=1, analyst_roles=())
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), tmp_path / "train")
+        assert (tmp_path / "train" / "trajectory_1.jsonl").exists()
+
     def test_lone_model_call_runs_on_the_calling_thread(self, tmp_path):
         # news on every second day: the data analyst calls alone on the
         # other days, and the news analyst's no-signal step calls nothing
