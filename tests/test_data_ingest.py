@@ -7,6 +7,8 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fincon
 from fincon.data_ingest import (
@@ -98,6 +100,106 @@ class TestLoadPriceSeries:
         with pytest.raises(SchemaError) as err:
             load_price_series(path, "SYN")
         assert err.value.column == "volume"
+
+
+PRICES = ("open", "high", "low", "close", "adj_close")
+# A data row's checks in the order they apply: a file's error is the first
+# row with a fault, at that row's first failing check. "low above high" is
+# not a check of its own: such a bar always has open outside [low, high].
+CHECK_ORDER = (["fields", "date"]
+               + [f"{kind}:{col}" for col in PRICES for kind in ("number", "nonfinite")]
+               + ["volume"] + [f"nonpositive:{col}" for col in PRICES]
+               + ["open_range", "close_range", "negative_volume", "date_order"])
+BAD_TEXTS = {"date": ["x", "", "2022-13-01", "2022/01/04", "2022-01"],
+             "number": ["abc", "", "1.2.3", "0x10"],
+             "nonfinite": ["inf", "-inf", "nan", "1e999"],
+             "volume": ["1.5", "", "x"],
+             "nonpositive": ["0", "-1.5", "-0.0"],
+             "negative_volume": ["-1", "-5000"]}
+FAULT_KINDS = [k for k in CHECK_ORDER if k != "date_order"] + ["repeat_date", "earlier_date"]
+
+
+def _valid_rows(draw) -> list[list[str]]:
+    """Rows of a valid price CSV: strictly increasing dates, positive prices,
+    open and close within [low, high]."""
+    n = draw(st.integers(1, 8))
+    price = st.floats(1.0, 1000.0)
+    rows = []
+    for d in trading_days(date(2022, 1, 3), n):
+        o, c = draw(price), draw(price)
+        hi, lo = max(o, c) * 1.01, min(o, c) * 0.99
+        rows.append([d.isoformat(), repr(o), repr(hi), repr(lo), repr(c), repr(c),
+                     str(draw(st.integers(0, 10**6)))])
+    return rows
+
+
+def _plant(kind: str, rows: list[list[str]], generated: list[list[str]], r: int,
+           draw) -> tuple[str, int | None]:
+    """Plant fault ``kind`` in data row ``r`` (1-based) of ``rows``, reading
+    neighbouring values from the valid rows it was ``generated`` as; return
+    the check that catches it and the index of the field it changed (None
+    when it changed the field count)."""
+    row = rows[r - 1]
+    head = kind.split(":")[0]
+    if kind == "fields":
+        if draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+        return "fields", None
+    if kind in ("repeat_date", "earlier_date"):
+        before = date.fromisoformat(generated[r - 2][0])
+        row[0] = (before if kind == "repeat_date" else before - timedelta(days=3)).isoformat()
+        return "date_order", 0
+    if kind in ("open_range", "close_range"):
+        at = 1 if kind == "open_range" else 4
+        hi, lo = float(generated[r - 1][2]), float(generated[r - 1][3])
+        row[at] = repr(hi * 2 if draw(st.booleans()) else lo / 2)
+        return kind, at
+    at = {"date": 0, "volume": 6, "negative_volume": 6}.get(head)
+    if at is None:
+        at = 1 + PRICES.index(kind.split(":")[1])
+    row[at] = draw(st.sampled_from(BAD_TEXTS[head]))
+    return kind, at
+
+
+class TestLoaderErrorContract:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_first_planted_fault_is_raised(self, tmp_path_factory, data):
+        """One or two faults planted at random rows and columns of a valid
+        file; the loader names the first in row order, then check order."""
+        rows = _valid_rows(data.draw)
+        generated = [list(r) for r in rows]
+        planted, touched = [], set()
+        kind = r = None
+        for _ in range(data.draw(st.integers(1, 2))):
+            if r is not None and data.draw(st.booleans()):
+                # the second fault beside the first, in row and in check order
+                k = FAULT_KINDS.index(kind)
+                kind = data.draw(st.sampled_from(FAULT_KINDS[max(k - 1, 0):k + 2]))
+            else:
+                kind = data.draw(st.sampled_from(FAULT_KINDS))
+                r = data.draw(st.integers(1, len(rows)))
+            assume(r > 1 or kind not in ("repeat_date", "earlier_date"))
+            check, at = _plant(kind, rows, generated, r, data.draw)
+            # one fault per field, and a changed field count goes in last
+            assume((r, at) not in touched and (r, None) not in touched)
+            touched.add((r, at))
+            planted.append((r, CHECK_ORDER.index(check), check))
+        row, _, check = min(planted)
+        path = tmp_path_factory.getbasetemp() / "contract.csv"
+        path.write_text("date,open,high,low,close,adj_close,volume\n"
+                        + "".join(",".join(r) + "\n" for r in rows))
+        if check == "date_order":
+            with pytest.raises(NonMonotoneDates, match=f"row {row} date"):
+                load_price_series(path, "SYN")
+            return
+        with pytest.raises(SchemaError) as err:
+            load_price_series(path, "SYN")
+        column = {"fields": None, "open_range": "open", "close_range": "close",
+                  "negative_volume": "volume"}.get(check, check.split(":")[-1])
+        assert (err.value.row, err.value.column) == (row, column), (check, rows)
 
 
 class TestLogReturn:
