@@ -92,7 +92,7 @@ def _cmd_validate_data(args) -> int:
     config = _load_config(args)
     market = backtest.load_market(config)
     for ticker in config.tickers:
-        bars = len(market.series[ticker].bars)
+        bars = len(market.series[ticker].dates)
         print(f"{ticker}: {bars} bars", file=sys.stderr)
     attached = sum(len(v) for v in market.docs_by_attach.values())
     print(f"documents: {attached} attached, {len(market.unattached)} beyond calendar",

@@ -16,6 +16,7 @@ import bisect
 import csv
 import json
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -33,11 +34,14 @@ from .errors import (
 )
 
 PRICE_COLUMNS = ("date", "open", "high", "low", "close", "adj_close", "volume")
+PRICES = PRICE_COLUMNS[1:6]
 DOCUMENT_KINDS = ("news", "form10k", "form10q", "ecc_transcript", "analyst_report")
 
 
 @dataclass(frozen=True)
 class PriceBar:
+    """One day of a ``PriceSeries``, as a daily observation hands it out."""
+
     date: Date
     open: float
     high: float
@@ -46,33 +50,25 @@ class PriceBar:
     adj_close: float
     volume: int
 
-    def violated_column(self) -> str | None:
-        """Name of the first field violating the bar invariants, or None."""
-        for col in ("open", "high", "low", "close", "adj_close"):
-            if getattr(self, col) <= 0:
-                return col
-        if self.open < self.low or self.open > self.high:
-            return "open"
-        if self.close < self.low or self.close > self.high:
-            return "close"
-        if self.low > self.high:
-            return "low"
-        if self.volume < 0:
-            return "volume"
-        return None
-
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Date-ordered daily bars for one ticker (dates strictly increasing, as
-    ``load_price_series`` checks)."""
+    """One ticker's daily bars as columns, in date order (dates strictly
+    increasing, as ``load_price_series`` checks).
+
+    Prices are Python floats and volumes Python ints, each equal to what
+    ``float`` or ``int`` makes of its text in the file, so a price line that
+    formats them with ``!r`` reads the same digits.
+    """
 
     ticker: str
-    bars: tuple[PriceBar, ...]
-
-    @cached_property
-    def dates(self) -> tuple[Date, ...]:
-        return tuple(b.date for b in self.bars)
+    dates: tuple[Date, ...]
+    open: tuple[float, ...]
+    high: tuple[float, ...]
+    low: tuple[float, ...]
+    close: tuple[float, ...]
+    adj_close: tuple[float, ...]
+    volume: tuple[int, ...]
 
     @cached_property
     def log_returns(self) -> np.ndarray:
@@ -80,11 +76,12 @@ class PriceSeries:
 
         One float64 block rather than a tuple of floats: many small float
         objects kept for a whole run raised the process's peak memory run
-        after run.
+        after run. ``log_return`` takes each pair, as the indicator does, so
+        both read the same bits.
         """
-        return np.fromiter((log_return(prev.close, cur.close)
-                            for prev, cur in zip(self.bars, self.bars[1:])),
-                           dtype=float, count=max(len(self.bars) - 1, 0))
+        closes = self.close
+        return np.fromiter(map(log_return, closes, closes[1:]), dtype=float,
+                           count=max(len(closes) - 1, 0))
 
     def index_at_or_before(self, date: Date) -> int:
         """Position of the last bar dated <= date; -1 when none exists."""
@@ -92,7 +89,10 @@ class PriceSeries:
 
     def bar_at_or_before(self, date: Date) -> PriceBar | None:
         pos = self.index_at_or_before(date)
-        return None if pos < 0 else self.bars[pos]
+        if pos < 0:
+            return None
+        return PriceBar(self.dates[pos], self.open[pos], self.high[pos], self.low[pos],
+                        self.close[pos], self.adj_close[pos], self.volume[pos])
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,10 @@ class TickerSlice:
 
 
 def parse_date(text: str) -> Date:
-    """A ``Y-M-D`` date; ValueError when the text is not one."""
-    y, m, d = (int(p) for p in str(text).split("-"))
-    return Date(y, m, d)
+    """A ``Y-M-D`` date (each part an ``int`` text, so ``2022-1-4`` is one);
+    ValueError when the text is not one."""
+    y, m, d = str(text).split("-")
+    return Date(int(y), int(m), int(d))
 
 
 @contextmanager
@@ -191,51 +192,119 @@ def read_json(path: str | Path):
         raise SchemaError(0, None, f"{path}: invalid JSON ({exc})") from None
 
 
-def load_price_series(path: str | Path, ticker: str) -> PriceSeries:
-    """Load and validate one price CSV into a date-sorted series.
+def load_price_series(path: str | Path, ticker: str,
+                      dates_by_text: dict[str, Date] | None = None) -> PriceSeries:
+    """Load and validate one price CSV into date-ordered columns.
 
-    Raises as ``open_input`` does, SchemaError(row, column) for a malformed
-    or invariant-violating row (rows are 1-based, header excluded), and
-    NonMonotoneDates when dates are out of order or repeated.
+    One pass over ``csv.reader``'s rows: they are counted, transposed and
+    converted a column at a time (``map(float, ...)``, ``map(int, ...)``),
+    and the checks run over whole columns. Blank rows (empty or
+    whitespace-only lines) are skipped. Rows are numbered as they stand in
+    the file, 1-based, header excluded, blank rows counted.
+    ``dates_by_text`` maps the date texts parsed so far to their dates;
+    ``MarketData.load`` passes one map to every file of a load, since the
+    files of a portfolio share a calendar.
+
+    Raises as ``open_input`` does; SchemaError(0, None) for an empty file or
+    a wrong header. A bad file raises for its first faulty row, at that
+    row's first failing check, in this order: SchemaError(row, None) for a
+    wrong field count; SchemaError(row, column) for a date that is not one,
+    each price in column order that is not a number or not finite, a volume
+    that is not an integer, a price that is not positive, an open or close
+    outside [low, high] and a negative volume; then NonMonotoneDates for a
+    date not after the row before.
     """
     path = Path(path)
-    bars: list[PriceBar] = []
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(0, None, f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(0, None, f"{path}: empty file")
         if tuple(h.strip() for h in header) != PRICE_COLUMNS:
             raise SchemaError(0, None, f"{path}: header must be {','.join(PRICE_COLUMNS)}")
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(PRICE_COLUMNS):
-                raise SchemaError(row_no, None, f"{path}: expected {len(PRICE_COLUMNS)} fields")
-            rec = dict(zip(PRICE_COLUMNS, row))
+        rows = list(reader)
+    row_nos = range(1, len(rows) + 1)
+    if rows and min(map(len, rows)) < 2:  # blank lines may be among them
+        row_nos = [n for n, row in zip(row_nos, rows) if len(row) > 1 or "".join(row).strip()]
+        rows = [rows[n - 1] for n in row_nos]
+
+    # A wrong field count or a bad date is a row's first check: nothing from
+    # that row on can come before it, so the other checks stop there.
+    n = next((i for i, row in enumerate(rows) if len(row) != len(PRICE_COLUMNS)), len(rows))
+    stop = None if n == len(rows) else SchemaError(
+        row_nos[n], None, f"{path}: expected {len(PRICE_COLUMNS)} fields")
+    date_texts, *price_texts, volume_texts = list(zip(*rows[:n])) or [()] * len(PRICE_COLUMNS)
+    dates = _parse_dates(date_texts, {} if dates_by_text is None else dates_by_text)
+    if len(dates) < n:
+        n = len(dates)
+        stop = SchemaError(row_nos[n], "date", f"{path}: bad date {date_texts[n]!r}")
+
+    prices, unparsed = zip(*(_convert(float, texts[:n], math.nan) for texts in price_texts))
+    volumes, volume_unparsed = _convert(int, volume_texts[:n], 0)
+    block = np.array(prices, dtype=float).reshape(len(prices), n)
+    opens, highs, lows, closes, _ = block
+    checks = []  # (column, message, fault mask), in the order a row is checked
+    for col, bad, values in zip(PRICES, unparsed, block):
+        checks += [(col, "bad number {text!r}", bad), (col, f"non-finite {col}", ~np.isfinite(values))]
+    checks.append(("volume", "bad volume {text!r}", volume_unparsed))
+    invariants = [*zip(PRICES, block <= 0),
+                  ("open", (opens < lows) | (opens > highs)),
+                  ("close", (closes < lows) | (closes > highs)),
+                  ("volume", np.array([v < 0 for v in volumes], dtype=bool))]
+    checks += [(col, f"row {{row}} violates {col} invariant", mask) for col, mask in invariants]
+    faults = np.array([mask for _, _, mask in checks], dtype=bool).reshape(len(checks), n)
+    faulty = np.flatnonzero(faults.any(axis=0))
+    first = int(faulty[0]) if faulty.size else n
+    # the date order is a row's last check, so it counts only before ``first``
+    ordered = list(map(operator.lt, dates, dates[1:first]))
+    if False in ordered:
+        later = ordered.index(False) + 1
+        raise NonMonotoneDates(f"{path}: row {row_nos[later]} date {dates[later]} not increasing")
+    if first < n:
+        col, message, _ = checks[int(faults[:, first].argmax())]
+        text = rows[first][PRICE_COLUMNS.index(col)]
+        raise SchemaError(row_nos[first], col,
+                          f"{path}: " + message.format(row=row_nos[first], text=text))
+    if stop is not None:
+        raise stop
+    return PriceSeries(ticker, tuple(dates), *map(tuple, prices), tuple(volumes))
+
+
+def _parse_dates(texts: tuple[str, ...], dates_by_text: dict[str, Date]) -> list[Date]:
+    """The dates of ``texts``, stopping before the first that is not one;
+    ``dates_by_text`` holds the texts parsed so far and gains the new ones."""
+    try:
+        return list(map(dates_by_text.__getitem__, texts))
+    except KeyError:
+        pass
+    dates = []
+    for text in texts:
+        if text not in dates_by_text:
             try:
-                bar_date = parse_date(rec["date"].strip())
+                dates_by_text[text] = parse_date(text.strip())
             except ValueError:
-                raise SchemaError(row_no, "date", f"{path}: bad date {rec['date']!r}") from None
-            values = {}
-            for col in ("open", "high", "low", "close", "adj_close"):
-                try:
-                    values[col] = float(rec[col])
-                except ValueError:
-                    raise SchemaError(row_no, col, f"{path}: bad number {rec[col]!r}") from None
-                if not math.isfinite(values[col]):
-                    raise SchemaError(row_no, col, f"{path}: non-finite {col}")
-            try:
-                volume = int(rec["volume"])
-            except ValueError:
-                raise SchemaError(row_no, "volume", f"{path}: bad volume {rec['volume']!r}") from None
-            bar = PriceBar(date=bar_date, volume=volume, **values)
-            bad = bar.violated_column()
-            if bad is not None:
-                raise SchemaError(row_no, bad, f"{path}: row {row_no} violates {bad} invariant")
-            if bars and bar.date <= bars[-1].date:
-                raise NonMonotoneDates(f"{path}: row {row_no} date {bar.date} not increasing")
-            bars.append(bar)
-    return PriceSeries(ticker=ticker, bars=tuple(bars))
+                break
+        dates.append(dates_by_text[text])
+    return dates
+
+
+def _convert(convert, texts: tuple[str, ...], substitute) -> tuple[list, np.ndarray]:
+    """``texts`` converted a column at a time, and the mask of those that do
+    not convert, each of which becomes ``substitute``."""
+    try:
+        return list(map(convert, texts)), np.zeros(len(texts), dtype=bool)
+    except ValueError:
+        pass
+
+    def attempt(text):
+        try:
+            return convert(text)
+        except ValueError:
+            return None
+
+    values = list(map(attempt, texts))
+    unparsed = np.array([v is None for v in values], dtype=bool)
+    return [substitute if v is None else v for v in values], unparsed
 
 
 def load_documents(path: str | Path) -> list[TextDocument]:
@@ -285,8 +354,8 @@ def momentum(series: PriceSeries, date: Date, window: int) -> float:
     if pos < window:
         raise InsufficientHistory(
             f"{series.ticker}: need {window + 1} bars at or before {date}, have {pos + 1}")
-    now = series.bars[pos].adj_close
-    then = series.bars[pos - window].adj_close
+    now = series.adj_close[pos]
+    then = series.adj_close[pos - window]
     if then <= 0 or now <= 0:
         raise NonPositivePrice(f"{series.ticker}: non-positive adj_close")
     return now / then - 1.0
@@ -309,7 +378,8 @@ class MarketData:
              range_start: Date, range_end: Date, momentum_window: int = 20) -> "MarketData":
         if not price_paths:
             raise SchemaError(0, None, "no price files configured")
-        series = {t: load_price_series(p, t) for t, p in price_paths.items()}
+        dates_by_text: dict[str, Date] = {}
+        series = {t: load_price_series(p, t, dates_by_text) for t, p in price_paths.items()}
         first = next(iter(series.values()))
         calendar = first.dates
         if not calendar:
@@ -351,10 +421,11 @@ class MarketData:
         return [d for d in self.calendar if self.range_start <= d <= self.range_end]
 
     def close(self, ticker: str, date: Date) -> float:
-        bar = self.series[ticker].bar_at_or_before(date)
-        if bar is None:
+        series = self.series[ticker]
+        pos = series.index_at_or_before(date)
+        if pos < 0:
             raise InsufficientHistory(f"{ticker}: no bar at or before {date}")
-        return bar.close
+        return series.close[pos]
 
     def log_returns_to(self, ticker: str, date: Date, max_window: int | None = None) -> list[float]:
         """Daily close-to-close log returns ending at ``date`` (inclusive)."""
@@ -385,7 +456,7 @@ def assemble_observation(date: Date, universe: list[str],
         indicators: dict[str, float] = {}
         pos = series.index_at_or_before(date)
         if pos >= 1:
-            indicators["log_return"] = log_return(series.bars[pos - 1].close, series.bars[pos].close)
+            indicators["log_return"] = log_return(series.close[pos - 1], series.close[pos])
         if pos >= sources.momentum_window:
             indicators["momentum"] = momentum(series, date, sources.momentum_window)
         docs = tuple(sources.docs_by_attach.get((date, ticker), ()))

@@ -30,7 +30,7 @@ from fincon.agents import (
     send_feedback,
 )
 from fincon.backtest import CONFIG_SCHEMA
-from fincon.data_ingest import DOCUMENT_KINDS, PriceBar, PriceSeries, TextDocument, momentum
+from fincon.data_ingest import DOCUMENT_KINDS, PriceSeries, TextDocument, momentum
 from fincon.errors import IllegalRoute, MissingAnalystReport, SchemaViolationAfterRetries
 from fincon.llm_gateway import LlmGateway, ScriptedBackend
 from fincon.memory import HashEmbedder, MemoryEvent, MemoryStore
@@ -217,10 +217,11 @@ class TestAnalystStep:
 
     def test_data_analyst_carries_momentum_indicator(self):
         days = trading_days(date(2022, 1, 3), 4)
-        closes = [100.0, 104.0, 107.0, 110.0]
-        bars = tuple(PriceBar(date=d, open=c, high=c * 1.01, low=c * 0.99, close=c,
-                              adj_close=c, volume=10) for d, c in zip(days, closes))
-        series = PriceSeries(ticker="SYN", bars=bars)
+        closes = (100.0, 104.0, 107.0, 110.0)
+        series = PriceSeries(ticker="SYN", dates=tuple(days), open=closes,
+                             high=tuple(c * 1.01 for c in closes),
+                             low=tuple(c * 0.99 for c in closes), close=closes,
+                             adj_close=closes, volume=(10,) * 4)
         mom = momentum(series, days[-1], 3)  # data_ingest oracle: 0.10
         key = f"1:{days[-1].isoformat()}:analyze"
         ctx, _ = make_ctx({("data_analyst:SYN", key): json.dumps(

@@ -65,6 +65,14 @@ class TestValidateData:
         err = capsys.readouterr().err
         assert "bars" in err
 
+    def test_price_file_ending_in_a_blank_line_exit_zero(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path)
+        price_path = fix.root / "prices_SYN.csv"
+        rows = price_path.read_text().count("\n") - 1
+        price_path.write_text(price_path.read_text() + "\n")
+        assert main(["validate-data", "--config", str(fix.config_path)]) == 0
+        assert f"SYN: {rows} bars" in capsys.readouterr().err
+
     def test_missing_price_file_exit_one_with_path(self, tmp_path, capsys):
         fix = build_fixture(tmp_path)
         price_path = fix.root / "prices_SYN.csv"

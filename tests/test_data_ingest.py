@@ -35,6 +35,7 @@ from fixtures import trading_days, write_documents, write_price_csv
 
 # frozen against a 25-digit mpmath natural-log oracle
 LN_11_10 = 0.09531017980432486
+PRICES = ("open", "high", "low", "close", "adj_close")
 
 
 def _csv(path: Path, rows: list[str]) -> Path:
@@ -50,7 +51,7 @@ class TestLoadPriceSeries:
             "2022-01-05,101,103,100.5,102,102,900",
         ])
         series = load_price_series(path, "SYN")
-        assert len(series.bars) == 3
+        assert len(series.close) == 3
         assert series.dates == (date(2022, 1, 3), date(2022, 1, 4), date(2022, 1, 5))
 
     def test_close_above_high_row_2(self, tmp_path):
@@ -101,8 +102,56 @@ class TestLoadPriceSeries:
             load_price_series(path, "SYN")
         assert err.value.column == "volume"
 
+    @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+    def test_blank_rows_skipped_and_counted(self, tmp_path, blank):
+        """A blank line between rows or after the last one is skipped, and
+        an error on a later row still names the row as it stands in the file."""
+        rows = ["2022-01-03,100,101,99,100.5,100.5,1000", blank,
+                "2022-01-04,100.5,102,100,101,101,1100"]
+        series = load_price_series(_csv(tmp_path / "p.csv", rows + [blank]), "SYN")
+        assert series.dates == (date(2022, 1, 3), date(2022, 1, 4))
+        path = _csv(tmp_path / "q.csv", rows + ["2022-01-05,101,103,100.5,104,104,900"])
+        with pytest.raises(SchemaError) as err:
+            load_price_series(path, "SYN")
+        assert (err.value.row, err.value.column) == (4, "close")
 
-PRICES = ("open", "high", "low", "close", "adj_close")
+
+class TestColumnTypes:
+    ROWS = [["2022-01-03", "100", "101.5", "99.25", "100.5", "0.1", "1000"],
+            ["2022-01-04", "1e2", "102.00000000000001", "99.999999999999999", "101.1",
+             "3.3000000000000003", " 42 "],
+            ["2022-01-05", "101", "103.7", "100.5", "102.2", "102.2", "9007199254740993"]]
+
+    def _market(self, tmp_path):
+        path = _csv(tmp_path / "p.csv", [",".join(row) for row in self.ROWS])
+        days = [date.fromisoformat(row[0]) for row in self.ROWS]
+        return MarketData.load({"SYN": str(path)}, [], range_start=days[0],
+                               range_end=days[-1]), days
+
+    def test_values_are_the_python_numbers_of_their_texts(self, tmp_path):
+        """Prices are Python floats and volumes Python ints, bit for bit what
+        float() and int() make of the file's text (a price line formats them
+        with repr, so a numpy scalar would change prompts)."""
+        market, days = self._market(tmp_path)
+        series = market.series["SYN"]
+        for col in PRICES:
+            got = getattr(series, col)
+            assert all(type(v) is float for v in got), col
+            assert [v.hex() for v in got] == [float(row[1 + PRICES.index(col)]).hex()
+                                              for row in self.ROWS], col
+        assert all(type(v) is int for v in series.volume)
+        assert series.volume == tuple(int(row[6]) for row in self.ROWS)
+        for day, row in zip(days, self.ROWS):
+            close = market.close("SYN", day)
+            assert type(close) is float and close.hex() == float(row[4]).hex()
+
+    def test_observation_bar_is_the_row(self, tmp_path):
+        market, days = self._market(tmp_path)
+        for day, row in zip(days, self.ROWS):
+            bar = assemble_observation(day, ["SYN"], market)["SYN"].bar
+            assert bar == PriceBar(day, *map(float, row[1:6]), int(row[6]))
+            assert [type(v) for v in vars(bar).values()] == [date] + [float] * 5 + [int]
+
 # A data row's checks in the order they apply: a file's error is the first
 # row with a fault, at that row's first failing check. "low above high" is
 # not a check of its own: such a bar always has open outside [low, high].
@@ -221,13 +270,15 @@ class TestLogReturn:
         assert abs(total - math.log(closes[-1] / closes[0])) < 1e-12
 
 
-def _series(closes, start=date(2022, 1, 3)):
+def _series(closes, adj_closes=None, start=date(2022, 1, 3)):
+    """A series in column form whose closes (and adjusted closes) are given."""
     days = trading_days(start, len(closes))
-    bars = tuple(
-        PriceBar(date=d, open=c, high=c * 1.01, low=c * 0.99, close=c, adj_close=c,
-                 volume=1000)
-        for d, c in zip(days, closes))
-    return PriceSeries(ticker="SYN", bars=bars), days
+    adj_closes = closes if adj_closes is None else adj_closes
+    series = PriceSeries(ticker="SYN", dates=tuple(days), open=tuple(closes),
+                         high=tuple(c * 1.2 for c in closes), low=tuple(c * 0.9 for c in closes),
+                         close=tuple(closes), adj_close=tuple(adj_closes),
+                         volume=(1000,) * len(closes))
+    return series, days
 
 
 class TestMomentum:
@@ -245,12 +296,7 @@ class TestMomentum:
             momentum(series, days[-1], 5)
 
     def test_uses_adj_close(self):
-        days = trading_days(date(2022, 1, 3), 3)
-        bars = tuple(
-            PriceBar(date=d, open=c, high=c * 1.2, low=c * 0.9, close=c,
-                     adj_close=a, volume=10)
-            for d, c, a in zip(days, [100.0, 100.0, 100.0], [50.0, 52.0, 55.0]))
-        series = PriceSeries(ticker="SYN", bars=bars)
+        series, days = _series([100.0, 100.0, 100.0], adj_closes=[50.0, 52.0, 55.0])
         assert abs(momentum(series, days[-1], 2) - 0.10) < 1e-12
 
 
