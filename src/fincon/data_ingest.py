@@ -273,18 +273,15 @@ def load_price_series(path: str | Path, ticker: str,
 def _parse_dates(texts: tuple[str, ...], dates_by_text: dict[str, Date]) -> list[Date]:
     """The dates of ``texts``, stopping before the first that is not one;
     ``dates_by_text`` holds the texts parsed so far and gains the new ones."""
-    try:
-        return list(map(dates_by_text.__getitem__, texts))
-    except KeyError:
-        pass
     dates = []
     for text in texts:
-        if text not in dates_by_text:
+        date = dates_by_text.get(text)
+        if date is None:
             try:
-                dates_by_text[text] = parse_date(text.strip())
+                date = dates_by_text[text] = parse_date(text.strip())
             except ValueError:
                 break
-        dates.append(dates_by_text[text])
+        dates.append(date)
     return dates
 
 
