@@ -231,9 +231,11 @@ class TestLoaderErrorContract:
                 kind = data.draw(st.sampled_from(FAULT_KINDS))
                 r = data.draw(st.integers(1, len(rows)))
             assume(r > 1 or kind not in ("repeat_date", "earlier_date"))
+            # one fault per field, and a changed field count goes in last: a
+            # row that lost its volume has no field 6 to plant in
+            assume((r, None) not in touched)
             check, at = _plant(kind, rows, generated, r, data.draw)
-            # one fault per field, and a changed field count goes in last
-            assume((r, at) not in touched and (r, None) not in touched)
+            assume((r, at) not in touched)
             touched.add((r, at))
             planted.append((r, CHECK_ORDER.index(check), check))
         row, _, check = min(planted)
