@@ -205,24 +205,33 @@ def load_price_series(path: str | Path, ticker: str,
     ``MarketData.load`` passes one map to every file of a load, since the
     files of a portfolio share a calendar.
 
-    Raises as ``open_input`` does; SchemaError(0, None) for an empty file or
-    a wrong header. A bad file raises for its first faulty row, at that
-    row's first failing check, in this order: SchemaError(row, None) for a
-    wrong field count; SchemaError(row, column) for a date that is not one,
-    each price in column order that is not a number or not finite, a volume
-    that is not an integer, a price that is not positive, an open or close
-    outside [low, high] and a negative volume; then NonMonotoneDates for a
-    date not after the row before.
+    Raises as ``open_input`` does; SchemaError(0, None) for an empty file, a
+    wrong header or a header the CSV reader rejects; SchemaError(row, None)
+    for the first row the CSV reader rejects, such as one with a field over
+    ``csv.field_size_limit()``. Otherwise a bad file raises for its first
+    faulty row, at that row's first failing check, in this order:
+    SchemaError(row, None) for a wrong field count; SchemaError(row, column)
+    for a date that is not one, each price in column order that is not a
+    number or not finite, a volume that is not an integer, a price that is
+    not positive, an open or close outside [low, high] and a negative
+    volume; then NonMonotoneDates for a date not after the row before.
     """
     path = Path(path)
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise SchemaError.not_a(path, "CSV header", exc) from None
         if header is None:
             raise SchemaError(0, None, f"{path}: empty file")
         if tuple(h.strip() for h in header) != PRICE_COLUMNS:
             raise SchemaError(0, None, f"{path}: header must be {','.join(PRICE_COLUMNS)}")
-        rows = list(reader)
+        rows = []
+        try:
+            rows.extend(reader)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise SchemaError.not_a(path, "CSV row", exc, len(rows) + 1) from None
     row_nos = range(1, len(rows) + 1)
     if rows and min(map(len, rows)) < 2:  # blank lines may be among them
         row_nos = [n for n, row in zip(row_nos, rows) if len(row) > 1 or "".join(row).strip()]

@@ -73,6 +73,16 @@ class TestValidateData:
         assert main(["validate-data", "--config", str(fix.config_path)]) == 0
         assert f"SYN: {rows} bars" in capsys.readouterr().err
 
+    def test_price_field_over_the_csv_size_limit_exit_one(self, tmp_path, capsys):
+        fix = build_fixture(tmp_path)
+        price_path = fix.root / "prices_SYN.csv"
+        lines = price_path.read_text().splitlines()
+        lines[4] += "0" * 200_000
+        price_path.write_text("\n".join(lines) + "\n")
+        code = main(["validate-data", "--config", str(fix.config_path)])
+        assert code == 1
+        assert "prices_SYN.csv: row 4 is not a CSV row" in capsys.readouterr().err
+
     def test_missing_price_file_exit_one_with_path(self, tmp_path, capsys):
         fix = build_fixture(tmp_path)
         price_path = fix.root / "prices_SYN.csv"

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -114,6 +115,23 @@ class TestLoadPriceSeries:
         with pytest.raises(SchemaError) as err:
             load_price_series(path, "SYN")
         assert (err.value.row, err.value.column) == (4, "close")
+
+    def test_row_the_csv_reader_rejects_is_named(self, tmp_path):
+        """A field over ``csv.field_size_limit()`` is a SchemaError naming the
+        file and the row the reader failed on, blank rows counted, or row 0
+        on the header."""
+        huge = "9" * (csv.field_size_limit() + 1)
+        path = _csv(tmp_path / "p.csv", ["2022-01-03,100,101,99,100.5,100.5,1000", "",
+                                         f"2022-01-04,100.5,102,100,101,101,{huge}"])
+        with pytest.raises(SchemaError) as err:
+            load_price_series(path, "SYN")
+        assert (err.value.row, err.value.column) == (3, None)
+        assert f"{path}: row 3 is not a CSV row" in str(err.value)
+        path.write_text(f"date,open,{huge}\n")
+        with pytest.raises(SchemaError) as err:
+            load_price_series(path, "SYN")
+        assert (err.value.row, err.value.column) == (0, None)
+        assert f"{path}: not a CSV header" in str(err.value)
 
 
 class TestColumnTypes:
