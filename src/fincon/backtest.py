@@ -79,7 +79,7 @@ from .errors import (
     TooFewPairs,
     ZeroVolatility,
 )
-from .llm_gateway import LlmGateway
+from .llm_gateway import LlmGateway, ScriptedBackend
 from .memory import HashEmbedder, MemoryStore
 from .portfolio import (
     check_weight_signs,
@@ -848,11 +848,14 @@ class RunWriter:
 class BacktestEngine:
     """Drives episodes over a loaded market with one gateway and one store.
 
-    Each day, the analysts with input call the model. Two or more fan out on
-    the episode's thread pool, shut down when the episode returns or fails;
-    a lone call runs on the calling thread. The pool has one thread per
+    Each day, the analysts with input call the model. When two or more call
+    and the backend can wait, they fan out on the episode's thread pool,
+    shut down when the episode returns or fails. The pool has one thread per
     analyst instance, so every call of a day waits on the model at once,
-    unless an integer ``agents.workers`` caps it.
+    unless an integer ``agents.workers`` caps it. A ``ScriptedBackend``
+    answers from memory, so a pool would only hand its calls between
+    threads: they run on the calling thread in agent-id order, as a lone
+    call to any backend does, and no pool thread starts.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -868,6 +871,7 @@ class BacktestEngine:
         self.analysts = {aid: p for aid, p in sorted(config.profiles.items())
                          if aid != MANAGER}
         self.router = Router(self.analysts)
+        self.pooled = not isinstance(gateway.backend, ScriptedBackend)
 
     # -- helpers ------------------------------------------------------------
 
@@ -975,10 +979,12 @@ class BacktestEngine:
                 return analyst_step(profile, beliefs.get(ROLES[profile.role].aspect),
                                     slices[aid], day, ctx)
 
-            # the analysts with input fan out on the pool; a lone call has
-            # nothing to overlap, so it runs on this thread
+            # the analysts with input fan out on the pool when their calls
+            # can wait on the model together; a lone call, or a call the
+            # scripted backend answers from memory, has nothing to overlap,
+            # so it runs on this thread
             calling = [aid for aid, obs_slice in slices.items() if obs_slice.calls_model]
-            fan_out = pool.map if len(calling) > 1 else map
+            fan_out = pool.map if self.pooled and len(calling) > 1 else map
             replies = dict(zip(calling, fan_out(run_one, calling)))
             insights = {}
             for aid in self.analysts:

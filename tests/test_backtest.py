@@ -41,7 +41,7 @@ from fincon.errors import (
     TooFewPairs,
     ZeroVolatility,
 )
-from fincon.llm_gateway import LlmGateway, load_mock_script
+from fincon.llm_gateway import LlmGateway, ScriptedBackend, load_mock_script
 from fincon.memory import MemoryStore
 
 from fixtures import (
@@ -96,6 +96,25 @@ class ThreadLog:
             day = request.step_key.split(":")[1]
             self.threads[(day, request.role_tag)] = threading.current_thread()
         return self.inner.generate(request)
+
+
+class ScriptedThreadLog(ScriptedBackend):
+    """A scripted backend itself, not a wrapper, recording the thread each
+    analyst call runs on by (day, agent id), and the peak count of live
+    threads that were not alive when it was built."""
+
+    def __init__(self, script_path):
+        super().__init__(load_mock_script(script_path).entries)
+        self.before = set(threading.enumerate())
+        self.threads = {}
+        self.peak = 0
+
+    def generate(self, request):
+        self.peak = max(self.peak, len(set(threading.enumerate()) - self.before))
+        if request.step_key.endswith(":analyze"):
+            day = request.step_key.split(":")[1]
+            self.threads[(day, request.role_tag)] = threading.current_thread()
+        return super().generate(request)
 
 
 def break_reply(script_path: Path, role_tag: str, step_key: str) -> Path:
@@ -1094,6 +1113,47 @@ class TestTrainTestDrivers:
             [fix.train_days[0].isoformat()]
         assert "FAILED" in json.loads(failed[-1])
         assert set(threading.enumerate()) == before
+
+    def test_scripted_calls_run_on_the_calling_thread_on_every_day(self, tmp_path):
+        # news on every second day: then the news and data analysts both
+        # call, but a scripted backend answers from memory, so no pool
+        # thread starts in either stage
+        fix = build_single_stock_fixture(tmp_path, n_train=6, n_test=4, episodes=1,
+                                         news_every=2)
+        backend = ScriptedThreadLog(fix.script_path)
+        backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
+                       tmp_path / "train")
+        payload = json.loads(fix.config_path.read_text())
+        payload["mode"] = "test"
+        payload["backtest"]["train_run_dir"] = str(tmp_path / "train")
+        backtest.test(RunConfig.from_dict(payload, fix.root), LlmGateway(backend),
+                      tmp_path / "test")
+        fanned = {day for day, role in backend.threads if role == "news_analyst:SYN"}
+        assert fanned == {d.isoformat() for d in (fix.train_days + fix.test_days)[::2]}
+        assert (fix.train_days[0].isoformat(), "data_analyst:SYN") in backend.threads
+        assert set(backend.threads.values()) == {threading.current_thread()}
+        assert backend.peak == 0
+        assert set(threading.enumerate()) == backend.before
+
+    def test_scripted_reply_failing_its_schema_on_a_fanned_out_day_aborts_inline(
+            self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
+        day = fix.train_days[2].isoformat()  # news: both analysts call
+        broken = break_reply(fix.script_path, "data_analyst:SYN", f"1:{day}:analyze")
+        backend = ScriptedThreadLog(broken)
+        run_dir = tmp_path / "aborted"
+        with pytest.raises(EpisodeAborted):
+            backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend), run_dir)
+        assert backend.threads[(day, "data_analyst:SYN")] is threading.current_thread()
+        # the calls run in agent-id order, so the news analyst, after the
+        # failing data analyst, is never asked that day
+        assert (day, "news_analyst:SYN") not in backend.threads
+        failed = (run_dir / "trajectory_1.FAILED.jsonl").read_text().splitlines()
+        assert [json.loads(line).get("date") for line in failed[:-1]] == \
+            [d.isoformat() for d in fix.train_days[:2]]
+        assert "FAILED" in json.loads(failed[-1])
+        assert backend.peak == 0
+        assert set(threading.enumerate()) == backend.before
 
     def test_rerun_at_another_position_size_aborted_and_resumed_equals_a_clean_run(
             self, tmp_path):

@@ -2,8 +2,11 @@
 
 ``golden_digests.json`` holds the SHA-256 of every file in the train and test
 run directories of a single-stock and a two-ticker portfolio fixture run.
-The same runs with one and with four analyst workers must give the same
-files, config.used.json included: it does not record the worker count.
+The scripted backend runs every analyst call on the engine thread, so the
+same runs through a pass-through backend, which the engine fans out on its
+pool, with one and with four analyst workers and with the default pool, must
+give the same files, config.used.json included: it does not record the
+worker count.
 Regenerate the digests only for an intended change of the outputs:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -18,6 +21,7 @@ import os
 import struct
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 from fincon import backtest
@@ -37,9 +41,25 @@ LIST_FORM_TRAIN_SNAPSHOTS = {
 }
 
 
-def _run_stage(fixture: Path, stage: str, workers: int | None) -> None:
+class PassThrough:
+    """The scripted backend behind a wrapper, which is not a
+    ``ScriptedBackend``, so the engine fans a day's analyst calls out on its
+    pool; adds the thread of every call to ``threads``."""
+
+    def __init__(self, inner, threads: set):
+        self.inner = inner
+        self.threads = threads
+
+    def generate(self, request):
+        self.threads.add(threading.current_thread())
+        return self.inner.generate(request)
+
+
+def _run_stage(fixture: Path, stage: str, workers: int | None,
+               threads: set | None) -> None:
     """Run ``stage`` (train, or test from ``./train``) of the fixture's
-    config and script into ``./<stage>``.
+    config and script into ``./<stage>``, through ``PassThrough`` when
+    ``threads`` is given.
 
     Run from the fixture directory, so the run directories sit next to the
     config. ``train_run_dir`` resolves against that directory and lands in
@@ -52,29 +72,35 @@ def _run_stage(fixture: Path, stage: str, workers: int | None) -> None:
         payload["mode"] = "test"
         payload["backtest"]["train_run_dir"] = "train"
     config = RunConfig.from_dict(payload, base_dir=fixture)
+    backend = load_mock_script(fixture / "script.jsonl")
+    if threads is not None:
+        backend = PassThrough(backend, threads)
     run = backtest.train if stage == "train" else backtest.test
-    run(config, LlmGateway(load_mock_script(fixture / "script.jsonl")), stage)
+    run(config, LlmGateway(backend), stage)
 
 
-def _in_fixture(fixture: Path, stages, workers: int | None = None) -> None:
+def _in_fixture(fixture: Path, stages, workers: int | None = None,
+                threads: set | None = None) -> None:
     cwd = os.getcwd()
     try:
         os.chdir(fixture)
         for stage in stages:
-            _run_stage(fixture, stage, workers)
+            _run_stage(fixture, stage, workers, threads)
     finally:
         os.chdir(cwd)
 
 
-def run_digests(root: Path, workers: int | None = None) -> dict[str, str]:
+def run_digests(root: Path, workers: int | None = None,
+                threads: set | None = None) -> dict[str, str]:
     """SHA-256 of every run-directory file, keyed ``case/stage/relative path``;
-    ``workers`` overrides the configs' ``agents.workers``."""
+    ``workers`` overrides the configs' ``agents.workers``, and the stages run
+    through ``PassThrough`` into ``threads`` when it is given."""
     root = root.resolve()
     build_single_stock_fixture(root / "single" / "fixture", n_train=12, n_test=6,
                                episodes=3, news_every=2)
     build_portfolio_fixture(root / "portfolio" / "fixture", n_days=8, n_test=4)
     for case in CASES:
-        _in_fixture(root / case / "fixture", ("train", "test"), workers)
+        _in_fixture(root / case / "fixture", ("train", "test"), workers, threads)
     return stage_digests(root, ("train", "test"))
 
 
@@ -97,11 +123,14 @@ def test_run_directories_match_golden_digests(tmp_path):
 
 
 def test_run_directories_do_not_depend_on_worker_count(tmp_path):
-    """One and four analyst workers, and the default pool, reproduce every
-    golden file."""
+    """The pool with one and four analyst workers, and the default pool,
+    reproduces every golden file, which the scripted backend wrote with
+    every call on the engine thread."""
     want = json.loads(GOLDEN.read_text())
     for workers in (1, 4, None):
-        got = run_digests(tmp_path / f"workers_{workers}", workers=workers)
+        threads = set()
+        got = run_digests(tmp_path / f"workers_{workers}", workers, threads)
+        assert threads - {threading.current_thread()}, f"workers={workers}: no pool thread"
         assert set(got) == set(want), f"workers={workers}"
         differing = [name for name in sorted(want) if got[name] != want[name]]
         assert not differing, f"workers={workers} changes {differing}"
