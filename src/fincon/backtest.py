@@ -1,12 +1,13 @@
 """Deterministic backtest harness around the manager-analyst hierarchy.
 
 The daily loop: assemble the observation, fan analyst steps out (a barrier
-waits for every instance), check the risk state carried from the prior
-day's close, run the manager decision (risk-averse clause when alerting),
-solve portfolio weights where applicable, realize PnL on the close-to-close
-transition, recompute CVaR and the within-episode trigger, reflect when
-triggered, and send feedback. Decisions for day t always use data dated
-at most t; PnL realizes on the t -> t+1 transition.
+waits for every instance) together with the reflection the prior day's
+alert asked for, check the risk state carried from the prior day's close,
+run the manager decision (risk-averse clause when alerting), solve
+portfolio weights where applicable, realize PnL on the close-to-close
+transition, recompute CVaR and the within-episode trigger, and send
+feedback. Decisions for day t always use data dated at most t; PnL
+realizes on the t -> t+1 transition.
 
 Training (``train``) loops episodes over the training range and runs the
 over-episode belief update after every episode from the second on, stopping
@@ -32,6 +33,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +212,8 @@ CONFIG_SCHEMA = {
     "agents.analyst_roles": (
         list(ROLES),
         _list_of(lambda r: r in ROLES, f"a list drawn from {', '.join(ROLES)}")),
-    # null: one thread per analyst instance; an integer caps the pool
+    # null: one thread per analyst instance plus one for the reflection; an
+    # integer caps the pool
     "agents.workers": (None, _or_null(Bound(int, 1))),
     "agents.general_config": ("", Kind("a string", _is_str)),
     "agents.profile_texts": ({}, ROLE_TEXTS),
@@ -848,14 +851,21 @@ class RunWriter:
 class BacktestEngine:
     """Drives episodes over a loaded market with one gateway and one store.
 
-    Each day, the analysts with input call the model. When two or more call
-    and the backend can wait, they fan out on the episode's thread pool,
-    shut down when the episode returns or fails. The pool has one thread per
-    analyst instance, so every call of a day waits on the model at once,
-    unless an integer ``agents.workers`` caps it. A ``ScriptedBackend``
-    answers from memory, so a pool would only hand its calls between
-    threads: they run on the calling thread in agent-id order, as a lone
-    call to any backend does, and no pool thread starts.
+    Each day sends one batch of model calls: the manager's reflection on the
+    previous day's alert, if there was one, then the analysts with input in
+    agent-id order. The reflection's first reader is the next day's
+    decision, so it waits on the model beside that day's analysts. Its
+    reply, then the alert day's record, are filed before the analysts'
+    replies are read, so every output keeps the order of a run that
+    reflects at once. A last-day reflection runs after the loop. When the
+    batch holds two or more calls and the backend can wait, they fan out on
+    the episode's thread pool, shut down when the episode returns or fails.
+    The pool has one thread per analyst instance plus one for the
+    reflection, so every call of a batch waits on the model at once, unless
+    an integer ``agents.workers`` caps it. A ``ScriptedBackend`` answers
+    from memory, so a pool would only hand its calls between threads: they
+    run on the calling thread in batch order, as a batch of one call to any
+    backend does, and no pool thread starts.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -942,9 +952,10 @@ class BacktestEngine:
         records: list[DayRecord] = []
         prompts: list[dict] = []
         try:
-            # a manager-only run has no analyst but a pool needs a thread;
-            # threads start only for calls that find none idle
-            workers = cfg.agents["workers"] or max(len(self.analysts), 1)
+            # one thread per analyst instance plus one for the previous
+            # day's reflection, so that no call of a batch waits for a
+            # thread; threads start only for calls that find none idle
+            workers = cfg.agents["workers"] or len(self.analysts) + 1
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 self._run_days(beliefs, ctx, days, records, prompts, pool)
         except FinconError as exc:
@@ -969,6 +980,16 @@ class BacktestEngine:
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
+        # an alert day's record and its reflection call, sent with the next
+        # day's batch
+        alerted: tuple[DayRecord, Callable] | None = None
+
+        def file_reflection(record: DayRecord, reply) -> None:
+            text, entry = reply
+            record.reflections.append({"trigger": record.trigger, "text": text})
+            prompts.append(entry)
+            records.append(record)
+
         for day in days:
             obs = assemble_observation(day, cfg.tickers, self.market)
             slices = {aid: self._analyst_slice(ROLES[p.role].source, p.ticker, obs, day)
@@ -979,13 +1000,21 @@ class BacktestEngine:
                 return analyst_step(profile, beliefs.get(ROLES[profile.role].aspect),
                                     slices[aid], day, ctx)
 
-            # the analysts with input fan out on the pool when their calls
-            # can wait on the model together; a lone call, or a call the
-            # scripted backend answers from memory, has nothing to overlap,
-            # so it runs on this thread
+            # the day's batch: the previous day's reflection, if any, then the
+            # analysts with input in agent-id order. It fans out on the pool
+            # when its calls can wait on the model together; a batch of one
+            # call, or calls the scripted backend answers from memory, have
+            # nothing to overlap, so they run on this thread
             calling = [aid for aid, obs_slice in slices.items() if obs_slice.calls_model]
-            fan_out = pool.map if self.pooled and len(calling) > 1 else map
-            replies = dict(zip(calling, fan_out(run_one, calling)))
+            batch = [partial(run_one, aid) for aid in calling]
+            if alerted is not None:
+                batch.insert(0, alerted[1])
+            fan_out = pool.map if self.pooled and len(batch) > 1 else map
+            results = fan_out(lambda call: call(), batch)
+            if alerted is not None:
+                file_reflection(alerted[0], next(results))
+                alerted = None
+            replies = dict(zip(calling, results))
             insights = {}
             for aid in self.analysts:
                 message, entry = replies[aid] if aid in replies else run_one(aid)
@@ -1016,14 +1045,6 @@ class BacktestEngine:
             trigger = alert_trigger(provisional, r_t, cfg.risk["min_cvar_history"])
             checked = within_episode_check(provisional, r_t, cfg.risk["min_cvar_history"])
 
-            reflections: list[dict] = []
-            if checked.alert:
-                day_summary = (f"PnL {r_t!r}, CVaR {rho_t!r} "
-                               f"(previous {prev_rho!r}), trigger {trigger}.")
-                text, r_entry = reflect_step(self.manager, trigger, day_summary, day, ctx)
-                reflections.append({"trigger": trigger, "text": text})
-                prompts.append(r_entry)
-
             threshold = rolling_sigma_threshold(
                 pnl_history, cfg.backtest["feedback_window"],
                 cfg.backtest["feedback_threshold_mult"])
@@ -1031,7 +1052,7 @@ class BacktestEngine:
                          if m.distilled_insight != NO_SIGNAL]
             send_feedback(decision, r_t, threshold, reporting, insights, day, ctx, self.router)
 
-            records.append(DayRecord(
+            record = DayRecord(
                 date=day,
                 directions=dict(decision.directions),
                 weights=weights,
@@ -1040,13 +1061,23 @@ class BacktestEngine:
                 cvar=rho_t,
                 alert=checked.alert,
                 trigger=trigger,
-                reflections=reflections,
+                reflections=[],
                 reasoning=decision.reasoning,
                 insights={aid: m.distilled_insight for aid, m in insights.items()},
                 cited_memory_ids=list(decision.cited_memory_ids),
-            ))
+            )
+            if checked.alert:
+                day_summary = (f"PnL {r_t!r}, CVaR {rho_t!r} "
+                               f"(previous {prev_rho!r}), trigger {trigger}.")
+                alerted = (record, partial(reflect_step, self.manager, trigger,
+                                           day_summary, day, ctx))
+            else:
+                records.append(record)
             risk_state = checked
             prev_rho = rho_t
+        # the last day's reflection has no next day to go with
+        if alerted is not None:
+            file_reflection(alerted[0], alerted[1]())
 
 
 # ---------------------------------------------------------------------------

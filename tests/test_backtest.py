@@ -98,6 +98,26 @@ class ThreadLog:
         return self.inner.generate(request)
 
 
+class CallThreads:
+    """The scripted backend behind a wrapper, so the engine fans a batch out
+    on its pool, recording the thread of every call by (role tag, step
+    key)."""
+
+    def __init__(self, script_path):
+        self.inner = load_mock_script(script_path)
+        self.threads = {}
+
+    def generate(self, request):
+        self.threads[(request.role_tag, request.step_key)] = threading.current_thread()
+        return self.inner.generate(request)
+
+
+def alert_days(run_dir: Path, tag: object = 1) -> list[bool]:
+    """Each day's alert flag in a run's trajectory."""
+    return [json.loads(line)["alert"] for line in
+            (run_dir / f"trajectory_{tag}.jsonl").read_text().splitlines()]
+
+
 class ScriptedThreadLog(ScriptedBackend):
     """A scripted backend itself, not a wrapper, recording the thread each
     analyst call runs on by (day, agent id), and the peak count of live
@@ -1040,7 +1060,9 @@ class TestTrainTestDrivers:
     @pytest.mark.parametrize("workers, width", [(None, 4), (2, 2)])
     def test_pool_runs_a_days_analyst_calls_at_once(self, tmp_path, workers, width):
         """By default every analyst call of a day waits on the model at the
-        same time; an integer ``agents.workers`` caps how many do."""
+        same time, in a pool of one thread per analyst instance plus one for
+        the previous day's reflection; an integer ``agents.workers`` caps how
+        many do."""
         # four tickers, one data analyst each: all four call on every day
         tickers = ("AAA", "BBB", "CCC", "DDD")
         config_path, script, *_ = build_portfolio_fixture(tmp_path, n_days=3,
@@ -1070,7 +1092,9 @@ class TestTrainTestDrivers:
             config.agents["workers"] = workers
         backend = Rendezvous()
         backtest.train(config, LlmGateway(backend), tmp_path / "train")
-        assert 0 < backend.peak <= width
+        # the default pool has a thread for the reflection beside the analysts'
+        pool_size = width + 1 if workers is None else workers
+        assert 0 < backend.peak <= pool_size
         assert not set(threading.enumerate()) - before
 
     def test_manager_only_run_trains(self, tmp_path):
@@ -1080,25 +1104,39 @@ class TestTrainTestDrivers:
         assert (tmp_path / "train" / "trajectory_1.jsonl").exists()
 
     def test_lone_model_call_runs_on_the_calling_thread(self, tmp_path):
-        # news on every second day: the data analyst calls alone on the
-        # other days, and the news analyst's no-signal step calls nothing
+        # news on every second day: the data analyst is the only analyst
+        # that calls on the other days, and the news analyst's no-signal
+        # step calls nothing. After an alert day the manager's reflection
+        # joins the batch, so the data analyst's call fans out with it;
+        # without one it is the batch's one call and runs on this thread
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
         backend = ThreadLog(fix.script_path)
         backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
                        tmp_path / "train")
+        alerts = alert_days(tmp_path / "train")
         caller = threading.current_thread()
+        lone = set()
         for t, day in enumerate(fix.train_days):
             day = day.isoformat()
             calls = {role: thread for (d, role), thread in backend.threads.items() if d == day}
             if t % 2:
-                assert calls == {"data_analyst:SYN": caller}, day
+                assert set(calls) == {"data_analyst:SYN"}, day
+                if alerts[t - 1]:
+                    assert caller not in calls.values(), day
+                else:
+                    assert set(calls.values()) == {caller}, day
+                    lone.add(day)
             else:
                 assert set(calls) == {"data_analyst:SYN", "news_analyst:SYN"}, day
                 assert caller not in calls.values(), day
+        # the fixture has both kinds of news-free day
+        assert lone and len(lone) < len(fix.train_days) // 2
 
     def test_lone_call_failing_its_schema_aborts_the_episode(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
-        day = fix.train_days[1]  # no news: the data analyst calls alone
+        # no news, and no alert the day before: the data analyst's call is
+        # the day's whole batch
+        day = fix.train_days[3]
         broken = break_reply(fix.script_path, "data_analyst:SYN",
                              f"1:{day.isoformat()}:analyze")
         before = set(threading.enumerate())
@@ -1109,8 +1147,9 @@ class TestTrainTestDrivers:
         assert backend.threads[(day.isoformat(), "data_analyst:SYN")] \
             is threading.current_thread()
         failed = (run_dir / "trajectory_1.FAILED.jsonl").read_text().splitlines()
-        assert [json.loads(line).get("date") for line in failed[:-1]] == \
-            [fix.train_days[0].isoformat()]
+        records = [json.loads(line) for line in failed[:-1]]
+        assert [r["date"] for r in records] == [d.isoformat() for d in fix.train_days[:3]]
+        assert not records[-1]["alert"]
         assert "FAILED" in json.loads(failed[-1])
         assert set(threading.enumerate()) == before
 
@@ -1154,6 +1193,92 @@ class TestTrainTestDrivers:
         assert "FAILED" in json.loads(failed[-1])
         assert backend.peak == 0
         assert set(threading.enumerate()) == backend.before
+
+    def test_reflection_waits_on_the_model_with_the_next_days_analyst_call(self, tmp_path):
+        """An alert day's reflection goes out with the next day's analyst
+        call: each waits at a barrier until the other has arrived, which a
+        reflection made before the next day starts never sees."""
+        fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "inline")
+        t = alert_days(tmp_path / "inline").index(True)
+        pair = {("manager", f"1:{fix.train_days[t].isoformat()}:reflect"),
+                ("data_analyst:SYN", f"1:{fix.train_days[t + 1].isoformat()}:analyze")}
+
+        class Rendezvous(CallThreads):
+            def __init__(self, script_path):
+                super().__init__(script_path)
+                self.barrier = threading.Barrier(2, timeout=5)
+                self.arrived, self.broken = set(), set()
+
+            def generate(self, request):
+                key = (request.role_tag, request.step_key)
+                if key in pair:
+                    try:
+                        self.barrier.wait()
+                        self.arrived.add(key)
+                    except threading.BrokenBarrierError:
+                        self.broken.add(key)
+                return super().generate(request)
+
+        backend = Rendezvous(fix.script_path)
+        backtest.train(config, LlmGateway(backend), tmp_path / "pooled")
+        assert not backend.broken
+        assert backend.arrived == pair
+        assert_same_run_dir(tmp_path / "pooled", tmp_path / "inline")
+
+    def test_last_day_reflection_lands_in_the_last_record(self, tmp_path):
+        """A last-day alert has no next day's batch: its reflection runs on
+        the engine thread before the episode is written, and every earlier
+        one on the pool. The pooled run writes the inline run's files."""
+        fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "inline")
+        backend = CallThreads(fix.script_path)
+        backtest.train(config, LlmGateway(backend), tmp_path / "pooled")
+        assert_same_run_dir(tmp_path / "pooled", tmp_path / "inline")
+
+        alerts = alert_days(tmp_path / "pooled")
+        assert alerts[-1] and sum(alerts) > 1
+        last_day = fix.train_days[-1]
+        last = json.loads((tmp_path / "pooled" / "trajectory_1.jsonl")
+                          .read_text().splitlines()[-1])
+        assert last["reflections"] == [{"trigger": last["trigger"],
+                                        "text": f"Lesson recorded on {last_day.isoformat()}"}]
+        prompts = (tmp_path / "pooled" / "prompts" / "assembled_1.jsonl").read_text()
+        assert json.loads(prompts.splitlines()[-1])["phase"] == "reflect"
+
+        caller = threading.current_thread()
+        reflected = {key[1].split(":")[1]: thread for key, thread in backend.threads.items()
+                     if key[1].endswith(":reflect")}
+        assert reflected.pop(last_day.isoformat()) is caller
+        assert len(reflected) == sum(alerts) - 1
+        assert caller not in reflected.values()
+
+    def test_reflection_failing_its_schema_on_the_pool_fails_as_inline(self, tmp_path):
+        """A reflection that fails on the pool, beside the next day's analyst
+        calls, writes the FAILED file an inline run writes, and leaves no
+        thread behind."""
+        fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=1, news_every=2)
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "clean")
+        t = [i for i, alert in enumerate(alert_days(tmp_path / "clean")) if alert][2]
+        key = f"1:{fix.train_days[t].isoformat()}:reflect"
+        broken = break_reply(fix.script_path, "manager", key)
+        before = set(threading.enumerate())
+        with pytest.raises(EpisodeAborted):
+            backtest.train(config, LlmGateway(load_mock_script(broken)), tmp_path / "inline")
+        backend = CallThreads(broken)
+        with pytest.raises(EpisodeAborted):
+            backtest.train(config, LlmGateway(backend), tmp_path / "pooled")
+        assert backend.threads[("manager", key)] is not threading.current_thread()
+        assert set(threading.enumerate()) == before
+
+        failed = (tmp_path / "pooled" / "trajectory_1.FAILED.jsonl").read_bytes()
+        assert failed == (tmp_path / "inline" / "trajectory_1.FAILED.jsonl").read_bytes()
+        dates = [json.loads(line).get("date") for line in failed.decode().splitlines()]
+        assert dates[:-1] == [d.isoformat() for d in fix.train_days[:t]]
 
     def test_rerun_at_another_position_size_aborted_and_resumed_equals_a_clean_run(
             self, tmp_path):

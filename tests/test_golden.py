@@ -2,11 +2,12 @@
 
 ``golden_digests.json`` holds the SHA-256 of every file in the train and test
 run directories of a single-stock and a two-ticker portfolio fixture run.
-The scripted backend runs every analyst call on the engine thread, so the
+The scripted backend runs every model call on the engine thread, so the
 same runs through a pass-through backend, which the engine fans out on its
 pool, with one and with four analyst workers and with the default pool, must
 give the same files, config.used.json included: it does not record the
-worker count.
+worker count. So must runs through a backend whose calls take seeded, random
+times, which reorders when the pool's calls finish.
 Regenerate the digests only for an intended change of the outputs:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -18,11 +19,17 @@ import base64
 import hashlib
 import json
 import os
+import random
 import struct
 import sys
 import tempfile
 import threading
+import time
+from collections.abc import Callable
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fincon import backtest
 from fincon.backtest import RunConfig
@@ -43,23 +50,42 @@ LIST_FORM_TRAIN_SNAPSHOTS = {
 
 class PassThrough:
     """The scripted backend behind a wrapper, which is not a
-    ``ScriptedBackend``, so the engine fans a day's analyst calls out on its
-    pool; adds the thread of every call to ``threads``."""
+    ``ScriptedBackend``, so the engine fans a day's batch of calls out on
+    its pool; adds the thread of every call to ``threads``, and of every
+    reflection to ``reflect_threads``."""
 
-    def __init__(self, inner, threads: set):
+    def __init__(self, inner, threads: set, reflect_threads: set):
         self.inner = inner
         self.threads = threads
+        self.reflect_threads = reflect_threads
 
     def generate(self, request):
         self.threads.add(threading.current_thread())
+        if request.step_key.endswith(":reflect"):
+            self.reflect_threads.add(threading.current_thread())
+        return self.inner.generate(request)
+
+
+class Jitter:
+    """The scripted backend behind a wrapper that sleeps 0-2 ms before each
+    answer, the time drawn from ``seed`` and the request's key, so the
+    pool's calls finish in an order no thread schedule fixes."""
+
+    def __init__(self, inner, seed: int):
+        self.inner = inner
+        self.seed = seed
+
+    def generate(self, request):
+        key = f"{self.seed}:{request.role_tag}:{request.step_key}"
+        time.sleep(random.Random(key).uniform(0.0, 0.002))
         return self.inner.generate(request)
 
 
 def _run_stage(fixture: Path, stage: str, workers: int | None,
-               threads: set | None) -> None:
+               wrap: Callable | None) -> None:
     """Run ``stage`` (train, or test from ``./train``) of the fixture's
-    config and script into ``./<stage>``, through ``PassThrough`` when
-    ``threads`` is given.
+    config and script into ``./<stage>``, through ``wrap(backend)`` when
+    ``wrap`` is given.
 
     Run from the fixture directory, so the run directories sit next to the
     config. ``train_run_dir`` resolves against that directory and lands in
@@ -73,34 +99,34 @@ def _run_stage(fixture: Path, stage: str, workers: int | None,
         payload["backtest"]["train_run_dir"] = "train"
     config = RunConfig.from_dict(payload, base_dir=fixture)
     backend = load_mock_script(fixture / "script.jsonl")
-    if threads is not None:
-        backend = PassThrough(backend, threads)
+    if wrap is not None:
+        backend = wrap(backend)
     run = backtest.train if stage == "train" else backtest.test
     run(config, LlmGateway(backend), stage)
 
 
 def _in_fixture(fixture: Path, stages, workers: int | None = None,
-                threads: set | None = None) -> None:
+                wrap: Callable | None = None) -> None:
     cwd = os.getcwd()
     try:
         os.chdir(fixture)
         for stage in stages:
-            _run_stage(fixture, stage, workers, threads)
+            _run_stage(fixture, stage, workers, wrap)
     finally:
         os.chdir(cwd)
 
 
 def run_digests(root: Path, workers: int | None = None,
-                threads: set | None = None) -> dict[str, str]:
+                wrap: Callable | None = None) -> dict[str, str]:
     """SHA-256 of every run-directory file, keyed ``case/stage/relative path``;
     ``workers`` overrides the configs' ``agents.workers``, and the stages run
-    through ``PassThrough`` into ``threads`` when it is given."""
+    through ``wrap(backend)`` when it is given."""
     root = root.resolve()
     build_single_stock_fixture(root / "single" / "fixture", n_train=12, n_test=6,
                                episodes=3, news_every=2)
     build_portfolio_fixture(root / "portfolio" / "fixture", n_days=8, n_test=4)
     for case in CASES:
-        _in_fixture(root / case / "fixture", ("train", "test"), workers, threads)
+        _in_fixture(root / case / "fixture", ("train", "test"), workers, wrap)
     return stage_digests(root, ("train", "test"))
 
 
@@ -128,12 +154,32 @@ def test_run_directories_do_not_depend_on_worker_count(tmp_path):
     every call on the engine thread."""
     want = json.loads(GOLDEN.read_text())
     for workers in (1, 4, None):
-        threads = set()
-        got = run_digests(tmp_path / f"workers_{workers}", workers, threads)
+        threads, reflect_threads = set(), set()
+        got = run_digests(tmp_path / f"workers_{workers}", workers,
+                          lambda inner: PassThrough(inner, threads, reflect_threads))
         assert threads - {threading.current_thread()}, f"workers={workers}: no pool thread"
+        assert reflect_threads - {threading.current_thread()}, \
+            f"workers={workers}: no reflection on the pool"
         assert set(got) == set(want), f"workers={workers}"
         differing = [name for name in sorted(want) if got[name] != want[name]]
         assert not differing, f"workers={workers} changes {differing}"
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), workers=st.sampled_from([1, 2, None]))
+def test_run_directories_do_not_depend_on_call_timing(seed, workers):
+    """Calls that take random times, fanned out on any pool, reproduce every
+    golden file, with threads switched far more often than by default."""
+    want = json.loads(GOLDEN.read_text())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_digests(Path(tmp), workers, lambda inner: Jitter(inner, seed))
+    finally:
+        sys.setswitchinterval(interval)
+    differing = [name for name in sorted(set(want) | set(got)) if got.get(name) != want.get(name)]
+    assert not differing, f"seed={seed} workers={workers} changes {differing}"
 
 
 def to_list_form(path: Path) -> None:
