@@ -10,8 +10,8 @@ the price stream) and follows one aspect of the investment-belief block.
 ``analyst_report`` documents are ingested and stored but have no dedicated
 analyst in this six-role hierarchy, so they are not fanned out.
 
-Every assembled prompt is returned alongside the step result so the run
-driver can log it verbatim for audit.
+Every step returns its request's prompt-log record (the prompts and the
+reply) alongside its result, so the run driver can log it verbatim.
 """
 
 from __future__ import annotations
@@ -196,13 +196,6 @@ class Router:
             return sum(self._counts.values())
         return self._counts[kind]
 
-    def counts_by_kind(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def restore_counts(self, counts: dict[str, int]) -> None:
-        """Continue counting from a checkpoint's ``counts_by_kind``."""
-        self._counts = Counter(counts)
-
 
 # ---------------------------------------------------------------------------
 # prompt rendering
@@ -307,8 +300,8 @@ def store_event(ctx: StepContext, agent_id: str, date: Date, tag: str, content: 
 def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: str,
               user: str, schema: str, context: dict | None = None):
     """Run one agent request through the gateway; returns the parsed output
-    and the assembled-prompt record logged for audit."""
-    request = CompletionRequest(
+    and the prompt-log record (``LlmGateway.ask``)."""
+    return ctx.gateway.ask(CompletionRequest(
         role_tag=agent_id,
         system_prompt=system,
         user_prompt=user,
@@ -317,10 +310,7 @@ def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: s
         max_retries=ctx.max_retries,
         step_key=step_key(ctx.episode, date, phase),
         context=context or {},
-    )
-    record = {"date": date.isoformat(), "agent_id": agent_id, "phase": phase,
-              "system": system, "user": user}
-    return ctx.gateway.complete(request).parsed, record
+    ))
 
 
 def analyst_step(profile: AgentProfile, belief_text: str | None,
@@ -333,7 +323,7 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
     "no signal" message without calling the gateway (and stores nothing).
     Otherwise the step retrieves top-K memories, runs the distillation
     schema, stores the insight as a procedural memory event, and returns
-    (InsightMessage, assembled-prompt log entry).
+    (InsightMessage, prompt-log record).
     """
     if not obs_slice.calls_model:
         message = InsightMessage(ticker=obs_slice.ticker, distilled_insight=NO_SIGNAL,
@@ -416,7 +406,7 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
 def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Date,
                  ctx: StepContext):
     """Manager self-reflection requested by the within-episode risk trigger;
-    returns (reflection text, assembled-prompt log entry)."""
+    returns (reflection text, prompt-log record)."""
     user = "\n\n".join([
         f"Date: {date.isoformat()}",
         f"The risk-control component triggered a self-reflection ({trigger}).",

@@ -63,6 +63,7 @@ from .data_ingest import (
     parse_date,
     read_json,
     read_jsonl_lines,
+    read_jsonl_objects,
 )
 from .errors import (
     BadProfileText,
@@ -91,7 +92,6 @@ from .portfolio import (
     solve_mean_variance,
 )
 from .risk_control import (
-    BeliefUpdate,
     RiskState,
     alert_trigger,
     check_belief_block,
@@ -688,24 +688,27 @@ class RunWriter:
     # what a run writes for each episode tag (an episode number, or "test"),
     # and what it writes once, at its end
     EPISODE_FILES = ("trajectory_{}.jsonl", "trajectory_{}.FAILED.jsonl",
-                     "beliefs/episode_{}.json", "prompts/assembled_{}.jsonl",
-                     "state/memory_{}.jsonl", "state/checkpoint_{}.json")
+                     "beliefs/episode_{}.json", "prompts/assembled_{}.jsonl")
     FINAL_FILES = ("prompts/final/prompt_set.json", "memory/snapshot.jsonl", "report.json",
                    "metrics.csv", "train_summary.json", "test_summary.json")
+    # a prompt-log record's fields (``LlmGateway.ask``); older logs lack the first
+    LOG_FIELDS = ("response", "agent_id", "step_key", "system", "user")
 
     def __init__(self, run_dir: str | Path):
         self.run_dir = Path(run_dir)
 
-    def clear_outputs(self) -> None:
+    def clear_outputs(self, keep: int = 0) -> None:
         """Remove the episode and final-output files an earlier run left, and
-        no other file, so that neither resume nor ``report`` adopts them."""
+        the ``.tmp`` files a cut-short ``_write_atomic`` left beside them, but
+        those of episodes 1 to ``keep``, and no other file."""
         if not self.run_dir.is_dir():
             return
         for pattern in self.EPISODE_FILES:
             head, tail = pattern.split("{}")
-            name = re.compile(re.escape(head) + "(?:[1-9][0-9]*|test)" + re.escape(tail))
-            for path in self.run_dir.glob(pattern.format("*")):
-                if name.fullmatch(path.relative_to(self.run_dir).as_posix()):
+            name = re.compile(f"{re.escape(head)}([1-9][0-9]*|test){re.escape(tail)}(\\.tmp)?")
+            for path in self.run_dir.glob(pattern.format("*") + "*"):
+                match = name.fullmatch(path.relative_to(self.run_dir).as_posix())
+                if match and (match[2] or not match[1].isdigit() or int(match[1]) > keep):
                     path.unlink()
         for name in self.FINAL_FILES:
             (self.run_dir / name).unlink(missing_ok=True)
@@ -727,10 +730,10 @@ class RunWriter:
         self.path("config.used.json").write_text(_dump_json(doc))
 
     def write_trajectory(self, tag: object, trajectory: Trajectory) -> None:
-        """The completed episode's trajectory; removes the FAILED artifact an
-        earlier, aborted attempt at the episode left."""
-        self.path(f"trajectory_{tag}.jsonl").write_text(
-            _dump_jsonl(d.to_record() for d in trajectory.days))
+        """The completed episode's trajectory, whole or not at all; removes the
+        FAILED artifact an earlier, aborted attempt at the episode left."""
+        _write_atomic(self.path(f"trajectory_{tag}.jsonl"),
+                      _dump_jsonl(d.to_record() for d in trajectory.days))
         (self.run_dir / f"trajectory_{tag}.FAILED.jsonl").unlink(missing_ok=True)
 
     def read_trajectory(self, tag: object, discount_alpha: float) -> Trajectory:
@@ -752,13 +755,6 @@ class RunWriter:
     def write_belief(self, episode: int, update) -> None:
         self.path("beliefs", f"episode_{episode}.json").write_text(_dump_json(asdict(update)))
 
-    def read_belief(self, episode: int) -> BeliefUpdate:
-        path = self.run_dir / "beliefs" / f"episode_{episode}.json"
-        try:
-            return BeliefUpdate.from_record(read_json(path))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError.not_a(path, "belief update", exc) from None
-
     def write_prompt_set(self, beliefs: dict[str, str]) -> None:
         """The final belief block, which the test stage inherits."""
         self.path("prompts", "final", "prompt_set.json").write_text(
@@ -779,8 +775,23 @@ class RunWriter:
             raise SchemaError.not_a(path, "prompt set", exc) from None
         return payload["belief_block"]
 
-    def write_prompt_log(self, tag: object, entries: list[dict]) -> None:
-        self.path("prompts", f"assembled_{tag}.jsonl").write_text(_dump_jsonl(entries))
+    def write_prompt_log(self, tag: object, records: list[dict]) -> None:
+        """The records of the episode's requests (``LlmGateway.ask``), in
+        request order, whole or not at all: resume replays their replies."""
+        _write_atomic(self.path("prompts", f"assembled_{tag}.jsonl"), _dump_jsonl(records))
+
+    def read_prompt_logs(self) -> dict[tuple[str, str], tuple[str, str, str]]:
+        """The training episodes' prompt logs as ``LlmGateway`` answers;
+        SchemaError(row, field) names the log and row of a record that is not
+        an object of string fields, such as one written before records held
+        the reply."""
+        answers = {}
+        for path in self.run_dir.glob("prompts/assembled_*.jsonl"):
+            if re.fullmatch("assembled_[1-9][0-9]*", path.stem):
+                for _, rec in read_jsonl_objects(path, self.LOG_FIELDS):
+                    answers[rec["agent_id"], rec["step_key"]] = (
+                        rec["system"], rec["user"], rec["response"])
+        return answers
 
     def write_memory(self, store: MemoryStore) -> None:
         store.save_jsonl(self.path("memory", "snapshot.jsonl"))
@@ -803,45 +814,17 @@ class RunWriter:
     def write_summary(self, name: str, payload: dict) -> None:
         self.path(name).write_text(_dump_json(payload))
 
-    def write_checkpoint(self, episode: int, store: MemoryStore, message_counts: dict) -> None:
-        """Memory first: resume trusts a checkpoint only once its JSON file
-        exists, so a crash while the memory file is written leaves the
-        episode to be re-run rather than a truncated store to be loaded. The
-        JSON file itself appears whole or not at all. The rest of the
-        training state is in the episode's trajectory and belief files,
-        written before either."""
-        store.save_jsonl(self.path("state", f"memory_{episode}.jsonl"))
-        payload = {"episode": episode, "message_counts": message_counts}
-        _write_atomic(self.path("state", f"checkpoint_{episode}.json"), _dump_json(payload))
-
-    def read_checkpoint(self, episode: int, calendar: tuple[Date, ...]) -> tuple[MemoryStore, dict]:
-        """(memory, message counts); SchemaError unless the counts are integers."""
-        path = self.run_dir / "state" / f"checkpoint_{episode}.json"
-        payload = read_json(path)
-        counts = payload.get("message_counts") if isinstance(payload, dict) else None
-        if not isinstance(counts, dict) or not all(
-                isinstance(n, int) and not isinstance(n, bool) for n in counts.values()):
-            raise SchemaError(0, "message_counts",
-                              f"{path}: 'message_counts' is not a map of counts")
-        return MemoryStore.load_jsonl(self.run_dir / "state" / f"memory_{episode}.jsonl",
-                                      calendar=calendar), counts
-
-    def completed_episodes(self, cap: int) -> list[int]:
-        """Episodes 1, 2, ... (to ``cap``) whose trajectory and checkpoint both
-        exist, stopping at the first that lacks either: what resume restores."""
-        k = 0
-        while k < cap and (self.run_dir / f"trajectory_{k + 1}.jsonl").exists() \
-                and (self.run_dir / "state" / f"checkpoint_{k + 1}.json").exists():
-            k += 1
-        return list(range(1, k + 1))
-
     def report_tag(self, cap: int) -> object:
-        """What ``report`` reads: the test trajectory, else the newest completed episode."""
+        """What ``report`` reads: the test trajectory, else the last of the
+        completed episodes 1, 2, ... (to ``cap``), each a written trajectory."""
         if (self.run_dir / "trajectory_test.jsonl").exists():
             return "test"
-        if not (done := self.completed_episodes(cap)):
+        k = 0
+        while k < cap and (self.run_dir / f"trajectory_{k + 1}.jsonl").exists():
+            k += 1
+        if not k:
             raise MissingTrajectory(f"no test trajectory or completed episode in {self.run_dir}")
-        return done[-1]
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -929,13 +912,14 @@ class BacktestEngine:
     # -- episode loop ---------------------------------------------------------
 
     def run_episode(self, beliefs: dict[str, str], episode: object,
-                    start: Date, end: Date) -> Trajectory:
+                    start: Date, end: Date, log: list[dict]) -> Trajectory:
         """One pass over [start, end] under the belief block ``beliefs``;
-        writes the episode's trajectory and assembled-prompt log and returns
-        the trajectory.
+        writes the episode's trajectory and returns it, and appends each
+        reply's prompt-log record to ``log`` as it is filed.
 
         A gateway failure aborts the episode: the partial trajectory is
-        written as a FAILED artifact and EpisodeAborted propagates.
+        written as a FAILED artifact, ``log`` beside it, and EpisodeAborted
+        propagates.
         """
         cfg = self.config
         days = self._decision_days(start, end)
@@ -950,16 +934,16 @@ class BacktestEngine:
             default_importance=cfg.memory["default_importance"],
         )
         records: list[DayRecord] = []
-        prompts: list[dict] = []
         try:
             # one thread per analyst instance plus one for the previous
             # day's reflection, so that no call of a batch waits for a
             # thread; threads start only for calls that find none idle
             workers = cfg.agents["workers"] or len(self.analysts) + 1
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                self._run_days(beliefs, ctx, days, records, prompts, pool)
+                self._run_days(beliefs, ctx, days, records, log, pool)
         except FinconError as exc:
             self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
+            self.writer.write_prompt_log(episode, log)
             raise EpisodeAborted(episode, exc) from exc
         trajectory = Trajectory(episode=episode, days=records)
         trajectory.objective = objective_value(trajectory.pnls(),
@@ -970,11 +954,10 @@ class BacktestEngine:
         store_event(ctx, MANAGER, records[-1].date, "episode", summary,
                     self.manager.decay_ratio, None, layer="episodic")
         self.writer.write_trajectory(episode, trajectory)
-        self.writer.write_prompt_log(episode, prompts)
         return trajectory
 
     def _run_days(self, beliefs: dict[str, str], ctx: StepContext, days: list[Date],
-                  records: list[DayRecord], prompts: list[dict],
+                  records: list[DayRecord], log: list[dict],
                   pool: ThreadPoolExecutor) -> None:
         cfg = self.config
         risk_state = RiskState.initial()
@@ -987,7 +970,7 @@ class BacktestEngine:
         def file_reflection(record: DayRecord, reply) -> None:
             text, entry = reply
             record.reflections.append({"trigger": record.trigger, "text": text})
-            prompts.append(entry)
+            log.append(entry)
             records.append(record)
 
         for day in days:
@@ -1014,18 +997,19 @@ class BacktestEngine:
             if alerted is not None:
                 file_reflection(alerted[0], next(results))
                 alerted = None
-            replies = dict(zip(calling, results))
+            # logged as read, so a failing call leaves the earlier replies logged
+            replies = {}
+            for aid, (message, entry) in zip(calling, results):
+                replies[aid] = message
+                log.append(entry)
             insights = {}
             for aid in self.analysts:
-                message, entry = replies[aid] if aid in replies else run_one(aid)
-                insights[aid] = message
+                insights[aid] = replies[aid] if aid in replies else run_one(aid)[0]
                 self.router.send(aid, MANAGER, "insight")
-                if entry is not None:
-                    prompts.append(entry)
 
             decision, entry = manager_step(self.manager, beliefs, insights, risk_state, day,
                                            ctx, cfg.tickers, self.analysts)
-            prompts.append(entry)
+            log.append(entry)
             self.router.send(MANAGER, RISK_CONTROL, "decision")
 
             weights = self._solve_weights(decision.directions, day)
@@ -1113,25 +1097,26 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     comparing it with its predecessor, whose insights are reused from the
     previous update, so each episode is conceptualized once; training stops
     at the episode cap or when the overlap/objective convergence rule fires.
-    With ``resume`` set, the run directory's completed episodes
-    (``RunWriter.completed_episodes``) are reloaded instead of re-run, and a
-    restored state that had already converged runs no further episode.
-    Without it, the episode and final-output files an earlier run left in
-    the directory are removed first (``RunWriter.clear_outputs``).
+    Each episode's prompt log, its update's requests included, is written
+    once. Without ``resume``, the episode and final-output files an earlier
+    run left in the directory are removed first (``RunWriter.clear_outputs``).
+    With it, the stage runs as a fresh one, the gateway answering from the
+    directory's prompt logs, and the files of episodes it does not reach are
+    removed at its end: it writes what a clean run of its config writes.
     """
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
-    if not config.backtest["resume"]:
+    if config.backtest["resume"]:
+        gateway = LlmGateway(gateway.backend, gateway.min_interval, writer.read_prompt_logs())
+    else:
         writer.clear_outputs()
     writer.write_config(config)
-    done = writer.completed_episodes(config.backtest["max_episodes"]) \
-        if config.backtest["resume"] else []
-    store, counts = writer.read_checkpoint(done[-1], market.calendar) if done \
-        else (MemoryStore(calendar=market.calendar), {})
-    engine = BacktestEngine(config, market, gateway, store, writer)
-    engine.router.restore_counts(counts)
-    trajectories = [writer.read_trajectory(k, config.backtest["discount_alpha"]) for k in done]
-    updates = [writer.read_belief(k) for k in done[1:]]
+    engine = BacktestEngine(config, market, gateway, MemoryStore(calendar=market.calendar),
+                            writer)
+    trajectories: list[Trajectory] = []
+    updates = []
+    # the between-episode gateway calls: conceptualize and belief_update
+    belief_update_calls = 0
 
     def beliefs() -> dict[str, str]:
         return updates[-1].beliefs if updates else {}
@@ -1145,23 +1130,29 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     while not converged():
         k = len(trajectories) + 1
-        trajectory = engine.run_episode(beliefs(), k, config.train_start, config.train_end)
-        trajectories.append(trajectory)
-        if k >= 2:
-            update = compare_and_update(
-                trajectories[-2], trajectory, beliefs(), gateway,
-                {aid: p.role for aid, p in engine.analysts.items()},
-                min_run=config.risk["min_run_length"],
-                max_retries=config.llm["max_retries"],
-                insights_prev=updates[-1].insights_cur if updates else None)
-            updates.append(update)
-            writer.write_belief(k, update)
-            engine.router.send(RISK_CONTROL, MANAGER, "belief_update")
-            for target in update.target_agents:
-                if target != MANAGER:
-                    engine.router.send(MANAGER, target, "belief_update")
-        writer.write_checkpoint(k, engine.store, engine.router.counts_by_kind())
+        log: list[dict] = []
+        trajectories.append(engine.run_episode(beliefs(), k, config.train_start,
+                                               config.train_end, log))
+        try:
+            if k >= 2:
+                episode_calls = len(log)
+                update = compare_and_update(
+                    trajectories[-2], trajectories[-1], beliefs(), gateway,
+                    {aid: p.role for aid, p in engine.analysts.items()},
+                    min_run=config.risk["min_run_length"],
+                    max_retries=config.llm["max_retries"],
+                    insights_prev=updates[-1].insights_cur if updates else None, log=log)
+                belief_update_calls += len(log) - episode_calls
+                updates.append(update)
+                writer.write_belief(k, update)
+                engine.router.send(RISK_CONTROL, MANAGER, "belief_update")
+                for target in update.target_agents:
+                    if target != MANAGER:
+                        engine.router.send(MANAGER, target, "belief_update")
+        finally:
+            writer.write_prompt_log(k, log)
 
+    writer.clear_outputs(keep=len(trajectories))
     writer.write_prompt_set(beliefs())
     writer.write_memory(engine.store)
     _write_report(writer, config, trajectories[-1])
@@ -1170,7 +1161,7 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
         "objectives": [t.objective for t in trajectories],
         "taus": [u.learning_rate for u in updates],
         "belief_updates": len(updates),
-        "belief_update_calls": len(updates),
+        "belief_update_calls": belief_update_calls,
         "message_count": engine.router.count(),
     })
     return trajectories, updates
@@ -1198,7 +1189,9 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     writer.write_config(config)
     engine = BacktestEngine(config, market, gateway, training.read_memory(market.calendar),
                             writer)
-    trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end)
+    log: list[dict] = []
+    trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end, log)
+    writer.write_prompt_log("test", log)
     report = _write_report(writer, config, trajectory)
     writer.write_memory(engine.store)
     writer.write_summary("test_summary.json", {

@@ -137,17 +137,21 @@ def open_input(path: Path, newline: str | None = None):
 
 def read_jsonl_objects(path: str | Path, keys: tuple[str, ...]):
     """Yield ``(row_no, record)`` for each row of a JSONL input file whose
-    every row is a JSON object holding each of ``keys``.
+    every row is a JSON object holding a JSON string at each of ``keys``.
 
     SchemaError(row, None) for a row that is not an object, and
-    SchemaError(row, key) naming the first key a row lacks.
+    SchemaError(row, key) naming the first key a row lacks or holds
+    something other than a string at.
     """
     for row_no, _, rec in read_jsonl_lines(path):
         if not isinstance(rec, dict):
             raise SchemaError(row_no, None, f"{path}: row {row_no} is not a JSON object")
         for key in keys:
             if key not in rec:
-                raise SchemaError(row_no, key, f"{path}: missing {key}")
+                raise SchemaError(row_no, key, f"{path}: missing {key} in row {row_no}")
+            if not isinstance(rec[key], str):
+                raise SchemaError(row_no, key, f"{path}: row {row_no}: {key} must be a "
+                                  f"JSON string, got {type(rec[key]).__name__}")
         yield row_no, rec
 
 
@@ -321,9 +325,9 @@ def load_documents(path: str | Path) -> list[TextDocument]:
                                                  "body")):
         if rec["kind"] not in DOCUMENT_KINDS:
             raise SchemaError(row_no, "kind", f"{path}: unknown kind {rec['kind']!r}")
-        if not str(rec["body"]).strip():
+        if not rec["body"].strip():
             raise SchemaError(row_no, "body", f"{path}: empty body")
-        doc_id = str(rec["doc_id"])
+        doc_id = rec["doc_id"]
         if doc_id in seen_ids:
             raise SchemaError(row_no, "doc_id", f"{path}: duplicate doc_id {doc_id!r}")
         seen_ids.add(doc_id)
@@ -334,10 +338,10 @@ def load_documents(path: str | Path) -> list[TextDocument]:
                               f"{path}: bad date {rec['published']!r}") from None
         docs.append(TextDocument(
             doc_id=doc_id,
-            ticker=str(rec["ticker"]),
-            kind=str(rec["kind"]),
+            ticker=rec["ticker"],
+            kind=rec["kind"],
             published=published,
-            body=str(rec["body"]),
+            body=rec["body"],
         ))
     return docs
 

@@ -230,16 +230,13 @@ class ScriptedBackend:
 
 
 def load_mock_script(path: str | Path) -> ScriptedBackend:
-    """Load a JSONL mock script; a duplicate (role_tag, step_key) or a
-    response that is not a string is an error."""
+    """Load a JSONL mock script; a duplicate (role_tag, step_key) is an error,
+    as is a field that is not a string (``read_jsonl_objects``)."""
     entries: dict[tuple[str, str], str] = {}
     for row_no, rec in read_jsonl_objects(path, ("role_tag", "step_key", "response")):
-        lookup = (str(rec["role_tag"]), str(rec["step_key"]))
+        lookup = (rec["role_tag"], rec["step_key"])
         if lookup in entries:
             raise SchemaError(row_no, "step_key", f"{path}: duplicate entry for {lookup}")
-        if not isinstance(rec["response"], str):
-            raise SchemaError(row_no, "response", f"{path}: row {row_no}: response must be "
-                              f"a JSON string, got {type(rec['response']).__name__}")
         entries[lookup] = rec["response"]
     return ScriptedBackend(entries)
 
@@ -315,11 +312,17 @@ _CORRECTIVE_SUFFIX = (
 
 
 class LlmGateway:
-    """Wraps one backend with schema validation, retries and rate limiting."""
+    """Wraps one backend with schema validation, retries and rate limiting.
 
-    def __init__(self, backend, min_interval: float = 0.0):
+    ``answers`` maps ``(role_tag, step_key)`` to a prompt-log record's
+    ``(system, user, response)`` (``ask``): a request with the logged prompts
+    gets the logged response, skipping the rate limit and the backend.
+    """
+
+    def __init__(self, backend, min_interval: float = 0.0, answers: dict | None = None):
         self.backend = backend
         self.min_interval = min_interval
+        self.answers = answers or {}
         self._lock = threading.Lock()
         self._last_call = 0.0
 
@@ -338,11 +341,16 @@ class LlmGateway:
             validator = SCHEMAS[request.output_schema]
         except KeyError:
             raise ValueError(f"unregistered output schema {request.output_schema!r}") from None
+        logged = self.answers.get((request.role_tag, request.step_key))
         attempt_request = request
         last_error = ""
         for _ in range(request.max_retries + 1):
-            self._throttle()
-            raw = self.backend.generate(attempt_request)
+            if logged is not None and logged[:2] == (attempt_request.system_prompt,
+                                                     attempt_request.user_prompt):
+                raw = logged[2]
+            else:
+                self._throttle()
+                raw = self.backend.generate(attempt_request)
             try:
                 parsed = parse_json_response(raw)
                 validated = validator(parsed, request.context)
@@ -355,3 +363,11 @@ class LlmGateway:
                 )
         raise SchemaViolationAfterRetries(
             f"{request.role_tag}/{request.step_key}: {last_error}")
+
+    def ask(self, request: CompletionRequest) -> tuple[dict, dict]:
+        """``complete``'s parsed output, and the request's prompt-log record:
+        its prompts and the raw reply that validated."""
+        out = self.complete(request)
+        return out.parsed, {"agent_id": request.role_tag, "step_key": request.step_key,
+                            "system": request.system_prompt, "user": request.user_prompt,
+                            "response": out.raw_text}

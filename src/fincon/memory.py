@@ -358,11 +358,11 @@ class MemoryStore:
     def save_jsonl(self, path) -> None:
         """Snapshot every event, one JSON object per line, sorted by id.
 
-        Each event's line is encoded once and again only after its access
-        bonus changes, so repeated snapshots of a growing store stay cheap.
         An event ``load_jsonl`` read keeps the line it was read from (stripped,
-        ending in a newline) until its bonus changes, so a snapshot this
-        method wrote loads and saves back byte for byte.
+        ending in a newline) until its access bonus changes, and an event
+        encoded once keeps its line likewise. So a test stage that writes
+        back its inherited snapshot encodes only its new and boosted events,
+        and a snapshot this method wrote loads and saves back byte for byte.
         """
         with self._lock:
             events = sorted(self._events.items())

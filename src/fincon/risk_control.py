@@ -177,24 +177,6 @@ class BeliefUpdate:
     def __post_init__(self):
         check_belief_block(self.beliefs)
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "BeliefUpdate":
-        """The update a belief file holds; KeyError, TypeError or ValueError
-        when the record does not describe one."""
-        rate = rec["learning_rate"]
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise TypeError(f"learning_rate must be a number, got {rate!r}")
-        return cls(
-            episode_pair=tuple(rec["episode_pair"]),
-            winner=rec["winner"],
-            insights_prev=tuple(ConceptInsight(**c) for c in rec["insights_prev"]),
-            insights_cur=tuple(ConceptInsight(**c) for c in rec["insights_cur"]),
-            meta_prompt=rec["meta_prompt"],
-            learning_rate=float(rate),
-            target_agents=tuple(rec["target_agents"]),
-            beliefs=rec["beliefs"],
-        )
-
 
 def extract_runs(pnls, min_len: int = 2) -> list[dict]:
     """Maximal runs of consecutive positive or consecutive negative PnL days.
@@ -224,13 +206,33 @@ def render_day_record(record) -> str:
             f"reasoning={record.reasoning} insights=[{insights}]")
 
 
+def _ask(gateway: LlmGateway, log: list, key: str, task: str, user: str,
+         schema: str, max_retries: int) -> dict:
+    """One between-episode request: temperature 0, answered in the aspect
+    vocabulary; its prompt-log record is appended to ``log``."""
+    parsed, record = gateway.ask(CompletionRequest(
+        role_tag=RISK_CONTROL,
+        system_prompt=f"You are the risk-control component of a trading team. {task}",
+        user_prompt=user,
+        output_schema=schema,
+        temperature=0.0,
+        max_retries=max_retries,
+        step_key=key,
+        context={"aspect_vocabulary": ASPECTS},
+    ))
+    log.append(record)
+    return parsed
+
+
 def conceptualize(trajectory: "Trajectory", analyst_roles, gateway: LlmGateway,
-                  min_run: int = 2, max_retries: int = 2) -> list[ConceptInsight]:
+                  min_run: int = 2, max_retries: int = 2, *,
+                  log: list) -> list[ConceptInsight]:
     """Distill a trajectory's sustained winning/losing runs into per-aspect insights.
 
-    Runs one temperature-0 gateway call, as every between-episode call does.
-    Returns an empty list without calling the gateway when no run of at
-    least ``min_run`` consecutive positive or negative days exists.
+    Runs one temperature-0 gateway call, as every between-episode call does,
+    its prompt-log record going to ``log``. Returns an empty list without
+    calling the gateway when no run of at least ``min_run`` consecutive
+    positive or negative days exists.
     """
     pnls = [day.pnl for day in trajectory.days]
     runs = extract_runs(pnls, min_len=min_run)
@@ -251,18 +253,10 @@ def conceptualize(trajectory: "Trajectory", analyst_roles, gateway: LlmGateway,
         f"{aspect_list}. Cover the analyst perspectives ({', '.join(analyst_roles)}) "
         "that contributed to these outcomes."
     )
-    request = CompletionRequest(
-        role_tag=RISK_CONTROL,
-        system_prompt="You are the risk-control component of a trading team. "
-                      "You attribute episode performance to information aspects.",
-        user_prompt=user_prompt,
-        output_schema="conceptual_insights",
-        temperature=0.0,
-        max_retries=max_retries,
-        step_key=step_key(trajectory.episode, trajectory.days[-1].date, "conceptualize"),
-        context={"aspect_vocabulary": ASPECTS},
-    )
-    parsed = gateway.complete(request).parsed
+    parsed = _ask(gateway, log,
+                  step_key(trajectory.episode, trajectory.days[-1].date, "conceptualize"),
+                  "You attribute episode performance to information aspects.",
+                  user_prompt, "conceptual_insights", max_retries)
     ordered = [a for a in ASPECTS if a in parsed["insights"]]
     return [ConceptInsight(aspect=a, text=parsed["insights"][a]) for a in ordered]
 
@@ -280,7 +274,8 @@ def aspects_in_text(text: str) -> list[str]:
 def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[str, str],
                        gateway: LlmGateway, analysts: dict[str, str],
                        min_run: int = 2, max_retries: int = 2,
-                       insights_prev: tuple[ConceptInsight, ...] | None = None):
+                       insights_prev: tuple[ConceptInsight, ...] | None = None, *,
+                       log: list):
     """One over-episode belief update from two adjacent training episodes.
 
     Conceptualizes the current trajectory, and the previous one unless its
@@ -290,7 +285,7 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[
     optimization direction (meta prompt) and rewrites the belief block
     ``beliefs`` with edit aggressiveness scaled by the overlap. Returns the
     BeliefUpdate, which holds the rewritten block. Tie on objectives prefers
-    the current episode.
+    the current episode. Each call's prompt-log record goes to ``log``.
     """
     if not h_prev.days or not h_cur.days:
         raise IncompleteEpisode("both episodes must contain trading days")
@@ -300,9 +295,9 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[
     analyst_roles = sorted(set(analysts.values()))
     if insights_prev is None:
         insights_prev = conceptualize(h_prev, analyst_roles, gateway, min_run=min_run,
-                                      max_retries=max_retries)
+                                      max_retries=max_retries, log=log)
     insights_cur = conceptualize(h_cur, analyst_roles, gateway, min_run=min_run,
-                                 max_retries=max_retries)
+                                 max_retries=max_retries, log=log)
     tau = overlap_percentage(h_prev.action_labels(), h_cur.action_labels())
 
     def fmt(insights):
@@ -325,18 +320,9 @@ def compare_and_update(h_prev: "Trajectory", h_cur: "Trajectory", beliefs: dict[
         "with a JSON object {\"meta_prompt\": <direction>, \"beliefs\": "
         "{<aspect>: <belief>}} using only the known aspect keys."
     )
-    request = CompletionRequest(
-        role_tag=RISK_CONTROL,
-        system_prompt="You are the risk-control component of a trading team. "
-                      "You optimize the team's investment beliefs between episodes.",
-        user_prompt=user_prompt,
-        output_schema="belief_update",
-        temperature=0.0,
-        max_retries=max_retries,
-        step_key=step_key(k_cur, h_cur.days[-1].date, "belief_update"),
-        context={"aspect_vocabulary": ASPECTS},
-    )
-    parsed = gateway.complete(request).parsed
+    parsed = _ask(gateway, log, step_key(k_cur, h_cur.days[-1].date, "belief_update"),
+                  "You optimize the team's investment beliefs between episodes.",
+                  user_prompt, "belief_update", max_retries)
     meta_prompt = parsed["meta_prompt"]
     touched = aspects_in_text(meta_prompt)
     target_agents = [MANAGER] + sorted(

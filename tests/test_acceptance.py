@@ -239,7 +239,7 @@ def test_criterion_09_no_look_ahead(tmp_path):
     def prompts(run_dir):
         lines = (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()
         return [json.loads(l) for l in lines
-                if json.loads(l)["phase"] in ("analyze", "decide")]
+                if json.loads(l)["step_key"].endswith((":analyze", ":decide"))]
 
     assert prompts(run_a) == prompts(run_b)
     _report(9, "divergent day-t+1 data left every day-t decision, weight and "

@@ -2,17 +2,20 @@ import ast
 import itertools
 import json
 import math
+import re
 import shutil
 import statistics
 import sys
+import tempfile
 import threading
+import time
 from collections import Counter
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fincon import backtest
@@ -30,14 +33,17 @@ from fincon.backtest import (
     wilcoxon_signed_rank,
 )
 from fincon.errors import (
+    BackendUnavailable,
     ConfigError,
     EmptySeries,
     EmptyTrajectory,
     EpisodeAborted,
+    FinconError,
     InsufficientData,
     MissingTrainingArtifacts,
     MissingTrajectory,
     NonPositiveValue,
+    SchemaViolationAfterRetries,
     TooFewPairs,
     ZeroVolatility,
 )
@@ -666,7 +672,7 @@ class TestEngineSingleStock:
         trajs = []
         for k in (1, 2):
             trajs.append(engine.run_episode({}, k, config.train_start,
-                                            config.train_end))
+                                            config.train_end, []))
         n_instances = len(engine.analysts)
         expected = 0
         for traj in trajs:
@@ -728,7 +734,7 @@ class TestEnginePortfolio:
         def decision_prompts(run_dir):
             entries = [json.loads(line) for line in
                        (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()]
-            return [e for e in entries if e["phase"] in ("analyze", "decide")]
+            return [e for e in entries if e["step_key"].endswith((":analyze", ":decide"))]
 
         assert decision_prompts(run_a) == decision_prompts(run_b)
 
@@ -767,9 +773,10 @@ class TestTrainTestDrivers:
         requested = {k: n for k, n in backend.keys.items() if k.endswith(":conceptualize")}
         assert requested == {key: 1 for key in scripted}
 
-        # a resumed session reads the restored update's insights back from
-        # its belief file, so it conceptualizes only the episode it runs
-        for name in ("trajectory_4.jsonl", "state/checkpoint_4.json"):
+        # a resume replays every logged answer, so with episode 4's log gone
+        # it asks again only for episode 4's calls, and conceptualizes that
+        # episode once
+        for name in ("trajectory_4.jsonl", "prompts/assembled_4.jsonl"):
             (tmp_path / "run" / name).unlink()
         backend = CountingBackend(fix.script_path)
         backtest.train(resume_config(fix), LlmGateway(backend), tmp_path / "run")
@@ -868,70 +875,6 @@ class TestTrainTestDrivers:
         # belief update asked for once
         assert between_episode_keys(keys) == scripted
 
-    def test_crash_while_writing_checkpoint_memory_resumes_cleanly(self, tmp_path,
-                                                                   monkeypatch):
-        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
-                                         analyst_roles=("data_analyst",))
-        config = RunConfig.load(fix.config_path)
-        backtest.train(config, make_gateway(fix), tmp_path / "ref")
-
-        class Crash(Exception):
-            pass
-
-        save = backtest.MemoryStore.save_jsonl
-        saved = []
-
-        def save_then_crash_on_second(self, path):
-            # the second snapshot is episode 2's checkpoint memory: leave it
-            # half written, as a process killed mid-write would
-            save(self, path)
-            saved.append(path)
-            if len(saved) == 2:
-                data = Path(path).read_bytes()
-                Path(path).write_bytes(data[:len(data) // 2])
-                raise Crash
-
-        run_dir = tmp_path / "resumable"
-        with monkeypatch.context() as patch:
-            patch.setattr(backtest.MemoryStore, "save_jsonl", save_then_crash_on_second)
-            with pytest.raises(Crash):
-                backtest.train(config, make_gateway(fix), run_dir)
-        assert saved[1] == run_dir / "state" / "memory_2.jsonl"
-        assert not (run_dir / "state" / "checkpoint_2.json").exists()
-
-        backtest.train(resume_config(fix), make_gateway(fix), run_dir)
-        assert_same_run_dir(run_dir, tmp_path / "ref")
-
-    def test_crash_while_writing_checkpoint_file_resumes_cleanly(self, tmp_path,
-                                                                 monkeypatch):
-        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
-                                         analyst_roles=("data_analyst",))
-        config = RunConfig.load(fix.config_path)
-        backtest.train(config, make_gateway(fix), tmp_path / "ref")
-
-        class Crash(Exception):
-            pass
-
-        write_text = Path.write_text
-
-        def crash_writing_checkpoint_2(self, data, *args, **kwargs):
-            # episode 2's checkpoint file: truncate it and stop before its
-            # bytes land, as a process killed mid-write would
-            if self.name.startswith("checkpoint_2.json"):
-                write_text(self, "")
-                raise Crash
-            return write_text(self, data, *args, **kwargs)
-
-        run_dir = tmp_path / "resumable"
-        with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_text", crash_writing_checkpoint_2)
-            with pytest.raises(Crash):
-                backtest.train(config, make_gateway(fix), run_dir)
-        assert (run_dir / "state" / "memory_2.jsonl").exists()
-
-        backtest.train(resume_config(fix), make_gateway(fix), run_dir)
-        assert_same_run_dir(run_dir, tmp_path / "ref")
-
     def test_resume_after_convergence_runs_no_further_episode(self, tmp_path,
                                                                monkeypatch):
         # constant directions overlap fully, so training converges at episode 2 of 3
@@ -948,25 +891,24 @@ class TestTrainTestDrivers:
         def interrupt(self, prompts):
             raise Interrupted
 
-        # stop after the converged episode's checkpoint, before the final artifacts
+        # stop after the converged episode's log, before the final artifacts
         run_dir = tmp_path / "resumable"
         with monkeypatch.context() as patch:
             patch.setattr(backtest.RunWriter, "write_prompt_set", interrupt)
             with pytest.raises(Interrupted):
                 backtest.train(config, make_gateway(fix), run_dir)
-        assert (run_dir / "state" / "checkpoint_2.json").exists()
+        assert (run_dir / "prompts" / "assembled_2.jsonl").exists()
         assert not (run_dir / "prompts" / "final").exists()
 
-        backtest.train(resume_config(fix), make_gateway(fix), run_dir)
-        assert not (run_dir / "trajectory_3.jsonl").exists()
-        for name in ("prompts/final/prompt_set.json", "memory/snapshot.jsonl",
-                     "report.json", "train_summary.json"):
-            assert (run_dir / name).read_bytes() == \
-                (tmp_path / "ref" / name).read_bytes(), name
+        backend = CountingBackend(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend), run_dir)
+        assert not backend.keys
+        assert_same_run_dir(run_dir, tmp_path / "ref")
 
     def test_resume_with_a_smaller_episode_cap_restores_up_to_the_cap(self, tmp_path):
-        """A finished 3-episode run resumed with max_episodes=2 restores
-        episodes 1 and 2 only, runs none, and ends as a 2-episode run."""
+        """A finished 3-episode run resumed with max_episodes=2 replays
+        episodes 1 and 2 from its logs, asks the backend nothing, and leaves
+        the directory a clean 2-episode run writes: episode 3's files go."""
         fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
                                          analyst_roles=("data_analyst",))
         run_dir = tmp_path / "run"
@@ -980,11 +922,8 @@ class TestTrainTestDrivers:
         trajs, updates = backtest.train(RunConfig.from_dict(two, fix.root),
                                         LlmGateway(backend), run_dir)
         assert [t.episode for t in trajs] == [1, 2] and len(updates) == 1
-        assert not backend.keys  # no model call: nothing re-runs
-        for name in ("prompts/final/prompt_set.json", "memory/snapshot.jsonl",
-                     "report.json", "metrics.csv", "train_summary.json"):
-            assert (run_dir / name).read_bytes() == \
-                (tmp_path / "ref" / name).read_bytes(), name
+        assert not backend.keys  # every answer is replayed
+        assert_same_run_dir(run_dir, tmp_path / "ref")
 
     def test_train_run_dir_resolves_against_the_config_directory(self, tmp_path,
                                                                   monkeypatch):
@@ -1247,7 +1186,7 @@ class TestTrainTestDrivers:
         assert last["reflections"] == [{"trigger": last["trigger"],
                                         "text": f"Lesson recorded on {last_day.isoformat()}"}]
         prompts = (tmp_path / "pooled" / "prompts" / "assembled_1.jsonl").read_text()
-        assert json.loads(prompts.splitlines()[-1])["phase"] == "reflect"
+        assert json.loads(prompts.splitlines()[-1])["step_key"].endswith(":reflect")
 
         caller = threading.current_thread()
         reflected = {key[1].split(":")[1]: thread for key, thread in backend.threads.items()
@@ -1317,13 +1256,29 @@ class TestTrainTestDrivers:
         backtest.test(RunConfig.from_dict(payload, fix.root), make_gateway(fix), run_dir)
         writer = backtest.RunWriter(run_dir)
         writer.write_failed(3, [], "EpisodeAborted: stopped")
+        # what a write that a crash cut short leaves beside its file
+        (run_dir / "prompts" / "assembled_3.jsonl.tmp").write_text("{\"agent")
         foreign = ["notes.txt", "trajectory_x.jsonl", "trajectory_03.jsonl",
-                   "state/memory_1.jsonl.bak", "beliefs/episode_2.json.orig"]
+                   "prompts/assembled_1.jsonl.bak", "beliefs/episode_2.json.orig"]
         for name in foreign:
             (run_dir / name).write_text("kept\n")
         writer.clear_outputs()
         left = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()}
         assert left == {"config.used.json", *foreign}
+
+    def test_readme_run_directory_block_matches_the_layout(self):
+        """The README's run-directory block names every file ``RunWriter``
+        writes, as its patterns with ``<k>`` for the tag, and nothing else."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Run directory", 1)[1].split("\n### ", 1)[0]
+        block = section.split("```\n", 1)[1].split("```", 1)[0]
+        documented = set()
+        for line in block.splitlines():
+            # the names open the line: one, or several joined by ", " or " / "
+            names = re.match(r"[\w<>./]+(?:(?:, | / )[\w<>./]+)*", line)[0]
+            documented |= {name.replace("<k>", "{}") for name in re.split(", | / ", names)}
+        writer = backtest.RunWriter
+        assert documented == {"config.used.json", *writer.EPISODE_FILES, *writer.FINAL_FILES}
 
     def test_recompute_report_missing_trajectory(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1,
@@ -1332,6 +1287,296 @@ class TestTrainTestDrivers:
         (tmp_path / "empty_run").mkdir()
         with pytest.raises(MissingTrajectory):
             backtest.recompute_report(tmp_path / "empty_run", config)
+
+
+class Crash(Exception):
+    """A process killed at this point: nothing after it reaches the disk."""
+
+
+class Flaky(ScriptedBackend):
+    """The fixture's script as a scripted backend, so every call runs on the
+    engine thread in a fixed order, failing its ``n``-th call as a backend
+    that went away does."""
+
+    def __init__(self, script_path, n: int):
+        super().__init__(load_mock_script(script_path).entries)
+        self.n = n
+
+    def generate(self, request):
+        if self.calls + 1 == self.n:
+            self.calls += 1
+            raise BackendUnavailable(f"call {self.n} interrupted")
+        return super().generate(request)
+
+
+class Strict(ScriptedBackend):
+    """The fixture's script, failing the test on any request ``logged``
+    answers: a resume must replay those."""
+
+    def __init__(self, script_path, logged):
+        super().__init__(load_mock_script(script_path).entries)
+        self.logged = set(logged)
+
+    def generate(self, request):
+        key = (request.role_tag, request.step_key)
+        assert key not in self.logged, f"{key} was logged, yet asked again"
+        return super().generate(request)
+
+
+def interrupted_session(monkeypatch, config, fix, run_dir, where, n, frac) -> None:
+    """One training session into ``run_dir``, interrupted at its ``n``-th
+    backend call (``where`` "call"), or killed inside its ``n``-th file
+    write after ``frac`` of the bytes (``where`` "write"); it may end before
+    the interruption comes."""
+    state = {"writes": 0, "dead": False}
+
+    def stop_or_count() -> bool:
+        """Whether this write is the one the kill cuts short; Crash for any
+        write after it."""
+        if state["dead"]:
+            raise Crash
+        state["writes"] += 1
+        state["dead"] = where == "write" and state["writes"] == n
+        return state["dead"]
+
+    write_text, save_jsonl = Path.write_text, MemoryStore.save_jsonl
+
+    def cut_write_text(path, data, *args, **kwargs):
+        if stop_or_count():
+            write_text(path, data[:int(len(data) * frac)], *args, **kwargs)
+            raise Crash
+        return write_text(path, data, *args, **kwargs)
+
+    def cut_save_jsonl(store, path):
+        if stop_or_count():
+            save_jsonl(store, path)
+            data = Path(path).read_bytes()
+            Path(path).write_bytes(data[:int(len(data) * frac)])
+            raise Crash
+        save_jsonl(store, path)
+
+    backend = Flaky(fix.script_path, n if where == "call" else 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", cut_write_text)
+        patch.setattr(MemoryStore, "save_jsonl", cut_save_jsonl)
+        try:
+            backtest.train(config, LlmGateway(backend), run_dir)
+        except (Crash, FinconError):
+            pass
+
+
+@pytest.fixture(scope="module")
+def three_episodes(tmp_path_factory):
+    """A 3-episode news + data fixture and its uninterrupted training run."""
+    root = tmp_path_factory.mktemp("three_episodes")
+    fix = build_single_stock_fixture(root, n_train=8, episodes=3, news_every=3)
+    backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), root / "ref")
+    return fix, root / "ref"
+
+
+# (where, n, frac): the fixture's run makes 74 backend calls and 14 file writes
+INTERRUPTION = st.tuples(st.just("call"), st.integers(1, 80), st.just(0.0)) | st.tuples(
+    st.just("write"), st.integers(1, 16), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(first=INTERRUPTION, second=st.none() | INTERRUPTION)
+@example(first=("call", 30, 0.0), second=None)  # mid-episode 2
+@example(first=("call", 72, 0.0), second=("call", 1, 0.0))  # a between-episode call
+@example(first=("write", 5, 0.5), second=("write", 3, 0.3))  # inside a prompt log
+def test_resume_after_any_interruption_writes_the_uninterrupted_run(
+        three_episodes, monkeypatch, first, second):
+    """Interrupted at any model call or inside any file write, then resumed,
+    itself interrupted in some examples, training writes the uninterrupted
+    run's files, and the last resume asks the backend for nothing the logs
+    answer."""
+    fix, ref = three_episodes
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        # every answer a session logged, which no later session may lose
+        logged = set()
+        for config, interruption in ((RunConfig.load(fix.config_path), first),
+                                     (resume_config(fix), second)):
+            if interruption is not None:
+                interrupted_session(monkeypatch, config, fix, run_dir, *interruption)
+                logged |= backtest.RunWriter(run_dir).read_prompt_logs().keys()
+        backtest.train(resume_config(fix), LlmGateway(Strict(fix.script_path, logged)),
+                       run_dir)
+        assert_same_run_dir(run_dir, ref)
+
+
+class TestResumeByReplay:
+    def test_resume_at_another_position_size_equals_a_clean_run(self, tmp_path):
+        """Resume re-runs every episode under its own config: only the logged
+        answers carry over, so a resume at position size 0.5 of a run at 1.0
+        writes a clean 0.5 run's files."""
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        half = dict(fix.payload, backtest={"max_episodes": 3, "position_size": 0.5})
+        clean, _ = backtest.train(RunConfig.from_dict(half, fix.root), make_gateway(fix),
+                                  tmp_path / "ref")
+        old = backtest.RunWriter(run_dir).read_prompt_logs()
+        new = backtest.RunWriter(tmp_path / "ref").read_prompt_logs()
+        changed = {key for key, (system, user, _) in new.items()
+                   if old.get(key, (None, None))[:2] != (system, user)}
+        assert changed and len(changed) < len(new)
+
+        half["backtest"] = dict(half["backtest"], resume=True)
+        backend = CountingBackend(fix.script_path)
+        resumed, _ = backtest.train(RunConfig.from_dict(half, fix.root), LlmGateway(backend),
+                                    run_dir)
+        assert [t.objective for t in resumed] == [t.objective for t in clean]
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+        # the backend is asked exactly the requests the new size changed
+        assert set(backend.keys) == {step for _, step in changed}
+
+    def test_resume_after_an_abort_asks_only_from_the_failed_call_on(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+        victim = f"2:{fix.train_days[6].isoformat()}:decide"
+        lines = fix.script_path.read_text().splitlines()
+        broken = fix.root / "broken.jsonl"
+        broken.write_text("".join(l + "\n" for l in lines if victim not in l))
+        run_dir = tmp_path / "run"
+        with pytest.raises(EpisodeAborted):
+            backtest.train(config, LlmGateway(load_mock_script(broken)), run_dir)
+        def logged(run, k):
+            return {json.loads(line)["step_key"] for line in
+                    (run / "prompts" / f"assembled_{k}.jsonl").read_text().splitlines()}
+
+        # the aborted episode's log holds every reply filed before the failure
+        partial = logged(run_dir, 2)
+        assert partial and partial < logged(tmp_path / "ref", 2) and victim not in partial
+
+        backend = CountingBackend(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend), run_dir)
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+        assert set(backend.keys) == logged(run_dir, 2) - partial | logged(run_dir, 3)
+        assert victim in backend.keys and set(backend.keys.values()) == {1}
+
+    def test_resume_of_a_completed_run_asks_nothing_and_never_waits(self, tmp_path,
+                                                                     monkeypatch):
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        shutil.copytree(run_dir, tmp_path / "ref")
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        backend = CountingBackend(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend, min_interval=3600.0), run_dir)
+        assert not backend.keys
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
+    def test_replayed_answer_failing_validation_takes_the_corrective_retry(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=2,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        shutil.copytree(run_dir, tmp_path / "ref")
+        # the logged decision cites a memory id the re-run's store lacks
+        key = f"1:{fix.train_days[3].isoformat()}:decide"
+        path = run_dir / "prompts" / "assembled_1.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record["step_key"] == key:
+                reply = json.loads(record["response"])
+                reply["cited_memory_ids"] = ["data_analyst:SYN:9:2022-01-03:insight"]
+                record["response"] = json.dumps(reply)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        class Recording(CountingBackend):
+            def __init__(self, script_path):
+                super().__init__(script_path)
+                self.requests = []
+
+            def generate(self, request):
+                self.requests.append(request)
+                return super().generate(request)
+
+        backend = Recording(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend), run_dir)
+        assert backend.keys == {key: 1}
+        assert "cited_memory_ids not found in memory" in backend.requests[0].user_prompt
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
+    def test_each_training_log_is_written_once_and_atomically(self, tmp_path, monkeypatch):
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        atomic = []
+        write_atomic = backtest._write_atomic
+
+        def record(path, text):
+            atomic.append(path.relative_to(tmp_path / "run").as_posix())
+            write_atomic(path, text)
+
+        monkeypatch.setattr(backtest, "_write_atomic", record)
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), tmp_path / "run")
+        logs = [name for name in atomic if name.startswith("prompts/")]
+        assert logs == [f"prompts/assembled_{k}.jsonl" for k in (1, 2, 3)]
+
+    def test_failed_belief_update_keeps_its_episodes_lines(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=2,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+        key = f"2:{fix.train_days[-1].isoformat()}:belief_update"
+        broken = break_reply(fix.script_path, "risk_control", key)
+        run_dir = tmp_path / "run"
+        with pytest.raises(SchemaViolationAfterRetries):
+            backtest.train(config, LlmGateway(load_mock_script(broken)), run_dir)
+        logged = [json.loads(line)["step_key"] for line in
+                  (run_dir / "prompts" / "assembled_2.jsonl").read_text().splitlines()]
+        want = [json.loads(line)["step_key"] for line in
+                (tmp_path / "ref" / "prompts" / "assembled_2.jsonl").read_text().splitlines()]
+        assert logged == want[:-1] and want[-1] == key
+
+        backend = CountingBackend(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend), run_dir)
+        assert backend.keys == {key: 1}
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
+    def test_belief_update_calls_count_the_between_episode_calls(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=4, news_every=4)
+        run_dir = tmp_path / "run"
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        scripted = between_episode_keys(
+            Counter(key for _, key in load_mock_script(fix.script_path).entries))
+        logged = between_episode_keys(Counter(
+            json.loads(line)["step_key"] for k in (1, 2, 3, 4)
+            for line in (run_dir / "prompts" / f"assembled_{k}.jsonl").read_text().splitlines()))
+        assert logged == scripted and len(scripted) == 4 + 3
+        summary = json.loads((run_dir / "train_summary.json").read_text())
+        assert summary["belief_updates"] == 3
+        assert summary["belief_update_calls"] == 7
+
+
+@settings(max_examples=15, deadline=None)
+@given(growth=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=12),
+       directions=st.lists(st.sampled_from(["long", "short", "neutral"]),
+                           min_size=1, max_size=12),
+       n_train=st.integers(2, 14), min_history=st.integers(0, 6))
+def test_engine_days_equal_the_oracle_trace(growth, directions, n_train, min_history):
+    """Each trained day's PnL, CVaR, alert and trigger equal the hand
+    simulation's on drawn price paths and direction scripts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fix = build_single_stock_fixture(
+            Path(tmp), n_train=n_train, episodes=1, analyst_roles=("data_analyst",),
+            growth=lambda i: growth[i % len(growth)],
+            directions_fn=lambda episode, t: directions[t % len(directions)],
+            min_history=min_history)
+        trajectories, _ = backtest.train(RunConfig.load(fix.config_path), make_gateway(fix),
+                                         Path(tmp) / "run")
+    got = [(d.pnl, d.cvar, d.alert, d.trigger) for d in trajectories[0].days]
+    assert got == [(t.pnl, t.rho, t.alert, t.trigger) for t in fix.traces[1]]
 
 
 # --- run directory ownership ----------------------------------------------------

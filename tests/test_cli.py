@@ -43,20 +43,6 @@ def edit_lines(corrupt):
     return edit
 
 
-def edit_json(**fields):
-    """A run-file edit: set each field of the file's JSON object, or delete it
-    for None."""
-    def edit(path):
-        payload = json.loads(path.read_text())
-        for key, value in fields.items():
-            if value is None:
-                del payload[key]
-            else:
-                payload[key] = value
-        path.write_text(json.dumps(payload))
-    return edit
-
-
 class TestValidateData:
     def test_clean_fixtures_exit_zero(self, tmp_path, capsys):
         fix = build_fixture(tmp_path)
@@ -106,18 +92,23 @@ class TestValidateData:
         assert message in capsys.readouterr().err
 
     def test_document_ids_compare_as_stored_text(self, tmp_path, capsys):
-        """A list doc_id is stored as its text; 1 and "1" are the same id."""
+        """A doc_id is a JSON string, compared as stored: "01" and "1" are two
+        ids, a second "1" is a duplicate, and a number is no id at all."""
         fix = build_fixture(tmp_path, news_every=3)
         path = fix.root / "docs.jsonl"
         docs = [json.loads(line) for line in path.read_text().splitlines()]
-        docs[0]["doc_id"] = [1]
+        docs[0]["doc_id"], docs[1]["doc_id"] = "01", "1"
         write_documents(path, docs)
         assert main(["validate-data", "--config", str(fix.config_path)]) == 0
-        docs[0]["doc_id"], docs[1]["doc_id"] = 1, "1"
+        docs[0]["doc_id"] = "1"
         write_documents(path, docs)
-        code = main(["validate-data", "--config", str(fix.config_path)])
-        assert code == 1
+        assert main(["validate-data", "--config", str(fix.config_path)]) == 1
         assert "docs.jsonl: duplicate doc_id '1'" in capsys.readouterr().err
+        docs[0]["doc_id"] = 1
+        write_documents(path, docs)
+        assert main(["validate-data", "--config", str(fix.config_path)]) == 1
+        assert "docs.jsonl: row 1: doc_id must be a JSON string, got int" \
+            in capsys.readouterr().err
 
 
 class TestTrain:
@@ -164,53 +155,27 @@ class TestTrain:
         assert "malformed backend response" in capsys.readouterr().err
         assert (tmp_path / "run" / "trajectory_1.FAILED.jsonl").exists()
 
-    def test_resume_from_corrupt_checkpoint_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        # a record as logged before records held the reply
+        (edit_first_record(response=None), "assembled_1.jsonl: missing response in row 1"),
+        (edit_first_record(response={"insight": "up"}),
+         "assembled_1.jsonl: row 1: response must be a JSON string, got dict"),
+        (edit_first_record(user=None), "assembled_1.jsonl: missing user in row 1"),
+        (lambda lines: lines[:1] + ["[1, 2]"] + lines[1:],
+         "assembled_1.jsonl: row 2 is not a JSON object"),
+        (lambda lines: lines[:2] + ['{"agent_id": "manager", "step'] + lines[2:],
+         "assembled_1.jsonl: invalid JSON"),
+    ], ids=["no_response", "response_not_a_string", "no_user", "not_an_object",
+            "not_json"])
+    def test_resume_from_a_bad_prompt_log_exit_one(self, tmp_path, capsys, edit, message):
+        """Resume reads only the prompt logs; a record that does not fit
+        exits 1 naming the log and row."""
         fix = build_fixture(tmp_path)
         run_dir = tmp_path / "run"
         args = ["train", "--config", str(fix.config_path),
                 "--mock-script", str(fix.script_path), "--run-dir", str(run_dir)]
         assert main(args) == 0
-        checkpoint = run_dir / "state" / "checkpoint_2.json"
-        checkpoint.write_bytes(checkpoint.read_bytes()[:-40])
-        assert main(args + ["--override", "backtest.resume=true"]) == 1
-        assert "checkpoint_2.json: invalid JSON" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name, edit, message", [
-        ("beliefs/episode_2.json", edit_json(learning_rate=None),
-         "episode_2.json: not a belief update (KeyError: 'learning_rate')"),
-        ("beliefs/episode_2.json", edit_json(insights_cur=0.5),
-         "episode_2.json: not a belief update (TypeError"),
-        ("beliefs/episode_2.json", edit_json(learning_rate="high"),
-         "episode_2.json: not a belief update (TypeError"),
-        ("beliefs/episode_2.json", edit_json(insights_prev=[None]),
-         "episode_2.json: not a belief update (TypeError"),
-        ("state/checkpoint_2.json", edit_json(message_counts={"insight": "7"}),
-         "checkpoint_2.json: 'message_counts' is not a map of counts"),
-        ("beliefs/episode_2.json", edit_json(beliefs={"astrology": "read the stars"}),
-         "episode_2.json: not a belief update (ValueError: belief_block key 'astrology'"),
-        ("beliefs/episode_2.json",
-         edit_json(insights_cur=[{"aspect": "astrology", "text": "read the stars"}]),
-         "episode_2.json: not a belief update (ValueError: unknown aspect 'astrology'"),
-        ("beliefs/episode_2.json", lambda path: path.write_bytes(path.read_bytes()[:-40]),
-         "episode_2.json: invalid JSON"),
-        ("beliefs/episode_2.json", lambda path: path.unlink(), "episode_2.json"),
-        ("state/checkpoint_2.json", edit_json(message_counts=None),
-         "checkpoint_2.json: 'message_counts' is not a map of counts"),
-        ("trajectory_1.jsonl", edit_lines(edit_first_record(pnl=None)),
-         "trajectory_1.jsonl: row 1 is not a day record"),
-    ], ids=["missing", "not_a_list", "not_numeric", "null_entry", "text_count",
-            "unknown_belief_aspect", "unknown_insight_aspect", "truncated_belief_file",
-            "missing_belief_file", "missing_counts", "trajectory_record"])
-    def test_resume_from_checkpoint_bad_field_exit_one(self, tmp_path, capsys, name, edit,
-                                                       message):
-        """Resume rebuilds the training state from the checkpoint and the
-        belief files; a file that does not fit exits 1 naming it."""
-        fix = build_fixture(tmp_path)
-        run_dir = tmp_path / "run"
-        args = ["train", "--config", str(fix.config_path),
-                "--mock-script", str(fix.script_path), "--run-dir", str(run_dir)]
-        assert main(args) == 0
-        edit(run_dir / name)
+        edit_lines(edit)(run_dir / "prompts" / "assembled_1.jsonl")
         assert main(args + ["--override", "backtest.resume=true"]) == 1
         assert message in capsys.readouterr().err
 
@@ -371,7 +336,7 @@ class TestProfiles:
                   "manager": "Custom manager of SYN.\n\n"}
         assert {e["agent_id"] for e in entries} == set(custom)
         for entry in entries:
-            assert entry["system"].startswith(custom[entry["agent_id"]]), entry["phase"]
+            assert entry["system"].startswith(custom[entry["agent_id"]]), entry["step_key"]
 
     def test_profile_file_with_a_bad_placeholder_exit_one(self, tmp_path, capsys):
         fix = build_fixture(tmp_path, extra_config={"agents": {
@@ -503,7 +468,7 @@ class TestTestCommand:
         for entry in news:
             assert entry["system"].endswith(
                 "Current investment belief for your aspect:\n"
-                "v2: trust sentiment only with volume."), entry["date"]
+                "v2: trust sentiment only with volume."), entry["step_key"]
 
     def test_corrupt_inherited_snapshot_exit_one(self, tmp_path, capsys):
         fix = build_fixture(tmp_path, n_test=4)

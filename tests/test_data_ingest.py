@@ -371,6 +371,22 @@ class TestDocuments:
             load_documents(tmp_path / "d.jsonl")
         assert (err.value.row, err.value.column) == (1, "published")
 
+    @pytest.mark.parametrize("key", ["doc_id", "ticker", "kind", "published", "body"])
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, {"a": 1}, [1]],
+                             ids=["null", "int", "float", "bool", "object", "array"])
+    def test_field_that_is_not_a_string(self, tmp_path, key, value):
+        """Each field is a JSON string: anything else names its row and key,
+        rather than loading as the value's Python text."""
+        docs = [{"doc_id": "a", "ticker": "SYN", "kind": "news",
+                 "published": "2022-01-04", "body": "x"}]
+        docs.append({**docs[0], "doc_id": "b", key: value})
+        write_documents(tmp_path / "d.jsonl", docs)
+        with pytest.raises(SchemaError) as err:
+            load_documents(tmp_path / "d.jsonl")
+        assert (err.value.row, err.value.column) == (2, key)
+        assert f"row 2: {key} must be a JSON string, got {type(value).__name__}" \
+            in str(err.value)
+
     def test_duplicate_doc_id(self, tmp_path):
         write_documents(tmp_path / "d.jsonl", [
             {"doc_id": "a", "ticker": "SYN", "kind": "news",

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import struct
 import sys
 import tempfile
@@ -217,6 +218,36 @@ def test_test_stage_from_a_list_form_training_directory(tmp_path):
     got = stage_digests(root, ("test",))
     differing = [name for name in sorted(got) if got[name] != want[name]]
     assert differing == sorted(f"{case}/test/memory/snapshot.jsonl" for case in CASES)
+
+
+def test_test_stage_from_a_training_directory_without_logged_replies(tmp_path):
+    """A training directory as written before prompt logs held the replies
+    (records with ``date`` and ``phase``, no between-episode requests) and
+    beside a ``state/`` directory gives the golden test stage: the test
+    stage reads neither."""
+    want = json.loads(GOLDEN.read_text())
+    root = tmp_path.resolve()
+    run_digests(root)
+    for case in CASES:
+        fixture = root / case / "fixture"
+        train = fixture / "train"
+        for log in train.glob("prompts/assembled_*.jsonl"):
+            records = []
+            for line in log.read_text().splitlines():
+                record = json.loads(line)
+                del record["response"]
+                _, day, phase = record.pop("step_key").split(":")
+                if phase not in ("conceptualize", "belief_update"):
+                    records.append({**record, "date": day, "phase": phase})
+            log.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        (train / "state").mkdir()
+        shutil.copy(train / "memory" / "snapshot.jsonl", train / "state" / "memory_1.jsonl")
+        (train / "state" / "checkpoint_1.json").write_text(
+            '{"episode": 1, "message_counts": {"insight": 1}}\n')
+        shutil.rmtree(fixture / "test")
+        _in_fixture(fixture, ("test",))
+    assert stage_digests(root, ("test",)) == {
+        name: digest for name, digest in want.items() if name.split("/")[1] == "test"}
 
 
 if __name__ == "__main__":

@@ -75,6 +75,19 @@ class TestMockScript:
         with pytest.raises(SchemaError):
             load_mock_script(path)
 
+    @pytest.mark.parametrize("key", ["role_tag", "step_key", "response"])
+    @pytest.mark.parametrize("value", [None, 1, {"a": 1}, ["x"]],
+                             ids=["null", "int", "object", "array"])
+    def test_field_that_is_not_a_string(self, tmp_path, key, value):
+        """A line ``{"role_tag": null, "step_key": 1, ...}`` names its row and
+        key rather than loading under the key ('None', '1')."""
+        entries = [decision_entry("1:2022-01-03:decide"),
+                   dict(decision_entry("1:2022-01-04:decide"), **{key: value})]
+        with pytest.raises(SchemaError) as err:
+            load_mock_script(write_script(tmp_path / "s.jsonl", entries))
+        assert (err.value.row, err.value.column) == (2, key)
+        assert f"row 2: {key} must be a JSON string" in str(err.value)
+
     def test_deterministic_repeat_lookups(self, tmp_path):
         backend = load_mock_script(write_script(tmp_path / "s.jsonl", [
             decision_entry("1:2022-01-03:decide")]))

@@ -228,7 +228,7 @@ class TestConceptualize:
     def test_all_neutral_trajectory_yields_empty_without_gateway(self):
         traj = make_trajectory([0.0] * 8)
         backend = ScriptableBackend({})
-        got = conceptualize(traj, ["data_analyst"], LlmGateway(backend))
+        got = conceptualize(traj, ["data_analyst"], LlmGateway(backend), log=[])
         assert got == []
         assert backend.requests == []
 
@@ -237,7 +237,7 @@ class TestConceptualize:
         backend = ScriptableBackend({"conceptualize": json.dumps(
             {"insights": {"historical momentum": "ride trends",
                           "news insights": "watch headlines"}})})
-        got = conceptualize(traj, ["data_analyst"], LlmGateway(backend))
+        got = conceptualize(traj, ["data_analyst"], LlmGateway(backend), log=[])
         assert [c.aspect for c in got] == ["historical momentum", "news insights"]
         assert backend.requests[0].temperature == 0.0
 
@@ -247,7 +247,7 @@ class TestConceptualize:
         traj = make_trajectory(pnls)
         backend = ScriptableBackend({"conceptualize": json.dumps(
             {"insights": {"historical momentum": "x"}})})
-        conceptualize(traj, ["data_analyst"], LlmGateway(backend))
+        conceptualize(traj, ["data_analyst"], LlmGateway(backend), log=[])
         prompt = backend.requests[0].user_prompt
         run_days = {traj.days[i].date.isoformat() for i in (1, 2, 3)}
         other_days = {traj.days[i].date.isoformat() for i in (0, 4, 5)}
@@ -265,7 +265,7 @@ class TestConceptualize:
             {"insights": {"astrology": "x"}})})
         from fincon.errors import SchemaViolationAfterRetries
         with pytest.raises(SchemaViolationAfterRetries):
-            conceptualize(traj, ["data_analyst"], LlmGateway(backend), max_retries=0)
+            conceptualize(traj, ["data_analyst"], LlmGateway(backend), max_retries=0, log=[])
 
 
 def belief_backend(meta="Focus on historical momentum and news insights."):
@@ -288,26 +288,33 @@ class TestCompareAndUpdate:
         prev = make_trajectory([0.01, 0.02], episode=1, objective=1.0)
         cur = make_trajectory([0.03, 0.04], episode=2, objective=2.0)
         update = compare_and_update(prev, cur, {},
-                                       LlmGateway(belief_backend()), ANALYSTS)
+                                       LlmGateway(belief_backend()), ANALYSTS, log=[])
         assert update.winner == 2
         prev.objective, cur.objective = 2.0, 1.0
         update = compare_and_update(prev, cur, {},
-                                       LlmGateway(belief_backend()), ANALYSTS)
+                                       LlmGateway(belief_backend()), ANALYSTS, log=[])
         assert update.winner == 1
 
     def test_tie_prefers_current_episode(self):
         prev = make_trajectory([0.01, 0.02], episode=3, objective=1.5)
         cur = make_trajectory([0.01, 0.02], episode=4, objective=1.5)
         update = compare_and_update(prev, cur, {},
-                                       LlmGateway(belief_backend()), ANALYSTS)
+                                       LlmGateway(belief_backend()), ANALYSTS, log=[])
         assert update.winner == 4
 
     def test_update_structure_matches_reported_aspect_set(self):
         prev = make_trajectory([0.01, 0.02, -0.01, -0.02], episode=1, objective=1.0)
         cur = make_trajectory([0.02, 0.01, 0.01, -0.02], episode=2, objective=2.0)
-        update = compare_and_update(prev, cur, {}, LlmGateway(belief_backend()), ANALYSTS)
+        backend, log = belief_backend(), []
+        update = compare_and_update(prev, cur, {}, LlmGateway(backend), ANALYSTS, log=log)
         assert set(update.beliefs) == {"historical momentum", "news insights",
                                        "Form 10-Q", "other aspects"}
+        # each call's record, in call order, with the reply that validated
+        assert [r["step_key"].split(":", 2)[::2] for r in log] == [
+            ["1", "conceptualize"], ["2", "conceptualize"], ["2", "belief_update"]]
+        assert [(r["system"], r["user"]) for r in log] == [
+            (q.system_prompt, q.user_prompt) for q in backend.requests]
+        assert log[-1]["response"] == backend.by_phase["belief_update"]
 
     def test_learning_rate_is_action_overlap(self):
         prev = make_trajectory([0.01] * 4, episode=1, objective=1.0,
@@ -315,7 +322,7 @@ class TestCompareAndUpdate:
         cur = make_trajectory([0.01] * 4, episode=2, objective=2.0,
                               directions=["long", "short", "long", "short"])
         update = compare_and_update(prev, cur, {},
-                                       LlmGateway(belief_backend()), ANALYSTS)
+                                       LlmGateway(belief_backend()), ANALYSTS, log=[])
         assert update.learning_rate == 0.5
 
     def test_target_agents_from_meta_prompt_aspects(self):
@@ -324,7 +331,7 @@ class TestCompareAndUpdate:
         update = compare_and_update(
             prev, cur, {},
             LlmGateway(belief_backend(meta="Lean harder on news insights only.")),
-            ANALYSTS)
+            ANALYSTS, log=[])
         assert update.target_agents == ("manager", "news_analyst:SYN")
 
     def test_edit_instruction_scales_with_tau(self):
@@ -332,7 +339,7 @@ class TestCompareAndUpdate:
         cur = make_trajectory([0.01] * 4, episode=2, objective=2.0, directions=["short"] * 4)
         backend = belief_backend()
         compare_and_update(prev, cur, {},
-                           LlmGateway(backend), ANALYSTS)
+                           LlmGateway(backend), ANALYSTS, log=[])
         update_prompt = backend.requests[-1].user_prompt
         assert "Substantially rewrite" in update_prompt
 
@@ -341,7 +348,7 @@ class TestCompareAndUpdate:
         cur = Trajectory(episode=2, days=[])
         with pytest.raises(IncompleteEpisode):
             compare_and_update(prev, cur, {},
-                               LlmGateway(belief_backend()), ANALYSTS)
+                               LlmGateway(belief_backend()), ANALYSTS, log=[])
 
 
 class TestAspectsInText:
