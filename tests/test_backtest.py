@@ -875,6 +875,71 @@ class TestTrainTestDrivers:
         # belief update asked for once
         assert between_episode_keys(keys) == scripted
 
+    def test_crash_while_writing_checkpoint_memory_resumes_cleanly(self, tmp_path,
+                                                                   monkeypatch):
+        """Killed inside the memory snapshot, training's last write, a run
+        resumes from its prompt logs alone and asks the backend nothing."""
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+
+        save = backtest.MemoryStore.save_jsonl
+        saved = []
+
+        def save_then_crash(self, path):
+            # leave the snapshot half written, as a process killed mid-write would
+            save(self, path)
+            saved.append(path)
+            data = Path(path).read_bytes()
+            Path(path).write_bytes(data[:len(data) // 2])
+            raise Crash
+
+        run_dir = tmp_path / "resumable"
+        with monkeypatch.context() as patch:
+            patch.setattr(backtest.MemoryStore, "save_jsonl", save_then_crash)
+            with pytest.raises(Crash):
+                backtest.train(config, make_gateway(fix), run_dir)
+        assert saved == [run_dir / "memory" / "snapshot.jsonl"]
+
+        backend = CountingBackend(fix.script_path)
+        backtest.train(resume_config(fix), LlmGateway(backend), run_dir)
+        assert not backend.keys
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
+    def test_crash_while_writing_checkpoint_file_resumes_cleanly(self, tmp_path,
+                                                                 monkeypatch):
+        """Killed inside episode 2's prompt log, the file a resume restarts
+        from, a run resumes from episode 1's log, asking the backend again
+        for no answer that log holds."""
+        fix = build_single_stock_fixture(tmp_path, n_train=8, episodes=3,
+                                         analyst_roles=("data_analyst",))
+        config = RunConfig.load(fix.config_path)
+        backtest.train(config, make_gateway(fix), tmp_path / "ref")
+
+        write_text = Path.write_text
+
+        def crash_writing_log_2(self, data, *args, **kwargs):
+            # half the log's bytes land, then the process dies
+            if self.name.startswith("assembled_2.jsonl"):
+                write_text(self, data[:len(data) // 2], *args, **kwargs)
+                raise Crash
+            return write_text(self, data, *args, **kwargs)
+
+        run_dir = tmp_path / "resumable"
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", crash_writing_log_2)
+            with pytest.raises(Crash):
+                backtest.train(config, make_gateway(fix), run_dir)
+        assert (run_dir / "prompts" / "assembled_1.jsonl").exists()
+        assert not (run_dir / "prompts" / "assembled_2.jsonl").exists()
+        logged = backtest.RunWriter(run_dir).read_prompt_logs().keys()
+        assert logged
+
+        backtest.train(resume_config(fix), LlmGateway(Strict(fix.script_path, logged)),
+                       run_dir)
+        assert_same_run_dir(run_dir, tmp_path / "ref")
+
     def test_resume_after_convergence_runs_no_further_episode(self, tmp_path,
                                                                monkeypatch):
         # constant directions overlap fully, so training converges at episode 2 of 3
