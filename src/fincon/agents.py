@@ -10,8 +10,8 @@ the price stream) and follows one aspect of the investment-belief block.
 ``analyst_report`` documents are ingested and stored but have no dedicated
 analyst in this six-role hierarchy, so they are not fanned out.
 
-Every step returns its request's prompt-log record (the prompts and the
-reply) alongside its result, so the run driver can log it verbatim.
+The analyst and reflection steps come in halves, ``*_request`` and ``*_step``
+(which records the reply). Each step returns its prompt-log record too.
 """
 
 from __future__ import annotations
@@ -297,11 +297,9 @@ def store_event(ctx: StepContext, agent_id: str, date: Date, tag: str, content: 
     ))
 
 
-def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: str,
-              user: str, schema: str, context: dict | None = None):
-    """Run one agent request through the gateway; returns the parsed output
-    and the prompt-log record (``LlmGateway.ask``)."""
-    return ctx.gateway.ask(CompletionRequest(
+def _request(ctx: StepContext, agent_id: str, date: Date, phase: str, system: str,
+             user: str, schema: str, context: dict | None = None) -> CompletionRequest:
+    return CompletionRequest(
         role_tag=agent_id,
         system_prompt=system,
         user_prompt=user,
@@ -310,25 +308,14 @@ def _complete(ctx: StepContext, agent_id: str, date: Date, phase: str, system: s
         max_retries=ctx.max_retries,
         step_key=step_key(ctx.episode, date, phase),
         context=context or {},
-    ))
+    )
 
 
-def analyst_step(profile: AgentProfile, belief_text: str | None,
-                 obs_slice: AnalystSlice, date: Date, ctx: StepContext):
-    """One analyst's daily distillation for its ticker, with the belief for
-    the analyst's aspect (None before the first belief update).
-
-    An analyst whose slice holds neither documents nor market data (a
-    textual analyst with nothing published today) returns a neutral
-    "no signal" message without calling the gateway (and stores nothing).
-    Otherwise the step retrieves top-K memories, runs the distillation
-    schema, stores the insight as a procedural memory event, and returns
-    (InsightMessage, prompt-log record).
-    """
-    if not obs_slice.calls_model:
-        message = InsightMessage(ticker=obs_slice.ticker, distilled_insight=NO_SIGNAL,
-                                 sentiment="neutral", indicators={})
-        return message, None
+def analyst_request(profile: AgentProfile, belief_text: str | None, obs_slice: AnalystSlice,
+                    date: Date, ctx: StepContext) -> CompletionRequest:
+    """An analyst's daily distillation request for a slice that ``calls_model``,
+    with its top-K memories and the belief for the analyst's aspect (None
+    before the first belief update)."""
     retrieved = _retrieve(ctx, profile, date, obs_slice.ticker)
     system = profile.system_header
     if belief_text:
@@ -343,8 +330,21 @@ def analyst_step(profile: AgentProfile, belief_text: str | None,
     if retrieved:
         parts.append("Relevant memories:\n" + render_memories(retrieved))
     parts.append(INSIGHT_INSTRUCTIONS)
-    parsed, log_entry = _complete(ctx, profile.agent_id, date, "analyze", system,
-                                  "\n\n".join(parts), "analyst_insight")
+    return _request(ctx, profile.agent_id, date, "analyze", system, "\n\n".join(parts),
+                    "analyst_insight")
+
+
+def analyst_step(profile: AgentProfile, obs_slice: AnalystSlice, date: Date,
+                 ctx: StepContext, reply: tuple[dict, dict] | None = None):
+    """Store ``reply``, ``ctx.gateway.ask`` of the ``analyst_request``, as a
+    procedural memory event; returns (InsightMessage, prompt-log record). A
+    slice with no documents or market data (a textual analyst with nothing
+    published today) gets a neutral "no signal" message and stores nothing."""
+    if not obs_slice.calls_model:
+        message = InsightMessage(ticker=obs_slice.ticker, distilled_insight=NO_SIGNAL,
+                                 sentiment="neutral", indicators={})
+        return message, None
+    parsed, log_entry = reply
     store_event(ctx, profile.agent_id, date, "insight",
                 f"[{obs_slice.ticker}] {parsed['insight']}",
                 profile.decay_ratio, parsed.get("importance"))
@@ -384,10 +384,10 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
         '"cited_memory_ids": [<memory id>...], "contributions": {<analyst id>: <note>}} '
         f"covering exactly these tickers: [{ticker_list}]."
     )
-    parsed, log_entry = _complete(
+    parsed, log_entry = ctx.gateway.ask(_request(
         ctx, MANAGER, date, "decide", system, "\n\n".join(parts), "manager_decision",
         {"tickers": list(tickers), "analysts": list(expected_analysts),
-         "known_memory_ids": ctx.store.all_ids()})
+         "known_memory_ids": ctx.store.all_ids()}))
     note_lines = "; ".join(f"{k}: {v}" for k, v in sorted(parsed["contributions"].items()))
     content = f"Decision {date.isoformat()}: " + ", ".join(
         f"{t}={parsed['actions'][t]}" for t in tickers)
@@ -403,18 +403,23 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
     return decision, log_entry
 
 
-def reflect_step(profile: AgentProfile, trigger: str, day_summary: str, date: Date,
-                 ctx: StepContext):
-    """Manager self-reflection requested by the within-episode risk trigger;
-    returns (reflection text, prompt-log record)."""
+def reflect_request(profile: AgentProfile, trigger: str, day_summary: str, date: Date,
+                    ctx: StepContext) -> CompletionRequest:
+    """The manager's self-reflection request on a within-episode alert."""
     user = "\n\n".join([
         f"Date: {date.isoformat()}",
         f"The risk-control component triggered a self-reflection ({trigger}).",
         f"Today's outcome: {day_summary}",
         REFLECTION_INSTRUCTIONS,
     ])
-    parsed, log_entry = _complete(ctx, MANAGER, date, "reflect", profile.system_header,
-                                  user, "reflection")
+    return _request(ctx, MANAGER, date, "reflect", profile.system_header, user, "reflection")
+
+
+def reflect_step(profile: AgentProfile, trigger: str, date: Date, ctx: StepContext,
+                 reply: tuple[dict, dict]):
+    """Store ``reply``, ``ctx.gateway.ask`` of the ``reflect_request``;
+    returns (reflection text, prompt-log record)."""
+    parsed, log_entry = reply
     store_event(ctx, MANAGER, date, f"reflection-{trigger}", parsed["reflection"],
                 profile.decay_ratio, None)
     return parsed["reflection"], log_entry

@@ -23,6 +23,7 @@ serialization so identical invocations produce byte-identical directories.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,7 +34,6 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +47,11 @@ from .agents import (
     AnalystSlice,
     Router,
     StepContext,
+    analyst_request,
     analyst_step,
     build_profiles,
     manager_step,
+    reflect_request,
     reflect_step,
     send_feedback,
     store_event,
@@ -82,7 +84,7 @@ from .errors import (
     TooFewPairs,
     ZeroVolatility,
 )
-from .llm_gateway import LlmGateway, ScriptedBackend
+from .llm_gateway import CompletionRequest, LlmGateway, ScriptedBackend
 from .memory import HashEmbedder, MemoryStore
 from .portfolio import (
     check_weight_signs,
@@ -691,6 +693,8 @@ class RunWriter:
                      "beliefs/episode_{}.json", "prompts/assembled_{}.jsonl")
     FINAL_FILES = ("prompts/final/prompt_set.json", "memory/snapshot.jsonl", "report.json",
                    "metrics.csv", "train_summary.json", "test_summary.json")
+    # the checkpoints runs wrote before resume replayed the prompt logs
+    STATE_FILES = ("state/checkpoint_{}.json", "state/memory_{}.jsonl")
     # a prompt-log record's fields (``LlmGateway.ask``); older logs lack the first
     LOG_FIELDS = ("response", "agent_id", "step_key", "system", "user")
 
@@ -700,18 +704,23 @@ class RunWriter:
     def clear_outputs(self, keep: int = 0) -> None:
         """Remove the episode and final-output files an earlier run left, and
         the ``.tmp`` files a cut-short ``_write_atomic`` left beside them, but
-        those of episodes 1 to ``keep``, and no other file."""
+        those of episodes 1 to ``keep``; every ``STATE_FILES`` file, and then
+        ``state/`` once it is empty; and no other file."""
         if not self.run_dir.is_dir():
             return
-        for pattern in self.EPISODE_FILES:
+        for pattern in self.EPISODE_FILES + self.STATE_FILES:
             head, tail = pattern.split("{}")
             name = re.compile(f"{re.escape(head)}([1-9][0-9]*|test){re.escape(tail)}(\\.tmp)?")
             for path in self.run_dir.glob(pattern.format("*") + "*"):
                 match = name.fullmatch(path.relative_to(self.run_dir).as_posix())
-                if match and (match[2] or not match[1].isdigit() or int(match[1]) > keep):
+                if match and (match[2] or not match[1].isdigit() or int(match[1]) > keep
+                              or pattern in self.STATE_FILES):
                     path.unlink()
         for name in self.FINAL_FILES:
             (self.run_dir / name).unlink(missing_ok=True)
+        state = self.run_dir / "state"
+        if state.is_dir() and not any(state.iterdir()):
+            state.rmdir()
 
     def path(self, *parts) -> Path:
         """A file to write, its directory created (ConfigError if it cannot be)."""
@@ -837,18 +846,18 @@ class BacktestEngine:
     Each day sends one batch of model calls: the manager's reflection on the
     previous day's alert, if there was one, then the analysts with input in
     agent-id order. The reflection's first reader is the next day's
-    decision, so it waits on the model beside that day's analysts. Its
-    reply, then the alert day's record, are filed before the analysts'
-    replies are read, so every output keeps the order of a run that
-    reflects at once. A last-day reflection runs after the loop. When the
-    batch holds two or more calls and the backend can wait, they fan out on
-    the episode's thread pool, shut down when the episode returns or fails.
-    The pool has one thread per analyst instance plus one for the
-    reflection, so every call of a batch waits on the model at once, unless
-    an integer ``agents.workers`` caps it. A ``ScriptedBackend`` answers
-    from memory, so a pool would only hand its calls between threads: they
-    run on the calling thread in batch order, as a batch of one call to any
-    backend does, and no pool thread starts.
+    decision, so it waits on the model beside that day's analysts; a
+    last-day reflection runs after the loop. The engine's thread builds every
+    request and records every reply in batch order, the reflection and the
+    alert day's record first, so every output keeps the order of a run that
+    reflects at once. A batch of two or more calls to a backend that can
+    wait fans its calls out on the episode's thread pool, each as soon as its
+    request is built; the pool is shut down when the episode returns or
+    fails. It has one thread per analyst instance plus one for the
+    reflection, unless an integer ``agents.workers`` caps it. A
+    ``ScriptedBackend`` answers from memory, so its calls run on the
+    engine's thread, as a batch of one call to any backend does, and no pool
+    thread starts.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -963,12 +972,11 @@ class BacktestEngine:
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
-        # an alert day's record and its reflection call, sent with the next
-        # day's batch
-        alerted: tuple[DayRecord, Callable] | None = None
+        # an alert day's record and its reflection request, sent with the next day's batch
+        alerted: tuple[DayRecord, CompletionRequest] | None = None
 
         def file_reflection(record: DayRecord, reply) -> None:
-            text, entry = reply
+            text, entry = reflect_step(self.manager, record.trigger, record.date, ctx, reply)
             record.reflections.append({"trigger": record.trigger, "text": text})
             log.append(entry)
             records.append(record)
@@ -978,33 +986,25 @@ class BacktestEngine:
             slices = {aid: self._analyst_slice(ROLES[p.role].source, p.ticker, obs, day)
                       for aid, p in self.analysts.items()}
 
-            def run_one(aid: str):
-                profile = self.analysts[aid]
-                return analyst_step(profile, beliefs.get(ROLES[profile.role].aspect),
-                                    slices[aid], day, ctx)
-
             # the day's batch: the previous day's reflection, if any, then the
-            # analysts with input in agent-id order. It fans out on the pool
-            # when its calls can wait on the model together; a batch of one
-            # call, or calls the scripted backend answers from memory, have
-            # nothing to overlap, so they run on this thread
-            calling = [aid for aid, obs_slice in slices.items() if obs_slice.calls_model]
-            batch = [partial(run_one, aid) for aid in calling]
+            # analysts with input in agent-id order. Only its model calls go
+            # to the pool, each as soon as its request is built here, and
+            # only when they can wait on the model together
+            requests = [] if alerted is None else [alerted[1]]
+            calls = len(requests) + sum(obs_slice.calls_model for obs_slice in slices.values())
+            fan_out = pool.map if self.pooled and calls > 1 else map
+            replies = fan_out(ctx.gateway.ask, itertools.chain(requests, (
+                analyst_request(p, beliefs.get(ROLES[p.role].aspect), slices[aid], day, ctx)
+                for aid, p in self.analysts.items() if slices[aid].calls_model)))
             if alerted is not None:
-                batch.insert(0, alerted[1])
-            fan_out = pool.map if self.pooled and len(batch) > 1 else map
-            results = fan_out(lambda call: call(), batch)
-            if alerted is not None:
-                file_reflection(alerted[0], next(results))
+                file_reflection(alerted[0], next(replies))
                 alerted = None
-            # logged as read, so a failing call leaves the earlier replies logged
-            replies = {}
-            for aid, (message, entry) in zip(calling, results):
-                replies[aid] = message
-                log.append(entry)
             insights = {}
-            for aid in self.analysts:
-                insights[aid] = replies[aid] if aid in replies else run_one(aid)[0]
+            for aid, obs_slice in slices.items():
+                reply = next(replies) if obs_slice.calls_model else None
+                insights[aid], entry = analyst_step(self.analysts[aid], obs_slice, day, ctx, reply)
+                if reply:
+                    log.append(entry)
                 self.router.send(aid, MANAGER, "insight")
 
             decision, entry = manager_step(self.manager, beliefs, insights, risk_state, day,
@@ -1053,15 +1053,15 @@ class BacktestEngine:
             if checked.alert:
                 day_summary = (f"PnL {r_t!r}, CVaR {rho_t!r} "
                                f"(previous {prev_rho!r}), trigger {trigger}.")
-                alerted = (record, partial(reflect_step, self.manager, trigger,
-                                           day_summary, day, ctx))
+                alerted = (record, reflect_request(self.manager, trigger, day_summary,
+                                                   day, ctx))
             else:
                 records.append(record)
             risk_state = checked
             prev_rho = rho_t
         # the last day's reflection has no next day to go with
         if alerted is not None:
-            file_reflection(alerted[0], alerted[1]())
+            file_reflection(alerted[0], ctx.gateway.ask(alerted[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1173,7 +1173,8 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     The within-episode risk control stays active; the belief-update machinery
     is never invoked, so test_summary.json records 0 belief-update calls.
-    ConfigError, before any write, when ``run_dir`` is the training directory.
+    ConfigError, before any write, when ``run_dir`` is the training directory;
+    else the files an earlier run left there go first (``clear_outputs``).
     Returns (trajectory, report).
     """
     train_dir = config.backtest["train_run_dir"]
@@ -1186,6 +1187,7 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     beliefs = training.read_belief_block()
     market = market if market is not None else load_market(config)
     writer = RunWriter(run_dir)
+    writer.clear_outputs()
     writer.write_config(config)
     engine = BacktestEngine(config, market, gateway, training.read_memory(market.calendar),
                             writer)

@@ -2,7 +2,7 @@
 
 Prices arrive as CSVs (``date,open,high,low,close,adj_close,volume``),
 documents as JSONL with one object per line. Loading validates every row;
-after that everything here is read-only and safe to share across workers.
+after that everything here is read-only.
 
 Trading days are defined by the price file of the first configured ticker.
 Documents published on non-trading days attach to the next trading day;

@@ -11,9 +11,8 @@ One store serves every agent in a run; ownership filters retrieval. Each
 owner's events are indexed in append-only columns (embedding rows, importance
 inputs, creation day and its trading-day position, found once at ``add``),
 so a query costs numpy work over that owner's events and no Python work per
-candidate. The store is safe for concurrent readers and writers (writes are
-serialized), and can be persisted to / restored from a JSONL snapshot so a
-test stage inherits the training stage's memory.
+candidate. The store can be persisted to / restored from a JSONL snapshot so
+a test stage inherits the training stage's memory.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
-import threading
 from collections.abc import KeysView
 from dataclasses import dataclass
 from datetime import date as Date
@@ -265,7 +263,7 @@ class _OwnerColumns:
 
 
 class MemoryStore:
-    """Event storage shared by all agents, indexed per owner; writes serialized.
+    """Event storage shared by all agents, indexed per owner.
 
     ``boost_access`` is the one way to change a stored event's access bonus.
     Every event of one owner must have the same embedding dim.
@@ -278,22 +276,20 @@ class MemoryStore:
         self._rows: dict[str, tuple[_OwnerColumns, int]] = {}
         # event_id -> (access bonus when encoded, snapshot line)
         self._encoded: dict[str, tuple[float, str]] = {}
-        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._events)
 
     def add(self, event: MemoryEvent) -> None:
-        with self._lock:
-            if event.event_id in self._events:
-                raise ValueError(f"duplicate event_id {event.event_id!r}")
-            cols = self._owners.get(event.owner)
-            if cols is None:
-                cols = _OwnerColumns(len(event.embedding))
-            row = cols.append(event, trading_position(self.calendar, event.created_at))
-            self._owners[event.owner] = cols
-            self._rows[event.event_id] = (cols, row)
-            self._events[event.event_id] = event
+        if event.event_id in self._events:
+            raise ValueError(f"duplicate event_id {event.event_id!r}")
+        cols = self._owners.get(event.owner)
+        if cols is None:
+            cols = _OwnerColumns(len(event.embedding))
+        row = cols.append(event, trading_position(self.calendar, event.created_at))
+        self._owners[event.owner] = cols
+        self._rows[event.event_id] = (cols, row)
+        self._events[event.event_id] = event
 
     def get(self, event_id: str) -> MemoryEvent:
         try:
@@ -307,11 +303,10 @@ class MemoryStore:
 
     def boost_access(self, event_id: str) -> None:
         """Add the fixed retrieval bonus to one event; cumulative across calls."""
-        with self._lock:
-            event = self.get(event_id)
-            event.access_bonus += ACCESS_BOOST
-            cols, row = self._rows[event_id]
-            cols.bonus[row] = event.access_bonus
+        event = self.get(event_id)
+        event.access_bonus += ACCESS_BOOST
+        cols, row = self._rows[event_id]
+        cols.bonus[row] = event.access_bonus
 
     def retrieve_top_k(self, query: MemoryQuery) -> list[ScoredEvent]:
         """Top-k events for the query's owner, ranked by combined score.
@@ -321,21 +316,19 @@ class MemoryStore:
         toward the newer event, then the lexicographically smaller event_id.
         """
         as_of = query.as_of.toordinal()
-        with self._lock:
-            cols = self._owners.get(query.owner)
-            if cols is None:
-                return []
-            n = cols.n
-            mask = cols.created[:n] <= as_of
-            if query.layer is not None:
-                mask &= cols.layer[:n] == _LAYER_CODE.get(query.layer, -1)
-            rows = np.flatnonzero(mask)
-            if rows.size == 0:
-                return []
-            # fancy indexing copies, so the arrays are safe to use unlocked
-            emb, v0, theta = cols.emb[rows], cols.v0[rows], cols.theta[rows]
-            bonus, created, pos = cols.bonus[rows], cols.created[rows], cols.pos[rows]
-            events = cols.events
+        cols = self._owners.get(query.owner)
+        if cols is None:
+            return []
+        n = cols.n
+        mask = cols.created[:n] <= as_of
+        if query.layer is not None:
+            mask &= cols.layer[:n] == _LAYER_CODE.get(query.layer, -1)
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            return []
+        emb, v0, theta = cols.emb[rows], cols.v0[rows], cols.theta[rows]
+        bonus, created, pos = cols.bonus[rows], cols.created[rows], cols.pos[rows]
+        events = cols.events
         dim = len(query.embedding)
         if emb.shape[1] != dim:
             raise DimensionMismatch(
@@ -364,10 +357,8 @@ class MemoryStore:
         back its inherited snapshot encodes only its new and boosted events,
         and a snapshot this method wrote loads and saves back byte for byte.
         """
-        with self._lock:
-            events = sorted(self._events.items())
         with open(path, "w", encoding="utf-8") as fh:
-            for event_id, event in events:
+            for event_id, event in sorted(self._events.items()):
                 cached = self._encoded.get(event_id)
                 if cached is None or cached[0] != event.access_bonus:
                     line = jsonl_line(event.to_record())

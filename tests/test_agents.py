@@ -23,9 +23,11 @@ from fincon.agents import (
     StepContext,
     TradingDecision,
     analyst_id,
+    analyst_request,
     analyst_step,
     build_profiles,
     manager_step,
+    reflect_request,
     reflect_step,
     send_feedback,
 )
@@ -63,6 +65,18 @@ def news_profile(ticker="SYN"):
 def doc(doc_id, body, kind="news", ticker="SYN", published=D0):
     return TextDocument(doc_id=doc_id, ticker=ticker, kind=kind,
                         published=published, body=body)
+
+
+def run_analyst(profile, belief_text, obs_slice, day, ctx):
+    """Both halves of an analyst's step, as the engine runs them."""
+    reply = ctx.gateway.ask(analyst_request(profile, belief_text, obs_slice, day, ctx))
+    return analyst_step(profile, obs_slice, day, ctx, reply)
+
+
+def run_reflect(profile, trigger, day_summary, day, ctx):
+    """Both halves of the manager's reflection, as the engine runs them."""
+    reply = ctx.gateway.ask(reflect_request(profile, trigger, day_summary, day, ctx))
+    return reflect_step(profile, trigger, day, ctx, reply)
 
 
 class TestTopology:
@@ -184,8 +198,7 @@ class TestProfiles:
 class TestAnalystStep:
     def test_day_with_no_news_yields_no_signal_without_gateway(self):
         ctx, backend = make_ctx()
-        message, entry = analyst_step(news_profile(), None,
-                                      AnalystSlice(ticker="SYN"), D0, ctx)
+        message, entry = analyst_step(news_profile(), AnalystSlice(ticker="SYN"), D0, ctx)
         assert message.distilled_insight == NO_SIGNAL
         assert message.sentiment == "neutral"
         assert backend.calls == 0
@@ -206,7 +219,7 @@ class TestAnalystStep:
                 embedding=ctx.embedder.embed(content), initial_importance=0.5,
                 decay_ratio=0.9, created_at=date(2022, 3, 1)))
         slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"), doc("n2", "b")))
-        message, entry = analyst_step(news_profile(), "belief text", slice_, D0, ctx)
+        message, entry = run_analyst(news_profile(), "belief text", slice_, D0, ctx)
         assert message.distilled_insight == "scripted insight"
         assert "[news_analyst:SYN:0:0]" in entry["user"]
         assert "[news_analyst:SYN:0:1]" in entry["user"]
@@ -230,14 +243,45 @@ class TestAnalystStep:
         profile = AgentProfile(agent_id="data_analyst:SYN", role="data_analyst", ticker="SYN",
                                profile_text="data role", general_config="task",
                                decay_ratio=0.9)
-        message, entry = analyst_step(profile, None,
-                                      AnalystSlice(ticker="SYN",
-                                                   indicators={"momentum": mom},
-                                                   price_line="close=110.0"),
-                                      days[-1], ctx)
+        message, entry = run_analyst(profile, None,
+                                     AnalystSlice(ticker="SYN",
+                                                  indicators={"momentum": mom},
+                                                  price_line="close=110.0"),
+                                     days[-1], ctx)
         assert abs(message.indicators["momentum"] - 0.10) < 1e-12
         assert "momentum" in entry["user"]
 
+
+    def test_request_calls_no_backend_and_stores_nothing(self):
+        key = f"1:{D0.isoformat()}:analyze"
+        ctx, backend = make_ctx({("news_analyst:SYN", key): json.dumps(
+            {"insight": "scripted insight", "sentiment": "positive"})})
+        slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"),))
+        request = analyst_request(news_profile(), "belief text", slice_, D0, ctx)
+        assert backend.calls == 0
+        assert len(ctx.store) == 0
+        assert (request.role_tag, request.step_key) == ("news_analyst:SYN", key)
+        assert request.output_schema == "analyst_insight"
+        assert "belief text" in request.system_prompt and "n1" in request.user_prompt
+
+    def test_step_records_the_reply_as_one_event(self):
+        key = f"1:{D0.isoformat()}:analyze"
+        ctx, backend = make_ctx({("news_analyst:SYN", key): json.dumps(
+            {"insight": "scripted insight", "sentiment": "positive"})})
+        slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"),))
+        request = analyst_request(news_profile(), None, slice_, D0, ctx)
+        reply = ctx.gateway.ask(request)
+        message, entry = analyst_step(news_profile(), slice_, D0, ctx, reply)
+        assert backend.calls == 1
+        assert len(ctx.store) == 1
+        assert ctx.store.get(f"news_analyst:SYN:1:{D0.isoformat()}:insight").content == \
+            "[SYN] scripted insight"
+        assert message == InsightMessage(ticker="SYN", distilled_insight="scripted insight",
+                                         sentiment="positive", indicators={})
+        assert entry == reply[1] == {
+            "agent_id": "news_analyst:SYN", "step_key": key,
+            "system": request.system_prompt, "user": request.user_prompt,
+            "response": json.dumps({"insight": "scripted insight", "sentiment": "positive"})}
 
 def decide_entries(day, actions, cited=(), episode=1, contributions=None):
     return {(MANAGER, f"{episode}:{day.isoformat()}:decide"): json.dumps(
@@ -331,10 +375,32 @@ class TestReflectStep:
     def test_reflection_stored_with_trigger(self):
         key = f"1:{D0.isoformat()}:reflect"
         ctx, _ = make_ctx({(MANAGER, key): json.dumps({"reflection": "be careful"})})
-        text, entry = reflect_step(manager_profile(), "negative_pnl", "PnL -0.01", D0, ctx)
+        text, entry = run_reflect(manager_profile(), "negative_pnl", "PnL -0.01", D0, ctx)
         assert text == "be careful"
         assert ctx.store.get(f"manager:1:{D0.isoformat()}:reflection-negative_pnl")
         assert "negative_pnl" in entry["user"]
+
+    def test_request_calls_no_backend_and_stores_nothing(self):
+        key = f"1:{D0.isoformat()}:reflect"
+        ctx, backend = make_ctx({(MANAGER, key): json.dumps({"reflection": "be careful"})})
+        request = reflect_request(manager_profile(), "negative_pnl", "PnL -0.01", D0, ctx)
+        assert backend.calls == 0
+        assert len(ctx.store) == 0
+        assert (request.role_tag, request.step_key) == (MANAGER, key)
+        assert "PnL -0.01" in request.user_prompt
+
+    def test_step_records_the_reply_as_one_event(self):
+        key = f"1:{D0.isoformat()}:reflect"
+        ctx, _ = make_ctx({(MANAGER, key): json.dumps({"reflection": "be careful"})})
+        request = reflect_request(manager_profile(), "negative_pnl", "PnL -0.01", D0, ctx)
+        reply = ctx.gateway.ask(request)
+        text, entry = reflect_step(manager_profile(), "negative_pnl", D0, ctx, reply)
+        assert text == "be careful"
+        assert len(ctx.store) == 1
+        assert ctx.store.get(f"manager:1:{D0.isoformat()}:reflection-negative_pnl").content == \
+            "be careful"
+        assert entry == reply[1]
+        assert (entry["system"], entry["user"]) == (request.system_prompt, request.user_prompt)
 
 
 class TestSendFeedback:

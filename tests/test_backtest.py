@@ -1284,6 +1284,57 @@ class TestTrainTestDrivers:
         dates = [json.loads(line).get("date") for line in failed.decode().splitlines()]
         assert dates[:-1] == [d.isoformat() for d in fix.train_days[:t]]
 
+    def test_every_memory_store_call_runs_on_the_engine_thread(self, tmp_path, monkeypatch):
+        """Pool threads only wait on the model: through a backend the engine
+        fans out, with news days, deferred reflections, and decisions that
+        cite memories on days feedback boosts them, every store call of a
+        train and a test stage runs on the engine thread."""
+        fix = build_single_stock_fixture(
+            tmp_path, n_train=8, n_test=4, episodes=2, news_every=2,
+            extra_config={"backtest": {"feedback_threshold_mult": 0.5}})
+        # each decision cites the stage's previous decision
+        lines = []
+        for line in fix.script_path.read_text().splitlines():
+            entry = json.loads(line)
+            tag, day, phase = entry["step_key"].split(":")
+            days = fix.test_days if tag == "test" else fix.train_days
+            t = [d.isoformat() for d in days].index(day) if phase == "decide" else 0
+            if t:
+                reply = json.loads(entry["response"])
+                reply["cited_memory_ids"] = [f"manager:{tag}:{days[t - 1].isoformat()}:decision"]
+                entry["response"] = json.dumps(reply)
+            lines.append(json.dumps(entry))
+        fix.script_path.write_text("\n".join(lines) + "\n")
+
+        calls: dict[str, set] = {}
+
+        def recorded(name):
+            method = getattr(MemoryStore, name)
+
+            def call(*args, **kwargs):
+                calls.setdefault(name, set()).add(threading.current_thread())
+                return method(*args, **kwargs)
+            return call
+
+        names = ("add", "retrieve_top_k", "boost_access", "all_ids", "save_jsonl")
+        for name in names:
+            monkeypatch.setattr(MemoryStore, name, recorded(name))
+        backend = CallThreads(fix.script_path)
+        backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
+                       tmp_path / "train")
+        payload = json.loads(fix.config_path.read_text())
+        payload["mode"] = "test"
+        payload["backtest"]["train_run_dir"] = str(tmp_path / "train")
+        backtest.test(RunConfig.from_dict(payload, fix.root), LlmGateway(backend),
+                      tmp_path / "test")
+
+        caller = threading.current_thread()
+        pooled = {key for key, thread in backend.threads.items() if thread is not caller}
+        assert any(key[1].endswith(":analyze") for key in pooled)
+        assert any(key[1].endswith(":reflect") for key in pooled)
+        assert set(calls) == set(names)
+        assert all(threads == {caller} for threads in calls.values()), calls
+
     def test_rerun_at_another_position_size_aborted_and_resumed_equals_a_clean_run(
             self, tmp_path):
         """A fresh train removes the earlier run's episodes, so resume after
@@ -1312,24 +1363,52 @@ class TestTrainTestDrivers:
         fix = build_single_stock_fixture(tmp_path, n_train=6, n_test=4, episodes=2,
                                          analyst_roles=("data_analyst",))
         run_dir = tmp_path / "run"
-        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
-        # a test stage refuses its training directory, so it inherits from a
-        # copy, and the run directory ends up holding every kind of run file
-        shutil.copytree(run_dir, tmp_path / "train")
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), tmp_path / "train")
         payload = dict(fix.payload, mode="test",
                        backtest={"train_run_dir": str(tmp_path / "train")})
-        backtest.test(RunConfig.from_dict(payload, fix.root), make_gateway(fix), run_dir)
+        backtest.test(RunConfig.from_dict(payload, fix.root), make_gateway(fix),
+                      tmp_path / "test")
+        # both stages clear their directory first, so the run directory that
+        # holds every kind of run file is made by merging the two
+        for stage in ("train", "test"):
+            shutil.copytree(tmp_path / stage, run_dir, dirs_exist_ok=True)
         writer = backtest.RunWriter(run_dir)
         writer.write_failed(3, [], "EpisodeAborted: stopped")
         # what a write that a crash cut short leaves beside its file
         (run_dir / "prompts" / "assembled_3.jsonl.tmp").write_text("{\"agent")
+        # the checkpoints runs wrote before resume replayed the prompt logs
+        state = run_dir / "state"
+        state.mkdir()
+        for name in ("checkpoint_1.json", "checkpoint_2.json", "memory_1.jsonl",
+                     "memory_12.jsonl", "checkpoint_3.json.tmp", "memory_3.jsonl.tmp"):
+            (state / name).write_text("old\n")
         foreign = ["notes.txt", "trajectory_x.jsonl", "trajectory_03.jsonl",
                    "prompts/assembled_1.jsonl.bak", "beliefs/episode_2.json.orig"]
         for name in foreign:
             (run_dir / name).write_text("kept\n")
+        writer.clear_outputs(keep=2)
+        # episodes 1 and 2 are kept, but no checkpoint
+        assert not state.exists()
+        assert (run_dir / "trajectory_2.jsonl").exists()
         writer.clear_outputs()
         left = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()}
         assert left == {"config.used.json", *foreign}
+        # a foreign file keeps state/
+        state.mkdir()
+        (state / "memory_1.jsonl").write_text("old\n")
+        (state / "notes.txt").write_text("kept\n")
+        writer.clear_outputs()
+        left = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file()}
+        assert left == {"config.used.json", "state/notes.txt", *foreign}
+
+    def test_fresh_train_removes_an_older_runs_state_directory(self, tmp_path):
+        fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=2,
+                                         analyst_roles=("data_analyst",))
+        run_dir = tmp_path / "run"
+        (run_dir / "state").mkdir(parents=True)
+        (run_dir / "state" / "memory_1.jsonl").write_text("old\n")
+        backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), run_dir)
+        assert not (run_dir / "state").exists()
 
     def test_readme_run_directory_block_matches_the_layout(self):
         """The README's run-directory block names every file ``RunWriter``
@@ -1650,7 +1729,7 @@ PACKAGE_DIR = Path(backtest.__file__).parent
 # the only code in the package that may change a file: every RunWriter method,
 # the atomic write, and the memory snapshot writer
 FILE_WRITERS = ("backtest.RunWriter", "backtest._write_atomic", "memory.MemoryStore.save_jsonl")
-FILE_CHANGING_METHODS = {"write_text", "write_bytes", "unlink", "mkdir"}
+FILE_CHANGING_METHODS = {"write_text", "write_bytes", "unlink", "mkdir", "rmdir"}
 
 
 def _writes_a_file(call: ast.Call) -> bool:
@@ -1712,6 +1791,7 @@ def test_only_the_run_writer_changes_files():
     ("replace(state, alert=True)", False),
     ("path.unlink(missing_ok=True)", True),
     ("path.parent.mkdir(parents=True)", True),
+    ("state.rmdir()", True),
     ("open(path, 'w')", True),
     ("open(path, mode='a', encoding='utf-8')", True),
     ("open(path, mode)", True),

@@ -635,6 +635,29 @@ class TestReport:
         for name in ("report.json", "metrics.csv"):
             assert (run_dir / name).read_bytes() == (two_dir / name).read_bytes(), name
 
+    def test_aborted_test_rerun_leaves_no_earlier_test_output(self, tmp_path):
+        """A test stage re-run into a completed test run's directory removes
+        the earlier run's files first, so when it aborts on the third test
+        day, ``report`` finds no trajectory instead of the earlier run's."""
+        fix = build_fixture(tmp_path, n_test=4, episodes=1)
+        train_dir, test_dir = tmp_path / "train", tmp_path / "test_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path), "--run-dir", str(train_dir)]) == 0
+        lines = [l for l in fix.script_path.read_text().splitlines()
+                 if f"test:{fix.test_days[2].isoformat()}:decide" not in l]
+        broken = fix.root / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        test = ["test", "--config", str(fix.config_path), "--run-dir", str(test_dir),
+                "--override", "mode=test", "--override", f"backtest.train_run_dir={train_dir}"]
+        assert main(test + ["--mock-script", str(fix.script_path)]) == 0
+        assert (test_dir / "trajectory_test.jsonl").exists()
+        assert main(test + ["--mock-script", str(broken)]) == 2
+        left = {p.relative_to(test_dir).as_posix() for p in test_dir.rglob("*") if p.is_file()}
+        assert left == {"config.used.json", "trajectory_test.FAILED.jsonl",
+                        "prompts/assembled_test.jsonl"}
+        assert main(["report", "--config", str(fix.config_path),
+                     "--run-dir", str(test_dir)]) == 1
+
     def test_recompute_matches_and_is_idempotent(self, tmp_path):
         fix = build_fixture(tmp_path)
         run_dir = tmp_path / "run"

@@ -1,8 +1,6 @@
 import base64
 import json
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -225,40 +223,6 @@ class TestRetrieveTopK:
             store.add(make_event("f", dim=16))
         store.add(make_event("g", owner="other", dim=16))
         assert "f" not in store.all_ids() and len(store) == 2
-
-
-    def test_concurrent_writers_keep_owner_columns_consistent(self):
-        # more threads than cores on one owner, switching often: a lost or
-        # misplaced row or bonus update makes a retrieval disagree with the oracle
-        n_threads, per_thread, rounds = 8, 300, 5
-        query = HashEmbedder(8).embed("q")
-        as_of = date(2022, 2, 1)
-
-        def work(store, t):
-            for i in range(per_thread):
-                event_id = f"t{t}-{i:03d}"
-                store.add(make_event(event_id, dim=8,
-                                     created=date(2022, 1, 3) + timedelta(days=i % 20)))
-                if i % 3 == 0:
-                    store.boost_access(event_id)
-                if i % 10 == 0:
-                    store.retrieve_top_k(MemoryQuery(query, as_of, 5, "agent"))
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(rounds):
-                store = MemoryStore()
-                with ThreadPoolExecutor(n_threads) as pool:
-                    list(pool.map(lambda t: work(store, t), range(n_threads), timeout=120))
-                events = [store.get(event_id) for event_id in store.all_ids()]
-                assert len(events) == len(store) == n_threads * per_thread
-                got = [s.event.event_id for s in store.retrieve_top_k(
-                    MemoryQuery(query, as_of, len(events), "agent"))]
-                assert got == [hit[0] for hit in
-                               oracle_top_k(events, query, as_of, len(events), "agent")]
-        finally:
-            sys.setswitchinterval(old)
 
 
 # --- retrieval against the per-event oracle in fixtures.py ------------------
