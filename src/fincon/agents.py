@@ -428,8 +428,9 @@ def reflect_step(profile: AgentProfile, trigger: str, date: Date, ctx: StepConte
 def send_feedback(decision: TradingDecision, realized_pnl: float,
                   threshold: float | None, reporting_analysts,
                   insights: dict[str, InsightMessage], date: Date,
-                  ctx: StepContext, router: Router) -> None:
-    """Manager feedback after a significant day: boosts and analyst notes.
+                  ctx: StepContext, router: Router) -> bool:
+    """Manager feedback after a significant day: boosts and analyst notes;
+    returns whether the day was significant.
 
     When |realized_pnl| reaches the threshold, every memory id cited in the
     decision gets the access bonus and each reporting analyst (a profile)
@@ -437,7 +438,7 @@ def send_feedback(decision: TradingDecision, realized_pnl: float,
     memory. Quiet days produce neither boosts nor messages.
     """
     if threshold is None or abs(realized_pnl) < threshold:
-        return
+        return False
     for event_id in decision.cited_memory_ids:
         ctx.store.boost_access(event_id)
     for profile in sorted(reporting_analysts, key=lambda p: p.agent_id):
@@ -446,3 +447,4 @@ def send_feedback(decision: TradingDecision, realized_pnl: float,
                 f"significant. Your insight was: {insights[aid].distilled_insight}")
         store_event(ctx, aid, date, "feedback", text, profile.decay_ratio, None)
         router.send(MANAGER, aid, "feedback")
+    return True

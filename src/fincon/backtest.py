@@ -1,8 +1,8 @@
 """Deterministic backtest harness around the manager-analyst hierarchy.
 
-The daily loop: assemble the observation, fan analyst steps out (a barrier
-waits for every instance) together with the reflection the prior day's
-alert asked for, check the risk state carried from the prior day's close,
+The daily loop: file the analyst steps (every instance reports) together
+with the reflection the prior day's alert asked for, send the next day's
+analyst requests, check the risk state carried from the prior day's close,
 run the manager decision (risk-averse clause when alerting), solve
 portfolio weights where applicable, realize PnL on the close-to-close
 transition, recompute CVaR and the within-episode trigger, and send
@@ -23,7 +23,6 @@ serialization so identical invocations produce byte-identical directories.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -31,7 +30,7 @@ import re
 import statistics
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from datetime import date as Date
 from pathlib import Path
@@ -840,24 +839,36 @@ class RunWriter:
 # engine
 # ---------------------------------------------------------------------------
 
+# a request, and the pool's call for its reply (None: asked for as it is filed)
+Sent = tuple[CompletionRequest, Future | None]
+
+
 class BacktestEngine:
     """Drives episodes over a loaded market with one gateway and one store.
 
-    Each day sends one batch of model calls: the manager's reflection on the
-    previous day's alert, if there was one, then the analysts with input in
-    agent-id order. The reflection's first reader is the next day's
-    decision, so it waits on the model beside that day's analysts; a
-    last-day reflection runs after the loop. The engine's thread builds every
-    request and records every reply in batch order, the reflection and the
-    alert day's record first, so every output keeps the order of a run that
-    reflects at once. A batch of two or more calls to a backend that can
-    wait fans its calls out on the episode's thread pool, each as soon as its
-    request is built; the pool is shut down when the episode returns or
-    fails. It has one thread per analyst instance plus one for the
-    reflection, unless an integer ``agents.workers`` caps it. A
-    ``ScriptedBackend`` answers from memory, so its calls run on the
-    engine's thread, as a batch of one call to any backend does, and no pool
-    thread starts.
+    Each day files one batch of model replies: the manager's reflection on
+    the previous day's alert, if there was one, then the analysts with input
+    in agent-id order. The engine's thread builds every request and records
+    every reply in batch order, the reflection and the alert day's record
+    first, so every output keeps the order of a run that asks each call as
+    it is filed. A day's analyst requests are built and sent right after
+    the day before's analysts are filed, so they wait on the model while
+    that day's decision does. That day's feedback is the one write to an
+    analyst's memory in between: after feedback, each request is built
+    again, and one that differs from the request sent is sent again, the
+    stale call's reply or failure dropped unread. A reflection is sent when
+    its alert day ends, so it waits beside the next day's analysts; a
+    last-day reflection is asked on the engine's thread after the loop.
+
+    A backend that can wait gets each early call on the episode's thread
+    pool, as soon as its request is built; the pool is shut down when the
+    episode returns or fails. It has one thread per analyst instance plus
+    one for the reflection, unless an integer ``agents.workers`` caps it;
+    the engine's own calls can wait beside it, so up to its width plus one
+    calls are in flight. A ``ScriptedBackend`` answers from memory, and a
+    request a resume's prompt log holds is answered from the log, so these
+    calls are asked on the engine's thread as they are filed; a mock run
+    starts no pool thread and makes no call that is dropped.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -945,8 +956,9 @@ class BacktestEngine:
         records: list[DayRecord] = []
         try:
             # one thread per analyst instance plus one for the previous
-            # day's reflection, so that no call of a batch waits for a
-            # thread; threads start only for calls that find none idle
+            # day's reflection, so that no call of a batch but one sent
+            # again after feedback waits for a thread; threads start only
+            # for calls that find none idle
             workers = cfg.agents["workers"] or len(self.analysts) + 1
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 self._run_days(beliefs, ctx, days, records, log, pool)
@@ -972,41 +984,67 @@ class BacktestEngine:
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
         prev_rho: float | None = None
-        # an alert day's record and its reflection request, sent with the next day's batch
-        alerted: tuple[DayRecord, CompletionRequest] | None = None
+        # an alert day's record and its sent reflection, filed with the next day's batch
+        alerted: tuple[DayRecord, Sent] | None = None
+        # the pool's calls for requests that feedback changed, dropped unread
+        stale: list[Future] = []
 
-        def file_reflection(record: DayRecord, reply) -> None:
-            text, entry = reflect_step(self.manager, record.trigger, record.date, ctx, reply)
+        def send(request: CompletionRequest) -> Sent:
+            """The request and the pool's call for its reply; no call when
+            the reply is asked for on this thread as it is filed: a
+            ScriptedBackend answers from memory, and a request the prompt
+            log holds is a resume's replay, asked once its prompts are final,
+            so a resume sends the backend no stale prompt."""
+            if self.pooled and (request.role_tag, request.step_key) not in ctx.gateway.answers:
+                return request, pool.submit(ctx.gateway.ask, request)
+            return request, None
+
+        def reply(sent: Sent) -> tuple[dict, dict]:
+            request, call = sent
+            return ctx.gateway.ask(request) if call is None else call.result()
+
+        def analyst_requests(day: Date, slices: dict[str, AnalystSlice]):
+            """The requests of the analysts with input, in agent-id order, each
+            built when the iteration reaches it."""
+            return ((aid, analyst_request(p, beliefs.get(ROLES[p.role].aspect), slices[aid],
+                                          day, ctx))
+                    for aid, p in self.analysts.items() if slices[aid].calls_model)
+
+        def batch(day: Date) -> tuple[dict[str, AnalystSlice], dict[str, Sent]]:
+            """The day's analyst slices, and each request sent as soon as it is built."""
+            obs = assemble_observation(day, cfg.tickers, self.market)
+            slices = {aid: self._analyst_slice(ROLES[p.role].source, p.ticker, obs, day)
+                      for aid, p in self.analysts.items()}
+            return slices, {aid: send(request) for aid, request in analyst_requests(day, slices)}
+
+        def file_reflection(record: DayRecord, answer: tuple[dict, dict]) -> None:
+            text, entry = reflect_step(self.manager, record.trigger, record.date, ctx, answer)
             record.reflections.append({"trigger": record.trigger, "text": text})
             log.append(entry)
             records.append(record)
 
-        for day in days:
-            obs = assemble_observation(day, cfg.tickers, self.market)
-            slices = {aid: self._analyst_slice(ROLES[p.role].source, p.ticker, obs, day)
-                      for aid, p in self.analysts.items()}
-
-            # the day's batch: the previous day's reflection, if any, then the
-            # analysts with input in agent-id order. Only its model calls go
-            # to the pool, each as soon as its request is built here, and
-            # only when they can wait on the model together
-            requests = [] if alerted is None else [alerted[1]]
-            calls = len(requests) + sum(obs_slice.calls_model for obs_slice in slices.values())
-            fan_out = pool.map if self.pooled and calls > 1 else map
-            replies = fan_out(ctx.gateway.ask, itertools.chain(requests, (
-                analyst_request(p, beliefs.get(ROLES[p.role].aspect), slices[aid], day, ctx)
-                for aid, p in self.analysts.items() if slices[aid].calls_model)))
+        slices, sent = batch(days[0])
+        for day, tomorrow in zip(days, [*days[1:], None]):
+            # the day's batch is filed in order: the previous day's
+            # reflection, if any, then the analysts with input
             if alerted is not None:
-                file_reflection(alerted[0], next(replies))
+                file_reflection(alerted[0], reply(alerted[1]))
                 alerted = None
             insights = {}
             for aid, obs_slice in slices.items():
-                reply = next(replies) if obs_slice.calls_model else None
-                insights[aid], entry = analyst_step(self.analysts[aid], obs_slice, day, ctx, reply)
-                if reply:
+                answer = reply(sent[aid]) if aid in sent else None
+                insights[aid], entry = analyst_step(self.analysts[aid], obs_slice, day, ctx,
+                                                    answer)
+                if answer:
                     log.append(entry)
                 self.router.send(aid, MANAGER, "insight")
+            # a dropped call still ends within the day it was sent for
+            wait(stale)
+            stale.clear()
 
+            # tomorrow's analysts wait on the model while today's decision does
+            if tomorrow is not None:
+                slices, sent = batch(tomorrow)
             decision, entry = manager_step(self.manager, beliefs, insights, risk_state, day,
                                            ctx, cfg.tickers, self.analysts)
             log.append(entry)
@@ -1034,7 +1072,17 @@ class BacktestEngine:
                 cfg.backtest["feedback_threshold_mult"])
             reporting = [self.analysts[aid] for aid, m in insights.items()
                          if m.distilled_insight != NO_SIGNAL]
-            send_feedback(decision, r_t, threshold, reporting, insights, day, ctx, self.router)
+            fed_back = send_feedback(decision, r_t, threshold, reporting, insights, day, ctx,
+                                     self.router)
+            if fed_back and tomorrow is not None:
+                # feedback is the one write to an analyst's memory between
+                # its requests' build and their filing: a request it changed
+                # is sent again
+                for aid, request in analyst_requests(tomorrow, slices):
+                    if request != sent[aid][0]:
+                        if sent[aid][1] is not None:
+                            stale.append(sent[aid][1])
+                        sent[aid] = send(request)
 
             record = DayRecord(
                 date=day,
@@ -1053,15 +1101,15 @@ class BacktestEngine:
             if checked.alert:
                 day_summary = (f"PnL {r_t!r}, CVaR {rho_t!r} "
                                f"(previous {prev_rho!r}), trigger {trigger}.")
-                alerted = (record, reflect_request(self.manager, trigger, day_summary,
-                                                   day, ctx))
+                request = reflect_request(self.manager, trigger, day_summary, day, ctx)
+                # the last day's reflection has no next day to go with
+                alerted = (record, (request, None) if tomorrow is None else send(request))
             else:
                 records.append(record)
             risk_state = checked
             prev_rho = rho_t
-        # the last day's reflection has no next day to go with
         if alerted is not None:
-            file_reflection(alerted[0], ctx.gateway.ask(alerted[1]))
+            file_reflection(alerted[0], reply(alerted[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import tempfile
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import date
 from pathlib import Path
 
@@ -89,6 +90,32 @@ class CountingBackend:
         return self.inner.generate(request)
 
 
+class PromptLog(CountingBackend):
+    """A counting backend that also records each request's user prompt by
+    step key."""
+
+    def __init__(self, script_path):
+        super().__init__(script_path)
+        self.prompts = defaultdict(list)
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        with self.lock:
+            self.prompts[request.step_key].append(request.user_prompt)
+            return super().generate(request)
+
+
+def feedback_days(run_dir: Path) -> set[tuple[str, str]]:
+    """The (episode tag, date) of every day that fed back to an analyst,
+    from the events in a run's memory snapshot."""
+    days = set()
+    for line in (run_dir / "memory" / "snapshot.jsonl").read_text().splitlines():
+        *_, tag, day, kind = json.loads(line)["event_id"].split(":")
+        if kind == "feedback":
+            days.add((tag, day))
+    return days
+
+
 class ThreadLog:
     """The scripted backend, recording the thread each analyst call runs on,
     by (day, agent id)."""
@@ -141,6 +168,23 @@ class ScriptedThreadLog(ScriptedBackend):
             day = request.step_key.split(":")[1]
             self.threads[(day, request.role_tag)] = threading.current_thread()
         return super().generate(request)
+
+
+def prompt_tag(user_prompt: str) -> str:
+    return "#" + hashlib.sha256(user_prompt.encode()).hexdigest()[:16]
+
+
+class PromptTagged(ScriptedBackend):
+    """A script whose analyst insights each end with a digest of the user
+    prompt they answer, so a reply shows which prompt it answered."""
+
+    def generate(self, request):
+        reply = super().generate(request)
+        if request.step_key.endswith(":analyze"):
+            parsed = json.loads(reply)
+            parsed["insight"] += " " + prompt_tag(request.user_prompt)
+            reply = json.dumps(parsed)
+        return reply
 
 
 def break_reply(script_path: Path, role_tag: str, step_key: str) -> Path:
@@ -1014,8 +1058,8 @@ class TestTrainTestDrivers:
         assert used["backtest"]["train_run_dir"] == "train"
 
     def test_stages_release_their_analyst_pool(self, tmp_path):
-        # news + data analysts are two instances, so on a day with news both
-        # call and fan out on the pool
+        # news + data analysts are two instances, and every analyst call
+        # goes out on the pool
         fix = build_single_stock_fixture(tmp_path, n_train=6, n_test=4, episodes=1,
                                          news_every=2)
 
@@ -1051,7 +1095,7 @@ class TestTrainTestDrivers:
         assert not new_threads()
 
         # a data-analyst reply that fails its schema on every attempt aborts
-        # the episode from a pool thread: day 2 has news, so two analysts call
+        # the episode from a pool thread
         broken = break_reply(fix.script_path, "data_analyst:SYN",
                              f"1:{fix.train_days[2].isoformat()}:analyze")
         backend = PeakThreads(broken)
@@ -1107,12 +1151,12 @@ class TestTrainTestDrivers:
         backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), tmp_path / "train")
         assert (tmp_path / "train" / "trajectory_1.jsonl").exists()
 
-    def test_lone_model_call_runs_on_the_calling_thread(self, tmp_path):
+    def test_lone_analyst_call_runs_on_the_pool(self, tmp_path):
         # news on every second day: the data analyst is the only analyst
         # that calls on the other days, and the news analyst's no-signal
-        # step calls nothing. After an alert day the manager's reflection
-        # joins the batch, so the data analyst's call fans out with it;
-        # without one it is the batch's one call and runs on this thread
+        # step calls nothing. Every analyst call is sent to the pool the day
+        # before, to wait on the model while that day's decision does, so a
+        # call that is its day's whole batch runs on the pool too
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
         backend = ThreadLog(fix.script_path)
         backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend),
@@ -1123,23 +1167,20 @@ class TestTrainTestDrivers:
         for t, day in enumerate(fix.train_days):
             day = day.isoformat()
             calls = {role: thread for (d, role), thread in backend.threads.items() if d == day}
+            assert caller not in calls.values(), day
             if t % 2:
                 assert set(calls) == {"data_analyst:SYN"}, day
-                if alerts[t - 1]:
-                    assert caller not in calls.values(), day
-                else:
-                    assert set(calls.values()) == {caller}, day
+                if not alerts[t - 1]:
                     lone.add(day)
             else:
                 assert set(calls) == {"data_analyst:SYN", "news_analyst:SYN"}, day
-                assert caller not in calls.values(), day
         # the fixture has both kinds of news-free day
         assert lone and len(lone) < len(fix.train_days) // 2
 
     def test_lone_call_failing_its_schema_aborts_the_episode(self, tmp_path):
         fix = build_single_stock_fixture(tmp_path, n_train=6, episodes=1, news_every=2)
         # no news, and no alert the day before: the data analyst's call is
-        # the day's whole batch
+        # the day's whole batch, sent to the pool the day before
         day = fix.train_days[3]
         broken = break_reply(fix.script_path, "data_analyst:SYN",
                              f"1:{day.isoformat()}:analyze")
@@ -1149,13 +1190,19 @@ class TestTrainTestDrivers:
         with pytest.raises(EpisodeAborted):
             backtest.train(RunConfig.load(fix.config_path), LlmGateway(backend), run_dir)
         assert backend.threads[(day.isoformat(), "data_analyst:SYN")] \
-            is threading.current_thread()
+            is not threading.current_thread()
         failed = (run_dir / "trajectory_1.FAILED.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in failed[:-1]]
         assert [r["date"] for r in records] == [d.isoformat() for d in fix.train_days[:3]]
         assert not records[-1]["alert"]
         assert "FAILED" in json.loads(failed[-1])
         assert set(threading.enumerate()) == before
+        # the run on the engine thread fails with the same files
+        with pytest.raises(EpisodeAborted):
+            backtest.train(RunConfig.load(fix.config_path),
+                           LlmGateway(load_mock_script(broken)), tmp_path / "inline")
+        for name in ("trajectory_1.FAILED.jsonl", "prompts/assembled_1.jsonl"):
+            assert (run_dir / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
 
     def test_scripted_calls_run_on_the_calling_thread_on_every_day(self, tmp_path):
         # news on every second day: then the news and data analysts both
@@ -1283,6 +1330,142 @@ class TestTrainTestDrivers:
         assert failed == (tmp_path / "inline" / "trajectory_1.FAILED.jsonl").read_bytes()
         dates = [json.loads(line).get("date") for line in failed.decode().splitlines()]
         assert dates[:-1] == [d.isoformat() for d in fix.train_days[:t]]
+
+    def test_a_request_feedback_changed_is_sent_again_and_its_stale_reply_dropped(
+            self, tmp_path):
+        """Each day's analyst requests go out before the day before decides.
+        On the day after feedback, a reporting analyst's request is rebuilt
+        with the feedback in its memories; when it differs from the one
+        sent, it is sent again, and the stale prompt and its reply reach no
+        file."""
+        # news every day: both analysts report on every day
+        fix = build_single_stock_fixture(
+            tmp_path, n_train=12, episodes=2, news_every=1,
+            extra_config={"backtest": {"feedback_threshold_mult": 0.5}})
+        config = RunConfig.load(fix.config_path)
+        entries = load_mock_script(fix.script_path).entries
+        backtest.train(config, LlmGateway(PromptTagged(entries)), tmp_path / "inline")
+
+        class Asked:
+            """Pass-through to a ``PromptTagged`` script, recording every
+            analyst request's user prompts by (agent id, step key)."""
+
+            def __init__(self):
+                self.inner = PromptTagged(entries)
+                self.prompts = defaultdict(list)
+
+            def generate(self, request):
+                if request.step_key.endswith(":analyze"):
+                    self.prompts[(request.role_tag, request.step_key)].append(
+                        request.user_prompt)
+                return self.inner.generate(request)
+
+        backend = Asked()
+        run_dir = tmp_path / "pooled"
+        backtest.train(config, LlmGateway(backend), run_dir)
+        assert_same_run_dir(run_dir, tmp_path / "inline")
+
+        days = [d.isoformat() for d in fix.train_days]
+        want = {(aid, f"{tag}:{days[days.index(day) + 1]}:analyze")
+                for tag, day in feedback_days(run_dir) if day != days[-1]
+                for aid in ("data_analyst:SYN", "news_analyst:SYN")}
+        # every other request is asked once, as is one the feedback left
+        # unchanged: a new memory need not move the top k or their scores
+        resent = {key for key, prompts in backend.prompts.items() if len(prompts) != 1}
+        assert resent <= want
+        assert {aid for aid, _ in resent} == {"data_analyst:SYN", "news_analyst:SYN"}
+
+        logged = {(r["agent_id"], r["step_key"]): r["user"] for k in (1, 2) for r in map(
+            json.loads, (run_dir / "prompts" / f"assembled_{k}.jsonl").read_text().splitlines())}
+        files = "".join(p.read_text() for p in run_dir.rglob("*") if p.is_file())
+        for key in resent:
+            sent = backend.prompts[key]
+            assert len(sent) == 2 and logged[key] in sent, key
+            stale = next(user for user in sent if user != logged[key])
+            assert json.dumps(logged[key])[1:-1] in files, key
+            assert json.dumps(stale)[1:-1] not in files, key
+            assert prompt_tag(stale) not in files, key
+            assert prompt_tag(logged[key]) in files, key
+
+    def test_decision_failing_while_the_next_days_calls_wait_fails_as_inline(self, tmp_path):
+        """A decision that fails while the next day's analyst call waits on
+        the model writes the inline run's FAILED file and partial prompt
+        log, and leaves no pool thread behind."""
+        fix = build_single_stock_fixture(tmp_path, n_train=12, episodes=1, news_every=2)
+        config = RunConfig.load(fix.config_path)
+        t = 5
+        victim = f"1:{fix.train_days[t].isoformat()}:decide"
+        broken = break_reply(fix.script_path, "manager", victim)
+        before = set(threading.enumerate())
+        with pytest.raises(EpisodeAborted):
+            backtest.train(config, LlmGateway(load_mock_script(broken)), tmp_path / "inline")
+        # the decision's first attempt and the next day's analyst call each
+        # wait until the other has arrived
+        pair = {("manager", victim),
+                ("data_analyst:SYN", f"1:{fix.train_days[t + 1].isoformat()}:analyze")}
+
+        class Rendezvous(CallThreads):
+            def __init__(self, script_path):
+                super().__init__(script_path)
+                self.barrier = threading.Barrier(2, timeout=5)
+                self.arrived = set()
+
+            def generate(self, request):
+                key = (request.role_tag, request.step_key)
+                if key in pair and key not in self.arrived:
+                    self.arrived.add(key)
+                    self.barrier.wait()
+                return super().generate(request)
+
+        backend = Rendezvous(broken)
+        with pytest.raises(EpisodeAborted) as aborted:
+            backtest.train(config, LlmGateway(backend), tmp_path / "pooled")
+        assert isinstance(aborted.value.__cause__, SchemaViolationAfterRetries)
+        assert backend.arrived == pair
+        assert set(threading.enumerate()) == before
+        for name in ("trajectory_1.FAILED.jsonl", "prompts/assembled_1.jsonl"):
+            assert (tmp_path / "pooled" / name).read_bytes() == \
+                (tmp_path / "inline" / name).read_bytes(), name
+        assert not (tmp_path / "pooled" / "trajectory_1.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_calls_in_flight_stay_within_the_pool_width_plus_one(self, tmp_path, workers):
+        """The engine thread's decision waits on the model beside the pool's
+        calls for the next day, so up to the pool's width plus one calls
+        wait at once, and never more."""
+        fix = build_single_stock_fixture(
+            tmp_path, n_train=10, episodes=1, news_every=2,
+            extra_config={"backtest": {"feedback_threshold_mult": 0.5}})
+
+        class InFlight(CallThreads):
+            """Calls that each wait 5 ms on the model, counting the peak
+            number in flight."""
+
+            def __init__(self, script_path):
+                super().__init__(script_path)
+                self.lock = threading.Lock()
+                self.live = self.peak = 0
+
+            def generate(self, request):
+                with self.lock:
+                    self.live += 1
+                    self.peak = max(self.peak, self.live)
+                try:
+                    time.sleep(0.005)
+                    return super().generate(request)
+                finally:
+                    with self.lock:
+                        self.live -= 1
+
+        config = RunConfig.load(fix.config_path)
+        config.agents["workers"] = workers
+        backend = InFlight(fix.script_path)
+        backtest.train(config, LlmGateway(backend), tmp_path / "train")
+        # by default a thread for each of the two analysts and the reflection
+        width = workers or 3
+        assert 2 <= backend.peak <= width + 1
+        if workers == 1:
+            assert backend.peak == width + 1
 
     def test_every_memory_store_call_runs_on_the_engine_thread(self, tmp_path, monkeypatch):
         """Pool threads only wait on the model: through a backend the engine
@@ -1597,11 +1780,21 @@ class TestResumeByReplay:
         partial = logged(run_dir, 2)
         assert partial and partial < logged(tmp_path / "ref", 2) and victim not in partial
 
-        backend = CountingBackend(fix.script_path)
+        backend = PromptLog(fix.script_path)
         backtest.train(resume_config(fix), LlmGateway(backend), run_dir)
         assert_same_run_dir(run_dir, tmp_path / "ref")
         assert set(backend.keys) == logged(run_dir, 2) - partial | logged(run_dir, 3)
-        assert victim in backend.keys and set(backend.keys.values()) == {1}
+        assert victim in backend.keys
+        # each key is asked once, except an analyst's request that feedback
+        # on the day before changed after it was sent: sent again, it is
+        # asked twice, with two prompts
+        days = [d.isoformat() for d in fix.train_days]
+        resent = {f"{tag}:{days[days.index(day) + 1]}:analyze"
+                  for tag, day in feedback_days(run_dir) if day != days[-1]}
+        twice = {key for key, n in backend.keys.items() if n != 1}
+        assert twice and twice == resent & set(backend.keys)
+        for key in twice:
+            assert backend.keys[key] == 2 and len(set(backend.prompts[key])) == 2, key
 
     def test_resume_of_a_completed_run_asks_nothing_and_never_waits(self, tmp_path,
                                                                      monkeypatch):

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from fincon import backtest
 from fincon.backtest import RunConfig
+from fincon.errors import BackendUnavailable
 from fincon.llm_gateway import LlmGateway, load_mock_script
 from fincon.memory import MemoryEvent
 
@@ -79,6 +80,24 @@ class Jitter:
     def generate(self, request):
         key = f"{self.seed}:{request.role_tag}:{request.step_key}"
         time.sleep(random.Random(key).uniform(0.0, 0.002))
+        return self.inner.generate(request)
+
+
+class FailStale:
+    """The scripted backend behind a wrapper, raising BackendUnavailable for
+    every request whose user prompt is not among ``logged``'s prompts: the
+    stale prompts of analyst calls sent before feedback changed them. Adds
+    the key of each failed request to ``failed``."""
+
+    def __init__(self, inner, logged: set, failed: set):
+        self.inner = inner
+        self.logged = logged
+        self.failed = failed
+
+    def generate(self, request):
+        if (request.role_tag, request.step_key, request.user_prompt) not in self.logged:
+            self.failed.add((request.role_tag, request.step_key))
+            raise BackendUnavailable("stale prompt")
         return self.inner.generate(request)
 
 
@@ -181,6 +200,22 @@ def test_run_directories_do_not_depend_on_call_timing(seed, workers):
         sys.setswitchinterval(interval)
     differing = [name for name in sorted(set(want) | set(got)) if got.get(name) != want.get(name)]
     assert not differing, f"seed={seed} workers={workers} changes {differing}"
+
+
+def test_calls_made_stale_by_feedback_change_no_file(tmp_path):
+    """A backend that fails every stale prompt, and answers the rest, still
+    gives every golden file: a stale call's failure, like its reply, is
+    dropped unread."""
+    want = json.loads(GOLDEN.read_text())
+    run_digests(tmp_path / "ref")
+    logged = {(r["agent_id"], r["step_key"], r["user"])
+              for log in (tmp_path / "ref").rglob("assembled_*.jsonl")
+              for r in map(json.loads, log.read_text().splitlines())}
+    failed = set()
+    got = run_digests(tmp_path / "stale", wrap=lambda inner: FailStale(inner, logged, failed))
+    assert failed and all(key.endswith(":analyze") for _, key in failed)
+    differing = [name for name in sorted(set(want) | set(got)) if got.get(name) != want.get(name)]
+    assert not differing, f"failing the stale calls changes {differing}"
 
 
 def to_list_form(path: Path) -> None:

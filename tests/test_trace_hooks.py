@@ -68,10 +68,10 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
 
 
 def test_pooled_days_trace_inside_their_day_spans(tmp_path, monkeypatch):
-    """Through a backend that is not a ``ScriptedBackend``, news days and
-    the days after an alert fan their calls out on the pool; the spans still
-    pass the span checks, and each call made on a pool thread lies under a
-    decision day."""
+    """Through a backend that is not a ``ScriptedBackend``, each day's
+    analyst calls go out on the pool before the day before decides; the
+    spans still pass the span checks, and each call made on a pool thread
+    lies under a decision day."""
     spans = load_spans()
     fix = build_single_stock_fixture(tmp_path, n_train=8, n_test=4, episodes=2,
                                      news_every=2)
