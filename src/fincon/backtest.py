@@ -23,6 +23,7 @@ serialization so identical invocations produce byte-identical directories.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -98,7 +99,8 @@ from .risk_control import (
     check_belief_block,
     compare_and_update,
     convergence_check,
-    cvar,
+    cvar,  # noqa: F401  perfbench/spans.py traces the engine's imports by name
+    sorted_var_cvar,
     var_cvar,
     within_episode_check,
 )
@@ -485,13 +487,16 @@ def equity_curve(pnls, capital: float) -> list[float]:
     return out
 
 
-def rolling_sigma_threshold(pnls, window: int = 20, mult: float = 2.0) -> float | None:
-    """Feedback significance bar: mult x rolling std of recent PnL.
+def rolling_sigma_threshold(pnls: list[float], window: int = 20,
+                            mult: float = 2.0) -> float | None:
+    """Feedback significance bar: mult x rolling std of the last ``window``
+    PnL values of the chronological list ``pnls``, of which only that window
+    is copied.
 
     None (no feedback possible) until two PnL points exist or while the
     rolling standard deviation is zero.
     """
-    recent = list(pnls)[-window:]
+    recent = pnls[-window:]
     if len(recent) < 2:
         return None
     std = sample_stdev(recent)
@@ -869,6 +874,12 @@ class BacktestEngine:
     request a resume's prompt log holds is answered from the log, so these
     calls are asked on the engine's thread as they are filed; a mock run
     starts no pool thread and makes no call that is dropped.
+
+    No day's risk figure sorts a whole history again. The day's CVaR comes
+    from the episode's PnL, kept sorted as it grows beside the chronological
+    list, and each data analyst's asset CVaR from its ticker's returns,
+    inserted once per stage (``_asset_cvar``); ``sorted_var_cvar`` reads
+    both, so the bits are ``var_cvar``'s.
     """
 
     def __init__(self, config: RunConfig, market: MarketData, gateway: LlmGateway,
@@ -885,6 +896,9 @@ class BacktestEngine:
                          if aid != MANAGER}
         self.router = Router(self.analysts)
         self.pooled = not isinstance(gateway.backend, ScriptedBackend)
+        # per data-analyst ticker: its returns through the last bar asked
+        # for, sorted, and the CVaR by bar position (None at bar 0)
+        self._asset_cvars: dict[str, tuple[list[float], dict[int, float | None]]] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -898,13 +912,34 @@ class BacktestEngine:
                 "to realize the final day's PnL")
         return days
 
+    def _asset_cvar(self, ticker: str, date: Date) -> float | None:
+        """CVaR of ``ticker``'s log returns through its bar at or before
+        ``date``, as ``cvar`` of ``MarketData.log_returns_to`` gives it; None
+        before the ticker's second bar.
+
+        Each return is inserted once per stage into the ticker's sorted list,
+        in bar order, and the CVaR is kept by bar position, so the stage's
+        later episodes read it back. A date earlier than the bars inserted so
+        far, and not asked for before, starts the list over.
+        """
+        series = self.market.series[ticker]
+        pos = series.index_at_or_before(date)
+        ordered, cvars = self._asset_cvars.setdefault(ticker, ([], {0: None}))
+        if pos not in cvars:
+            if pos < len(ordered):
+                ordered.clear()
+            for r in series.log_returns[len(ordered):pos].tolist():
+                bisect.insort(ordered, r)
+            cvars[pos] = sorted_var_cvar(ordered, self.config.risk["cvar_alpha"])[1]
+        return cvars[pos]
+
     def _analyst_slice(self, source: str, ticker: str, obs, date: Date) -> AnalystSlice:
         ticker_slice = obs[ticker]
         if source == "data":
             indicators = dict(ticker_slice.indicators)
-            asset_returns = self.market.log_returns_to(ticker, date)
-            if asset_returns:
-                indicators["cvar"] = cvar(asset_returns, self.config.risk["cvar_alpha"])
+            asset_cvar = self._asset_cvar(ticker, date)
+            if asset_cvar is not None:
+                indicators["cvar"] = asset_cvar
             bar = ticker_slice.bar
             price_line = (f"close={bar.close!r} adj_close={bar.adj_close!r} "
                           f"volume={bar.volume}")
@@ -983,6 +1018,8 @@ class BacktestEngine:
         cfg = self.config
         risk_state = RiskState.initial()
         pnl_history: list[float] = []
+        # the same values kept sorted as they come, for the day's CVaR
+        pnl_sorted: list[float] = []
         prev_rho: float | None = None
         # an alert day's record and its sent reflection, filed with the next day's batch
         alerted: tuple[DayRecord, Sent] | None = None
@@ -1061,7 +1098,8 @@ class BacktestEngine:
                 daily_pnl(weights[t], close, self.market.close(t, next_day))
                 for t, close in zip(cfg.tickers, closes))
             pnl_history.append(r_t)
-            rho_t = cvar(pnl_history, cfg.risk["cvar_alpha"])
+            bisect.insort(pnl_sorted, r_t)
+            rho_t = sorted_var_cvar(pnl_sorted, cfg.risk["cvar_alpha"])[1]
             provisional = RiskState(cvar=rho_t, prev_cvar=prev_rho,
                                     alert=False, history_len=len(pnl_history))
             trigger = alert_trigger(provisional, r_t, cfg.risk["min_cvar_history"])

@@ -77,11 +77,15 @@ class PriceSeries:
         One float64 block rather than a tuple of floats: many small float
         objects kept for a whole run raised the process's peak memory run
         after run. ``log_return`` takes each pair, as the indicator does, so
-        both read the same bits.
+        both read the same bits. The block is read-only, because
+        ``MarketData.log_returns_to`` hands out views of it: a write through
+        one raises ValueError instead of changing the series.
         """
         closes = self.close
-        return np.fromiter(map(log_return, closes, closes[1:]), dtype=float,
-                           count=max(len(closes) - 1, 0))
+        returns = np.fromiter(map(log_return, closes, closes[1:]), dtype=float,
+                              count=max(len(closes) - 1, 0))
+        returns.flags.writeable = False
+        return returns
 
     def index_at_or_before(self, date: Date) -> int:
         """Position of the last bar dated <= date; -1 when none exists."""
@@ -437,14 +441,15 @@ class MarketData:
             raise InsufficientHistory(f"{ticker}: no bar at or before {date}")
         return series.close[pos]
 
-    def log_returns_to(self, ticker: str, date: Date, max_window: int | None = None) -> list[float]:
-        """Daily close-to-close log returns ending at ``date`` (inclusive)."""
+    def log_returns_to(self, ticker: str, date: Date,
+                       max_window: int | None = None) -> np.ndarray:
+        """Daily close-to-close log returns ending at ``date`` (inclusive), the
+        last ``max_window`` of them when it is given: a read-only view of
+        ``PriceSeries.log_returns``, so a call copies nothing."""
         s = self.series[ticker]
-        pos = s.index_at_or_before(date)
-        if pos < 1:
-            return []
-        start = 1 if max_window is None else max(1, pos - max_window + 1)
-        return s.log_returns[start - 1:pos].tolist()
+        pos = max(s.index_at_or_before(date), 0)
+        start = 0 if max_window is None else max(0, pos - max_window)
+        return s.log_returns[start:pos]
 
 
 def assemble_observation(date: Date, universe: list[str],

@@ -16,6 +16,8 @@ during training.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import re
@@ -45,8 +47,10 @@ def var_cvar(pnl_history, alpha: float) -> tuple[float, float]:
 
     VaR is the lower empirical quantile, the smallest sample value whose
     cumulative probability reaches alpha; CVaR averages every value at or
-    below it. Integer fix-up keeps the quantile index faithful to the
-    infimum definition despite float rounding in alpha * n.
+    below it. The one definition: this checks and sorts the sample, and
+    ``sorted_var_cvar`` takes both from the sorted values, so a caller that
+    keeps its sample sorted as it grows (``bisect.insort``) gets the same
+    bits without sorting again.
     """
     values = [float(x) for x in pnl_history]
     if not values:
@@ -54,6 +58,18 @@ def var_cvar(pnl_history, alpha: float) -> tuple[float, float]:
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must be in (0,1), got {alpha}")
     values.sort()
+    return sorted_var_cvar(values, alpha)
+
+
+def sorted_var_cvar(values: list[float], alpha: float) -> tuple[float, float]:
+    """``var_cvar`` of a non-empty ascending list of floats, alpha in (0, 1),
+    neither checked.
+
+    Integer fix-up keeps the quantile index faithful to the infimum
+    definition despite float rounding in alpha * n. The tail is the prefix
+    of values at or below VaR, found by binary search and summed left to
+    right, so a small alpha reads few values.
+    """
     n = len(values)
     k = max(1, math.ceil(alpha * n))
     while k > 1 and (k - 1) / n >= alpha:
@@ -61,8 +77,8 @@ def var_cvar(pnl_history, alpha: float) -> tuple[float, float]:
     while k < n and k / n < alpha:
         k += 1
     var = values[k - 1]
-    tail = [x for x in values if x <= var]
-    return var, sum(tail) / len(tail)
+    m = bisect.bisect_right(values, var, k)
+    return var, sum(itertools.islice(values, m)) / m
 
 
 def cvar(pnl_history, alpha: float) -> float:

@@ -55,6 +55,7 @@ from fixtures import (
     build_portfolio_fixture,
     build_single_stock_fixture,
     constant_directions,
+    mixed_growth,
     oracle_sample_stdev,
     trading_days,
     write_price_csv,
@@ -752,35 +753,75 @@ class TestEnginePortfolio:
                        for t in ("AAA", "BBB"))
             assert abs(day.pnl - want) < 1e-12
 
-    def test_no_lookahead_divergent_future_leaves_decisions_unchanged(self, tmp_path):
-        a_dir = tmp_path / "A"
-        b_dir = tmp_path / "B"
-        config_a, script_a, days, closes_a, range_days = build_portfolio_fixture(a_dir)
-        # B diverges only at the bar AFTER the last decision day
-        diverge_at = 25 + 8  # warmup + n_days: the final realization bar
-        config_b, script_b, _, closes_b, _ = build_portfolio_fixture(
-            b_dir, diverge_at=diverge_at)
-        assert closes_a["AAA"][:diverge_at] == closes_b["AAA"][:diverge_at]
-        assert closes_a["AAA"][diverge_at] != closes_b["AAA"][diverge_at]
+    # b: the first bar that differs, from the bar after the first decision
+    # day (global index 25) to the one that realizes the last day's PnL
+    @given(b=st.integers(25 + 1, 25 + 8))
+    @example(b=25 + 8)
+    @settings(max_examples=8, deadline=None)
+    def test_no_lookahead_divergent_future_leaves_decisions_unchanged(self, b):
+        """Portfolio prices that diverge from bar b on leave every decision
+        before b, and what the analysts and the manager saw for it, unchanged."""
+        with tempfile.TemporaryDirectory() as tmp:
+            runs, closes = [], []
+            for name, diverge_at in (("A", None), ("B", b)):
+                config, script, days, ticker_closes, _ = build_portfolio_fixture(
+                    Path(tmp) / name, diverge_at=diverge_at)
+                runs.append(Path(tmp) / f"run_{name}")
+                closes.append(ticker_closes)
+                backtest.train(RunConfig.load(config),
+                               LlmGateway(load_mock_script(script)), runs[-1])
+            for t in ("AAA", "BBB"):
+                assert closes[0][t][:b] == closes[1][t][:b]
+                assert closes[0][t][b] != closes[1][t][b]
+            assert_decisions_before_match(*runs, days[b])
 
-        run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
-        backtest.train(RunConfig.load(config_a),
-                       LlmGateway(load_mock_script(script_a)), run_a)
-        backtest.train(RunConfig.load(config_b),
-                       LlmGateway(load_mock_script(script_b)), run_b)
-        traj_a = backtest.RunWriter(run_a).read_trajectory(1, 1.0)
-        traj_b = backtest.RunWriter(run_b).read_trajectory(1, 1.0)
-        for da, db in zip(traj_a.days, traj_b.days):
-            assert da.directions == db.directions
-            assert da.weights == db.weights
-        assert traj_a.days[-1].pnl != traj_b.days[-1].pnl  # future did change
 
-        def decision_prompts(run_dir):
-            entries = [json.loads(line) for line in
-                       (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()]
-            return [e for e in entries if e["step_key"].endswith((":analyze", ":decide"))]
+def assert_decisions_before_match(run_a: Path, run_b: Path, cutoff: date) -> None:
+    """Two one-episode runs whose prices differ from the bar dated ``cutoff``
+    on: every ``:analyze`` and ``:decide`` prompt-log record dated before it
+    is the same, and so is every trajectory day before it but the PnL of the
+    last, which realizes on the first divergent bar."""
+    def before(run_dir):
+        lines = (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        return [r for r in records if r["step_key"].endswith((":analyze", ":decide"))
+                and date.fromisoformat(r["step_key"].split(":")[1]) < cutoff]
 
-        assert decision_prompts(run_a) == decision_prompts(run_b)
+    records = before(run_a)
+    assert records and records == before(run_b)
+    days_a, days_b = (backtest.RunWriter(run).read_trajectory(1, 1.0).days
+                      for run in (run_a, run_b))
+    earlier = [i for i, day in enumerate(days_a) if day.date < cutoff]
+    for i in earlier:
+        assert days_a[i].directions == days_b[i].directions
+        assert days_a[i].weights == days_b[i].weights
+        assert days_a[i].insights == days_b[i].insights
+    assert [d.pnl for d in days_a[:earlier[-1]]] == [d.pnl for d in days_b[:earlier[-1]]]
+    assert days_a[earlier[-1]].pnl != days_b[earlier[-1]].pnl  # the future did change
+
+
+# b as above, for a single stock traded over 10 days
+@given(b=st.integers(25 + 1, 25 + 10))
+@example(b=25 + 10)
+@settings(max_examples=10, deadline=None)
+def test_no_lookahead_single_stock_data_analyst(b):
+    """The data analyst's indicators, its asset CVaR among them, and the
+    manager's decisions before bar b do not depend on bar b or later."""
+    def diverging(i):  # closes[i + 1] = closes[i] * exp(growth(i))
+        return mixed_growth(i) - (0.05 if i >= b - 1 else 0.0)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runs, closes = [], []
+        for name, growth in (("A", mixed_growth), ("B", diverging)):
+            fix = build_single_stock_fixture(Path(tmp) / name, n_train=10,
+                                             growth=growth,
+                                             directions_fn=constant_directions("long"),
+                                             analyst_roles=("data_analyst",))
+            runs.append(Path(tmp) / f"run_{name}")
+            closes.append(fix.closes)
+            backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), runs[-1])
+        assert closes[0][:b] == closes[1][:b] and closes[0][b] != closes[1][b]
+        assert_decisions_before_match(*runs, fix.all_days[b])
 
 
 class TestTrainTestDrivers:

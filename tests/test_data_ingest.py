@@ -336,6 +336,32 @@ def _market(tmp_path, n_days=30, docs=None, tickers=("SYN",)):
     return market, days
 
 
+class TestLogReturnsTo:
+    def test_returns_through_the_date_and_within_the_window(self, tmp_path):
+        market, days = _market(tmp_path, n_days=10)
+        closes = market.series["SYN"].close
+        returns = [log_return(a, b) for a, b in zip(closes, closes[1:])]
+        for pos, day in enumerate(days):
+            assert market.log_returns_to("SYN", day).tolist() == returns[:pos]
+            for window in (0, 1, 3, 20):
+                got = market.log_returns_to("SYN", day, max_window=window).tolist()
+                assert got == returns[max(0, pos - window):pos]
+        assert market.log_returns_to("SYN", days[0] - timedelta(days=1)).size == 0
+
+    def test_a_returned_view_cannot_change_the_series(self, tmp_path):
+        market, days = _market(tmp_path, n_days=10)
+        series = market.series["SYN"]
+        before = series.log_returns.tolist()
+        view = market.log_returns_to("SYN", days[-1])
+        assert view.base is series.log_returns  # a view, not a copy
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+        with pytest.raises(ValueError):
+            view += 1.0
+        assert series.log_returns.tolist() == before
+        assert market.log_returns_to("SYN", days[-1]).tolist() == before
+
+
 class TestDocuments:
     def test_load_valid(self, tmp_path):
         docs = [

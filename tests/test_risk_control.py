@@ -1,13 +1,16 @@
+import bisect
 import json
+import math
 from dataclasses import asdict
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fincon.backtest import DayRecord, RunWriter, Trajectory
+from fincon.backtest import BacktestEngine, DayRecord, RunConfig, RunWriter, Trajectory
+from fincon.data_ingest import MarketData, PriceSeries
 from fincon.errors import (
     AlphaOutOfRange,
     EmptyHistory,
@@ -15,7 +18,7 @@ from fincon.errors import (
     IncompleteEpisode,
     LengthMismatch,
 )
-from fincon.llm_gateway import LlmGateway
+from fincon.llm_gateway import LlmGateway, ScriptedBackend
 from fincon.memory import MemoryStore
 from fincon.risk_control import (
     ASPECTS,
@@ -31,6 +34,7 @@ from fincon.risk_control import (
     edit_instruction,
     extract_runs,
     overlap_percentage,
+    sorted_var_cvar,
     var_cvar,
     within_episode_check,
 )
@@ -79,6 +83,81 @@ class TestCvar:
     def test_translation_equivariance(self, xs, alpha, c):
         shifted = cvar([x + c for x in xs], alpha)
         assert abs(shifted - (cvar(xs, alpha) + c)) < 1e-9
+
+
+# samples rich in ties: repeated values, both zeros, a few magnitudes
+TIED_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -2.5]),
+                        st.integers(-16, 16).map(lambda i: i / 8.0),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+# alphas over (0, 1), the configured default among them
+ALPHAS = st.one_of(st.just(0.01), st.floats(0.001, 0.999))
+# an O(n^2) oracle: checked on every prefix up to this length, and the whole;
+# it takes the first of equal values for VaR, so a zero VaR may differ in sign
+ORACLE_PREFIX = 60
+
+
+def bits(pair):
+    """A VaR/CVaR pair as exact bit patterns, so -0.0 != 0.0."""
+    return tuple(x.hex() for x in pair)
+
+
+class TestRunningCvar:
+    """The engine keeps its samples sorted as they grow and reads VaR/CVaR
+    from the sorted values; every step must equal ``var_cvar`` bit for bit."""
+
+    @given(st.lists(TIED_VALUES, min_size=1, max_size=400), ALPHAS)
+    @example([0.0, -0.0, -0.0, 0.0, 1.0], 0.01)
+    @example([-0.0, 0.0] * 200, 0.999)
+    @example([float(i % 7) for i in range(400)], 0.01)
+    @settings(max_examples=150, deadline=None)
+    def test_strategy_pnl_insorted_after_every_append(self, pnls, alpha):
+        ordered = []
+        for n, r in enumerate(pnls, start=1):
+            bisect.insort(ordered, r)
+            got = sorted_var_cvar(ordered, alpha)
+            assert bits(got) == bits(var_cvar(pnls[:n], alpha))
+            if n <= ORACLE_PREFIX or n == len(pnls):
+                assert got == oracle_var_cvar(pnls[:n], alpha)  # VaR 0.0 == -0.0
+
+    @given(st.lists(st.one_of(st.sampled_from([95.0, 99.5, 100.0, 100.25, 103.0]),
+                              st.floats(50.0, 150.0)), min_size=1, max_size=401),
+           ALPHAS, st.randoms(use_true_random=False))
+    @example([100.0, 100.0, 99.5, 100.0, 99.5, 100.0], 0.01, None)
+    @example([100.0 + i % 5 for i in range(401)], 0.01, None)
+    @settings(max_examples=60, deadline=None)
+    def test_asset_cvar_at_every_bar_in_any_order(self, closes, alpha, rng):
+        days = trading_days(date(2022, 1, 3), len(closes))
+        series = PriceSeries("SYN", tuple(days), *[tuple(closes)] * 5,
+                             tuple(range(len(closes))))
+        market = MarketData({"SYN": series}, tuple(days), days[0], days[-1])
+        config = RunConfig.from_dict({
+            "tickers": ["SYN"], "data": {"prices": {"SYN": "p.csv"}},
+            "dates": {"train_start": "2022-01-03", "train_end": "2022-01-03",
+                      "test_start": "2022-01-04", "test_end": "2022-01-04"},
+            "agents": {"analyst_roles": ["data_analyst"]},
+            "risk": {"cvar_alpha": alpha}})
+        engine = BacktestEngine(config, market, LlmGateway(ScriptedBackend({})),
+                                MemoryStore(calendar=market.calendar), RunWriter("unused"))
+        # the returns through each bar, taken apart from the package
+        returns = [math.log(b / a) for a, b in zip(closes, closes[1:])]
+        want = {}
+        for pos, day in enumerate(days):
+            through = market.log_returns_to("SYN", day)
+            assert through.tolist() == returns[:pos]
+            want[day] = var_cvar(through, alpha) if pos else None
+            if pos and (pos <= ORACLE_PREFIX or pos == len(returns)):
+                assert want[day] == oracle_var_cvar(returns[:pos], alpha)
+        # some dates in any order, a later date before an earlier one
+        # among them, then a pass in date order as an episode makes it,
+        # reading back the values already taken
+        first = list(days)
+        if rng is not None:
+            rng.shuffle(first)
+            del first[rng.randint(0, len(first)):]
+        for day in first + days:
+            got = engine._asset_cvar("SYN", day)
+            assert (None if got is None else got.hex()) == (
+                None if want[day] is None else want[day][1].hex())
 
 
 class TestWithinEpisodeCheck:
