@@ -336,10 +336,10 @@ def analyst_request(profile: AgentProfile, belief_text: str | None, obs_slice: A
 
 def analyst_step(profile: AgentProfile, obs_slice: AnalystSlice, date: Date,
                  ctx: StepContext, reply: tuple[dict, dict] | None = None):
-    """Store ``reply``, ``ctx.gateway.ask`` of the ``analyst_request``, as a
-    procedural memory event; returns (InsightMessage, prompt-log record). A
+    """Store ``reply``, ``ctx.gateway.complete`` of the ``analyst_request``, as a
+    procedural memory event; returns (InsightMessage, its prompt-log record). A
     slice with no documents or market data (a textual analyst with nothing
-    published today) gets a neutral "no signal" message and stores nothing."""
+    published today) gets a neutral "no signal" message and no record."""
     if not obs_slice.calls_model:
         message = InsightMessage(ticker=obs_slice.ticker, distilled_insight=NO_SIGNAL,
                                  sentiment="neutral", indicators={})
@@ -384,7 +384,7 @@ def manager_step(profile: AgentProfile, beliefs: dict[str, str],
         '"cited_memory_ids": [<memory id>...], "contributions": {<analyst id>: <note>}} '
         f"covering exactly these tickers: [{ticker_list}]."
     )
-    parsed, log_entry = ctx.gateway.ask(_request(
+    parsed, log_entry = ctx.gateway.complete(_request(
         ctx, MANAGER, date, "decide", system, "\n\n".join(parts), "manager_decision",
         {"tickers": list(tickers), "analysts": list(expected_analysts),
          "known_memory_ids": ctx.store.all_ids()}))
@@ -417,8 +417,8 @@ def reflect_request(profile: AgentProfile, trigger: str, day_summary: str, date:
 
 def reflect_step(profile: AgentProfile, trigger: str, date: Date, ctx: StepContext,
                  reply: tuple[dict, dict]):
-    """Store ``reply``, ``ctx.gateway.ask`` of the ``reflect_request``;
-    returns (reflection text, prompt-log record)."""
+    """Store ``reply``, ``ctx.gateway.complete`` of the ``reflect_request``;
+    returns (reflection text, the reply's prompt-log record)."""
     parsed, log_entry = reply
     store_event(ctx, MANAGER, date, f"reflection-{trigger}", parsed["reflection"],
                 profile.decay_ratio, None)

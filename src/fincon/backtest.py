@@ -84,7 +84,7 @@ from .errors import (
     TooFewPairs,
     ZeroVolatility,
 )
-from .llm_gateway import CompletionRequest, LlmGateway, ScriptedBackend
+from .llm_gateway import CompletionRequest, LlmGateway
 from .memory import HashEmbedder, MemoryStore
 from .portfolio import (
     check_weight_signs,
@@ -699,7 +699,7 @@ class RunWriter:
                    "metrics.csv", "train_summary.json", "test_summary.json")
     # the checkpoints runs wrote before resume replayed the prompt logs
     STATE_FILES = ("state/checkpoint_{}.json", "state/memory_{}.jsonl")
-    # a prompt-log record's fields (``LlmGateway.ask``); older logs lack the first
+    # a prompt-log record's fields (``LlmGateway.complete``); older logs lack the first
     LOG_FIELDS = ("response", "agent_id", "step_key", "system", "user")
 
     def __init__(self, run_dir: str | Path):
@@ -789,8 +789,8 @@ class RunWriter:
         return payload["belief_block"]
 
     def write_prompt_log(self, tag: object, records: list[dict]) -> None:
-        """The records of the episode's requests (``LlmGateway.ask``), in
-        request order, whole or not at all: resume replays their replies."""
+        """The episode's request records (``LlmGateway.complete``) in order,
+        whole or not at all, however it ended: resume replays their replies."""
         _write_atomic(self.path("prompts", f"assembled_{tag}.jsonl"), _dump_jsonl(records))
 
     def read_prompt_logs(self) -> dict[tuple[str, str], tuple[str, str, str]]:
@@ -865,15 +865,14 @@ class BacktestEngine:
     its alert day ends, so it waits beside the next day's analysts; a
     last-day reflection is asked on the engine's thread after the loop.
 
-    A backend that can wait gets each early call on the episode's thread
-    pool, as soon as its request is built; the pool is shut down when the
-    episode returns or fails. It has one thread per analyst instance plus
-    one for the reflection, unless an integer ``agents.workers`` caps it;
-    the engine's own calls can wait beside it, so up to its width plus one
-    calls are in flight. A ``ScriptedBackend`` answers from memory, and a
-    request a resume's prompt log holds is answered from the log, so these
-    calls are asked on the engine's thread as they are filed; a mock run
-    starts no pool thread and makes no call that is dropped.
+    An early call that waits on a model (``LlmGateway.waits``) goes to the
+    episode's thread pool as soon as its request is built; the pool is shut
+    down when the episode returns or fails. It has one thread per analyst
+    instance plus one for the reflection, unless an integer
+    ``agents.workers`` caps it; the engine's own calls can wait beside it,
+    so up to its width plus one calls are in flight. Every other call is
+    asked for on the engine's thread as it is filed, so a mock run starts
+    no pool thread and makes no call that is dropped.
 
     No day's risk figure sorts a whole history again. The day's CVaR comes
     from the episode's PnL, kept sorted as it grows beside the chronological
@@ -895,7 +894,6 @@ class BacktestEngine:
         self.analysts = {aid: p for aid, p in sorted(config.profiles.items())
                          if aid != MANAGER}
         self.router = Router(self.analysts)
-        self.pooled = not isinstance(gateway.backend, ScriptedBackend)
         # per data-analyst ticker: its returns through the last bar asked
         # for, sorted, and the CVaR by bar position (None at bar 0)
         self._asset_cvars: dict[str, tuple[list[float], dict[int, float | None]]] = {}
@@ -970,11 +968,11 @@ class BacktestEngine:
                     start: Date, end: Date, log: list[dict]) -> Trajectory:
         """One pass over [start, end] under the belief block ``beliefs``;
         writes the episode's trajectory and returns it, and appends each
-        reply's prompt-log record to ``log`` as it is filed.
+        reply's prompt-log record to ``log`` as it is filed. The stage
+        writes ``log``, however the episode ends.
 
         A gateway failure aborts the episode: the partial trajectory is
-        written as a FAILED artifact, ``log`` beside it, and EpisodeAborted
-        propagates.
+        written as a FAILED artifact, and EpisodeAborted propagates.
         """
         cfg = self.config
         days = self._decision_days(start, end)
@@ -999,7 +997,6 @@ class BacktestEngine:
                 self._run_days(beliefs, ctx, days, records, log, pool)
         except FinconError as exc:
             self.writer.write_failed(episode, records, f"{type(exc).__name__}: {exc}")
-            self.writer.write_prompt_log(episode, log)
             raise EpisodeAborted(episode, exc) from exc
         trajectory = Trajectory(episode=episode, days=records)
         trajectory.objective = objective_value(trajectory.pnls(),
@@ -1028,17 +1025,15 @@ class BacktestEngine:
 
         def send(request: CompletionRequest) -> Sent:
             """The request and the pool's call for its reply; no call when
-            the reply is asked for on this thread as it is filed: a
-            ScriptedBackend answers from memory, and a request the prompt
-            log holds is a resume's replay, asked once its prompts are final,
-            so a resume sends the backend no stale prompt."""
-            if self.pooled and (request.role_tag, request.step_key) not in ctx.gateway.answers:
-                return request, pool.submit(ctx.gateway.ask, request)
+            the reply does not wait on a model (``LlmGateway.waits``): it is
+            asked for on this thread as it is filed."""
+            if ctx.gateway.waits(request):
+                return request, pool.submit(ctx.gateway.complete, request)
             return request, None
 
         def reply(sent: Sent) -> tuple[dict, dict]:
             request, call = sent
-            return ctx.gateway.ask(request) if call is None else call.result()
+            return ctx.gateway.complete(request) if call is None else call.result()
 
         def analyst_requests(day: Date, slices: dict[str, AnalystSlice]):
             """The requests of the analysts with input, in agent-id order, each
@@ -1184,8 +1179,9 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     previous update, so each episode is conceptualized once; training stops
     at the episode cap or when the overlap/objective convergence rule fires.
     Each episode's prompt log, its update's requests included, is written
-    once. Without ``resume``, the episode and final-output files an earlier
-    run left in the directory are removed first (``RunWriter.clear_outputs``).
+    once, however the two end: only a killed process loses its answers.
+    Without ``resume``, the episode and final-output files an earlier run
+    left in the directory are removed first (``RunWriter.clear_outputs``).
     With it, the stage runs as a fresh one, the gateway answering from the
     directory's prompt logs, and the files of episodes it does not reach are
     removed at its end: it writes what a clean run of its config writes.
@@ -1217,9 +1213,9 @@ def train(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     while not converged():
         k = len(trajectories) + 1
         log: list[dict] = []
-        trajectories.append(engine.run_episode(beliefs(), k, config.train_start,
-                                               config.train_end, log))
         try:
+            trajectories.append(engine.run_episode(beliefs(), k, config.train_start,
+                                                   config.train_end, log))
             if k >= 2:
                 episode_calls = len(log)
                 update = compare_and_update(
@@ -1259,8 +1255,9 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
 
     The within-episode risk control stays active; the belief-update machinery
     is never invoked, so test_summary.json records 0 belief-update calls.
-    ConfigError, before any write, when ``run_dir`` is the training directory;
-    else the files an earlier run left there go first (``clear_outputs``).
+    The prompt log is written however the episode ends. ConfigError, before
+    any write, when ``run_dir`` is the training directory; else the files an
+    earlier run left there go first (``clear_outputs``).
     Returns (trajectory, report).
     """
     train_dir = config.backtest["train_run_dir"]
@@ -1278,8 +1275,10 @@ def test(config: RunConfig, gateway: LlmGateway, run_dir: str | Path,
     engine = BacktestEngine(config, market, gateway, training.read_memory(market.calendar),
                             writer)
     log: list[dict] = []
-    trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end, log)
-    writer.write_prompt_log("test", log)
+    try:
+        trajectory = engine.run_episode(beliefs, "test", config.test_start, config.test_end, log)
+    finally:
+        writer.write_prompt_log("test", log)
     report = _write_report(writer, config, trajectory)
     writer.write_memory(engine.store)
     writer.write_summary("test_summary.json", {

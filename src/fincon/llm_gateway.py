@@ -63,12 +63,6 @@ class CompletionRequest:
     context: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ValidatedOutput:
-    parsed: dict
-    raw_text: str
-
-
 # ---------------------------------------------------------------------------
 # output schemas
 # ---------------------------------------------------------------------------
@@ -312,10 +306,11 @@ _CORRECTIVE_SUFFIX = (
 
 
 class LlmGateway:
-    """Wraps one backend with schema validation, retries and rate limiting.
+    """Wraps one backend with schema validation, retries and rate limiting;
+    the one owner of a model call's rules (``complete`` and ``waits``).
 
     ``answers`` maps ``(role_tag, step_key)`` to a prompt-log record's
-    ``(system, user, response)`` (``ask``): a request with the logged prompts
+    ``(system, user, response)``: a request with the logged prompts
     gets the logged response, skipping the rate limit and the backend.
     """
 
@@ -335,8 +330,18 @@ class LlmGateway:
                 time.sleep(wait)
             self._last_call = time.monotonic()
 
-    def complete(self, request: CompletionRequest) -> ValidatedOutput:
-        """Run one completion; retry on schema failure up to max_retries."""
+    def waits(self, request: CompletionRequest) -> bool:
+        """Whether the reply may wait on a model, so a caller can ask for it on
+        another thread: not from a ``ScriptedBackend``, nor when the prompt
+        logs hold the request's key, whatever its prompts, as a resume asks
+        for a logged key once its prompts are final, sending no stale one."""
+        return not (isinstance(self.backend, ScriptedBackend)
+                    or (request.role_tag, request.step_key) in self.answers)
+
+    def complete(self, request: CompletionRequest) -> tuple[dict, dict]:
+        """Run one completion, retrying on schema failure up to
+        ``max_retries``; returns the validated output and the request's
+        prompt-log record: its prompts and the raw reply that validated."""
         try:
             validator = SCHEMAS[request.output_schema]
         except KeyError:
@@ -352,9 +357,10 @@ class LlmGateway:
                 self._throttle()
                 raw = self.backend.generate(attempt_request)
             try:
-                parsed = parse_json_response(raw)
-                validated = validator(parsed, request.context)
-                return ValidatedOutput(parsed=validated, raw_text=raw)
+                validated = validator(parse_json_response(raw), request.context)
+                return validated, {"agent_id": request.role_tag, "step_key": request.step_key,
+                                   "system": request.system_prompt,
+                                   "user": request.user_prompt, "response": raw}
             except ValidationFailure as exc:
                 last_error = str(exc)
                 attempt_request = replace(
@@ -363,11 +369,3 @@ class LlmGateway:
                 )
         raise SchemaViolationAfterRetries(
             f"{request.role_tag}/{request.step_key}: {last_error}")
-
-    def ask(self, request: CompletionRequest) -> tuple[dict, dict]:
-        """``complete``'s parsed output, and the request's prompt-log record:
-        its prompts and the raw reply that validated."""
-        out = self.complete(request)
-        return out.parsed, {"agent_id": request.role_tag, "step_key": request.step_key,
-                            "system": request.system_prompt, "user": request.user_prompt,
-                            "response": out.raw_text}

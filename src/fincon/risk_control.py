@@ -226,7 +226,7 @@ def _ask(gateway: LlmGateway, log: list, key: str, task: str, user: str,
          schema: str, max_retries: int) -> dict:
     """One between-episode request: temperature 0, answered in the aspect
     vocabulary; its prompt-log record is appended to ``log``."""
-    parsed, record = gateway.ask(CompletionRequest(
+    parsed, record = gateway.complete(CompletionRequest(
         role_tag=RISK_CONTROL,
         system_prompt=f"You are the risk-control component of a trading team. {task}",
         user_prompt=user,

@@ -69,13 +69,13 @@ def doc(doc_id, body, kind="news", ticker="SYN", published=D0):
 
 def run_analyst(profile, belief_text, obs_slice, day, ctx):
     """Both halves of an analyst's step, as the engine runs them."""
-    reply = ctx.gateway.ask(analyst_request(profile, belief_text, obs_slice, day, ctx))
+    reply = ctx.gateway.complete(analyst_request(profile, belief_text, obs_slice, day, ctx))
     return analyst_step(profile, obs_slice, day, ctx, reply)
 
 
 def run_reflect(profile, trigger, day_summary, day, ctx):
     """Both halves of the manager's reflection, as the engine runs them."""
-    reply = ctx.gateway.ask(reflect_request(profile, trigger, day_summary, day, ctx))
+    reply = ctx.gateway.complete(reflect_request(profile, trigger, day_summary, day, ctx))
     return reflect_step(profile, trigger, day, ctx, reply)
 
 
@@ -170,15 +170,20 @@ def quoted_annotation_names(tree) -> set[str]:
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")))
 def test_module_reads_every_name_it_imports(module):
-    """The project runs no linter, so this stands in for an unused-import check."""
+    """The project runs no linter, so this stands in for an unused-import
+    check. Only a read counts: a name assigned, or declared as a field, is
+    not one."""
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
                                             and node.module != "__future__"):
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert imported - read - quoted_annotation_names(tree) == set()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # perfbench/spans.py traces the engine's ``cvar`` by its name in backtest
+    exempt = {"cvar"} if module == "backtest" else set()
+    assert imported - read - quoted_annotation_names(tree) - exempt == set()
 
 
 class TestProfiles:
@@ -270,7 +275,7 @@ class TestAnalystStep:
             {"insight": "scripted insight", "sentiment": "positive"})})
         slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"),))
         request = analyst_request(news_profile(), None, slice_, D0, ctx)
-        reply = ctx.gateway.ask(request)
+        reply = ctx.gateway.complete(request)
         message, entry = analyst_step(news_profile(), slice_, D0, ctx, reply)
         assert backend.calls == 1
         assert len(ctx.store) == 1
@@ -393,7 +398,7 @@ class TestReflectStep:
         key = f"1:{D0.isoformat()}:reflect"
         ctx, _ = make_ctx({(MANAGER, key): json.dumps({"reflection": "be careful"})})
         request = reflect_request(manager_profile(), "negative_pnl", "PnL -0.01", D0, ctx)
-        reply = ctx.gateway.ask(request)
+        reply = ctx.gateway.complete(request)
         text, entry = reflect_step(manager_profile(), "negative_pnl", D0, ctx, reply)
         assert text == "be careful"
         assert len(ctx.store) == 1

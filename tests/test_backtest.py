@@ -58,6 +58,7 @@ from fixtures import (
     mixed_growth,
     oracle_sample_stdev,
     trading_days,
+    write_documents,
     write_price_csv,
 )
 
@@ -776,16 +777,23 @@ class TestEnginePortfolio:
             assert_decisions_before_match(*runs, days[b])
 
 
-def assert_decisions_before_match(run_a: Path, run_b: Path, cutoff: date) -> None:
-    """Two one-episode runs whose prices differ from the bar dated ``cutoff``
-    on: every ``:analyze`` and ``:decide`` prompt-log record dated before it
-    is the same, and so is every trajectory day before it but the PnL of the
-    last, which realizes on the first divergent bar."""
-    def before(run_dir):
+def assert_decisions_before_match(run_a: Path, run_b: Path, cutoff: date,
+                                  changed: str = "pnl") -> None:
+    """Two one-episode runs whose inputs differ from the day ``cutoff`` on:
+    every ``:analyze`` and ``:decide`` prompt-log record dated before it is
+    the same, and so is every trajectory day before it but the PnL of the
+    last, which realizes on the bar dated ``cutoff``. The future did change:
+    that PnL, for prices that diverge from that bar on (``changed`` "pnl"),
+    or some ``:analyze`` record dated on or after ``cutoff``, for a changed
+    document (``changed`` "analyze")."""
+    def logged(run_dir, phases, keep):
         lines = (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        return [r for r in records if r["step_key"].endswith((":analyze", ":decide"))
-                and date.fromisoformat(r["step_key"].split(":")[1]) < cutoff]
+        return [r for r in records if r["step_key"].endswith(phases)
+                and keep(date.fromisoformat(r["step_key"].split(":")[1]))]
+
+    def before(run_dir):
+        return logged(run_dir, (":analyze", ":decide"), lambda day: day < cutoff)
 
     records = before(run_a)
     assert records and records == before(run_b)
@@ -797,7 +805,13 @@ def assert_decisions_before_match(run_a: Path, run_b: Path, cutoff: date) -> Non
         assert days_a[i].weights == days_b[i].weights
         assert days_a[i].insights == days_b[i].insights
     assert [d.pnl for d in days_a[:earlier[-1]]] == [d.pnl for d in days_b[:earlier[-1]]]
-    assert days_a[earlier[-1]].pnl != days_b[earlier[-1]].pnl  # the future did change
+    if changed == "pnl":
+        assert days_a[earlier[-1]].pnl != days_b[earlier[-1]].pnl
+    else:
+        def analyzed_since(run_dir):
+            return logged(run_dir, (":analyze",), lambda day: day >= cutoff)
+
+        assert analyzed_since(run_a) != analyzed_since(run_b)
 
 
 # b as above, for a single stock traded over 10 days
@@ -822,6 +836,32 @@ def test_no_lookahead_single_stock_data_analyst(b):
             backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), runs[-1])
         assert closes[0][:b] == closes[1][:b] and closes[0][b] != closes[1][b]
         assert_decisions_before_match(*runs, fix.all_days[b])
+
+
+# b as above, for news published every day of a 10-day single-stock run;
+# the document changed is attached ``later`` trading days after b, at most
+# on the last decision day
+@given(b=st.integers(25 + 1, 25 + 9), later=st.integers(0, 8))
+@example(b=25 + 1, later=0)
+@settings(max_examples=10, deadline=None)
+def test_no_lookahead_documents(b, later):
+    """A document attached on or after trading day b leaves every analyst
+    and manager prompt, and every decision, before b unchanged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name in ("A", "B"):
+            fix = build_single_stock_fixture(Path(tmp) / name, n_train=10, news_every=1)
+            if name == "B":
+                changed = fix.all_days[min(b + later, 25 + 9)].isoformat()
+                docs_path = fix.root / "docs.jsonl"
+                docs = [json.loads(line) for line in docs_path.read_text().splitlines()]
+                for doc in docs:
+                    if doc["published"] == changed:
+                        doc["body"] += " Revised guidance."
+                write_documents(docs_path, docs)
+            runs.append(Path(tmp) / f"run_{name}")
+            backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), runs[-1])
+        assert_decisions_before_match(*runs, fix.all_days[b], changed="analyze")
 
 
 class TestTrainTestDrivers:
@@ -1663,18 +1703,22 @@ class Crash(Exception):
 
 class Flaky(ScriptedBackend):
     """The fixture's script as a scripted backend, so every call runs on the
-    engine thread in a fixed order, failing its ``n``-th call as a backend
-    that went away does."""
+    engine thread in a fixed order, raising ``error`` at its ``n``-th call;
+    ``answered`` keeps the keys of the calls before it."""
 
-    def __init__(self, script_path, n: int):
+    def __init__(self, script_path, n: int, error: BaseException):
         super().__init__(load_mock_script(script_path).entries)
         self.n = n
+        self.error = error
+        self.answered = set()
 
     def generate(self, request):
         if self.calls + 1 == self.n:
             self.calls += 1
-            raise BackendUnavailable(f"call {self.n} interrupted")
-        return super().generate(request)
+            raise self.error
+        reply = super().generate(request)
+        self.answered.add((request.role_tag, request.step_key))
+        return reply
 
 
 class Strict(ScriptedBackend):
@@ -1691,11 +1735,13 @@ class Strict(ScriptedBackend):
         return super().generate(request)
 
 
-def interrupted_session(monkeypatch, config, fix, run_dir, where, n, frac) -> None:
+def interrupted_session(monkeypatch, config, fix, run_dir, where, n, frac) -> set:
     """One training session into ``run_dir``, interrupted at its ``n``-th
-    backend call (``where`` "call"), or killed inside its ``n``-th file
-    write after ``frac`` of the bytes (``where`` "write"); it may end before
-    the interruption comes."""
+    backend call by a backend that went away (``where`` "call") or by an
+    exception that is not a FinconError, as Ctrl-C's is not (``where``
+    "raise"), or killed inside its ``n``-th file write after ``frac`` of the
+    bytes (``where`` "write"); it may end before the interruption comes.
+    Returns the keys of the calls the backend answered."""
     state = {"writes": 0, "dead": False}
 
     def stop_or_count() -> bool:
@@ -1723,14 +1769,16 @@ def interrupted_session(monkeypatch, config, fix, run_dir, where, n, frac) -> No
             raise Crash
         save_jsonl(store, path)
 
-    backend = Flaky(fix.script_path, n if where == "call" else 0)
+    error = KeyboardInterrupt() if where == "raise" else BackendUnavailable(f"call {n}")
+    backend = Flaky(fix.script_path, 0 if where == "write" else n, error)
     with monkeypatch.context() as patch:
         patch.setattr(Path, "write_text", cut_write_text)
         patch.setattr(MemoryStore, "save_jsonl", cut_save_jsonl)
         try:
             backtest.train(config, LlmGateway(backend), run_dir)
-        except (Crash, FinconError):
+        except (Crash, FinconError, KeyboardInterrupt):
             pass
+    return backend.answered
 
 
 @pytest.fixture(scope="module")
@@ -1743,7 +1791,8 @@ def three_episodes(tmp_path_factory):
 
 
 # (where, n, frac): the fixture's run makes 74 backend calls and 14 file writes
-INTERRUPTION = st.tuples(st.just("call"), st.integers(1, 80), st.just(0.0)) | st.tuples(
+INTERRUPTION = st.tuples(st.sampled_from(("call", "raise")), st.integers(1, 80),
+                         st.just(0.0)) | st.tuples(
     st.just("write"), st.integers(1, 16), st.floats(0.0, 1.0, exclude_max=True))
 
 
@@ -1753,12 +1802,14 @@ INTERRUPTION = st.tuples(st.just("call"), st.integers(1, 80), st.just(0.0)) | st
 @example(first=("call", 30, 0.0), second=None)  # mid-episode 2
 @example(first=("call", 72, 0.0), second=("call", 1, 0.0))  # a between-episode call
 @example(first=("write", 5, 0.5), second=("write", 3, 0.3))  # inside a prompt log
+@example(first=("raise", 30, 0.0), second=("raise", 5, 0.0))  # Ctrl-C mid-episode
 def test_resume_after_any_interruption_writes_the_uninterrupted_run(
         three_episodes, monkeypatch, first, second):
     """Interrupted at any model call or inside any file write, then resumed,
     itself interrupted in some examples, training writes the uninterrupted
     run's files, and the last resume asks the backend for nothing the logs
-    answer."""
+    answer. A session interrupted at a call, by any exception, logs every
+    reply the backend gave before it."""
     fix, ref = three_episodes
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp) / "run"
@@ -1767,8 +1818,12 @@ def test_resume_after_any_interruption_writes_the_uninterrupted_run(
         for config, interruption in ((RunConfig.load(fix.config_path), first),
                                      (resume_config(fix), second)):
             if interruption is not None:
-                interrupted_session(monkeypatch, config, fix, run_dir, *interruption)
-                logged |= backtest.RunWriter(run_dir).read_prompt_logs().keys()
+                answered = interrupted_session(monkeypatch, config, fix, run_dir,
+                                               *interruption)
+                logs = backtest.RunWriter(run_dir).read_prompt_logs().keys()
+                if interruption[0] != "write":
+                    assert answered <= logs
+                logged |= logs
         backtest.train(resume_config(fix), LlmGateway(Strict(fix.script_path, logged)),
                        run_dir)
         assert_same_run_dir(run_dir, ref)

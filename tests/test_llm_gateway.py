@@ -20,6 +20,7 @@ from fincon.llm_gateway import (
     CompletionRequest,
     HttpBackend,
     LlmGateway,
+    ScriptedBackend,
     ValidationFailure,
     load_mock_script,
     parse_json_response,
@@ -48,8 +49,8 @@ class TestMockScript:
                                 output_schema="manager_decision",
                                 step_key="1:2022-01-03:decide",
                                 context={"tickers": ["SYN"]})
-        out = LlmGateway(backend).complete(req)
-        assert out.parsed["actions"] == {"SYN": "long"}
+        parsed, _ = LlmGateway(backend).complete(req)
+        assert parsed["actions"] == {"SYN": "long"}
 
     def test_duplicate_key_rejected(self, tmp_path):
         script = write_script(tmp_path / "s.jsonl", [
@@ -141,8 +142,8 @@ class TestValidationAndRetry:
         req = CompletionRequest(role_tag="manager", system_prompt="s", user_prompt="u",
                                 output_schema="manager_decision", max_retries=2,
                                 step_key="k", context={"tickers": ["SYN"]})
-        out = LlmGateway(backend).complete(req)
-        assert out.parsed["actions"]["SYN"] == "long"
+        parsed, _ = LlmGateway(backend).complete(req)
+        assert parsed["actions"]["SYN"] == "long"
         assert "failed validation" in backend.requests[1].user_prompt
         assert "buy" in backend.requests[1].user_prompt
 
@@ -181,8 +182,8 @@ class TestValidationAndRetry:
         req = CompletionRequest(role_tag="manager", system_prompt="s", user_prompt="u",
                                 output_schema="manager_decision", step_key="k",
                                 context={"tickers": ["A"], "analysts": ["data_analyst:A"]})
-        out = LlmGateway(backend).complete(req)
-        assert out.parsed["contributions"] == {"data_analyst:A": "useful"}
+        parsed, _ = LlmGateway(backend).complete(req)
+        assert parsed["contributions"] == {"data_analyst:A": "useful"}
         assert error in backend.requests[1].user_prompt
 
     def test_insight_schema(self):
@@ -190,8 +191,8 @@ class TestValidationAndRetry:
             {"insight": "x", "sentiment": "positive", "importance": 0.7})])
         req = CompletionRequest(role_tag="a", system_prompt="s", user_prompt="u",
                                 output_schema="analyst_insight", step_key="k")
-        out = LlmGateway(backend).complete(req)
-        assert out.parsed == {"insight": "x", "sentiment": "positive", "importance": 0.7}
+        parsed, _ = LlmGateway(backend).complete(req)
+        assert parsed == {"insight": "x", "sentiment": "positive", "importance": 0.7}
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_insight_boolean_importance_retried(self, flag):
@@ -199,8 +200,8 @@ class TestValidationAndRetry:
         backend = RecordingBackend([json.dumps({**good, "importance": flag}), json.dumps(good)])
         req = CompletionRequest(role_tag="a", system_prompt="s", user_prompt="u",
                                 output_schema="analyst_insight", step_key="k")
-        out = LlmGateway(backend).complete(req)
-        assert out.parsed["importance"] == 0.7
+        parsed, _ = LlmGateway(backend).complete(req)
+        assert parsed["importance"] == 0.7
         assert "importance must be a number" in backend.requests[1].user_prompt
 
     def test_insight_bad_sentiment(self):
@@ -227,8 +228,8 @@ class TestValidationAndRetry:
         req = CompletionRequest(role_tag="rc", system_prompt="s", user_prompt="u",
                                 output_schema="belief_update", step_key="k",
                                 context={"aspect_vocabulary": ("other aspects",)})
-        out = LlmGateway(backend).complete(req)
-        assert out.parsed["beliefs"]["other aspects"] == "sector trends; macro"
+        parsed, _ = LlmGateway(backend).complete(req)
+        assert parsed["beliefs"]["other aspects"] == "sector trends; macro"
 
     @pytest.mark.parametrize("direction", ["buy", ["long"], {"long": 1}])
     def test_bad_direction_error_names_the_labels(self, direction):
@@ -249,6 +250,62 @@ class TestValidationAndRetry:
                                 output_schema="nope", step_key="k")
         with pytest.raises(ValueError):
             LlmGateway(backend).complete(req)
+
+
+class TestCompleteRecord:
+    INSIGHT = json.dumps({"insight": "x", "sentiment": "positive"})
+    REQUEST = CompletionRequest(role_tag="news_analyst:SYN", system_prompt="s",
+                                user_prompt="u", output_schema="analyst_insight",
+                                step_key="1:2022-01-03:analyze")
+
+    def test_record_holds_the_prompts_and_the_raw_reply(self):
+        raw = "```json\n" + self.INSIGHT + "\n```"
+        parsed, record = LlmGateway(RecordingBackend([raw])).complete(self.REQUEST)
+        assert parsed == {"insight": "x", "sentiment": "positive"}
+        assert record == {"agent_id": "news_analyst:SYN", "step_key": "1:2022-01-03:analyze",
+                          "system": "s", "user": "u", "response": raw}
+
+    def test_retried_record_holds_the_first_prompts_and_the_reply_that_validated(self):
+        backend = RecordingBackend(["not json", self.INSIGHT])
+        _, record = LlmGateway(backend).complete(self.REQUEST)
+        assert backend.requests[1].user_prompt != "u"
+        assert (record["system"], record["user"], record["response"]) == \
+            ("s", "u", self.INSIGHT)
+
+
+class Wrapper:
+    """A backend that is not a ``ScriptedBackend``, answering through one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def generate(self, request):
+        return self.inner.generate(request)
+
+
+class ScriptedSubclass(ScriptedBackend):
+    pass
+
+
+WAIT_KEY = ("manager", "1:2022-01-03:decide")
+
+
+@pytest.mark.parametrize("backend, answers, waits", [
+    (ScriptedBackend({}), {}, False),
+    (ScriptedSubclass({}), {}, False),
+    (Wrapper(ScriptedBackend({})), {}, True),
+    (Wrapper(ScriptedBackend({})), {("manager", "1:2022-01-04:decide"): ("s", "u", "{}")},
+     True),
+    (Wrapper(ScriptedBackend({})), {WAIT_KEY: ("s", "u", "{}")}, False),
+    (Wrapper(ScriptedBackend({})), {WAIT_KEY: ("s", "changed", "{}")}, False),
+], ids=["scripted", "scripted subclass", "wrapper", "wrapper, other key logged",
+        "logged key, equal prompts", "logged key, changed prompts"])
+def test_waits_only_for_a_model_and_an_unlogged_key(backend, answers, waits):
+    """A call waits on a model unless a ``ScriptedBackend`` answers it from
+    memory or the prompt logs hold its key, whatever their prompts."""
+    request = CompletionRequest(role_tag=WAIT_KEY[0], system_prompt="s", user_prompt="u",
+                                output_schema="manager_decision", step_key=WAIT_KEY[1])
+    assert LlmGateway(backend, answers=answers).waits(request) is waits
 
 
 class FakeClock:
