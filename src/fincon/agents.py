@@ -277,18 +277,16 @@ def _retrieve(ctx: StepContext, profile: AgentProfile, date: Date, ticker: str |
         as_of=date,
         k=ctx.top_k,
         owner=profile.agent_id,
-        layer="procedural",
     )
     return ctx.store.retrieve_top_k(query)
 
 
 def store_event(ctx: StepContext, agent_id: str, date: Date, tag: str, content: str,
-                decay_ratio: float, importance: float | None, layer: str = "procedural"):
+                decay_ratio: float, importance: float | None):
     """Add one memory event ``<agent_id>:<episode>:<date>:<tag>`` owned by the agent."""
     ctx.store.add(MemoryEvent(
         event_id=f"{agent_id}:{ctx.episode}:{date.isoformat()}:{tag}",
         owner=agent_id,
-        layer=layer,
         content=content,
         embedding=ctx.embedder.embed(content),
         initial_importance=ctx.default_importance if importance is None else importance,

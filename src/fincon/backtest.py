@@ -54,7 +54,6 @@ from .agents import (
     reflect_request,
     reflect_step,
     send_feedback,
-    store_event,
 )
 from .data_ingest import (
     MarketData,
@@ -341,6 +340,8 @@ class RunConfig:
         for t in tickers:
             if t not in prices:
                 raise ConfigError(f"data.prices missing ticker {t}")
+        # MarketData.load takes the trading calendar from the first price file
+        prices = {tickers[0]: prices.pop(tickers[0]), **prices}
         dates = {key: parse_date(text) for key, text in doc["dates"].items()}
         if not dates["train_start"] <= dates["train_end"]:
             raise ConfigError("train_start must not exceed train_end")
@@ -1001,11 +1002,6 @@ class BacktestEngine:
         trajectory = Trajectory(episode=episode, days=records)
         trajectory.objective = objective_value(trajectory.pnls(),
                                                cfg.backtest["discount_alpha"])
-        summary = (f"Episode {episode} summary: objective "
-                   f"{trajectory.objective!r}, cumulative return "
-                   f"{cumulative_return(trajectory.pnls())!r}%.")
-        store_event(ctx, MANAGER, records[-1].date, "episode", summary,
-                    self.manager.decay_ratio, None, layer="episodic")
         self.writer.write_trajectory(episode, trajectory)
         return trajectory
 

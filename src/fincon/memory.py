@@ -1,4 +1,4 @@
-"""Layered agent memory with scored top-K retrieval.
+"""Agent memory events with scored top-K retrieval.
 
 Each stored event carries an embedding, an initial importance, a per-day
 decay ratio and a cumulative access bonus. Retrieval ranks an agent's own
@@ -20,16 +20,16 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
+import sys
 from collections.abc import KeysView
 from dataclasses import dataclass
 from datetime import date as Date
+from typing import ClassVar
 
 import numpy as np
 
 from .data_ingest import jsonl_line, parse_date, read_jsonl_lines
 from .errors import DimensionMismatch, SchemaError, UnknownEventId, ZeroVector
-
-LAYERS = ("working", "procedural", "episodic")
 
 # a snapshot line's embedding: base64 of its values as big-endian float64
 # (older snapshots hold a JSON list of numbers, which still loads)
@@ -63,11 +63,23 @@ class HashEmbedder:
         return np.frombuffer(words, dtype=">u8") / 2**63 - 1.0
 
 
+def _finite_number(name: str, value) -> float:
+    """A snapshot field's value as a float: TypeError unless it is a JSON
+    number (not a bool), ValueError unless it is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class MemoryEvent:
+    # every event is one kind; perfbench/spans.py reads this name
+    layer: ClassVar[str] = "procedural"
+
     event_id: str
     owner: str
-    layer: str
     content: str
     embedding: np.ndarray
     initial_importance: float
@@ -76,8 +88,6 @@ class MemoryEvent:
     access_bonus: float = 0.0
 
     def __post_init__(self):
-        if self.layer not in LAYERS:
-            raise ValueError(f"unknown memory layer {self.layer!r}")
         if not 0.0 < self.decay_ratio < 1.0:
             raise ValueError(f"decay_ratio must be in (0,1), got {self.decay_ratio}")
         if not 0.0 <= self.initial_importance <= 1.0:
@@ -89,7 +99,6 @@ class MemoryEvent:
         return {
             "event_id": self.event_id,
             "owner": self.owner,
-            "layer": self.layer,
             "content": self.content,
             "embedding": base64.b64encode(
                 np.asarray(self.embedding, dtype=EMBEDDING_DTYPE).tobytes()).decode("ascii"),
@@ -114,16 +123,19 @@ class MemoryEvent:
                 raise ValueError(f"embedding holds {len(raw)} bytes, not whole "
                                  f"{EMBEDDING_DTYPE.itemsize}-byte floats")
             embedding = np.frombuffer(raw, dtype=EMBEDDING_DTYPE)
+        elif isinstance(embedding, list):
+            embedding = [_finite_number("embedding", x) for x in embedding]
+        else:
+            raise TypeError(f"embedding must be base64 text or a list, got {embedding!r}")
         return cls(
             event_id=rec["event_id"],
             owner=rec["owner"],
-            layer=rec["layer"],
             content=rec["content"],
             embedding=np.asarray(embedding, dtype=float),
-            initial_importance=float(rec["initial_importance"]),
-            decay_ratio=float(rec["decay_ratio"]),
+            initial_importance=_finite_number("initial_importance", rec["initial_importance"]),
+            decay_ratio=_finite_number("decay_ratio", rec["decay_ratio"]),
             created_at=parse_date(rec["created_at"]),
-            access_bonus=float(rec["access_bonus"]),
+            access_bonus=_finite_number("access_bonus", rec["access_bonus"]),
         )
 
 
@@ -133,7 +145,8 @@ class MemoryQuery:
     as_of: Date
     k: int
     owner: str
-    layer: str | None = None
+    # no layer filter; perfbench/spans.py reads this name
+    layer: ClassVar[None] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -213,9 +226,6 @@ def rank_top_k(gamma: np.ndarray, created: np.ndarray, event_id, k: int) -> np.n
     return keep[np.lexsort((ids, -created[keep], -gamma[keep]))][:k]
 
 
-_LAYER_CODE = {layer: code for code, layer in enumerate(LAYERS)}
-
-
 class _OwnerColumns:
     """One owner's events in insertion order, as append-only columns.
 
@@ -223,7 +233,7 @@ class _OwnerColumns:
     after ``append`` except its ``bonus``. All embeddings share one dim.
     """
 
-    _ARRAYS = ("emb", "v0", "theta", "bonus", "created", "pos", "layer")
+    _ARRAYS = ("emb", "v0", "theta", "bonus", "created", "pos")
 
     def __init__(self, dim: int):
         self.n = 0
@@ -235,7 +245,6 @@ class _OwnerColumns:
         self.bonus = np.empty(cap)
         self.created = np.empty(cap, dtype=np.int64)
         self.pos = np.empty(cap, dtype=np.int64)
-        self.layer = np.empty(cap, dtype=np.int8)
 
     def append(self, event: MemoryEvent, pos: int) -> int:
         dim = self.emb.shape[1]
@@ -256,7 +265,6 @@ class _OwnerColumns:
         self.bonus[i] = event.access_bonus
         self.created[i] = event.created_at.toordinal()
         self.pos[i] = pos
-        self.layer[i] = _LAYER_CODE[event.layer]
         self.events.append(event)
         self.n = i + 1
         return i
@@ -311,19 +319,15 @@ class MemoryStore:
     def retrieve_top_k(self, query: MemoryQuery) -> list[ScoredEvent]:
         """Top-k events for the query's owner, ranked by combined score.
 
-        Candidates are the owner's events created at or before ``as_of``
-        (optionally restricted to one layer), in insertion order. Ties break
-        toward the newer event, then the lexicographically smaller event_id.
+        Candidates are the owner's events created at or before ``as_of``, in
+        insertion order. Ties break toward the newer event, then the
+        lexicographically smaller event_id.
         """
         as_of = query.as_of.toordinal()
         cols = self._owners.get(query.owner)
         if cols is None:
             return []
-        n = cols.n
-        mask = cols.created[:n] <= as_of
-        if query.layer is not None:
-            mask &= cols.layer[:n] == _LAYER_CODE.get(query.layer, -1)
-        rows = np.flatnonzero(mask)
+        rows = np.flatnonzero(cols.created[:cols.n] <= as_of)
         if rows.size == 0:
             return []
         emb, v0, theta = cols.emb[rows], cols.v0[rows], cols.theta[rows]
@@ -369,11 +373,21 @@ class MemoryStore:
     def load_jsonl(cls, path, calendar: tuple[Date, ...] | None = None) -> "MemoryStore":
         """The store a ``save_jsonl`` snapshot holds, each line kept as its
         event's encoding. SchemaError(row, None) names the file and row of a
-        line that is not JSON or not an event the store accepts."""
+        line that is not JSON or not an event the store accepts.
+
+        Older snapshots name a layer on each line: "working" and "procedural"
+        lines load, and an "episodic" line is left out, since no query could
+        return it.
+        """
         store = cls(calendar=calendar)
         for row_no, line, rec in read_jsonl_lines(path):
             try:
                 event = MemoryEvent.from_record(rec)
+                layer = rec.get("layer", "procedural")
+                if layer == "episodic":
+                    continue
+                if layer not in ("working", "procedural"):
+                    raise ValueError(f"unknown memory layer {layer!r}")
                 store.add(event)
             except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                 raise SchemaError.not_a(path, "memory event", exc, row_no) from None

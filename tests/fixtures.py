@@ -206,18 +206,17 @@ def oracle_importance(event, as_of: Date, calendar=None) -> float:
 
 
 def oracle_top_k(events, query_emb, as_of: Date, k: int, owner: str,
-                 layer: str | None = None, calendar=None) -> list[tuple]:
+                 calendar=None) -> list[tuple]:
     """Per-event retrieval reference: ``(event_id, relevancy, importance,
     gamma)`` of the top ``k`` candidates, best first.
 
     Candidates are ``owner``'s events (in the given order) created at or
-    before ``as_of``, optionally of one layer. Relevancy is cosine
-    similarity, importance is ``oracle_importance``; both are min-max scaled
-    (a constant set scales to 0.5) and summed into gamma. Ties go to the
-    newer event, then the smaller id.
+    before ``as_of``. Relevancy is cosine similarity, importance is
+    ``oracle_importance``; both are min-max scaled (a constant set scales to
+    0.5) and summed into gamma. Ties go to the newer event, then the
+    smaller id.
     """
-    cands = [e for e in events if e.owner == owner and e.created_at <= as_of
-             and (layer is None or e.layer == layer)]
+    cands = [e for e in events if e.owner == owner and e.created_at <= as_of]
     if not cands:
         return []
     q = [float(x) for x in query_emb]

@@ -90,7 +90,7 @@ def test_criterion_02_mean_variance_solver():
 def test_criterion_03_memory_retrieval():
     start = time.monotonic()
     emb = HashEmbedder(16)
-    event = MemoryEvent(event_id="e", owner="a", layer="procedural", content="c",
+    event = MemoryEvent(event_id="e", owner="a", content="c",
                         embedding=emb.embed("c"), initial_importance=0.8,
                         decay_ratio=0.9, created_at=date(2022, 1, 3))
     got = decayed(0.8, 0.9, event.created_at, date(2022, 1, 5))

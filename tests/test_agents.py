@@ -215,12 +215,12 @@ class TestAnalystStep:
         ctx, backend = make_ctx({("news_analyst:SYN", key): json.dumps(
             {"insight": "scripted insight", "sentiment": "positive",
              "importance": 0.8})})
-        # seed two prior procedural memories for this analyst
+        # seed two prior memories for this analyst
         for i in range(2):
             content = f"old insight {i}"
             ctx.store.add(MemoryEvent(
                 event_id=f"news_analyst:SYN:0:{i}", owner="news_analyst:SYN",
-                layer="procedural", content=content,
+                content=content,
                 embedding=ctx.embedder.embed(content), initial_importance=0.5,
                 decay_ratio=0.9, created_at=date(2022, 3, 1)))
         slice_ = AnalystSlice(ticker="SYN", documents=(doc("n1", "a"), doc("n2", "b")))
@@ -415,7 +415,7 @@ class TestSendFeedback:
         for i, aid in enumerate(["news_analyst:SYN", "data_analyst:SYN"]):
             content = f"cited {i}"
             ctx.store.add(MemoryEvent(
-                event_id=f"cite{i}", owner=aid, layer="procedural", content=content,
+                event_id=f"cite{i}", owner=aid, content=content,
                 embedding=ctx.embedder.embed(content), initial_importance=0.5,
                 decay_ratio=0.9, created_at=date(2022, 3, 1)))
         decision = TradingDecision(directions={"SYN": "long"}, reasoning="r",

@@ -632,6 +632,25 @@ class TestEngineSingleStock:
         assert day.reflections[0]["trigger"] == "negative_pnl"
         assert day.pnl < 0
 
+    def test_calendar_is_the_first_tickers_whatever_the_price_order(self, tmp_path):
+        """A price file listed before the traded ticker's in ``data.prices``,
+        here on every other day and the last, does not set the decision
+        days, and the resolved document keeps the order it was given."""
+        fix = build_single_stock_fixture(tmp_path, n_train=10, ticker="A",
+                                         analyst_roles=("data_analyst",))
+        every_other = [*range(0, len(fix.all_days) - 1, 2), len(fix.all_days) - 1]
+        write_price_csv(tmp_path / "prices_B.csv", [fix.all_days[i] for i in every_other],
+                        [fix.closes[i] for i in every_other])
+        payload = json.loads(fix.config_path.read_text())
+        payload["data"]["prices"] = {"B": "prices_B.csv", "A": "prices_A.csv"}
+        fix.config_path.write_text(json.dumps(payload))
+        config = RunConfig.load(fix.config_path)
+        trajs, _ = backtest.train(config, make_gateway(fix), tmp_path / "run")
+        assert [d.date for d in trajs[0].days] == fix.train_days
+        assert list(config.doc["data"]["prices"]) == ["B", "A"]
+        used = json.loads((tmp_path / "run" / "config.used.json").read_text())
+        assert used["data"]["prices"] == payload["data"]["prices"]
+
     def test_buy_and_hold_equivalence(self, tmp_path):
         fix = build_single_stock_fixture(
             tmp_path, n_train=12, episodes=1,
@@ -778,16 +797,17 @@ class TestEnginePortfolio:
 
 
 def assert_decisions_before_match(run_a: Path, run_b: Path, cutoff: date,
-                                  changed: str = "pnl") -> None:
-    """Two one-episode runs whose inputs differ from the day ``cutoff`` on:
-    every ``:analyze`` and ``:decide`` prompt-log record dated before it is
-    the same, and so is every trajectory day before it but the PnL of the
-    last, which realizes on the bar dated ``cutoff``. The future did change:
-    that PnL, for prices that diverge from that bar on (``changed`` "pnl"),
-    or some ``:analyze`` record dated on or after ``cutoff``, for a changed
-    document (``changed`` "analyze")."""
+                                  changed: str = "pnl", episode: int = 1) -> None:
+    """Two runs whose inputs to ``episode`` differ from the day ``cutoff``
+    on: every ``:analyze`` and ``:decide`` prompt-log record of the episode
+    dated before it is the same, and so is every trajectory day before it
+    but the PnL of the last, which realizes on the bar dated ``cutoff``. The
+    future did change: that PnL, for prices that diverge from that bar on
+    (``changed`` "pnl"), or some ``:analyze`` record dated on or after
+    ``cutoff``, for a changed document or memory (``changed`` "analyze")."""
     def logged(run_dir, phases, keep):
-        lines = (run_dir / "prompts" / "assembled_1.jsonl").read_text().splitlines()
+        log = run_dir / "prompts" / f"assembled_{episode}.jsonl"
+        lines = log.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         return [r for r in records if r["step_key"].endswith(phases)
                 and keep(date.fromisoformat(r["step_key"].split(":")[1]))]
@@ -797,7 +817,7 @@ def assert_decisions_before_match(run_a: Path, run_b: Path, cutoff: date,
 
     records = before(run_a)
     assert records and records == before(run_b)
-    days_a, days_b = (backtest.RunWriter(run).read_trajectory(1, 1.0).days
+    days_a, days_b = (backtest.RunWriter(run).read_trajectory(episode, 1.0).days
                       for run in (run_a, run_b))
     earlier = [i for i, day in enumerate(days_a) if day.date < cutoff]
     for i in earlier:
@@ -862,6 +882,36 @@ def test_no_lookahead_documents(b, later):
             runs.append(Path(tmp) / f"run_{name}")
             backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), runs[-1])
         assert_decisions_before_match(*runs, fix.all_days[b], changed="analyze")
+
+
+# t: the last training day whose episode-1 insight stays as scripted
+@given(t=st.integers(0, 8))
+@example(t=0)
+@settings(max_examples=8, deadline=None)
+def test_no_lookahead_memory(t):
+    """Episode 1's insights changed after day t leave every episode-2 prompt
+    and decision dated at or before t unchanged: on each day, retrieval
+    passes over the events the store holds from episode 1 dated later."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name in ("A", "B"):
+            fix = build_single_stock_fixture(Path(tmp) / name, n_train=10, episodes=2,
+                                             analyst_roles=("data_analyst",))
+            if name == "B":
+                last_kept = fix.train_days[t].isoformat()
+                entries = [json.loads(line)
+                           for line in fix.script_path.read_text().splitlines()]
+                for e in entries:
+                    episode, day, phase = e["step_key"].split(":")
+                    if (episode, phase) == ("1", "analyze") and day > last_kept:
+                        resp = json.loads(e["response"])
+                        resp["insight"] += " Revised."
+                        e["response"] = json.dumps(resp)
+                fix.script_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+            runs.append(Path(tmp) / f"run_{name}")
+            backtest.train(RunConfig.load(fix.config_path), make_gateway(fix), runs[-1])
+        assert_decisions_before_match(*runs, fix.train_days[t + 1], changed="analyze",
+                                      episode=2)
 
 
 class TestTrainTestDrivers:

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import urllib.request
 from datetime import date
 
@@ -495,9 +496,18 @@ class TestTestCommand:
         (edit_first_record(embedding=[[0.5]]), 1),
         (edit_first_record(embedding="not base64!"), 1),
         (edit_first_record(embedding=base64.b64encode(bytes(7)).decode()), 1),
+        (edit_first_record(initial_importance="0.5"), 1),
+        (edit_first_record(decay_ratio=" 0.9 "), 1),
+        (edit_first_record(access_bonus=True), 1),
+        (edit_first_record(access_bonus=math.nan), 1),
+        (edit_first_record(access_bonus=math.inf), 1),
+        (edit_first_record(embedding=["0.5"] * 64), 1),
+        (edit_first_record(embedding=[math.nan] * 64), 1),
     ], ids=["missing_field", "duplicate_id", "unknown_layer", "json_array",
             "numeric_id", "nested_embedding", "non_base64_embedding",
-            "seven_byte_embedding"])
+            "seven_byte_embedding", "string_importance", "padded_string_decay",
+            "bool_bonus", "nan_bonus", "infinite_bonus", "string_list_embedding",
+            "nan_list_embedding"])
     def test_inherited_snapshot_record_not_an_event_exit_one(self, tmp_path, capsys,
                                                              corrupt, row):
         fix = build_fixture(tmp_path, n_test=4)

@@ -43,10 +43,10 @@ from fixtures import build_portfolio_fixture, build_single_stock_fixture
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 CASES = ("single", "portfolio")
 # the training snapshots as written with each embedding a JSON list of
-# numbers, before embeddings were written as base64
+# numbers and each event's layer, before embeddings were written as base64
 LIST_FORM_TRAIN_SNAPSHOTS = {
-    "single": "db431af27edd3c3a6ead3d6e231c25574657b95b7331cc69af9847c3661f4b55",
-    "portfolio": "9afd0f21c34c236dcbf7d94332d0e10fef2bbed367aec60ed4f9ec3e061da0e3",
+    "single": "eb3118174c85811ea92ea786efc1c2696e7b346904d9b149ead2b5192e21b5f9",
+    "portfolio": "4b558d881be33c8250bb3aed0a622465f1681978259a1fb4146ad4f9af95b6c2",
 }
 
 
@@ -219,12 +219,14 @@ def test_calls_made_stale_by_feedback_change_no_file(tmp_path):
 
 
 def to_list_form(path: Path) -> None:
-    """Rewrite a snapshot with each embedding as a JSON list of numbers."""
+    """Rewrite a snapshot with each embedding as a JSON list of numbers and
+    each event in the "procedural" layer, as the writers of that form did."""
     lines = []
     for line in path.read_text().splitlines():
         record = json.loads(line)
         raw = base64.b64decode(record["embedding"], validate=True)
         record["embedding"] = [x for (x,) in struct.iter_unpack(">d", raw)]
+        record["layer"] = "procedural"
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     path.write_text("".join(lines))
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fincon.data_ingest import jsonl_line
 from fincon.errors import DimensionMismatch, UnknownEventId, ZeroVector
 from fincon.memory import (
     ACCESS_BOOST,
-    LAYERS,
     HashEmbedder,
     MemoryEvent,
     MemoryQuery,
@@ -32,12 +32,11 @@ SQRT_HALF = 0.7071067811865476  # frozen: mpmath sqrt(1/2)
 
 
 def make_event(event_id, owner="agent", content=None, v0=0.5, theta=0.9,
-               created=date(2022, 1, 3), bonus=0.0, dim=16, layer="procedural",
-               embedding=None):
+               created=date(2022, 1, 3), bonus=0.0, dim=16, embedding=None):
     emb = HashEmbedder(dim)
     content = content if content is not None else f"content {event_id}"
     return MemoryEvent(
-        event_id=event_id, owner=owner, layer=layer, content=content,
+        event_id=event_id, owner=owner, content=content,
         embedding=emb.embed(content) if embedding is None else np.asarray(embedding, float),
         initial_importance=v0, decay_ratio=theta, created_at=created,
         access_bonus=bonus,
@@ -247,7 +246,6 @@ def retrieval_cases(draw):
     events = [MemoryEvent(
         event_id=event_id,
         owner=draw(st.sampled_from(("a", "b"))),
-        layer=draw(st.sampled_from(LAYERS)),
         content=event_id,
         embedding=np.array(draw(st.sampled_from(VECTORS)), dtype=float),
         initial_importance=draw(st.sampled_from((0.25, 0.5, 1.0))),
@@ -255,9 +253,8 @@ def retrieval_cases(draw):
         created_at=BASE + timedelta(days=draw(OFFSETS)),
         access_bonus=draw(st.sampled_from((0.0, 5.0))),
     ) for event_id in ids]
-    query = st.tuples(st.just("query"), st.sampled_from(("a", "b")),
-                      st.sampled_from((None,) + LAYERS), OFFSETS, st.integers(1, 6),
-                      st.sampled_from(VECTORS))
+    query = st.tuples(st.just("query"), st.sampled_from(("a", "b")), OFFSETS,
+                      st.integers(1, 6), st.sampled_from(VECTORS))
     boost = st.tuples(st.just("boost"), st.sampled_from(ids))
     steps = draw(st.lists(query | boost, min_size=1, max_size=8))
     return calendar, events, steps
@@ -275,12 +272,12 @@ class TestRetrievalOracle:
             if step[0] == "boost":
                 store.boost_access(step[1])
                 continue
-            _, owner, layer, offset, k, vector = step
+            _, owner, offset, k, vector = step
             as_of = BASE + timedelta(days=offset)
             emb = np.array(vector, dtype=float)
             got = [(s.event.event_id, s.relevancy, s.importance, s.gamma) for s in
-                   store.retrieve_top_k(MemoryQuery(emb, as_of, k, owner, layer))]
-            assert got == oracle_top_k(events, emb, as_of, k, owner, layer, calendar)
+                   store.retrieve_top_k(MemoryQuery(emb, as_of, k, owner))]
+            assert got == oracle_top_k(events, emb, as_of, k, owner, calendar)
 
 
 class TestScaling:
@@ -427,6 +424,18 @@ class TestSnapshotLineCache:
                                separators=(",", ":")) + "\n"
         assert self.saved_lines(loaded, tmp_path / "boosted.jsonl") == [canonical]
 
+    def test_lines_naming_a_layer(self, tmp_path):
+        """Snapshots written when events had layers name one on each line:
+        "working" and "procedural" lines load and are written back as read,
+        and an "episodic" line is left out."""
+        lines = [jsonl_line({**make_event(f"e{i}").to_record(), "layer": layer})
+                 for i, layer in enumerate(("working", "procedural", "episodic"))]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(lines))
+        loaded = MemoryStore.load_jsonl(path)
+        assert sorted(loaded.all_ids()) == ["e0", "e1"]
+        assert self.saved_lines(loaded, tmp_path / "again.jsonl") == lines[:2]
+
     def test_to_record_embedding_is_float64_for_any_float_array(self):
         for dtype in (np.float16, np.float32, np.float64, ">f8"):
             tiny = np.finfo(dtype).smallest_subnormal
@@ -441,9 +450,10 @@ class TestSnapshotLineCache:
 
 class TestListFormSnapshot:
     """``list_form_snapshot.jsonl`` holds each embedding as a JSON list of
-    numbers, as snapshots were written before base64, and
-    ``list_form_snapshot_top_k.json`` the retrievals the code that wrote it
-    returned from it."""
+    numbers and each event's layer, as snapshots were written before base64,
+    and ``list_form_snapshot_top_k.json`` the retrievals the code that wrote
+    it returned from it, with and without a layer filter. The engine asked
+    only for "procedural" events; the one "episodic" line does not load."""
 
     SNAPSHOT = Path(__file__).with_name("list_form_snapshot.jsonl")
     TOP_K = Path(__file__).with_name("list_form_snapshot_top_k.json")
@@ -451,25 +461,31 @@ class TestListFormSnapshot:
     def load(self, path=SNAPSHOT):
         want = json.loads(self.TOP_K.read_text())
         calendar = tuple(date.fromisoformat(d) for d in want["calendar"])
-        return MemoryStore.load_jsonl(path, calendar=calendar), want["queries"]
+        queries = [q for q in want["queries"] if q["layer"] == "procedural"]
+        return MemoryStore.load_jsonl(path, calendar=calendar), queries
+
+    def procedural_lines(self) -> list[str]:
+        return [line for line in self.SNAPSHOT.read_text().splitlines(keepends=True)
+                if json.loads(line)["layer"] != "episodic"]
 
     @staticmethod
     def retrieve(store, query):
         hits = store.retrieve_top_k(MemoryQuery(
             HashEmbedder().embed(query["text"]),
-            date.fromisoformat(query["as_of"]), 3, query["owner"], query["layer"]))
+            date.fromisoformat(query["as_of"]), 3, query["owner"]))
         return [[h.event.event_id, h.relevancy, h.importance, h.gamma] for h in hits]
 
     def test_loads_to_the_same_top_k(self):
         store, queries = self.load()
-        assert len(store) == len(self.SNAPSHOT.read_text().splitlines())
+        assert len(store) == len(self.procedural_lines()) == 9
+        assert len(queries) == 4
         for query in queries:
             assert self.retrieve(store, query) == query["hits"], query
 
     def test_one_file_holds_both_forms(self, tmp_path):
         store, queries = self.load()
         store.save_jsonl(tmp_path / "again.jsonl")
-        assert (tmp_path / "again.jsonl").read_bytes() == self.SNAPSHOT.read_bytes()
+        assert (tmp_path / "again.jsonl").read_text() == "".join(self.procedural_lines())
         boosted = sorted(store.all_ids())[0]
         store.boost_access(boosted)
         store.save_jsonl(tmp_path / "mixed.jsonl")
