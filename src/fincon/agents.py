@@ -30,6 +30,8 @@ from .memory import MemoryEvent, MemoryQuery, MemoryStore
 from .portfolio import DIRECTION_BOXES
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .risk_control import RiskState
 
 MANAGER = "manager"
@@ -253,6 +255,10 @@ class StepContext:
     temperature: float
     max_retries: int
     default_importance: float
+    # query text -> its embedding, kept for the stage: a query's text is a
+    # function of the agent, the date and the ticker, so later episodes
+    # and rebuilt requests ask for the same texts again
+    query_vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -272,8 +278,11 @@ class AnalystSlice:
 
 def _retrieve(ctx: StepContext, profile: AgentProfile, date: Date, ticker: str | None):
     query_text = memory_query_text(profile, date, ticker)
+    embedding = ctx.query_vectors.get(query_text)
+    if embedding is None:
+        embedding = ctx.query_vectors[query_text] = ctx.embedder.embed(query_text)
     query = MemoryQuery(
-        embedding=ctx.embedder.embed(query_text),
+        embedding=embedding,
         as_of=date,
         k=ctx.top_k,
         owner=profile.agent_id,

@@ -58,6 +58,7 @@ from .agents import (
 from .data_ingest import (
     MarketData,
     assemble_observation,
+    finite_number,
     jsonl_line,
     log_return,
     open_input,
@@ -641,9 +642,7 @@ class DayRecord:
         ValueError when the record does not describe one."""
         day = cls(**{**rec, "date": parse_date(rec["date"])})
         for name in ("pnl", "cvar"):
-            value = getattr(day, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{name} must be a number, got {value!r}")
+            finite_number(name, getattr(day, name))
         if not isinstance(day.alert, bool):
             raise TypeError(f"alert must be true or false, got {day.alert!r}")
         return day
@@ -890,6 +889,8 @@ class BacktestEngine:
         self.store = store
         self.writer = writer
         self.embedder = HashEmbedder()
+        # the stage's memory-query vectors by query text, shared by its episodes
+        self.query_vectors: dict[str, np.ndarray] = {}
         self.manager = config.profiles[MANAGER]
         # the analyst instances' profiles by agent id, in fan-out order
         self.analysts = {aid: p for aid, p in sorted(config.profiles.items())
@@ -986,6 +987,7 @@ class BacktestEngine:
             temperature=cfg.llm["temperature_decision"],
             max_retries=cfg.llm["max_retries"],
             default_importance=cfg.memory["default_importance"],
+            query_vectors=self.query_vectors,
         )
         records: list[DayRecord] = []
         try:

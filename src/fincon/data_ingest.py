@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import operator
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -124,6 +125,16 @@ def parse_date(text: str) -> Date:
     return Date(int(y), int(m), int(d))
 
 
+def finite_number(name: str, value) -> float:
+    """A run file field's value as a float: TypeError unless it is a JSON
+    number (not a bool), ValueError unless it is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def open_input(path: Path, newline: str | None = None):
     """``path`` opened as UTF-8 text whatever the locale, so a run reads the
@@ -175,7 +186,7 @@ def read_jsonl_lines(path: str | Path):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise SchemaError(row_no, None, f"{path}: invalid JSON ({exc})") from None
             yield row_no, line, record
 
@@ -190,13 +201,14 @@ def read_json(path: str | Path):
     """The single JSON document a run file holds.
 
     Raises as ``open_input`` does, and SchemaError(0, None) for a file that
-    is not JSON, such as one cut short by a crash.
+    is not JSON, such as one cut short by a crash, or that ``json.load``
+    rejects otherwise (any ValueError).
     """
     path = Path(path)
     try:
         with open_input(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(0, None, f"{path}: invalid JSON ({exc})") from None
 
 

@@ -8,11 +8,14 @@ whole trading days). Events newer than the query's as-of date are never
 candidates.
 
 One store serves every agent in a run; ownership filters retrieval. Each
-owner's events are indexed in append-only columns (embedding rows, importance
-inputs, creation day and its trading-day position, found once at ``add``),
-so a query costs numpy work over that owner's events and no Python work per
-candidate. The store can be persisted to / restored from a JSONL snapshot so
-a test stage inherits the training stage's memory.
+owner's events are indexed in append-only columns (embedding rows and their
+norms, importance inputs, creation day and its trading-day position, each
+found once), so a query costs numpy work over that owner's events and no
+Python work per candidate. Every sum of products runs in numpy's own loops
+in one fixed order, not in BLAS, so a score keeps its bits whatever BLAS
+kernel the host loads and whatever else the owner holds. The store can be
+persisted to / restored from a JSONL snapshot so a test stage inherits the
+training stage's memory.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
-import sys
+import math
 from collections.abc import KeysView
 from dataclasses import dataclass
 from datetime import date as Date
@@ -28,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data_ingest import jsonl_line, parse_date, read_jsonl_lines
+from .data_ingest import finite_number, jsonl_line, parse_date, read_jsonl_lines
 from .errors import DimensionMismatch, SchemaError, UnknownEventId, ZeroVector
 
 # a snapshot line's embedding: base64 of its values as big-endian float64
@@ -61,16 +64,6 @@ class HashEmbedder:
         # uint64 -> float64 rounds once and 2**63 is exact, so each component
         # equals the correctly rounded int(word) / 2**63 - 1.0
         return np.frombuffer(words, dtype=">u8") / 2**63 - 1.0
-
-
-def _finite_number(name: str, value) -> float:
-    """A snapshot field's value as a float: TypeError unless it is a JSON
-    number (not a bool), ValueError unless it is finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -122,9 +115,13 @@ class MemoryEvent:
             if len(raw) % EMBEDDING_DTYPE.itemsize:
                 raise ValueError(f"embedding holds {len(raw)} bytes, not whole "
                                  f"{EMBEDDING_DTYPE.itemsize}-byte floats")
-            embedding = np.frombuffer(raw, dtype=EMBEDDING_DTYPE)
+            embedding = np.frombuffer(raw, dtype=EMBEDDING_DTYPE).astype(float)
+            if not np.isfinite(embedding).all():
+                bad = int(np.flatnonzero(~np.isfinite(embedding))[0])
+                raise ValueError(f"embedding value {bad} must be finite, "
+                                 f"got {float(embedding[bad])!r}")
         elif isinstance(embedding, list):
-            embedding = [_finite_number("embedding", x) for x in embedding]
+            embedding = [finite_number("embedding", x) for x in embedding]
         else:
             raise TypeError(f"embedding must be base64 text or a list, got {embedding!r}")
         return cls(
@@ -132,10 +129,10 @@ class MemoryEvent:
             owner=rec["owner"],
             content=rec["content"],
             embedding=np.asarray(embedding, dtype=float),
-            initial_importance=_finite_number("initial_importance", rec["initial_importance"]),
-            decay_ratio=_finite_number("decay_ratio", rec["decay_ratio"]),
+            initial_importance=finite_number("initial_importance", rec["initial_importance"]),
+            decay_ratio=finite_number("decay_ratio", rec["decay_ratio"]),
             created_at=parse_date(rec["created_at"]),
-            access_bonus=_finite_number("access_bonus", rec["access_bonus"]),
+            access_bonus=finite_number("access_bonus", rec["access_bonus"]),
         )
 
 
@@ -163,11 +160,27 @@ class ScoredEvent:
     gamma: float
 
 
-def cosine_matrix(query: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Cosine similarity between one query vector and each row of ``emb``."""
-    qnorm = np.sqrt(query @ query)
-    norms = np.sqrt(np.einsum("ij,ij->i", emb, emb))
-    return (emb @ query) / (norms * qnorm)
+def row_norms(emb: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``emb``."""
+    return np.sqrt(np.einsum("ij,ij->i", emb, emb))
+
+
+def cosine_matrix(query: np.ndarray, emb: np.ndarray, norms: np.ndarray | None = None,
+                  rows=slice(None)) -> np.ndarray:
+    """Cosine similarity between one query vector and the rows ``rows`` of
+    ``emb`` (all of them by default). ``norms`` holds ``row_norms(emb)``
+    when the caller keeps it.
+
+    Every dot product is summed by numpy's own loops in one fixed order,
+    never by BLAS, so a row's value depends neither on the BLAS kernel the
+    host loads nor on the other rows of ``emb``. ZeroVector for a zero query.
+    """
+    qnorm = np.sqrt(np.einsum("j,j->", query, query))
+    if qnorm == 0.0:
+        raise ZeroVector("query embedding is zero")
+    if norms is None:
+        norms = row_norms(emb)
+    return np.einsum("ij,j->i", emb, query)[rows] / (norms[rows] * qnorm)
 
 
 def decay_importance(v0: np.ndarray, theta: np.ndarray, dt: np.ndarray,
@@ -209,9 +222,10 @@ def score_candidates(raw_relevancy: np.ndarray, raw_importance: np.ndarray
     return s_rel, s_imp, s_rel + s_imp
 
 
-def rank_top_k(gamma: np.ndarray, created: np.ndarray, event_id, k: int) -> np.ndarray:
+def rank_top_k(gamma: np.ndarray, created: np.ndarray, event_id, k: int) -> list[int]:
     """Positions of the ``k`` best candidates, best first: higher gamma, then
     the newer event (larger ``created``), then the smaller ``event_id(i)``.
+    A NaN gamma (a zero event embedding makes every gamma NaN) ranks last.
 
     Only candidates scoring at least the k-th largest gamma can be among the
     k best, so ids are looked up for those alone.
@@ -220,10 +234,11 @@ def rank_top_k(gamma: np.ndarray, created: np.ndarray, event_id, k: int) -> np.n
     keep = np.arange(n)
     if n > k:
         kth = np.partition(gamma, n - k)[n - k]
-        if not np.isnan(kth):  # NaN scores (a zero event embedding) sort all
+        if not np.isnan(kth):
             keep = np.flatnonzero(gamma >= kth)
-    ids = np.array([event_id(i) for i in keep])
-    return keep[np.lexsort((ids, -created[keep], -gamma[keep]))][:k]
+    keys = {i: (-g if g == g else math.inf, -c, event_id(i)) for i, g, c in
+            zip(keep.tolist(), gamma[keep].tolist(), created[keep].tolist())}
+    return sorted(keys, key=keys.__getitem__)[:k]
 
 
 class _OwnerColumns:
@@ -231,15 +246,20 @@ class _OwnerColumns:
 
     The arrays grow by doubling; ``n`` rows are in use. A row never changes
     after ``append`` except its ``bonus``. All embeddings share one dim.
+    ``norms`` fills in the norm of the rows appended since it last ran, and
+    ``latest`` is the newest creation ordinal.
     """
 
-    _ARRAYS = ("emb", "v0", "theta", "bonus", "created", "pos")
+    _ARRAYS = ("emb", "norm", "v0", "theta", "bonus", "created", "pos")
 
     def __init__(self, dim: int):
         self.n = 0
+        self.normed = 0
+        self.latest = 0
         self.events: list[MemoryEvent] = []
         cap = 16
         self.emb = np.empty((cap, dim))
+        self.norm = np.empty(cap)
         self.v0 = np.empty(cap)
         self.theta = np.empty(cap)
         self.bonus = np.empty(cap)
@@ -259,15 +279,24 @@ class _OwnerColumns:
                 new = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
                 new[:i] = old
                 setattr(self, name, new)
+        created = event.created_at.toordinal()
         self.emb[i] = event.embedding
         self.v0[i] = event.initial_importance
         self.theta[i] = event.decay_ratio
         self.bonus[i] = event.access_bonus
-        self.created[i] = event.created_at.toordinal()
+        self.created[i] = created
         self.pos[i] = pos
+        self.latest = max(self.latest, created)
         self.events.append(event)
         self.n = i + 1
         return i
+
+    def norms(self) -> np.ndarray:
+        """``row_norms`` of the rows in use; each row's is computed once."""
+        if self.normed < self.n:
+            self.norm[self.normed:self.n] = row_norms(self.emb[self.normed:self.n])
+            self.normed = self.n
+        return self.norm[:self.n]
 
 
 class MemoryStore:
@@ -319,35 +348,40 @@ class MemoryStore:
     def retrieve_top_k(self, query: MemoryQuery) -> list[ScoredEvent]:
         """Top-k events for the query's owner, ranked by combined score.
 
-        Candidates are the owner's events created at or before ``as_of``, in
-        insertion order. Ties break toward the newer event, then the
-        lexicographically smaller event_id.
+        Candidates are the owner's events created at or before ``as_of``.
+        Ties break toward the newer event, then the lexicographically
+        smaller event_id. Every row is scored in place, and the as-of cut
+        picks the candidates' scores; when every row is a candidate, as in
+        a first episode or a test stage, no column is copied.
         """
         as_of = query.as_of.toordinal()
         cols = self._owners.get(query.owner)
         if cols is None:
             return []
-        rows = np.flatnonzero(cols.created[:cols.n] <= as_of)
-        if rows.size == 0:
-            return []
-        emb, v0, theta = cols.emb[rows], cols.v0[rows], cols.theta[rows]
-        bonus, created, pos = cols.bonus[rows], cols.created[rows], cols.pos[rows]
+        n = cols.n
+        if cols.latest <= as_of:
+            rows = slice(0, n)
+            row_of = range(n)
+        else:
+            rows = np.flatnonzero(cols.created[:n] <= as_of)
+            if rows.size == 0:
+                return []
+            row_of = rows
         events = cols.events
         dim = len(query.embedding)
-        if emb.shape[1] != dim:
+        if cols.emb.shape[1] != dim:
             raise DimensionMismatch(
-                f"event {events[rows[0]].event_id}: dim {emb.shape[1]} vs query {dim}")
+                f"event {events[row_of[0]].event_id}: dim {cols.emb.shape[1]} vs query {dim}")
         q = np.asarray(query.embedding, dtype=float)
-        if float(q @ q) == 0.0:
-            raise ZeroVector("query embedding is zero")
-        raw_rel = cosine_matrix(q, emb)
-        dts = elapsed_days(pos, trading_position(self.calendar, query.as_of),
+        raw_rel = cosine_matrix(q, cols.emb[:n], cols.norms(), rows)
+        created = cols.created[rows]
+        dts = elapsed_days(cols.pos[rows], trading_position(self.calendar, query.as_of),
                            as_of - created).astype(float)
-        raw_imp = decay_importance(v0, theta, dts, bonus)
+        raw_imp = decay_importance(cols.v0[rows], cols.theta[rows], dts, cols.bonus[rows])
         s_rel, s_imp, gamma = score_candidates(raw_rel, raw_imp)
-        order = rank_top_k(gamma, created, lambda i: events[rows[i]].event_id, query.k)
+        order = rank_top_k(gamma, created, lambda i: events[row_of[i]].event_id, query.k)
         return [
-            ScoredEvent(event=events[rows[i]], relevancy=float(s_rel[i]),
+            ScoredEvent(event=events[row_of[i]], relevancy=float(s_rel[i]),
                         importance=float(s_imp[i]), gamma=float(gamma[i]))
             for i in order
         ]

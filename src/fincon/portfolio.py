@@ -6,6 +6,10 @@ box. A single-stock run holds the box's nonzero end; a portfolio run
 maximizes <w, mu> - <w, Sigma w> over the boxes. Projected gradient ascent
 with step 1/(2B), B the Gershgorin bound on Sigma's largest eigenvalue, is
 monotone and convergent for this concave objective.
+
+Every sum of products runs in numpy's own loops in one fixed order
+(``np.einsum``, or ``np.add.reduce`` of the products), not in BLAS, so
+weights keep their bits whatever BLAS kernel the host loads.
 """
 
 from __future__ import annotations
@@ -69,8 +73,9 @@ def shrink_estimates(returns, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if r.shape[0] < 2:
         raise InsufficientSamples(f"need T >= 2 rows, got {r.shape[0]}")
     mu_hat = r.mean(axis=0)
-    centered = r - mu_hat
-    s = centered.T @ centered / (r.shape[0] - 1)
+    # each ticker's centered returns as one contiguous row
+    centered = np.ascontiguousarray((r - mu_hat).T)
+    s = np.einsum("it,jt->ij", centered, centered) / (r.shape[0] - 1)
     sigma = (1.0 - lam) * s + lam * np.diag(np.diag(s))
     mu = (1.0 - lam) * mu_hat + lam * float(mu_hat.mean()) * np.ones_like(mu_hat)
     return mu, sigma
@@ -104,8 +109,23 @@ def gershgorin_bound(sigma: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(sigma), axis=1)))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b>."""
+    return float(np.add.reduce(a * b))
+
+
+def _sigma_times(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sigma w."""
+    return np.einsum("ij,j->i", sigma, w)
+
+
+def _objective(w: np.ndarray, mu: np.ndarray, sigma_w: np.ndarray) -> float:
+    """<w,mu> - <w,sigma w>, given sigma w."""
+    return _dot(w, mu) - _dot(w, sigma_w)
+
+
 def mv_objective(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
-    return float(w @ mu - w @ (sigma @ w))
+    return _objective(w, mu, _sigma_times(sigma, w))
 
 
 def _box_qp(mu: np.ndarray, sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -114,14 +134,17 @@ def _box_qp(mu: np.ndarray, sigma: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     Starts from w = 0 (feasible for every direction box). Stops when both the
     objective change and the infinity-norm step fall under their tolerances,
-    or after ``max_iter`` iterations. Returns (w, objective).
+    or after ``max_iter`` iterations. Returns (w, objective). Each iterate's
+    sigma w serves its objective and the next gradient.
     """
     w = np.zeros_like(mu)
+    sigma_w = _sigma_times(sigma, w)
     obj = 0.0
     for _ in range(max_iter):
-        grad = mu - 2.0 * (sigma @ w)
+        grad = mu - 2.0 * sigma_w
         wn = np.clip(w + step * grad, lo, hi)
-        new_obj = mv_objective(wn, mu, sigma)
+        sigma_w = _sigma_times(sigma, wn)
+        new_obj = _objective(wn, mu, sigma_w)
         dw = float(np.max(np.abs(wn - w)))
         done = abs(new_obj - obj) < obj_tol and dw < step_tol
         w = wn
@@ -170,11 +193,11 @@ def _abs_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """|Pearson correlation|; zero-variance series count as uncorrelated."""
     da = a - a.mean()
     db = b - b.mean()
-    va = float(da @ da)
-    vb = float(db @ db)
+    va = _dot(da, da)
+    vb = _dot(db, db)
     if va == 0.0 or vb == 0.0:
         return 0.0
-    return abs(float(da @ db) / math.sqrt(va * vb))
+    return abs(_dot(da, db) / math.sqrt(va * vb))
 
 
 def correlation_table(candidates: list[tuple[str, np.ndarray]]) -> dict[tuple[str, str], float]:

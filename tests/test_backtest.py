@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fincon import backtest
+from fincon import agents, backtest
 from fincon.backtest import (
     RunConfig,
     build_report,
@@ -49,7 +49,7 @@ from fincon.errors import (
     ZeroVolatility,
 )
 from fincon.llm_gateway import LlmGateway, ScriptedBackend, load_mock_script
-from fincon.memory import MemoryStore
+from fincon.memory import HashEmbedder, MemoryStore
 
 from fixtures import (
     build_portfolio_fixture,
@@ -1517,6 +1517,41 @@ class TestTrainTestDrivers:
             assert json.dumps(stale)[1:-1] not in files, key
             assert prompt_tag(stale) not in files, key
             assert prompt_tag(logged[key]) in files, key
+
+    def test_each_memory_query_text_is_embedded_once_per_stage(self, tmp_path, monkeypatch):
+        """A memory query's text is a function of the agent, the date and
+        the ticker. A 3-episode train embeds each distinct one once: later
+        episodes, and requests that feedback made the engine build again,
+        reuse its vector."""
+        fix = build_single_stock_fixture(
+            tmp_path, n_train=12, episodes=3, news_every=1,
+            extra_config={"backtest": {"feedback_threshold_mult": 0.5}})
+        embedded, asked, built = Counter(), Counter(), Counter()
+        embed, query_text = HashEmbedder.embed, agents.memory_query_text
+        request = backtest.analyst_request
+
+        def counting_embed(self, text):
+            embedded[text] += 1
+            return embed(self, text)
+
+        def counting_query_text(profile, day, ticker):
+            text = query_text(profile, day, ticker)
+            asked[text] += 1
+            return text
+
+        def counting_request(profile, belief_text, obs_slice, day, ctx):
+            built[(profile.agent_id, ctx.episode, day)] += 1
+            return request(profile, belief_text, obs_slice, day, ctx)
+
+        monkeypatch.setattr(HashEmbedder, "embed", counting_embed)
+        monkeypatch.setattr(agents, "memory_query_text", counting_query_text)
+        monkeypatch.setattr(backtest, "analyst_request", counting_request)
+        trajectories, _ = backtest.train(RunConfig.load(fix.config_path), make_gateway(fix),
+                                         tmp_path / "run")
+        assert len(trajectories) == 3
+        assert {key[1] for key, n in built.items() if n > 1} >= {1, 2, 3}
+        assert sum(asked.values()) > 3 * len(asked)
+        assert {text: embedded[text] for text in asked} == dict.fromkeys(asked, 1)
 
     def test_decision_failing_while_the_next_days_calls_wait_fails_as_inline(self, tmp_path):
         """A decision that fails while the next day's analyst call waits on

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import struct
 import urllib.request
 from datetime import date
 
@@ -35,6 +36,15 @@ def edit_first_record(**fields):
                 record[key] = value
         return [json.dumps(record)] + lines[1:]
     return edit
+
+
+def base64_embedding(values) -> str:
+    """``values`` as a snapshot's base64 embedding (big-endian float64)."""
+    return base64.b64encode(struct.pack(f">{len(values)}d", *values)).decode("ascii")
+
+
+# a JSON integer literal longer than the interpreter converts (4,300 digits)
+HUGE_INTEGER = "9" * 5000
 
 
 def edit_lines(corrupt):
@@ -487,6 +497,28 @@ class TestTestCommand:
         assert code == 1
         assert "snapshot.jsonl: invalid JSON" in capsys.readouterr().err
 
+    def test_inherited_snapshot_integer_over_the_digit_limit_exit_one(self, tmp_path,
+                                                                      capsys):
+        """``json.loads`` rejects such a literal with a plain ValueError, not
+        a JSONDecodeError; it is reported as invalid JSON all the same."""
+        fix = build_fixture(tmp_path, n_test=4)
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir)]) == 0
+        snapshot = train_dir / "memory" / "snapshot.jsonl"
+        lines = snapshot.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"access_bonus":', f'"access_bonus":{HUGE_INTEGER},"x":', 1)
+        snapshot.write_text("".join(lines))
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "snapshot.jsonl: invalid JSON" in err and "4300 digits" in err
+
     @pytest.mark.parametrize("corrupt, row", [
         (edit_first_record(content=None), 1),
         (lambda lines: lines[:2] + lines[:1] + lines[2:], 3),
@@ -503,11 +535,13 @@ class TestTestCommand:
         (edit_first_record(access_bonus=math.inf), 1),
         (edit_first_record(embedding=["0.5"] * 64), 1),
         (edit_first_record(embedding=[math.nan] * 64), 1),
+        (edit_first_record(embedding=base64_embedding([0.5] * 63 + [math.nan])), 1),
+        (edit_first_record(embedding=base64_embedding([-math.inf] + [0.5] * 63)), 1),
     ], ids=["missing_field", "duplicate_id", "unknown_layer", "json_array",
             "numeric_id", "nested_embedding", "non_base64_embedding",
             "seven_byte_embedding", "string_importance", "padded_string_decay",
             "bool_bonus", "nan_bonus", "infinite_bonus", "string_list_embedding",
-            "nan_list_embedding"])
+            "nan_list_embedding", "nan_base64_embedding", "infinite_base64_embedding"])
     def test_inherited_snapshot_record_not_an_event_exit_one(self, tmp_path, capsys,
                                                              corrupt, row):
         fix = build_fixture(tmp_path, n_test=4)
@@ -536,8 +570,10 @@ class TestTestCommand:
         (lambda data: b'{"belief_block": {"ECC": 5}}',
          "prompt_set.json: not a prompt set (TypeError"),
         (lambda data: b'[]', "prompt_set.json: not a prompt set (TypeError"),
+        (lambda data: b'{"belief_block": {"ECC": %s}}' % HUGE_INTEGER.encode(),
+         "prompt_set.json: invalid JSON (Exceeds the limit (4300 digits)"),
     ], ids=["truncated", "renamed_field", "unknown_aspect", "numeric_belief",
-            "json_array"])
+            "json_array", "integer_over_the_digit_limit"])
     def test_corrupt_inherited_prompt_set_exit_one(self, tmp_path, capsys, corrupt,
                                                    message):
         fix = build_fixture(tmp_path, n_test=4)
@@ -574,8 +610,13 @@ class TestReport:
         (edit_first_record(pnl="x"), "row 1 is not a day record (TypeError: pnl"),
         (edit_first_record(cvar=True), "row 1 is not a day record (TypeError: cvar"),
         (edit_first_record(alert=1), "row 1 is not a day record (TypeError: alert"),
+        (edit_first_record(pnl=math.nan), "row 1 is not a day record (ValueError: pnl"),
+        (edit_first_record(cvar=-math.inf), "row 1 is not a day record (ValueError: cvar"),
+        (lambda lines: lines[:1] + [f'{{"pnl": {HUGE_INTEGER}}}'] + lines[2:],
+         "invalid JSON (Exceeds the limit (4300 digits)"),
     ], ids=["invalid_json", "missing_field", "extra_field", "bad_date", "no_date",
-            "json_array", "text_pnl", "bool_cvar", "numeric_alert"])
+            "json_array", "text_pnl", "bool_cvar", "numeric_alert", "nan_pnl",
+            "infinite_cvar", "integer_over_the_digit_limit"])
     def test_corrupt_trajectory_exit_one(self, tmp_path, capsys, corrupt, message):
         fix = build_fixture(tmp_path)
         run_dir = tmp_path / "run"

@@ -7,7 +7,8 @@ same runs through a pass-through backend, which the engine fans out on its
 pool, with one and with four analyst workers and with the default pool, must
 give the same files, config.used.json included: it does not record the
 worker count. So must runs through a backend whose calls take seeded, random
-times, which reorders when the pool's calls finish.
+times, which reorders when the pool's calls finish, and runs under other
+BLAS kernels than the host's own.
 Regenerate the digests only for an intended change of the outputs:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -22,6 +23,7 @@ import os
 import random
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -29,9 +31,11 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fincon
 from fincon import backtest
 from fincon.backtest import RunConfig
 from fincon.errors import BackendUnavailable
@@ -216,6 +220,26 @@ def test_calls_made_stale_by_feedback_change_no_file(tmp_path):
     assert failed and all(key.endswith(":analyze") for _, key in failed)
     differing = [name for name in sorted(set(want) | set(got)) if got.get(name) != want.get(name)]
     assert not differing, f"failing the stale calls changes {differing}"
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_run_directories_do_not_depend_on_the_blas_kernel(coretype):
+    """numpy's OpenBLAS, built for several CPUs, picks its kernels when it
+    loads, and ``OPENBLAS_CORETYPE`` forces a choice: an AVX2 host's
+    (Haswell) or an AVX host's (Sandybridge). A child process under each
+    writes every golden file, because no pinned number passes through BLAS.
+    Where numpy does not link such an OpenBLAS, the variable changes
+    nothing and the child repeats the golden check."""
+    src = Path(fincon.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                           text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    want = json.loads(GOLDEN.read_text())
+    got = json.loads(child.stdout)
+    differing = [name for name in sorted(set(want) | set(got)) if got.get(name) != want.get(name)]
+    assert not differing, f"OPENBLAS_CORETYPE={coretype} changes {differing}"
 
 
 def to_list_form(path: Path) -> None:

@@ -21,6 +21,7 @@ from fincon.memory import (
     cosine_matrix,
     decay_importance,
     elapsed_days,
+    row_norms,
     scale_unit,
     score_candidates,
     trading_position,
@@ -236,48 +237,142 @@ VECTORS = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 1), (-1, 2, 2), (1, 1, 1))
 OFFSETS = st.integers(-4, 27)  # days from BASE; the calendar covers 0..27 at most
 
 
+def oracle_event(event_id, owner, vector, v0, theta, offset, bonus) -> MemoryEvent:
+    return MemoryEvent(event_id=event_id, owner=owner, content=event_id,
+                       embedding=np.array(vector, dtype=float), initial_importance=v0,
+                       decay_ratio=theta, created_at=BASE + timedelta(days=offset),
+                       access_bonus=bonus)
+
+
 @st.composite
 def retrieval_cases(draw):
+    """(calendar, events, added, steps): the first ``added`` events go into
+    the store up front and each "add" step adds the next, so queries also
+    meet rows appended since the last query."""
     trading = draw(st.none() | st.lists(st.booleans(), min_size=28, max_size=28))
     calendar = None if trading is None else tuple(
         BASE + timedelta(days=i) for i, on in enumerate(trading) if on)
     ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1,
                         max_size=24, unique=True))
-    events = [MemoryEvent(
-        event_id=event_id,
-        owner=draw(st.sampled_from(("a", "b"))),
-        content=event_id,
-        embedding=np.array(draw(st.sampled_from(VECTORS)), dtype=float),
-        initial_importance=draw(st.sampled_from((0.25, 0.5, 1.0))),
-        decay_ratio=draw(st.sampled_from((0.5, 0.75))),
-        created_at=BASE + timedelta(days=draw(OFFSETS)),
-        access_bonus=draw(st.sampled_from((0.0, 5.0))),
-    ) for event_id in ids]
+    events = [oracle_event(
+        event_id, draw(st.sampled_from(("a", "b"))), draw(st.sampled_from(VECTORS)),
+        draw(st.sampled_from((0.25, 0.5, 1.0))), draw(st.sampled_from((0.5, 0.75))),
+        draw(OFFSETS), draw(st.sampled_from((0.0, 5.0)))) for event_id in ids]
+    added = draw(st.integers(0, len(events)))
     query = st.tuples(st.just("query"), st.sampled_from(("a", "b")), OFFSETS,
                       st.integers(1, 6), st.sampled_from(VECTORS))
-    boost = st.tuples(st.just("boost"), st.sampled_from(ids))
-    steps = draw(st.lists(query | boost, min_size=1, max_size=8))
-    return calendar, events, steps
+    boost = st.tuples(st.just("boost"), st.integers(0, len(ids) - 1))
+    add = st.just(("add",))
+    steps = draw(st.lists(query | boost | add, min_size=1, max_size=12))
+    return calendar, events, added, steps
+
+
+# candidates {1, 3} of owner "a" at offset 8: neither a prefix nor a suffix
+# of insertion order, and row 3 is appended after the first query
+NOT_A_PREFIX = (None, [
+    oracle_event("w", "a", (1, 0, 0), 0.5, 0.5, 20, 0.0),
+    oracle_event("x", "a", (1, 1, 0), 0.25, 0.75, 3, 0.0),
+    oracle_event("y", "a", (2, -1, 1), 1.0, 0.5, 12, 5.0),
+    oracle_event("z", "a", (-1, 2, 2), 0.5, 0.75, 8, 0.0),
+], 3, [("query", "a", 8, 2, (1, 1, 1)), ("add",), ("query", "a", 8, 2, (1, 1, 1)),
+       ("query", "a", 27, 3, (0, 1, 0))])
 
 
 class TestRetrievalOracle:
     @given(retrieval_cases())
+    @example(NOT_A_PREFIX)
     @settings(max_examples=150, deadline=None)
     def test_matches_per_event_oracle(self, case):
-        calendar, events, steps = case
+        calendar, events, added, steps = case
         store = MemoryStore(calendar=calendar)
-        for e in events:
+        for e in events[:added]:
             store.add(e)
         for step in steps:
+            if step[0] == "add":
+                if added < len(events):
+                    store.add(events[added])
+                    added += 1
+                continue
             if step[0] == "boost":
-                store.boost_access(step[1])
+                if added:
+                    store.boost_access(events[step[1] % added].event_id)
                 continue
             _, owner, offset, k, vector = step
             as_of = BASE + timedelta(days=offset)
             emb = np.array(vector, dtype=float)
             got = [(s.event.event_id, s.relevancy, s.importance, s.gamma) for s in
                    store.retrieve_top_k(MemoryQuery(emb, as_of, k, owner))]
-            assert got == oracle_top_k(events, emb, as_of, k, owner, calendar)
+            assert got == oracle_top_k(events[:added], emb, as_of, k, owner, calendar)
+
+
+def bits(hits) -> list[tuple]:
+    return [(h.event.event_id, h.relevancy.hex(), h.importance.hex(), h.gamma.hex())
+            for h in hits]
+
+
+AS_OF = date(2022, 3, 1)
+WEEKDAYS = tuple(AS_OF + timedelta(days=d) for d in range(-90, 90)
+                 if (AS_OF + timedelta(days=d)).weekday() < 5)
+
+
+class TestInPlaceScoring:
+    """Each row is scored by itself, in one fixed order: a candidate's
+    scores do not depend on the rest of the store, and a row norm filled
+    in later equals the norm of that row taken alone."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_cand=st.integers(1, 40),
+           n_other=st.integers(1, 80), dim=st.sampled_from([3, 16, 64, 67]),
+           k=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_candidate_scores_do_not_depend_on_other_rows(self, seed, n_cand, n_other,
+                                                          dim, k):
+        """The same candidates score the same bits alone and among the
+        owner's later-dated rows (such as another episode leaves) and other
+        owners' rows, inserted in any order, with queries in between."""
+        rng = np.random.default_rng(seed)
+
+        def event(event_id, owner, days):
+            return MemoryEvent(
+                event_id=event_id, owner=owner, content=event_id,
+                embedding=rng.standard_normal(dim),
+                initial_importance=float(rng.uniform(0, 1)),
+                decay_ratio=float(rng.uniform(0.5, 0.99)),
+                created_at=AS_OF + timedelta(days=days),
+                access_bonus=float(rng.choice([0.0, 5.0])))
+
+        candidates = [event(f"a:1:{i:03d}", "a", -int(rng.integers(0, 60)))
+                      for i in range(n_cand)]
+        others = [event(f"a:2:{i:03d}", "a", int(rng.integers(1, 60))) if rng.random() < 0.7
+                  else event(f"b:{i:03d}", "b", int(rng.integers(-60, 60)))
+                  for i in range(n_other)]
+        query = MemoryQuery(rng.standard_normal(dim), AS_OF, k, "a")
+
+        alone = MemoryStore(calendar=WEEKDAYS)
+        for e in candidates:
+            alone.add(e)
+        mixed = MemoryStore(calendar=WEEKDAYS)
+        rows = candidates + others
+        for i in rng.permutation(len(rows)):
+            mixed.add(rows[i])
+            if rng.random() < 0.1:
+                mixed.retrieve_top_k(query)
+        assert bits(mixed.retrieve_top_k(query)) == bits(alone.retrieve_top_k(query))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           batches=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           dim=st.sampled_from([1, 3, 16, 64, 67]))
+    @settings(max_examples=100, deadline=None)
+    def test_lazily_filled_norms_equal_per_row_norms(self, seed, batches, dim):
+        rng = np.random.default_rng(seed)
+        store = MemoryStore()
+        rows = []
+        for size in batches:
+            for _ in range(size):
+                rows.append(rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4))
+                store.add(make_event(f"e{len(rows):03d}", dim=dim, embedding=rows[-1]))
+            store.retrieve_top_k(MemoryQuery(np.ones(dim), date(2022, 2, 1), 1, "agent"))
+        one_by_one = [row_norms(row[np.newaxis, :]) for row in rows]
+        assert store._owners["agent"].norms().tobytes() == np.concatenate(one_by_one).tobytes()
 
 
 class TestScaling:
@@ -439,13 +534,22 @@ class TestSnapshotLineCache:
     def test_to_record_embedding_is_float64_for_any_float_array(self):
         for dtype in (np.float16, np.float32, np.float64, ">f8"):
             tiny = np.finfo(dtype).smallest_subnormal
-            emb = np.array([0.1, -0.7, 1.0 / 3.0, -0.0, tiny, 6e4, math.inf, math.nan],
-                           dtype=dtype)
+            emb = np.array([0.1, -0.7, 1.0 / 3.0, -0.0, tiny, 6e4], dtype=dtype)
             record = replace(make_event("e"), embedding=emb).to_record()
             want = emb.astype(">f8").tobytes()
             assert base64.b64decode(record["embedding"], validate=True) == want, dtype
             back = MemoryEvent.from_record(record).embedding
             assert back.dtype == np.float64 and back.astype(">f8").tobytes() == want, dtype
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base64_embedding_is_rejected(self, value):
+        """A NaN or infinite component would make every score of its owner
+        NaN, so a snapshot holding one does not load."""
+        emb = np.array([0.1, -0.7, value, 0.5])
+        record = replace(make_event("e"), embedding=emb).to_record()
+        assert base64.b64decode(record["embedding"]) == emb.astype(">f8").tobytes()
+        with pytest.raises(ValueError, match="embedding value 2 must be finite"):
+            MemoryEvent.from_record(record)
 
 
 class TestListFormSnapshot:
