@@ -191,10 +191,23 @@ def read_jsonl_lines(path: str | Path):
             yield row_no, line, record
 
 
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# a JSON string as ``jsonl_line`` writes it, quotes included
+json_string = json.encoder.encode_basestring_ascii
+
+
 def jsonl_line(record) -> str:
     """``record`` as one canonical JSON-lines line: sorted keys, no spaces,
     ending in a newline. Every JSONL file a run writes is made of these."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return _JSONL_ENCODER.encode(record) + "\n"
+
+
+def json_number(value) -> str:
+    """A number (bool, int or float) as ``jsonl_line`` writes it."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return _JSONL_ENCODER.encode(value)
 
 
 def read_json(path: str | Path):

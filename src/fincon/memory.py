@@ -13,14 +13,20 @@ norms, importance inputs, creation day and its trading-day position, each
 found once), so a query costs numpy work over that owner's events and no
 Python work per candidate. Every sum of products runs in numpy's own loops
 in one fixed order, not in BLAS, so a score keeps its bits whatever BLAS
-kernel the host loads and whatever else the owner holds. The store can be
-persisted to / restored from a JSONL snapshot so a test stage inherits the
-training stage's memory.
+kernel the host loads and whatever else the owner holds.
+
+The store can be persisted to / restored from a JSONL snapshot so a test
+stage inherits the training stage's memory. One encoder writes a snapshot
+line (``MemoryEvent.snapshot_line``), field by field, in the bytes of the
+event's record as a canonical JSON line. Loading decodes every base64
+embedding in one pass (``decode_embeddings``), and every loaded event
+still goes through ``MemoryStore.add``, in file order, so a fault names
+the first faulty row.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import bisect
 import hashlib
 import math
@@ -31,7 +37,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data_ingest import finite_number, jsonl_line, parse_date, read_jsonl_lines
+from .data_ingest import (
+    finite_number,
+    json_number,
+    json_string,
+    parse_date,
+    read_jsonl_lines,
+)
 from .errors import DimensionMismatch, SchemaError, UnknownEventId, ZeroVector
 
 # a snapshot line's embedding: base64 of its values as big-endian float64
@@ -93,47 +105,98 @@ class MemoryEvent:
             "event_id": self.event_id,
             "owner": self.owner,
             "content": self.content,
-            "embedding": base64.b64encode(
-                np.asarray(self.embedding, dtype=EMBEDDING_DTYPE).tobytes()).decode("ascii"),
+            "embedding": encode_embedding(self.embedding),
             "initial_importance": self.initial_importance,
             "decay_ratio": self.decay_ratio,
             "created_at": self.created_at.isoformat(),
             "access_bonus": self.access_bonus,
         }
 
+    def snapshot_line(self) -> str:
+        """The event's snapshot line: ``jsonl_line(self.to_record())``, laid
+        out field by field in its sorted key order. The one encoder of a
+        snapshot line."""
+        return (f'{{"access_bonus":{json_number(self.access_bonus)},'
+                f'"content":{json_string(self.content)},'
+                f'"created_at":"{self.created_at.isoformat()}",'
+                f'"decay_ratio":{json_number(self.decay_ratio)},'
+                f'"embedding":"{encode_embedding(self.embedding)}",'
+                f'"event_id":{json_string(self.event_id)},'
+                f'"initial_importance":{json_number(self.initial_importance)},'
+                f'"owner":{json_string(self.owner)}}}\n')
+
     @classmethod
-    def from_record(cls, rec: dict) -> "MemoryEvent":
+    def from_record(cls, rec: dict, embedding=None) -> "MemoryEvent":
         """The event a snapshot record holds, its embedding in either form;
         KeyError, TypeError or ValueError when the record does not describe
-        one."""
+        one. ``embedding`` is what ``decode_embeddings`` made of the record's
+        base64 embedding, when the caller decoded it already."""
         for name in ("event_id", "owner", "content"):
             if not isinstance(rec[name], str):
                 raise TypeError(f"{name} must be a string, got {rec[name]!r}")
-        embedding = rec["embedding"]
-        if isinstance(embedding, str):
-            raw = base64.b64decode(embedding, validate=True)
-            if len(raw) % EMBEDDING_DTYPE.itemsize:
-                raise ValueError(f"embedding holds {len(raw)} bytes, not whole "
-                                 f"{EMBEDDING_DTYPE.itemsize}-byte floats")
-            embedding = np.frombuffer(raw, dtype=EMBEDDING_DTYPE).astype(float)
-            if not np.isfinite(embedding).all():
-                bad = int(np.flatnonzero(~np.isfinite(embedding))[0])
-                raise ValueError(f"embedding value {bad} must be finite, "
-                                 f"got {float(embedding[bad])!r}")
-        elif isinstance(embedding, list):
-            embedding = [finite_number("embedding", x) for x in embedding]
-        else:
+        if embedding is None:
+            embedding = rec["embedding"]
+            if isinstance(embedding, str):
+                embedding = decode_embeddings([embedding])[0]
+        if isinstance(embedding, ValueError):
+            raise embedding
+        if isinstance(embedding, list):
+            embedding = np.array([finite_number("embedding", x) for x in embedding])
+        elif not isinstance(embedding, np.ndarray):
             raise TypeError(f"embedding must be base64 text or a list, got {embedding!r}")
         return cls(
             event_id=rec["event_id"],
             owner=rec["owner"],
             content=rec["content"],
-            embedding=np.asarray(embedding, dtype=float),
+            embedding=embedding,
             initial_importance=finite_number("initial_importance", rec["initial_importance"]),
             decay_ratio=finite_number("decay_ratio", rec["decay_ratio"]),
             created_at=parse_date(rec["created_at"]),
             access_bonus=finite_number("access_bonus", rec["access_bonus"]),
         )
+
+
+def encode_embedding(values) -> str:
+    """A snapshot line's embedding: base64 of ``values`` as big-endian float64."""
+    raw = np.asarray(values, dtype=EMBEDDING_DTYPE).tobytes()
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def decode_embeddings(texts: list) -> list:
+    """What ``encode_embedding`` text each of ``texts`` holds, as a float64
+    array, or the ValueError saying why it holds none.
+
+    One strict ``a2b_base64`` per text, then one ``frombuffer`` and one
+    finiteness check per byte length for all the texts of that length.
+    """
+    decoded: list = [None] * len(texts)
+    by_size: dict[int, tuple[list[int], list[bytes]]] = {}
+    for i, text in enumerate(texts):
+        try:
+            raw = binascii.a2b_base64(text, strict_mode=True)
+        except ValueError as exc:  # binascii.Error, or text that is not ASCII
+            decoded[i] = exc
+            continue
+        if len(raw) % EMBEDDING_DTYPE.itemsize:
+            decoded[i] = ValueError(f"embedding holds {len(raw)} bytes, not whole "
+                                    f"{EMBEDDING_DTYPE.itemsize}-byte floats")
+            continue
+        at, raws = by_size.setdefault(len(raw), ([], []))
+        at.append(i)
+        raws.append(raw)
+    for size, (at, raws) in by_size.items():
+        values = np.frombuffer(b"".join(raws), dtype=EMBEDDING_DTYPE).reshape(
+            len(at), size // EMBEDDING_DTYPE.itemsize).astype(float)
+        finite = np.isfinite(values)
+        rows = list(values)
+        if not finite.all():
+            for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+                bad = int(np.flatnonzero(~finite[k])[0])
+                rows[k] = ValueError(f"embedding value {bad} must be finite, "
+                                     f"got {float(values[k, bad])!r}")
+        for i, row in zip(at, rows):
+            decoded[i] = row
+    return decoded
 
 
 @dataclass(frozen=True)
@@ -150,7 +213,7 @@ class MemoryQuery:
             raise ValueError("k must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScoredEvent:
     """A retrieval hit: scaled components and their sum (the ranking score)."""
 
@@ -175,7 +238,7 @@ def cosine_matrix(query: np.ndarray, emb: np.ndarray, norms: np.ndarray | None =
     never by BLAS, so a row's value depends neither on the BLAS kernel the
     host loads nor on the other rows of ``emb``. ZeroVector for a zero query.
     """
-    qnorm = np.sqrt(np.einsum("j,j->", query, query))
+    qnorm = math.sqrt(np.einsum("j,j->", query, query))
     if qnorm == 0.0:
         raise ZeroVector("query embedding is zero")
     if norms is None:
@@ -198,17 +261,18 @@ def trading_position(calendar: tuple[Date, ...] | None, day: Date) -> int:
 
 
 def elapsed_days(created_pos, as_of_pos, calendar_days):
-    """dt for decay: trading days between the two positions, or the calendar
-    days given when either date has no position. Elementwise on arrays."""
-    return np.where((created_pos >= 0) & (as_of_pos >= 0),
-                    np.maximum(as_of_pos - created_pos, 0), calendar_days)
+    """dt for decay of a candidate created at or before its as-of day:
+    trading days between the two positions, or the calendar days given when
+    the creation day has no position. Elementwise on arrays."""
+    # a candidate is created at or before its as-of day, so a creation day
+    # with a position gives the as-of day one at least as large
+    return np.where(created_pos >= 0, as_of_pos - created_pos, calendar_days)
 
 
 def scale_unit(values: np.ndarray) -> np.ndarray:
     """Min-max scale to [0,1]; a degenerate (constant) set scales to 0.5."""
-    values = np.asarray(values, dtype=float)
-    lo = float(values.min())
-    hi = float(values.max())
+    lo = values.min()
+    hi = values.max()
     if hi == lo:
         return np.full(values.shape, 0.5)
     return (values - lo) / (hi - lo)
@@ -231,13 +295,15 @@ def rank_top_k(gamma: np.ndarray, created: np.ndarray, event_id, k: int) -> list
     k best, so ids are looked up for those alone.
     """
     n = len(gamma)
-    keep = np.arange(n)
+    keep = range(n)
     if n > k:
         kth = np.partition(gamma, n - k)[n - k]
-        if not np.isnan(kth):
-            keep = np.flatnonzero(gamma >= kth)
+        if kth == kth:  # not NaN
+            keep = (gamma >= kth).nonzero()[0]
+            gamma, created = gamma.take(keep), created.take(keep)
+            keep = keep.tolist()
     keys = {i: (-g if g == g else math.inf, -c, event_id(i)) for i, g, c in
-            zip(keep.tolist(), gamma[keep].tolist(), created[keep].tolist())}
+            zip(keep, gamma.tolist(), created.tolist())}
     return sorted(keys, key=keys.__getitem__)[:k]
 
 
@@ -363,7 +429,7 @@ class MemoryStore:
             rows = slice(0, n)
             row_of = range(n)
         else:
-            rows = np.flatnonzero(cols.created[:n] <= as_of)
+            rows = (cols.created[:n] <= as_of).nonzero()[0]
             if rows.size == 0:
                 return []
             row_of = rows
@@ -376,15 +442,13 @@ class MemoryStore:
         raw_rel = cosine_matrix(q, cols.emb[:n], cols.norms(), rows)
         created = cols.created[rows]
         dts = elapsed_days(cols.pos[rows], trading_position(self.calendar, query.as_of),
-                           as_of - created).astype(float)
+                           as_of - created)
         raw_imp = decay_importance(cols.v0[rows], cols.theta[rows], dts, cols.bonus[rows])
         s_rel, s_imp, gamma = score_candidates(raw_rel, raw_imp)
         order = rank_top_k(gamma, created, lambda i: events[row_of[i]].event_id, query.k)
-        return [
-            ScoredEvent(event=events[row_of[i]], relevancy=float(s_rel[i]),
-                        importance=float(s_imp[i]), gamma=float(gamma[i]))
-            for i in order
-        ]
+        return [ScoredEvent(events[row_of[i]], rel, imp, g) for i, rel, imp, g in zip(
+            order, s_rel.take(order).tolist(), s_imp.take(order).tolist(),
+            gamma.take(order).tolist())]
 
     def save_jsonl(self, path) -> None:
         """Snapshot every event, one JSON object per line, sorted by id.
@@ -399,24 +463,40 @@ class MemoryStore:
             for event_id, event in sorted(self._events.items()):
                 cached = self._encoded.get(event_id)
                 if cached is None or cached[0] != event.access_bonus:
-                    line = jsonl_line(event.to_record())
-                    cached = self._encoded[event_id] = (event.access_bonus, line)
+                    cached = self._encoded[event_id] = (event.access_bonus,
+                                                        event.snapshot_line())
                 fh.write(cached[1])
 
     @classmethod
     def load_jsonl(cls, path, calendar: tuple[Date, ...] | None = None) -> "MemoryStore":
         """The store a ``save_jsonl`` snapshot holds, each line kept as its
-        event's encoding. SchemaError(row, None) names the file and row of a
-        line that is not JSON or not an event the store accepts.
+        event's encoding. SchemaError(row, None) names the file and row of
+        the first line that is not JSON or not an event the store accepts.
+
+        The file is read whole first, so that ``decode_embeddings`` decodes
+        every base64 embedding in one pass. Then each line's event is
+        checked and goes through ``add`` in file order, and a line that is
+        not JSON is reported only when the lines before it hold no fault.
 
         Older snapshots name a layer on each line: "working" and "procedural"
         lines load, and an "episodic" line is left out, since no query could
         return it.
         """
+        lines = []
+        try:
+            for row in read_jsonl_lines(path):
+                lines.append(row)
+        except SchemaError as exc:
+            unreadable = exc
+        else:
+            unreadable = None
+        texts = {i: rec["embedding"] for i, (_, _, rec) in enumerate(lines)
+                 if type(rec) is dict and type(rec.get("embedding")) is str}
+        embeddings = dict(zip(texts, decode_embeddings(list(texts.values()))))
         store = cls(calendar=calendar)
-        for row_no, line, rec in read_jsonl_lines(path):
+        for i, (row_no, line, rec) in enumerate(lines):
             try:
-                event = MemoryEvent.from_record(rec)
+                event = MemoryEvent.from_record(rec, embeddings.get(i))
                 layer = rec.get("layer", "procedural")
                 if layer == "episodic":
                     continue
@@ -426,4 +506,6 @@ class MemoryStore:
             except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                 raise SchemaError.not_a(path, "memory event", exc, row_no) from None
             store._encoded[event.event_id] = (event.access_bonus, line + "\n")
+        if unreadable is not None:
+            raise unreadable
         return store

@@ -561,6 +561,35 @@ class TestTestCommand:
         assert code == 1
         assert f"snapshot.jsonl: row {row} is not a memory event" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("embedding", [
+        base64_embedding([0.5] * 63 + [math.nan]),
+        base64.b64encode(bytes(500)).decode(),
+        "not base64!",
+        base64_embedding([0.5] * 8),
+    ], ids=["non_finite", "wrong_byte_count", "not_base64", "other_dim_than_its_owner"])
+    def test_faulty_embedding_on_row_three_of_five_exit_one(self, tmp_path, capsys,
+                                                           embedding):
+        """The snapshot's embeddings are decoded in one pass before any event
+        is added; a fault past the first row is still reported at its row."""
+        fix = build_fixture(tmp_path, n_test=4)
+        train_dir = tmp_path / "train_run"
+        assert main(["train", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(train_dir)]) == 0
+        snapshot = train_dir / "memory" / "snapshot.jsonl"
+        records = [json.loads(line) for line in snapshot.read_text().splitlines()[:5]]
+        assert len(records) == 5 and records[2]["owner"] in (records[0]["owner"],
+                                                             records[1]["owner"])
+        records[2]["embedding"] = embedding
+        snapshot.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = main(["test", "--config", str(fix.config_path),
+                     "--mock-script", str(fix.script_path),
+                     "--run-dir", str(tmp_path / "test_run"),
+                     "--override", "mode=test",
+                     "--override", f"backtest.train_run_dir={train_dir}"])
+        assert code == 1
+        assert "snapshot.jsonl: row 3 is not a memory event" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda data: data[:-40], "prompt_set.json: invalid JSON"),
         (lambda data: data.replace(b'"belief_block"', b'"beliefs"'),

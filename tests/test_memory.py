@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fincon.data_ingest import jsonl_line
-from fincon.errors import DimensionMismatch, UnknownEventId, ZeroVector
+from fincon.errors import DimensionMismatch, SchemaError, UnknownEventId, ZeroVector
 from fincon.memory import (
     ACCESS_BOOST,
     HashEmbedder,
@@ -445,13 +445,13 @@ class TestSnapshotLineCache:
     @staticmethod
     def count_encodes(monkeypatch):
         calls = []
-        to_record = MemoryEvent.to_record
+        snapshot_line = MemoryEvent.snapshot_line
 
         def counting(event):
             calls.append(event.event_id)
-            return to_record(event)
+            return snapshot_line(event)
 
-        monkeypatch.setattr(MemoryEvent, "to_record", counting)
+        monkeypatch.setattr(MemoryEvent, "snapshot_line", counting)
         return calls
 
     @staticmethod
@@ -550,6 +550,124 @@ class TestSnapshotLineCache:
         assert base64.b64decode(record["embedding"]) == emb.astype(">f8").tobytes()
         with pytest.raises(ValueError, match="embedding value 2 must be finite"):
             MemoryEvent.from_record(record)
+
+
+# text a JSON line must escape: quotes, backslashes, control and non-ASCII
+# characters, among any others
+ESCAPED_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀\u2028'),
+                                 st.characters()), max_size=12)
+ODD_FLOATS = st.sampled_from([5e-324, 0.1, 1e16])
+
+
+def number_forms(floats):
+    """Numbers drawn from ``floats`` as Python floats and as numpy float64."""
+    return st.one_of(floats, floats.map(np.float64))
+
+
+class TestSnapshotLineEncoder:
+    """``MemoryEvent.snapshot_line`` writes each field itself; its line must
+    be the canonical JSON line of the event's record, byte for byte."""
+
+    @given(event_id=ESCAPED_TEXT, owner=ESCAPED_TEXT, content=ESCAPED_TEXT,
+           importance=st.one_of(st.sampled_from([0, 1]), number_forms(st.one_of(
+               ODD_FLOATS.filter(lambda x: x <= 1.0), st.floats(0.0, 1.0)))),
+           decay=number_forms(st.one_of(ODD_FLOATS.filter(lambda x: x < 1.0),
+                                        st.floats(0.0, 1.0, exclude_min=True,
+                                                  exclude_max=True))),
+           bonus=st.one_of(st.integers(0, 10**20), number_forms(st.one_of(
+               ODD_FLOATS, st.floats(0.0, allow_infinity=True)))),
+           created=st.dates(),
+           embedding=st.sampled_from([1, 8, 64]).flatmap(lambda dim: st.lists(
+               st.floats(allow_nan=False, allow_infinity=False), min_size=dim,
+               max_size=dim)))
+    @example(event_id='a"b\\c', owner="\x00\n", content="Überweisung 利益 📈",
+             importance=5e-324, decay=0.1, bonus=1e16, created=date(2022, 1, 3),
+             embedding=[0.1, -0.0, 5e-324, 1e16, -1.7976931348623157e308, 1.0, 3.0, 0.5])
+    @example(event_id="e", owner="a", content="", importance=1, decay=5e-324, bonus=10**20,
+             created=date(1, 1, 1), embedding=[0.0])
+    @settings(max_examples=150, deadline=None)
+    def test_line_is_the_canonical_line_of_the_record(self, event_id, owner, content,
+                                                      importance, decay, bonus, created,
+                                                      embedding):
+        event = MemoryEvent(event_id=event_id, owner=owner, content=content,
+                            embedding=np.array(embedding), initial_importance=importance,
+                            decay_ratio=decay, created_at=created, access_bonus=bonus)
+        assert event.snapshot_line() == jsonl_line(event.to_record())
+
+
+class TestOnePassDecode:
+    """``load_jsonl`` decodes every base64 embedding in one pass, then adds
+    the events in file order; owners may hold different dims."""
+
+    CALENDAR = WEEKDAYS
+
+    def mixed_store(self) -> MemoryStore:
+        """Owner "wide" at dim 64 and owner "narrow" at dim 8, their lines
+        interleaved in the snapshot's id order."""
+        store = MemoryStore(calendar=self.CALENDAR)
+        for i in range(12):
+            owner, dim = ("wide", 64) if i % 2 else ("narrow", 8)
+            store.add(make_event(f"e{i:02d}", owner=owner, dim=dim, v0=0.1 + 0.07 * i,
+                                 theta=0.8 + 0.01 * i, created=WEEKDAYS[40 + 3 * i],
+                                 bonus=5.0 * (i % 3)))
+        return store
+
+    def test_owners_of_different_dims_load_and_answer_as_added(self, tmp_path):
+        store = self.mixed_store()
+        path = tmp_path / "snap.jsonl"
+        store.save_jsonl(path)
+        loaded = MemoryStore.load_jsonl(path, calendar=self.CALENDAR)
+        assert len(loaded) == 12
+        for owner, dim in (("wide", 64), ("narrow", 8)):
+            for as_of in (WEEKDAYS[50], WEEKDAYS[80]):
+                query = MemoryQuery(HashEmbedder(dim).embed(f"q {owner}"), as_of, 3, owner)
+                want = bits(store.retrieve_top_k(query))
+                assert want and bits(loaded.retrieve_top_k(query)) == want
+
+    def test_line_of_another_dim_than_its_owner_names_its_row(self, tmp_path):
+        events = [make_event("e0", owner="a", dim=8), make_event("e1", owner="b", dim=64),
+                  make_event("e2", owner="a", dim=64), make_event("e3", owner="b", dim=64)]
+        path = tmp_path / "snap.jsonl"
+        path.write_text("".join(jsonl_line(e.to_record()) for e in events))
+        with pytest.raises(SchemaError, match="row 3 is not a memory event "
+                                              r"\(DimensionMismatch: event e2") as exc:
+            MemoryStore.load_jsonl(path)
+        assert exc.value.row == 3
+
+    @pytest.mark.parametrize("text, message", [
+        (base64.b64encode(np.array([0.5, math.inf]).astype(">f8").tobytes()).decode(),
+         "embedding value 1 must be finite"),
+        (base64.b64encode(bytes(12)).decode(), "embedding holds 12 bytes"),
+        ("not base64!", "Only base64 data is allowed"),
+    ], ids=["non_finite", "wrong_byte_count", "not_base64"])
+    def test_faulty_embedding_is_named_after_the_faults_before_it(self, tmp_path, text,
+                                                                  message):
+        """A faulty embedding on row 4 is reported; so is a fault on row 2
+        when row 4 holds the same embedding."""
+        lines = [jsonl_line(make_event(f"e{i}").to_record()) for i in range(5)]
+        record = json.loads(lines[3])
+        record["embedding"] = text
+        lines[3] = json.dumps(record) + "\n"
+        path = tmp_path / "snap.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(SchemaError, match=f"row 4 is not a memory event .*{message}"):
+            MemoryStore.load_jsonl(path)
+        lines[1] = lines[1].replace('"content":', '"contents":')
+        path.write_text("".join(lines))
+        with pytest.raises(SchemaError, match="row 2 is not a memory event .*KeyError"):
+            MemoryStore.load_jsonl(path)
+
+    def test_line_that_is_not_json_is_named_after_the_faults_before_it(self, tmp_path):
+        lines = [jsonl_line(make_event(f"e{i}").to_record()) for i in range(4)]
+        path = tmp_path / "snap.jsonl"
+        path.write_text("".join(lines[:3]) + "{not json\n")
+        with pytest.raises(SchemaError, match="invalid JSON") as exc:
+            MemoryStore.load_jsonl(path)
+        assert exc.value.row == 4
+        path.write_text(lines[0] + lines[0] + lines[2] + "{not json\n")
+        with pytest.raises(SchemaError, match="row 2 is not a memory event") as exc:
+            MemoryStore.load_jsonl(path)
+        assert exc.value.row == 2
 
 
 class TestListFormSnapshot:
