@@ -185,8 +185,12 @@ def decode_embeddings(texts: list) -> list:
         at.append(i)
         raws.append(raw)
     for size, (at, raws) in by_size.items():
-        values = np.frombuffer(b"".join(raws), dtype=EMBEDDING_DTYPE).reshape(
+        # each copy of the bytes is dropped once the next is made
+        joined = b"".join(raws)
+        raws.clear()
+        values = np.frombuffer(joined, dtype=EMBEDDING_DTYPE).reshape(
             len(at), size // EMBEDDING_DTYPE.itemsize).astype(float)
+        del joined
         finite = np.isfinite(values)
         rows = list(values)
         if not finite.all():
@@ -482,10 +486,10 @@ class MemoryStore:
         lines load, and an "episodic" line is left out, since no query could
         return it.
         """
-        lines = []
+        lines = []  # (row number, the line as the store keeps it, its record)
         try:
-            for row in read_jsonl_lines(path):
-                lines.append(row)
+            for row_no, line, rec in read_jsonl_lines(path):
+                lines.append((row_no, line + "\n", rec))
         except SchemaError as exc:
             unreadable = exc
         else:
@@ -495,6 +499,7 @@ class MemoryStore:
         embeddings = dict(zip(texts, decode_embeddings(list(texts.values()))))
         store = cls(calendar=calendar)
         for i, (row_no, line, rec) in enumerate(lines):
+            lines[i] = None  # frees each record once its event is stored
             try:
                 event = MemoryEvent.from_record(rec, embeddings.get(i))
                 layer = rec.get("layer", "procedural")
@@ -505,7 +510,7 @@ class MemoryStore:
                 store.add(event)
             except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                 raise SchemaError.not_a(path, "memory event", exc, row_no) from None
-            store._encoded[event.event_id] = (event.access_bonus, line + "\n")
+            store._encoded[event.event_id] = (event.access_bonus, line)
         if unreadable is not None:
             raise unreadable
         return store
