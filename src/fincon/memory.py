@@ -4,8 +4,8 @@ Each stored event carries an embedding, an initial importance, a per-day
 decay ratio and a cumulative access bonus. Retrieval ranks an agent's own
 events by the sum of two [0,1] min-max scaled components: cosine relevancy
 to the query embedding and decayed importance (v * theta**dt + bonus, dt in
-whole trading days). Events newer than the query's as-of date are never
-candidates.
+whole trading days, theta**dt correctly rounded from integers). Events
+newer than the query's as-of date are never candidates.
 
 One store serves every agent in a run; ownership filters retrieval. Each
 owner's events are indexed in append-only columns (embedding rows and their
@@ -250,10 +250,51 @@ def cosine_matrix(query: np.ndarray, emb: np.ndarray, norms: np.ndarray | None =
     return np.einsum("ij,j->i", emb, query)[rows] / (norms[rows] * qnorm)
 
 
-def decay_importance(v0: np.ndarray, theta: np.ndarray, dt: np.ndarray,
-                     bonus: np.ndarray) -> np.ndarray:
-    """Elementwise v0 * theta**dt + bonus."""
-    return v0 * np.power(theta, dt) + bonus
+# theta -> theta**dt for dt = 0, 1, ..., as far as ``decay_powers`` was asked:
+# a memo of values that depend on theta alone, read-only, for the process
+_DECAY_POWERS: dict[float, np.ndarray] = {}
+# bits of num**dt ``decay_powers`` carries from one dt to the next
+_POWER_BITS = 128
+
+
+def decay_powers(theta: float, width: int) -> np.ndarray:
+    """theta**dt for dt = 0, 1, ..., width - 1 at least, kept per theta.
+
+    Each value is the exact rational power num**dt / den**dt rounded once,
+    num / den being theta's ratio of integers (den a power of two), so no
+    value depends on the CPU or on numpy's ``power`` loop. num**dt is
+    carried to ``_POWER_BITS`` bits with a bound on what the cut dropped;
+    when the bound's two ends round apart, the power is taken exactly.
+    Python's int division rounds once, subnormal results included.
+    """
+    values = _DECAY_POWERS.get(theta, np.empty(0))
+    if len(values) < width:
+        width = max(width, 2 * len(values))
+        num, den = float(theta).as_integer_ratio()
+        e = den.bit_length() - 1
+        values = np.zeros(width)
+        m, s, err = 1, 0, 0  # num**dt lies in [m, m + err] * 2**s
+        for dt in range(width):
+            scale = 1 << (e * dt - s)  # theta**dt = m * 2**s / den**dt
+            value = m / scale
+            if err and (m + err) / scale != value:
+                value = num**dt / den**dt
+            values[dt] = value
+            if not value:  # every later power rounds to 0 too
+                break
+            m *= num
+            cut = max(m.bit_length() - _POWER_BITS, 0)
+            m >>= cut
+            s += cut
+            err = (err * num >> cut) + (2 if cut else 0)
+        values.flags.writeable = False
+        _DECAY_POWERS[theta] = values
+    return values
+
+
+def decay_importance(v0: np.ndarray, decay: np.ndarray, bonus: np.ndarray) -> np.ndarray:
+    """Elementwise v0 * theta**dt + bonus, ``decay`` holding theta**dt."""
+    return v0 * decay + bonus
 
 
 def trading_position(calendar: tuple[Date, ...] | None, day: Date) -> int:
@@ -316,22 +357,30 @@ class _OwnerColumns:
 
     The arrays grow by doubling; ``n`` rows are in use. A row never changes
     after ``append`` except its ``bonus``. All embeddings share one dim.
-    ``norms`` fills in the norm of the rows appended since it last ran, and
-    ``latest`` is the newest creation ordinal.
+    ``norms`` fills in the norm of the rows appended since it last ran;
+    ``earliest`` and ``latest`` are the oldest and newest creation ordinals.
+    ``powers`` holds ``decay_powers`` of each of the owner's decay ratios
+    for dt below ``width``, one block each in the order of ``thetas`` (ratio
+    -> block number), and a row's ``decay`` is where its ratio's block
+    starts.
     """
 
-    _ARRAYS = ("emb", "norm", "v0", "theta", "bonus", "created", "pos")
+    _ARRAYS = ("emb", "norm", "v0", "decay", "bonus", "created", "pos")
 
     def __init__(self, dim: int):
         self.n = 0
         self.normed = 0
+        self.earliest = math.inf
         self.latest = 0
         self.events: list[MemoryEvent] = []
+        self.thetas: dict[float, int] = {}
+        self.width = 16
+        self.powers = np.empty(0)
         cap = 16
         self.emb = np.empty((cap, dim))
         self.norm = np.empty(cap)
         self.v0 = np.empty(cap)
-        self.theta = np.empty(cap)
+        self.decay = np.empty(cap, dtype=np.intp)
         self.bonus = np.empty(cap)
         self.created = np.empty(cap, dtype=np.int64)
         self.pos = np.empty(cap, dtype=np.int64)
@@ -349,14 +398,22 @@ class _OwnerColumns:
                 new = np.empty((2 * len(old),) + old.shape[1:], dtype=old.dtype)
                 new[:i] = old
                 setattr(self, name, new)
+        block = self.thetas.get(event.decay_ratio)
+        if block is None:
+            block = self.thetas[event.decay_ratio] = len(self.thetas)
+            self.powers = np.concatenate(
+                (self.powers, decay_powers(event.decay_ratio, self.width)[:self.width]))
         created = event.created_at.toordinal()
         self.emb[i] = event.embedding
         self.v0[i] = event.initial_importance
-        self.theta[i] = event.decay_ratio
+        self.decay[i] = block * self.width
         self.bonus[i] = event.access_bonus
         self.created[i] = created
         self.pos[i] = pos
-        self.latest = max(self.latest, created)
+        if created < self.earliest:
+            self.earliest = created
+        if created > self.latest:
+            self.latest = created
         self.events.append(event)
         self.n = i + 1
         return i
@@ -367,6 +424,13 @@ class _OwnerColumns:
             self.norm[self.normed:self.n] = row_norms(self.emb[self.normed:self.n])
             self.normed = self.n
         return self.norm[:self.n]
+
+    def widen(self, width: int) -> None:
+        """Make ``powers`` hold each ratio's powers for dt below ``width``."""
+        new = max(width, 2 * self.width)
+        self.decay[:self.n] = self.decay[:self.n] // self.width * new
+        self.width = new
+        self.powers = np.concatenate([decay_powers(theta, new)[:new] for theta in self.thetas])
 
 
 class MemoryStore:
@@ -445,9 +509,15 @@ class MemoryStore:
         q = np.asarray(query.embedding, dtype=float)
         raw_rel = cosine_matrix(q, cols.emb[:n], cols.norms(), rows)
         created = cols.created[rows]
-        dts = elapsed_days(cols.pos[rows], trading_position(self.calendar, query.as_of),
-                           as_of - created)
-        raw_imp = decay_importance(cols.v0[rows], cols.theta[rows], dts, cols.bonus[rows])
+        as_of_pos = trading_position(self.calendar, query.as_of)
+        dts = elapsed_days(cols.pos[rows], as_of_pos, as_of - created)
+        # a dt counts trading days up to as_of_pos or calendar days since the
+        # earliest creation, so it stays below this width
+        width = max(as_of - cols.earliest, as_of_pos) + 1
+        if width > cols.width:
+            cols.widen(width)
+        raw_imp = decay_importance(cols.v0[rows], cols.powers[cols.decay[rows] + dts],
+                                   cols.bonus[rows])
         s_rel, s_imp, gamma = score_candidates(raw_rel, raw_imp)
         order = rank_top_k(gamma, created, lambda i: events[row_of[i]].event_id, query.k)
         return [ScoredEvent(events[row_of[i]], rel, imp, g) for i, rel, imp, g in zip(

@@ -197,12 +197,14 @@ def oracle_calendar_position(calendar, day: Date) -> int:
 
 
 def oracle_importance(event, as_of: Date, calendar=None) -> float:
-    """v0 * theta**dt + bonus; dt counts trading days between the two dates'
-    calendar positions, or calendar days when either date has none."""
+    """v0 * theta**dt + bonus, theta**dt being the exact rational power
+    rounded once; dt counts trading days between the two dates' calendar
+    positions, or calendar days when either date has none."""
     p0 = oracle_calendar_position(calendar, event.created_at)
     p1 = oracle_calendar_position(calendar, as_of)
     dt = p1 - p0 if p0 >= 0 and p1 >= 0 else (as_of - event.created_at).days
-    return event.initial_importance * event.decay_ratio ** dt + event.access_bonus
+    power = float(Fraction(event.decay_ratio) ** dt)
+    return event.initial_importance * power + event.access_bonus
 
 
 def oracle_top_k(events, query_emb, as_of: Date, k: int, owner: str,

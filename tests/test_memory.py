@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from datetime import date, timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fincon import memory
 from fincon.data_ingest import jsonl_line
 from fincon.errors import DimensionMismatch, SchemaError, UnknownEventId, ZeroVector
 from fincon.memory import (
@@ -20,6 +22,7 @@ from fincon.memory import (
     MemoryStore,
     cosine_matrix,
     decay_importance,
+    decay_powers,
     elapsed_days,
     row_norms,
     scale_unit,
@@ -76,7 +79,7 @@ def decayed(v0, theta, created, as_of, calendar=None, bonus=0.0):
     """The importance retrieval ranks by, from the production dt and decay."""
     dt = elapsed_days(trading_position(calendar, created), trading_position(calendar, as_of),
                       (as_of - created).days)
-    return float(decay_importance(v0, theta, dt, bonus))
+    return float(decay_importance(v0, decay_powers(theta, dt + 1)[dt], bonus))
 
 
 class TestImportance:
@@ -313,6 +316,61 @@ def bits(hits) -> list[tuple]:
 AS_OF = date(2022, 3, 1)
 WEEKDAYS = tuple(AS_OF + timedelta(days=d) for d in range(-90, 90)
                  if (AS_OF + timedelta(days=d)).weekday() < 5)
+
+
+class TestExactDecayPower:
+    """theta**dt comes from integers, so its bits do not depend on the CPU's
+    or numpy's ``pow``."""
+
+    @given(theta=st.one_of(st.sampled_from([0.1, 0.5, 0.9, 0.95, 0.99, 0.999]),
+                           st.floats(1e-3, 1.0, exclude_max=True)),
+           dt=st.integers(0, 600))
+    @example(theta=0.01, dt=160)  # a subnormal power, 1e-320
+    @example(theta=0.01, dt=170)  # rounds to 0
+    @settings(deadline=None)
+    def test_power_is_the_exact_power_rounded_once(self, theta, dt):
+        """theta**dt is computed from integers, so its bits do not depend on
+        the CPU's or numpy's ``pow``: the exact rational power, rounded to
+        nearest."""
+        exact = Fraction(theta) ** dt
+        got = decay_powers(theta, dt + 1)[dt]
+        assert got == float(exact)
+        assert abs(Fraction(float(got)) - exact) <= Fraction(math.ulp(got)) / 2
+
+    @pytest.mark.parametrize("bits", [54, 64])
+    def test_powers_stay_exact_when_few_bits_are_carried(self, monkeypatch, bits):
+        """With few bits carried, the ends of the bound often round apart and
+        the power is taken exactly; every value is still the exact power
+        rounded once."""
+        monkeypatch.setattr(memory, "_POWER_BITS", bits)
+        monkeypatch.setattr(memory, "_DECAY_POWERS", {})
+        for theta in (0.9, 0.97, 0.999, 0.123456789):
+            got = decay_powers(theta, 700)
+            exact = Fraction(1)
+            for dt in range(700):
+                assert got[dt] == float(exact), (theta, dt)
+                exact *= Fraction(theta)
+
+    @pytest.mark.parametrize("calendar", [None, WEEKDAYS], ids=["calendar_days",
+                                                               "trading_days"])
+    def test_long_history_of_two_decay_ratios_scores_as_the_oracle(self, calendar):
+        """One owner's events at two decay ratios over more days than the
+        first table width; the table widens as queries move later, and every
+        query still matches the oracle."""
+        # small integer vectors, so every dot product is exact in any order
+        events = [make_event(f"e{i:02d}", v0=0.2 + 0.15 * (i % 5), theta=(0.9, 0.97)[i % 2],
+                             created=WEEKDAYS[0] + timedelta(days=4 * i),
+                             embedding=[i % 3 - 1, i % 4, 2])
+                  for i in range(40)]
+        store = MemoryStore(calendar=calendar)
+        for event in events:
+            store.add(event)
+        query = np.array([1.0, 2.0, -1.0])
+        for days in (3, 20, 70, 160, 240):
+            as_of = WEEKDAYS[0] + timedelta(days=days)
+            got = [(s.event.event_id, s.relevancy, s.importance, s.gamma) for s in
+                   store.retrieve_top_k(MemoryQuery(query, as_of, 40, "agent"))]
+            assert got == oracle_top_k(events, query, as_of, 40, "agent", calendar)
 
 
 class TestInPlaceScoring:
