@@ -59,7 +59,6 @@ from .data_ingest import (
     MarketData,
     assemble_observation,
     finite_number,
-    json_string,
     jsonl_line,
     log_return,
     open_input,
@@ -679,16 +678,6 @@ def _dump_jsonl(records) -> str:
     return "".join(map(jsonl_line, records))
 
 
-def _prompt_log_line(record: dict) -> str:
-    """``jsonl_line(record)`` for a prompt-log record, whose fields are the
-    strings ``RunWriter.LOG_FIELDS`` names, laid out in sorted key order."""
-    return (f'{{"agent_id":{json_string(record["agent_id"])},'
-            f'"response":{json_string(record["response"])},'
-            f'"step_key":{json_string(record["step_key"])},'
-            f'"system":{json_string(record["system"])},'
-            f'"user":{json_string(record["user"])}}}\n')
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """``path`` holds ``text`` or what it held before, never a part: the text
     goes to a temporary file beside it, which then replaces it."""
@@ -802,8 +791,7 @@ class RunWriter:
     def write_prompt_log(self, tag: object, records: list[dict]) -> None:
         """The episode's request records (``LlmGateway.complete``) in order,
         whole or not at all, however it ended: resume replays their replies."""
-        _write_atomic(self.path("prompts", f"assembled_{tag}.jsonl"),
-                      "".join(map(_prompt_log_line, records)))
+        _write_atomic(self.path("prompts", f"assembled_{tag}.jsonl"), _dump_jsonl(records))
 
     def read_prompt_logs(self) -> dict[tuple[str, str], tuple[str, str, str]]:
         """The training episodes' prompt logs as ``LlmGateway`` answers;

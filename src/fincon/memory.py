@@ -26,6 +26,7 @@ the first faulty row.
 
 from __future__ import annotations
 
+import base64
 import binascii
 import bisect
 import hashlib
@@ -166,14 +167,14 @@ def decode_embeddings(texts: list) -> list:
     """What ``encode_embedding`` text each of ``texts`` holds, as a float64
     array, or the ValueError saying why it holds none.
 
-    One strict ``a2b_base64`` per text, then one ``frombuffer`` and one
+    One strict ``b64decode`` per text, then one ``frombuffer`` and one
     finiteness check per byte length for all the texts of that length.
     """
     decoded: list = [None] * len(texts)
     by_size: dict[int, tuple[list[int], list[bytes]]] = {}
     for i, text in enumerate(texts):
         try:
-            raw = binascii.a2b_base64(text, strict_mode=True)
+            raw = base64.b64decode(text, validate=True)
         except ValueError as exc:  # binascii.Error, or text that is not ASCII
             decoded[i] = exc
             continue

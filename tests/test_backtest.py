@@ -1914,18 +1914,6 @@ def test_resume_after_any_interruption_writes_the_uninterrupted_run(
         assert_same_run_dir(run_dir, ref)
 
 
-@given(st.fixed_dictionaries({field: st.text(st.one_of(
-    st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀\u2028'), st.characters()), max_size=20)
-    for field in backtest.RunWriter.LOG_FIELDS}))
-@example({"agent_id": 'a"b', "step_key": "1:2022-01-03:decide", "system": "\\ sys \x00",
-          "user": "Überweisung 利益 📈\n", "response": '{"direction": "long"}'})
-@settings(max_examples=100, deadline=None)
-def test_prompt_log_line_is_the_canonical_line_of_the_record(record):
-    """``write_prompt_log`` lays each record's fields out itself; each line
-    must be ``jsonl_line`` of the record, byte for byte."""
-    assert backtest._prompt_log_line(record) == backtest.jsonl_line(record)
-
-
 class TestResumeByReplay:
     def test_resume_at_another_position_size_equals_a_clean_run(self, tmp_path):
         """Resume re-runs every episode under its own config: only the logged
