@@ -254,8 +254,6 @@ def cosine_matrix(query: np.ndarray, emb: np.ndarray, norms: np.ndarray | None =
 # theta -> theta**dt for dt = 0, 1, ..., as far as ``decay_powers`` was asked:
 # a memo of values that depend on theta alone, read-only, for the process
 _DECAY_POWERS: dict[float, np.ndarray] = {}
-# bits of num**dt ``decay_powers`` carries from one dt to the next
-_POWER_BITS = 128
 
 
 def decay_powers(theta: float, width: int) -> np.ndarray:
@@ -263,10 +261,8 @@ def decay_powers(theta: float, width: int) -> np.ndarray:
 
     Each value is the exact rational power num**dt / den**dt rounded once,
     num / den being theta's ratio of integers (den a power of two), so no
-    value depends on the CPU or on numpy's ``power`` loop. num**dt is
-    carried to ``_POWER_BITS`` bits with a bound on what the cut dropped;
-    when the bound's two ends round apart, the power is taken exactly.
-    Python's int division rounds once, subnormal results included.
+    value depends on the CPU or on numpy's ``power`` loop. Python's int
+    division rounds once, subnormal results included.
     """
     values = _DECAY_POWERS.get(theta, np.empty(0))
     if len(values) < width:
@@ -274,20 +270,12 @@ def decay_powers(theta: float, width: int) -> np.ndarray:
         num, den = float(theta).as_integer_ratio()
         e = den.bit_length() - 1
         values = np.zeros(width)
-        m, s, err = 1, 0, 0  # num**dt lies in [m, m + err] * 2**s
+        m = 1  # num**dt
         for dt in range(width):
-            scale = 1 << (e * dt - s)  # theta**dt = m * 2**s / den**dt
-            value = m / scale
-            if err and (m + err) / scale != value:
-                value = num**dt / den**dt
-            values[dt] = value
+            values[dt] = value = m / (1 << e * dt)
             if not value:  # every later power rounds to 0 too
                 break
             m *= num
-            cut = max(m.bit_length() - _POWER_BITS, 0)
-            m >>= cut
-            s += cut
-            err = (err * num >> cut) + (2 if cut else 0)
         values.flags.writeable = False
         _DECAY_POWERS[theta] = values
     return values

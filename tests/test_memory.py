@@ -337,20 +337,6 @@ class TestExactDecayPower:
         assert got == float(exact)
         assert abs(Fraction(float(got)) - exact) <= Fraction(math.ulp(got)) / 2
 
-    @pytest.mark.parametrize("bits", [54, 64])
-    def test_powers_stay_exact_when_few_bits_are_carried(self, monkeypatch, bits):
-        """With few bits carried, the ends of the bound often round apart and
-        the power is taken exactly; every value is still the exact power
-        rounded once."""
-        monkeypatch.setattr(memory, "_POWER_BITS", bits)
-        monkeypatch.setattr(memory, "_DECAY_POWERS", {})
-        for theta in (0.9, 0.97, 0.999, 0.123456789):
-            got = decay_powers(theta, 700)
-            exact = Fraction(1)
-            for dt in range(700):
-                assert got[dt] == float(exact), (theta, dt)
-                exact *= Fraction(theta)
-
     @pytest.mark.parametrize("calendar", [None, WEEKDAYS], ids=["calendar_days",
                                                                "trading_days"])
     def test_long_history_of_two_decay_ratios_scores_as_the_oracle(self, calendar):
